@@ -1,9 +1,16 @@
 """Batch front door: config parsing, experiment orchestration, reports.
 
-Exit codes: 0 success, 2 hypothesis violation, 3 search or cap
-exhaustion, 4 configuration error.  Reports are deterministic: exact
-rationals print as p/q, reals as fixed 12-digit decimals, and outputs are
-byte-identical across runs and thread counts.
+Exit codes:
+  0  success
+  1  a tower or verify check failed
+  2  hypothesis violation
+  3  search or cap exhaustion: tower search bound, residue cap, rho
+     factorization budget, or a primality claim beyond the proven range
+  4  configuration error: bad argument, field spec or tower file
+Exits 2-4 print one JSON line {"error", "message"} to stderr, never a
+traceback.  Reports are deterministic: exact rationals print as p/q, reals as
+fixed 12-digit decimals, and outputs are byte-identical across runs and
+thread counts.
 """
 
 import argparse
@@ -27,6 +34,7 @@ from .fieldspec import FieldSpecError, load_field_spec
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
 from .intervals import fmt_decimal, fmt_decimal_down, fmt_decimal_up
+from .intfactor import FactorizationTimeout, PrimalityUnproven
 from .tower import (
     SearchExhausted,
     belcher_criterion,
@@ -36,6 +44,7 @@ from .tower import (
 )
 
 EXIT_OK = 0
+EXIT_CHECK_FAILED = 1
 EXIT_HYPOTHESIS = 2
 EXIT_EXHAUSTED = 3
 EXIT_CONFIG = 4
@@ -136,7 +145,10 @@ def _counts_for_boxes(args, field, order, params, xs, threads, field_source):
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_density(args):
+def _sieve_setup(args):
+    """Field spec, order, sieve parameters and box schedule of density/count."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     spec = load_field_spec(args.field)
     field = spec.field
     order = spec.order_by_name(args.order)
@@ -144,10 +156,14 @@ def cmd_density(args):
     poly = SievePolynomial.x_squared_minus(4 * eta)
     excluded = _merge_conductor(field, order, _excluded_primes(field, args.exclude))
     params = DensityParams(order=order, poly=poly, excluded=excluded, m=args.m)
-    xs = _parse_boxes(args.boxes)
+    return spec, order, params, _parse_boxes(args.boxes)
+
+
+def cmd_density(args):
+    spec, order, params, xs = _sieve_setup(args)
+    field = spec.field
     report = euler_density(params, args.truncation)
-    threads = args.threads
-    counts = _counts_for_boxes(args, field, order, params, xs, threads, args.field)
+    counts = _counts_for_boxes(args, field, order, params, xs, args.threads, args.field)
     d_lo = fmt_decimal_down(report.d_lower)
     d_hi = fmt_decimal_up(report.d_upper)
     lines = [
@@ -170,15 +186,8 @@ def cmd_density(args):
 
 
 def cmd_count(args):
-    spec = load_field_spec(args.field)
-    field = spec.field
-    order = spec.order_by_name(args.order)
-    eta = field.element(_parse_coords(args.eta, field.degree))
-    poly = SievePolynomial.x_squared_minus(4 * eta)
-    excluded = _merge_conductor(field, order, _excluded_primes(field, args.exclude))
-    params = DensityParams(order=order, poly=poly, excluded=excluded, m=args.m)
-    xs = _parse_boxes(args.boxes)
-    counts = _counts_for_boxes(args, field, order, params, xs, args.threads, args.field)
+    spec, order, params, xs = _sieve_setup(args)
+    counts = _counts_for_boxes(args, spec.field, order, params, xs, args.threads, args.field)
     lines = [
         "# unitring count report",
         f"# field={spec.name}\torder={args.order or 'maximal'}\teta={args.eta}\tm={args.m}",
@@ -233,7 +242,7 @@ def cmd_tower(args):
     verification = verify_unit_generation(tower)
     doc = _tower_to_json(spec.name, args, tower, verification)
     _emit(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK if verification.all_passed() else 1
+    return EXIT_OK if verification.all_passed() else EXIT_CHECK_FAILED
 
 
 def _default_eta(field, units):
@@ -266,9 +275,29 @@ def cmd_belcher(args):
     return EXIT_OK
 
 
+_TOWER_KEYS = ("min_poly", "start_order", "eta", "steps", "compositum_sets")
+_STEP_KEYS = ("omega", "disc_hnf")
+
+
+def _read_tower(path):
+    """The serialized tower document; ConfigError if unreadable or incomplete."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise ConfigError(f"cannot read tower file: {e}") from e
+    if not isinstance(doc, dict):
+        raise ConfigError("tower file must hold a JSON object")
+    missing = [k for k in _TOWER_KEYS if k not in doc]
+    for i, st in enumerate(doc.get("steps", [])):
+        missing += [f"steps[{i}].{k}" for k in _STEP_KEYS if k not in st]
+    if missing:
+        raise ConfigError(f"tower file lacks {', '.join(missing)}")
+    return doc
+
+
 def cmd_verify(args):
-    with open(args.tower, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_tower(args.tower)
     from .field import NumberField
     from .ideal import IdealLattice
     from .order import SubOrder
@@ -286,7 +315,7 @@ def cmd_verify(args):
         step = quadratic_step(omega, eta)
         if [list(r) for r in step.disc_ideal.hnf] != st["disc_hnf"]:
             _diag("verify", "stored discriminant HNF does not match recomputation")
-            return 1
+            return EXIT_CHECK_FAILED
         steps.append(step)
     tower = Tower(
         field=field,
@@ -303,7 +332,7 @@ def cmd_verify(args):
     for key in sorted(result):
         lines.append(f"{key}\t{result[key]}")
     _emit(args.out, "\n".join(lines) + "\n")
-    return EXIT_OK if verification.all_passed() else 1
+    return EXIT_OK if verification.all_passed() else EXIT_CHECK_FAILED
 
 
 def _rebuild_final(start, steps):
@@ -373,7 +402,8 @@ def main(argv=None):
     except HypothesisError as e:
         _diag("hypothesis", e)
         return EXIT_HYPOTHESIS
-    except (SearchExhausted, ResidueCapError, NonMonogenicError) as e:
+    except (SearchExhausted, ResidueCapError, NonMonogenicError,
+            FactorizationTimeout, PrimalityUnproven) as e:
         _diag("exhausted", e)
         return EXIT_EXHAUSTED
     except (ConfigError, FieldSpecError, FixedDivisorError) as e:

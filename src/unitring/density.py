@@ -27,6 +27,7 @@ from .ideal import (
 from .intervals import PI, RatInterval
 from .linalg import det_triangular, hnf, lattice_intersection, lattice_sum
 from .geometry import RegionBox, enumerate_region
+from .rootiso import resultant
 
 ROOT_CAP = 10**6
 
@@ -384,97 +385,8 @@ def bad_reduction_primes(poly):
 
 
 def _poly_discriminant_element(poly):
-    """Res(f, f') as an element of O_K, by K-rational Gaussian elimination."""
-    field_k = poly.field
-    n = field_k.degree
-    f = [c for c in poly.coeffs]
-    fp = poly.derivative()
-    dm, dn = len(f) - 1, len(fp) - 1
-    size = dm + dn
-    zero = tuple(Fraction(0) for _ in range(n))
-
-    def coords_of(el):
-        return tuple(Fraction(c) for c in el.coords)
-
-    rows = []
-    for i in range(dn):
-        row = [zero] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = coords_of(c)
-        rows.append(row)
-    for i in range(dm):
-        row = [zero] * size
-        for j, c in enumerate(reversed(fp)):
-            row[i + j] = coords_of(c)
-        rows.append(row)
-    det = _k_det(field_k, rows)
-    el = [Fraction(x) for x in det]
-    if any(x.denominator != 1 for x in el):
-        raise ArithmeticError("resultant of integral polynomials must be integral")
-    return field_k.element(el)
-
-
-def _k_mul(field_k, a, b):
-    n = field_k.degree
-    table = field_k.mult_table
-    acc = [Fraction(0)] * n
-    for i in range(n):
-        if a[i]:
-            for j in range(n):
-                if b[j]:
-                    ab = a[i] * b[j]
-                    t = table[i][j]
-                    for k in range(n):
-                        acc[k] += ab * t[k]
-    return tuple(acc)
-
-
-def _k_inv(field_k, a):
-    from .linalg import mat_inv_frac
-
-    n = field_k.degree
-    m = [[Fraction(0)] * n for _ in range(n)]
-    # Row i of mult matrix: coords of a * w_i, bilinear in a.
-    table = field_k.mult_table
-    for i in range(n):
-        for j in range(n):
-            if a[j]:
-                t = table[i][j]
-                for k in range(n):
-                    m[i][k] += a[j] * Fraction(t[k])
-    inv = mat_inv_frac(m)
-    one = tuple(Fraction(c) for c in field_k.one_coords)
-    # x = one * M^{-1} solves x * a = one.
-    return tuple(
-        sum(one[i] * inv[i][k] for i in range(n)) for k in range(n)
-    )
-
-
-def _k_det(field_k, rows):
-    """Determinant of a matrix with K-element entries (coordinate tuples)."""
-    n = len(rows)
-    a = [row[:] for row in rows]
-    det = tuple(Fraction(c) for c in field_k.one_coords)
-    sign = 1
-    for col in range(n):
-        piv = next((i for i in range(col, n) if any(a[i][col])), None)
-        if piv is None:
-            return tuple(Fraction(0) for _ in range(field_k.degree))
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        pv = a[col][col]
-        det = _k_mul(field_k, det, pv)
-        pv_inv = _k_inv(field_k, pv)
-        for i in range(col + 1, n):
-            if any(a[i][col]):
-                factor = _k_mul(field_k, a[i][col], pv_inv)
-                for j in range(col, n):
-                    prod = _k_mul(field_k, factor, a[col][j])
-                    a[i][j] = tuple(x - y for x, y in zip(a[i][j], prod))
-    if sign < 0:
-        det = tuple(-x for x in det)
-    return det
+    """Res(f, f') as an element of O_K: a Sylvester determinant over O_K."""
+    return resultant(poly.coeffs, poly.derivative(), poly.field.one)
 
 
 def euler_density(params, truncation_norm, bits=96):

@@ -12,18 +12,14 @@ any requested precision.
 """
 
 from fractions import Fraction
-from math import gcd as _gcd
 
 from .intervals import RatInterval
-from .linalg import det_int, mat_inv_frac
+from .linalg import char_poly, det, mat_inv_frac
 from .rootiso import (
     RootIsolation,
-    poly_deriv,
-    poly_divmod,
     poly_eval,
     poly_mul,
     poly_trim,
-    resultant,
     sturm_count_real_roots,
 )
 
@@ -211,7 +207,7 @@ class NumberField:
             for j in range(n):
                 prod = self.element_from_coords_unchecked(self.mult_table[i][j])
                 tr[i][j] = prod.trace()
-        return det_int(tr)
+        return det(tr)
 
     # -- element constructors ------------------------------------------------
 
@@ -266,26 +262,8 @@ class NumberField:
         )
 
     def norm(self, alpha):
-        """Field norm: product of all conjugates, via the resultant.
-
-        Denominators of the theta-polynomial are cleared first so the
-        Sylvester determinant runs over the integers.
-        """
-        h = self.theta_poly_of(alpha)
-        if all(c == 0 for c in h):
-            return 0
-        den = 1
-        for c in h:
-            c = Fraction(c)
-            den = den * c.denominator // _gcd(den, c.denominator)
-        h_int = tuple(int(Fraction(c) * den) for c in h)
-        r = resultant(self.min_poly, h_int)
-        if den != 1:
-            scale = den**self.degree
-            if r % scale:
-                raise ArithmeticError("norm of an algebraic integer must be an integer")
-            r //= scale
-        return int(r)
+        """Field norm: product of all conjugates, det of the multiplication matrix."""
+        return det(self.mult_matrix(alpha))
 
     def trace(self, alpha):
         m = self.mult_matrix(alpha)
@@ -308,19 +286,7 @@ class NumberField:
 
     def char_poly(self, alpha):
         """Characteristic polynomial of alpha (monic, integer, constant first)."""
-        n = self.degree
-        m = self.mult_matrix(alpha)
-        pts = []
-        for c in range(n + 1):
-            rows = [[(c if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-            pts.append((c, det_int(rows)))
-        from .rootiso import lagrange_interpolate
-
-        coeffs = lagrange_interpolate(pts)
-        out = tuple(int(x) for x in coeffs)
-        if len(out) != n + 1 or out[-1] != 1:
-            raise ArithmeticError("characteristic polynomial interpolation failed")
-        return out
+        return char_poly(self.mult_matrix(alpha))
 
     # -- embeddings ---------------------------------------------------------
 

@@ -20,8 +20,8 @@ from .intervals import (
     interval_mat_inv,
     sqrt_upper,
 )
-from .linalg import det_frac, mat_inv_frac
-from .rootiso import lagrange_interpolate, poly_divmod, poly_eval, poly_trim, resultant
+from .linalg import char_poly, det, mat_inv_frac
+from .rootiso import poly_divmod, poly_eval
 
 MAX_BITS = 1 << 14
 
@@ -281,13 +281,10 @@ def _complex_tie(field, alpha, q, j, mod2_interval):
     """
     if q not in mod2_interval:
         return False
-    cp = field.char_poly(alpha)
-    pq = _pair_product_eval(cp, q)
-    if pq != 0:
+    s_poly = _conjugate_products_poly(field.mult_matrix(alpha))
+    if poly_eval(s_poly, Fraction(q)) != 0:
         return False
     # P(q) == 0: the tie is plausible; separate tau from other roots of P.
-    pt = _pair_product_poly(cp)
-    s_poly = pt
     k = 0
     while True:
         quo, rem = poly_divmod(s_poly, (Fraction(-q), Fraction(1)))
@@ -321,25 +318,11 @@ def _complex_tie(field, alpha, q, j, mod2_interval):
             raise AmbiguousPivotError("complex tie undecided at maximum precision")
 
 
-def _pair_product_eval(char_poly, q):
-    """P(q) = prod_{i,k} (q - z_i z_k) via one resultant."""
-    n = len(char_poly) - 1
-    q = Fraction(q)
-    # g(y) = sum_k c_k q^k y^{n-k}; Res(p, g) = prod_i g(z_i).
-    g = [Fraction(0)] * (n + 1)
-    for k_idx, c in enumerate(char_poly):
-        g[n - k_idx] = Fraction(c) * q**k_idx
-    return resultant(char_poly, poly_trim(g))
-
-
-def _pair_product_poly(char_poly):
-    """P(t) = prod_{i,k} (t - z_i z_k), by interpolation of resultants."""
-    n = len(char_poly) - 1
-    deg = n * n
-    pts = []
-    for c in range(deg + 1):
-        pts.append((c, _pair_product_eval(char_poly, c)))
-    return lagrange_interpolate(pts)
+def _conjugate_products_poly(m):
+    """P(t) = prod_{i,k} (t - z_i z_k) for the conjugates z_i of the element
+    with multiplication matrix m: the char poly of the Kronecker square m (x) m.
+    """
+    return char_poly(tuple(tuple(a * b for a in ra for b in rb) for ra in m for rb in m))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +408,7 @@ class EmbeddedLattice:
     def __init__(self, gram):
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.n = len(self.gram)
-        self.det_sq = det_frac(self.gram)
+        self.det_sq = det(self.gram)
         if self.det_sq <= 0:
             raise ValueError("gram matrix must be positive definite")
         self._minima_sq = None

@@ -2,9 +2,11 @@
 
 Strategy: trial division over a shared prime table (hot kernel), then
 Brent's cycle-finding rho with a deterministic Miller-Rabin certificate on
-every cofactor.  Norms stay well below 2**64 in practice, where the chosen
-Miller-Rabin bases are a proven primality test; above that the same bases
-are used with extra witnesses and a generous rho budget.
+every cofactor.  The thirteen Miller-Rabin bases 2..41 are a proof of
+primality below PSI_13 (about 3.3 * 10**24), well above the norms of
+the bundled workloads.  A composite verdict is a proof at any size; a number
+at or above PSI_13 that passes every base raises PrimalityUnproven
+instead of being called prime.
 """
 
 from math import gcd, isqrt
@@ -14,6 +16,14 @@ from . import kernel
 TRIAL_LIMIT = 10**6
 
 _primes = None
+
+
+class PrimalityUnproven(ArithmeticError):
+    """n >= PSI_13 passed every Miller-Rabin base: prime is not proven."""
+
+    def __init__(self, n):
+        super().__init__(f"{n} passes every Miller-Rabin base but is not below PSI_13")
+        self.n = n
 
 
 class FactorizationTimeout(Exception):
@@ -31,14 +41,18 @@ def primes():
     return _primes
 
 
-# Deterministic for n < 3.3 * 10**24 (Sorenson & Webster).
+# Deterministic for n < PSI_13 (Sorenson & Webster).  PSI_13 itself, the
+# smallest strong pseudoprime to all thirteen bases, is 1287836182261 *
+# 2575672364521.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
 
 
 def is_prime(n):
+    """Proven primality test; raises PrimalityUnproven where no proof is at hand."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -56,6 +70,8 @@ def is_prime(n):
                 break
         else:
             return False
+    if n >= PSI_13:
+        raise PrimalityUnproven(n)
     return True
 
 

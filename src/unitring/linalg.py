@@ -1,5 +1,8 @@
 """Exact linear algebra over the integers and rationals.
 
+char_poly/det is the package's one general determinant: division-free, so
+the same code serves integer, rational and algebraic-integer matrices.
+
 Row convention throughout: a lattice is the set of integer combinations of
 the rows of its basis matrix.  Hermite normal form is row-style, upper
 triangular with positive diagonal and entries above each pivot reduced into
@@ -9,6 +12,7 @@ dictionary keys.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def mat_freeze(rows):
@@ -119,41 +123,35 @@ def det_triangular(h):
     return d
 
 
-def det_int(rows):
-    """Determinant of a square integer matrix (Bareiss, exact)."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def char_poly(rows, one=1):
+    """Characteristic polynomial det(t*I - rows), monic, constant term first.
+
+    Berkowitz's division-free algorithm, so it runs over any commutative
+    ring: int, Fraction, or AlgebraicInt entries with one=field.one.  The
+    polynomial of each leading k x k block is carried to the next by the
+    Toeplitz vector (1, -a, -R C, -R B C, ..., -R B^(k-1) C) of the border
+    row R, column C and corner a around that block B.  O(n^4) ring
+    operations.
+    """
+    zero = one - one
+    cp = [one]  # leading block's polynomial, highest degree first
+    for k in range(len(rows)):
+        block = [r[:k] for r in rows[:k]]
+        row = rows[k][:k]
+        v = [r[k] for r in rows[:k]]
+        toeplitz = [one, -rows[k][k]]
+        for step in range(k):
+            toeplitz.append(-sum(map(mul, row, v), zero))
+            if step < k - 1:
+                v = [sum(map(mul, b, v), zero) for b in block]
+        cp = [sum(map(mul, toeplitz[i::-1], cp), zero) for i in range(k + 2)]
+    return tuple(reversed(cp))
 
 
-def det_frac(rows):
-    """Determinant of a square matrix of Fractions (fraction-free on scaled ints)."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    scaled = []
-    scale = Fraction(1)
-    for row in rows:
-        den = 1
-        for x in row:
-            den = den * Fraction(x).denominator // gcd(den, Fraction(x).denominator)
-        scaled.append([int(Fraction(x) * den) for x in row])
-        scale /= den
-    return scale * det_int(scaled)
+def det(rows, one=1):
+    """Determinant over any commutative ring: (-1)^n times char_poly's constant."""
+    c0 = char_poly(rows, one)[0]
+    return -c0 if len(rows) % 2 else c0
 
 
 def mat_inv_frac(rows):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .intervals import sqrt_upper
+from .linalg import det
 
 
 class PrecisionError(Exception):
@@ -126,54 +127,36 @@ def sturm_count_real_roots(p):
     return variations(signs_at_inf(-1)) - variations(signs_at_inf(1))
 
 
-def sylvester_matrix(p, q):
+def sylvester_matrix(p, q, zero=0):
     p = poly_trim(p)
     q = poly_trim(q)
     m, n = len(p) - 1, len(q) - 1
     size = m + n
     rows = []
     for i in range(n):
-        row = [0] * size
+        row = [zero] * size
         for j, c in enumerate(reversed(p)):
             row[i + j] = c
         rows.append(row)
     for i in range(m):
-        row = [0] * size
+        row = [zero] * size
         for j, c in enumerate(reversed(q)):
             row[i + j] = c
         rows.append(row)
     return rows
 
 
-def resultant(p, q):
-    """Resultant of two polynomials with integer or rational coefficients."""
-    from .linalg import det_frac, det_int
-
+def resultant(p, q, one=1):
+    """Resultant of two polynomials over a commutative ring with unit one:
+    int, Fraction, or AlgebraicInt coefficients with one=field.one."""
     p, q = poly_trim(p), poly_trim(q)
     if poly_deg(p) < 1 and poly_deg(q) < 1:
-        return 1
+        return one
     if poly_deg(p) < 1:
         return p[0] ** poly_deg(q) if poly_deg(p) == 0 else 0
     if poly_deg(q) < 1:
         return q[0] ** poly_deg(p) if poly_deg(q) == 0 else 0
-    rows = sylvester_matrix(p, q)
-    if all(isinstance(x, int) for row in rows for x in row):
-        return det_int(rows)
-    return det_frac(rows)
-
-
-def lagrange_interpolate(points):
-    """Polynomial through the given (x, y) pairs, coefficients as Fractions."""
-    result = (Fraction(0),)
-    for i, (xi, yi) in enumerate(points):
-        term = (Fraction(yi),)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
-                continue
-            term = poly_mul(term, (Fraction(-xj, 1), Fraction(1)))
-            term = poly_scale(term, Fraction(1, xi - xj))
-        result = poly_add(result, term)
-    return result
+    return det(sylvester_matrix(p, q, one - one), one)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
-from unitring.cli import main
+from unitring import intfactor
+from unitring.cli import EXIT_CONFIG, EXIT_EXHAUSTED, main
+from unitring.intfactor import PSI_13, FactorizationTimeout
 
 RUN = [sys.executable, "-m", "unitring.cli"]
 
@@ -140,3 +142,51 @@ def test_verify_rejects_tamper(tmp_path):
     bad_path.write_text(json.dumps(doc))
     proc = run_cli(["verify", "--tower", str(bad_path)])
     assert proc.returncode != 0
+
+
+def last_diag(stderr):
+    lines = stderr.splitlines()
+    assert "Traceback" not in stderr
+    return json.loads(lines[-1])
+
+
+def test_verify_tower_missing_key(tmp_path):
+    bad_path = tmp_path / "partial.json"
+    bad_path.write_text(json.dumps({"steps": []}))
+    proc = run_cli(["verify", "--tower", str(bad_path)])
+    assert proc.returncode == EXIT_CONFIG
+    diag = last_diag(proc.stderr)
+    assert diag["error"] == "config" and "min_poly" in diag["message"]
+
+
+def test_verify_tower_missing_file(tmp_path):
+    proc = run_cli(["verify", "--tower", str(tmp_path / "absent.json")])
+    assert proc.returncode == EXIT_CONFIG
+    assert last_diag(proc.stderr)["error"] == "config"
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_must_be_positive(threads):
+    proc = run_cli(["count", "--field", "q_sqrt5", "--eta", "0,1",
+                    "--boxes", "100", "--threads", threads])
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    assert "--threads" in last_diag(proc.stderr)["message"]
+
+
+def test_exit_code_factorization_timeout(monkeypatch, capsys):
+    def exhausted(n):
+        raise FactorizationTimeout(n)
+
+    monkeypatch.setattr(intfactor, "_brent_rho", exhausted)
+    # A squarefree semiprime above the trial table's square reaches rho.
+    assert main(["belcher", "-d", str(1_000_003 * 1_000_033)]) == EXIT_EXHAUSTED
+    diag = last_diag(capsys.readouterr().err)
+    assert diag["error"] == "exhausted" and "budget" in diag["message"]
+
+
+def test_exit_code_primality_unproven():
+    proc = run_cli(["belcher", "-d", str(PSI_13)])
+    assert proc.returncode == EXIT_EXHAUSTED
+    assert proc.stdout == ""
+    assert last_diag(proc.stderr)["error"] == "exhausted"

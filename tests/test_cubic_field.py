@@ -92,11 +92,11 @@ def test_cubic_ideal_consistency(k3):
 
 
 def test_cubic_norm_oracles(k3):
-    from unitring.linalg import det_int
+    from unitring.rootiso import resultant
 
     for coords in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1), (2, -1, 3), (-4, 0, 1)]:
         alpha = k3.element(coords)
-        assert alpha.norm() == det_int(k3.mult_matrix(alpha))
+        assert alpha.norm() == resultant(k3.min_poly, k3.theta_poly_of(alpha))
 
 
 def test_cubic_is_square(k3):

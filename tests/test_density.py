@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unitring.field import NumberField
 from unitring.geometry import RegionBox
 from unitring.ideal import IdealLattice, ResidueCapError, split_prime
 from unitring.order import SubOrder
 from unitring.density import (
+    _poly_discriminant_element,
     DensityParams,
     FixedDivisorError,
     SievePolynomial,
@@ -225,6 +228,24 @@ def test_bad_reduction_primes(q5, f_theta):
     bad = bad_reduction_primes(f_theta)
     # disc(X^2 - 4 theta) = 16 theta, supported at (2) only (theta is a unit).
     assert {pid.p for pid in bad} == {2}
+
+
+coords3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(-1, -1, 1), (1, 0, 1), (-1, -1, 0, 1)]), coords3, coords3, coords3)
+def test_poly_discriminant_element_quadratic(min_poly, ca, cb, cc):
+    # Res(f, f') = -a (b^2 - 4ac) for f = aX^2 + bX + c over O_K.
+    field = NumberField(min_poly)
+    n = field.degree
+    a, b, c = (field.element(x[:n]) for x in (ca, cb, cc))
+    assume(not a.is_zero())
+    try:
+        poly = SievePolynomial([c, b, a])
+    except ValueError:
+        assume(False)  # reducible: square discriminant
+    assert _poly_discriminant_element(poly) == -(a * (b * b - 4 * (a * c)))
 
 
 def test_euler_density_nested_intervals(q5, f_theta):

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
-from unitring.linalg import det_int
+from unitring.rootiso import resultant
 
 
 @pytest.fixture(scope="module")
@@ -24,9 +25,16 @@ def cubic():
     return NumberField([-2, -1, 0, 1], name="cubic")
 
 
-def mult_matrix_norm_oracle(alpha):
-    """Independent norm route: determinant of the multiplication matrix."""
-    return det_int(alpha.field.mult_matrix(alpha))
+def resultant_norm_oracle(alpha):
+    """Independent norm route: Res(min_poly, h) / den^n for alpha = h(theta)/den."""
+    field = alpha.field
+    h = field.theta_poly_of(alpha)
+    den = 1
+    for c in h:
+        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
+    r = resultant(field.min_poly, tuple(int(Fraction(c) * den) for c in h))
+    assert r % den**field.degree == 0
+    return r // den**field.degree
 
 
 def embedding_product_norm_oracle(alpha, bits=128):
@@ -60,7 +68,7 @@ def test_norm_three_routes_agree_q5(c):
         assert alpha.norm() == 0
         return
     n1 = alpha.norm()
-    assert n1 == mult_matrix_norm_oracle(alpha)
+    assert n1 == resultant_norm_oracle(alpha)
     assert n1 == embedding_product_norm_oracle(alpha)
 
 

@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitring.field import NumberField
 from unitring.geometry import (
+    _conjugate_products_poly,
     EmbeddedLattice,
     EmptyCosetError,
     RegionBox,
@@ -18,6 +21,7 @@ from unitring.geometry import (
 from unitring.ideal import IdealLattice
 from unitring.linalg import identity
 from unitring.order import SubOrder
+from unitring.rootiso import poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,20 @@ def test_boundary_tie_complex(qi):
     assert not in_region(qi.rational(2) + i, box)  # 5 > 4
     # r = 0: zero is vacuously totally positive and inside any box.
     assert in_region(qi.zero, box)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(-1, -1, 1), (1, 0, 1), (-5, 0, 1), (3, 1, 1)]),
+       st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+def test_conjugate_products_poly_quadratic_closed_form(min_poly, coords):
+    # Products z_i z_k of the two conjugates: z1^2, z2^2 and z1 z2 twice.
+    field = NumberField(min_poly)
+    alpha = field.element(coords)
+    nrm = alpha.norm()
+    expected = poly_mul(
+        (nrm * nrm, -(alpha * alpha).trace(), 1), poly_mul((-nrm, 1), (-nrm, 1))
+    )
+    assert _conjugate_products_poly(field.mult_matrix(alpha)) == expected
 
 
 def test_region_box_validation(q5):

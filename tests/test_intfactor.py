@@ -3,7 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring import kernel
-from unitring.intfactor import factor, is_power_free, is_prime, is_squarefree_int
+from unitring.intfactor import (
+    PSI_13,
+    PrimalityUnproven,
+    factor,
+    is_power_free,
+    is_prime,
+    is_squarefree_int,
+)
 
 
 def brute_factor(n):
@@ -74,3 +81,22 @@ def test_squarefree_negative_input():
 def test_factor_one_and_sign():
     assert factor(1) == []
     assert factor(-12) == [(2, 2), (3, 1)]
+
+
+def test_prime_table_contents():
+    assert list(kernel.prime_table(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert len(kernel.prime_table(1)) == 0
+
+
+def test_psi13_is_not_called_prime():
+    # PSI_13 is a strong pseudoprime to every Miller-Rabin base in use.
+    assert PSI_13 == 1287836182261 * 2575672364521
+    with pytest.raises(PrimalityUnproven):
+        is_prime(PSI_13)
+    with pytest.raises(PrimalityUnproven):
+        factor(PSI_13)
+    # Composite verdicts stay proofs above the bound ...
+    assert not is_prime(43 * PSI_13)
+    assert not is_prime((2**61 - 1) * (2**31 - 1) * 1_000_003)
+    # ... and primes below it are still certified.
+    assert is_prime(PSI_13 - 168)

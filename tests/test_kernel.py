@@ -41,8 +41,3 @@ def test_compiled_overflow_falls_back():
     fac, cof = kernel.trial_divide(big, PRIMES)
     assert [(int(p), int(e)) for p, e in fac] == [(2, 70)]
     assert cof == 1
-
-
-def test_prime_table_contents():
-    assert list(kernel.prime_table(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert len(kernel.prime_table(1)) == 0

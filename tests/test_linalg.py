@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring.linalg import (
-    det_frac,
-    det_int,
+    char_poly,
+    det,
     det_triangular,
     hnf,
     hnf_kernel,
@@ -30,7 +31,7 @@ small_int = st.integers(min_value=-30, max_value=30)
 def mat_strategy(n):
     return st.lists(
         st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n
-    ).filter(lambda rows: det_int(rows) != 0)
+    ).filter(lambda rows: det(rows) != 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -45,7 +46,7 @@ def test_hnf_shape_and_determinant(rows):
             assert h[i][j] == 0
         for k in range(i):
             assert 0 <= h[k][i] < h[i][i]
-    assert abs(det_int(rows)) == det_triangular(h)
+    assert abs(det(rows)) == det_triangular(h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,10 +129,54 @@ def test_lattice_index():
     assert lattice_index(sub, sup) == 8
 
 
-def test_det_frac_matches_int():
+def test_det_rational_entries():
     rows = [[Fraction(1, 2), Fraction(3)], [Fraction(-2), Fraction(5, 7)]]
     expected = Fraction(1, 2) * Fraction(5, 7) - Fraction(3) * Fraction(-2)
-    assert det_frac(rows) == expected
+    assert det(rows) == expected
+
+
+def leibniz_det(rows):
+    """Oracle: the permutation expansion, sign by inversion count."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+def square_matrices(entries):
+    return st.integers(min_value=0, max_value=5).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+small_frac = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices(small_int))
+def test_det_matches_leibniz_int(rows):
+    assert det(rows) == leibniz_det(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrices(small_frac))
+def test_det_matches_leibniz_fraction(rows):
+    assert det(rows) == leibniz_det(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices(small_frac), small_frac)
+def test_char_poly_matches_leibniz(rows, t):
+    n = len(rows)
+    cp = char_poly(rows)
+    assert len(cp) == n + 1 and cp[-1] == 1
+    shifted = [[(t if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+    assert sum(c * t**k for k, c in enumerate(cp)) == leibniz_det(shifted)
 
 
 def test_mat_inv_frac():

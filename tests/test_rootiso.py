@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from unitring.rootiso import (
     PrecisionError,
     RootIsolation,
-    lagrange_interpolate,
     poly_divmod,
     poly_eval,
     poly_mul,
@@ -50,13 +49,6 @@ def test_poly_divmod_roundtrip():
     rebuilt = tuple(poly_trim([a + b for a, b in
                                zip(list(poly_mul(q, den)) + [0] * 8, list(r) + [0] * 8)]))[:len(num)]
     assert tuple(Fraction(x) for x in poly_trim(rebuilt)) == tuple(Fraction(x) for x in num)
-
-
-def test_lagrange_interpolation():
-    pts = [(0, 5), (1, 7), (2, 13), (-1, 7)]
-    poly = lagrange_interpolate(pts)
-    for x, y in pts:
-        assert poly_eval(poly, Fraction(x)) == y
 
 
 @pytest.mark.parametrize(

@@ -6,11 +6,12 @@ Exit codes:
   2  hypothesis violation
   3  search or cap exhaustion: tower search bound, residue cap, rho
      factorization budget, or a primality claim beyond the proven range
-  4  configuration error: bad argument, field spec or tower file
+  4  configuration error: bad argument (argparse usage errors included),
+     UNITRING_THREADS, field spec or tower file
 Exits 2-4 print one JSON line {"error", "message"} to stderr, never a
-traceback.  Reports are deterministic: exact rationals print as p/q, reals as
-fixed 12-digit decimals, and outputs are byte-identical across runs and
-thread counts.
+traceback or a usage text.  Reports are deterministic: exact rationals
+print as p/q, reals as fixed 12-digit decimals, and outputs are
+byte-identical across runs and thread counts.
 """
 
 import argparse
@@ -342,8 +343,23 @@ def _rebuild_final(start, steps):
     return current
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors raise ConfigError instead of exiting 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
+def _env_threads():
+    text = os.environ.get("UNITRING_THREADS", "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"UNITRING_THREADS must be an integer, got {text!r}") from None
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="unitring",
         description="m-free value sieves over orders and unit-generated towers",
     )
@@ -359,8 +375,8 @@ def build_parser():
                        help="rational primes whose ideal factors are excluded, comma separated")
         p.add_argument("--boxes", default="100,1000,10000",
                        help="strictly increasing volumes x, comma separated")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("UNITRING_THREADS", "1")))
+        p.add_argument("--threads", type=int, default=_env_threads(),
+                       help="worker processes (default: UNITRING_THREADS, else 1)")
         p.add_argument("--out", default="", help="output path (default stdout)")
 
     p_density = sub.add_parser("density", help="Euler product density and empirical counts")
@@ -395,9 +411,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HypothesisError as e:
         _diag("hypothesis", e)

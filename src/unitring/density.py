@@ -3,10 +3,13 @@ rigorous tail, empirical counts over box regions, the admissible error
 exponents, and the density-gap inequality for the order-versus-maximal
 comparison.
 
-Root counts modulo prime powers run through residue-field gcd counting
-with Hensel lifting for simple roots; brute-force residue enumeration is
-the independent oracle below the cap and the fallback for degenerate
-roots.  The infinite Euler product is truncated with an explicit interval
+Root counts modulo prime powers are residue-field gcd counts wherever the
+reduced polynomial is separable: each root is then simple and lifts
+uniquely to every prime power (Hensel), so no root is ever found.  Only an
+inseparable reduction, at a prime of bad reduction, finds its roots, lifts
+the simple ones and counts the lifts of the multiple ones by brute force;
+brute-force residue enumeration is also the independent oracle below the
+cap.  The infinite Euler product is truncated with an explicit interval
 tail, with every prime of bad reduction handled exactly no matter its
 size, so the returned interval is rigorous.
 """
@@ -25,6 +28,7 @@ from .ideal import (
     split_prime,
 )
 from .intervals import PI, RatInterval
+from .kernel import prime_table
 from .linalg import det_triangular, hnf, lattice_intersection, lattice_sum
 from .geometry import RegionBox, enumerate_region
 from .rootiso import resultant
@@ -134,16 +138,21 @@ def fpoly_reduction_error(p):
 
 
 def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
-    """L(P^e): number of roots of the polynomial in O_K / P^e."""
+    """L(P^e): number of roots of the polynomial in O_K / P^e.
+
+    A separable reduction f-bar has only simple roots, each lifting
+    uniquely to every P^e, so L(P^e) = L(P) is a gcd count.  Otherwise the
+    roots are found and the multiple ones lifted by brute force.
+    """
     fbar, fq = _reduce_to_residue_field(poly, pid)
     if fbar == fpoly.ZERO_Q:
         # Every residue is a root as far as P^1; higher powers by brute force.
         if e == 1:
             return fq.q
         return _count_roots_bruteforce_power(poly, pid, e, cap)
-    if e == 1:
-        return fpoly.count_roots_in_fq(fbar, fq)
     dbar = fpoly.q_deriv(fbar, fq)
+    if e == 1 or (dbar != fpoly.ZERO_Q and len(fpoly.q_gcd(fbar, dbar, fq)) == 1):
+        return fpoly.count_roots_in_fq(fbar, fq)
     count = 0
     for root in fpoly.roots_in_fq(fbar, fq):
         if dbar != fpoly.ZERO_Q and fpoly.q_eval(dbar, root, fq) != (0,):
@@ -398,8 +407,6 @@ def euler_density(params, truncation_norm, bits=96):
     [1 - n g T^{1-m} / (m-1), 1].  The transcendental prefactor
     (2 pi)^s / (sqrt|d_K| [O_K : O]) enters as an interval.
     """
-    from .intfactor import is_prime
-
     field_k = params.field
     order = params.order
     poly = params.poly
@@ -421,20 +428,17 @@ def euler_density(params, truncation_norm, bits=96):
     zero_witness = None
     handled = set()
     T = truncation_norm
-    p = 2
-    while p <= T:
-        if is_prime(p):
-            for pid in split_prime(field_k, p):
-                if pid.norm > T or pid in excluded:
-                    continue
-                l_val = count_roots_prime_power(poly, pid, m)
-                npm = pid.norm**m
-                if l_val == npm:
-                    zero_witness = pid
-                main_num *= npm - l_val
-                main_den *= npm
-                handled.add(pid)
-        p += 1
+    for p in prime_table(T):
+        for pid in split_prime(field_k, p):
+            if pid.norm > T or pid in excluded:
+                continue
+            l_val = count_roots_prime_power(poly, pid, m)
+            npm = pid.norm**m
+            if l_val == npm:
+                zero_witness = pid
+            main_num *= npm - l_val
+            main_den *= npm
+            handled.add(pid)
     for pid in sorted(bad_reduction_primes(poly), key=lambda q: q.sort_key()):
         if pid in excluded or pid in handled:
             continue

@@ -2,9 +2,13 @@
 
 Polynomials are coefficient tuples, constant first, entries reduced mod p.
 Factorization is squarefree decomposition + distinct-degree + equal-degree
-splitting.  The equal-degree stage needs random elements; randomness comes
-from a small deterministic LCG seeded by (p, poly) so factorizations are
-reproducible across runs and platforms.
+splitting.  Roots in F_q come from gcd(X^q - X, f), split by
+Cantor-Zassenhaus for every field size; no field is scanned element by
+element.  Root counts at residue degree 1 run that gcd on plain-int
+polynomials over F_p instead of 1-tuple F_q elements.  The splitting
+stages need random elements; randomness comes from a small deterministic
+LCG seeded by (p, poly) so factorizations are reproducible across runs and
+platforms.
 """
 
 
@@ -220,8 +224,8 @@ def roots_mod_p(poly, p):
     f = _trim(tuple(c % p for c in poly))
     if f == (0,):
         raise ValueError("zero polynomial")
-    if p < 64:
-        return sorted(x for x in range(p) if p_eval(f, x, p) == 0)
+    if len(f) == 1:
+        return []
     roots = []
     for fac, _ in factor_mod_p(f, p):
         if len(fac) == 2:
@@ -382,21 +386,30 @@ def q_deriv(poly, fq):
     return qtrim(out)
 
 
+def _linear_part(poly, fq):
+    """gcd(X^q - X, poly): the product of the distinct monic linear factors."""
+    x = ((0,), (1,))
+    return q_gcd(q_sub(q_powmod(x, fq.q, poly, fq), x, fq), poly, fq)
+
+
 def count_roots_in_fq(poly, fq):
     """Number of roots in F_q of a nonzero polynomial over F_q.
 
     deg gcd(X^q - X, poly): X^q - X is the product of all monic linear
-    factors, so the gcd collects exactly the distinct roots.
+    factors, so the gcd collects exactly the distinct roots.  At residue
+    degree 1 the elements are 1-tuples and the gcd runs over F_p on ints.
     """
     poly = qtrim(poly)
     if poly == ZERO_Q:
         raise ValueError("zero polynomial")
     if len(poly) == 1:
         return 0
-    x = ((0,), (1,))
-    xq = q_powmod(x, fq.q, poly, fq)
-    g = q_gcd(q_sub(xq, x, fq), poly, fq)
-    return len(g) - 1
+    if fq.f == 1:
+        p = fq.p
+        f = tuple(c[0] for c in poly)
+        xp = p_powmod((0, 1), p, f, p)
+        return len(p_gcd(p_sub(xp, (0, 1), p), f, p)) - 1
+    return len(_linear_part(poly, fq)) - 1
 
 
 def roots_in_fq(poly, fq):
@@ -406,25 +419,16 @@ def roots_in_fq(poly, fq):
         raise ValueError("zero polynomial")
     if len(poly) == 1:
         return []
-    x = ((0,), (1,))
-    xq = q_powmod(x, fq.q, poly, fq)
-    g = q_gcd(q_sub(xq, x, fq), poly, fq)
-    nroots = len(g) - 1
-    if nroots == 0:
-        return []
-    if fq.q <= 4096:
-        roots = []
-        for el in fq.iter_elements():
-            if q_eval(g, el, fq) == (0,):
-                roots.append(el)
-                if len(roots) == nroots:
-                    break
-        return sorted(roots)
-    return sorted(_split_linear(g, fq))
+    return sorted(_split_linear(_linear_part(poly, fq), fq))
 
 
 def _split_linear(g, fq):
-    """Roots of a monic product of distinct linear factors over F_q."""
+    """Roots of a monic product of distinct linear factors over F_q.
+
+    Splits with a = c X + s for random c != 0 and s.  In characteristic 2
+    the trace of a at roots r, r' differs by Tr(c (r - r')), so c must vary:
+    with c = 1 roots whose difference has trace 0 never separate.
+    """
     deg = len(g) - 1
     if deg == 0:
         return []
@@ -436,8 +440,11 @@ def _split_linear(g, fq):
             seed = (seed * 1000003 + ci + 7) % (1 << 62)
     rng = _LCG(seed)
     while True:
+        scale = fq.elem(tuple(rng.next(fq.p) for _ in range(fq.f)))
+        if scale == (0,):
+            continue
         shift = fq.elem(tuple(rng.next(fq.p) for _ in range(fq.f)))
-        a = qtrim([shift, (1,)])  # y + shift
+        a = (shift, scale)
         if fq.p == 2:
             t = a
             acc = a

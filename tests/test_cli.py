@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -190,3 +191,26 @@ def test_exit_code_primality_unproven():
     assert proc.returncode == EXIT_EXHAUSTED
     assert proc.stdout == ""
     assert last_diag(proc.stderr)["error"] == "exhausted"
+
+
+def test_bad_threads_environment_variable():
+    env = dict(os.environ, UNITRING_THREADS="abc")
+    proc = run_cli(["belcher", "-d", "5"], env=env)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stdout == ""
+    diag = last_diag(proc.stderr)
+    assert diag["error"] == "config" and "UNITRING_THREADS" in diag["message"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["count", "--field", "q_sqrt5", "--eta", "0,1", "--threads", "abc"], "--threads"),
+    (["density", "--field", "q_sqrt5", "--boxes", "100"], "--eta"),
+])
+def test_usage_error_is_config_diagnostic(argv, needle, capsys):
+    # argparse would exit 2 (documented as a hypothesis violation) with a
+    # usage text; a bad argument is a one-line exit-4 diagnostic instead.
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    diag = last_diag(err)
+    assert diag["error"] == "config" and needle in diag["message"]

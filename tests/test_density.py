@@ -86,7 +86,9 @@ def test_root_count_matches_bruteforce_to_200(q5, f_theta):
 
 def test_root_count_hensel_vs_brute_prime_powers(q5, f_theta, f_eta):
     # Powers where Hensel lifting actually engages, against brute force.
-    for f in (f_theta, f_eta):
+    # N(3 + theta) = 11: f-bar = X^2 is inseparable at the prime (3 + theta).
+    f_11 = SievePolynomial.x_squared_minus(4 * (q5.theta + q5.rational(3)))
+    for f in (f_theta, f_eta, f_11):
         for p in (2, 3, 5, 11, 19):
             for pid in split_prime(q5, p):
                 for e in (1, 2, 3):
@@ -246,6 +248,46 @@ def test_poly_discriminant_element_quadratic(min_poly, ca, cb, cc):
     except ValueError:
         assume(False)  # reducible: square discriminant
     assert _poly_discriminant_element(poly) == -(a * (b * b - 4 * (a * c)))
+
+
+DIFF_FIELDS = {
+    "q_sqrt5": [-1, -1, 1],
+    "q_sqrt2": [-2, 0, 1],
+    "q_i": [1, 0, 1],
+    "cubic-23": [-1, -1, 0, 1],
+}
+
+
+@pytest.fixture(scope="module")
+def diff_fields():
+    return {name: NumberField(min_poly, name=name) for name, min_poly in DIFF_FIELDS.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(DIFF_FIELDS)), coords3, coords3, coords3,
+       st.sampled_from((1, 2, 3)), st.data())
+def test_root_count_prime_powers_differential(diff_fields, name, ca, cb, cc, e, data):
+    # aX^2 + bX + c against brute force mod P^e.  P runs over primes above
+    # 2 and 3 and above small divisors of N(a) N(b^2 - 4ac), so both the
+    # separable gcd count and the inseparable lifting route are exercised.
+    field = diff_fields[name]
+    n = field.degree
+    a, b, c = (field.element(x[:n]) for x in (ca, cb, cc))
+    assume(not a.is_zero())
+    try:
+        poly = SievePolynomial([c, b, a])
+    except ValueError:
+        assume(False)  # reducible: square discriminant
+    bad = a.norm() * (b * b - 4 * (a * c)).norm()
+    pids = [
+        pid
+        for p in (2, 3, 5, 7, 11, 13)
+        if p <= 3 or bad % p == 0
+        for pid in split_prime(field, p)
+        if pid.norm**e <= 2000
+    ]
+    pid = data.draw(st.sampled_from(pids))
+    assert count_roots_prime_power(poly, pid, e) == root_count_bruteforce(poly, pid.ideal**e)
 
 
 def test_euler_density_nested_intervals(q5, f_theta):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from unitring.fpoly import (
     ResidueField,
@@ -7,6 +9,7 @@ from unitring.fpoly import (
     p_eval,
     p_gcd,
     p_mul,
+    q_mul,
     roots_in_fq,
     roots_mod_p,
 )
@@ -96,6 +99,45 @@ def test_count_roots_vs_enumeration_f9():
         assert len(got_roots) == expected
         for r in got_roots:
             assert _qeval(poly, r, fq) == (0,)
+
+
+# (p, modulus g) of F_2, F_3, F_4, F_8, F_9 and F_25; the degree-1 moduli
+# are not y, so that the prime fields are not just the constants.
+SMALL_FIELDS = [
+    (2, (1, 1)),
+    (3, (1, 1)),
+    (2, (1, 1, 1)),
+    (2, (1, 1, 0, 1)),
+    (3, (1, 0, 1)),
+    (5, (3, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("p, g", SMALL_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_roots_in_fq_vs_enumeration(p, g, data):
+    # cofactor * prod (X - r) with repeated roots: the count and the sorted
+    # roots must match a scan of every element of F_q.
+    fq = ResidueField(p, g)
+    els = list(fq.iter_elements())
+    pick = st.integers(0, len(els) - 1)
+    cofactor = [els[i] for i in data.draw(st.lists(pick, max_size=3))]
+    cofactor.append(els[data.draw(st.integers(1, len(els) - 1))])
+    poly = tuple(cofactor)
+    for i in data.draw(st.lists(pick, max_size=4)):
+        poly = q_mul(poly, (fq.sub(fq.zero, els[i]), fq.one), fq)
+    expected = sorted(el for el in els if _qeval(poly, el, fq) == (0,))
+    assert count_roots_in_fq(poly, fq) == len(expected)
+    assert roots_in_fq(poly, fq) == expected
+
+
+def test_split_linear_char2_trace_zero_difference():
+    # X(X+1) over F_4: the roots differ by 1, whose trace to F_2 is 0, so
+    # splitting with X + s alone never separates them.
+    fq = ResidueField(2, (1, 1, 1))
+    poly = (fq.zero, fq.one, fq.one)
+    assert roots_in_fq(poly, fq) == [(0,), (1,)]
 
 
 def _qeval(poly, x, fq):

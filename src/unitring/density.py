@@ -21,6 +21,7 @@ from . import fpoly
 from .field import AlgebraicInt, is_square_in_field
 from .ideal import (
     IdealLattice,
+    NonMonogenicError,
     ResidueCapError,
     element_is_mfree,
     is_fixed_divisor,
@@ -31,6 +32,7 @@ from .intervals import PI, RatInterval
 from .kernel import prime_table
 from .linalg import det_triangular, hnf, lattice_intersection, lattice_sum
 from .geometry import RegionBox, enumerate_region
+from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
 
 ROOT_CAP = 10**6
@@ -112,10 +114,8 @@ def _reduce_to_residue_field(poly, pid):
     """
     field_k = poly.field
     fq = pid.residue_field()
-    out = []
-    for c in poly.coeffs:
-        out.append(_element_mod_p(field_k, c, fq))
-    return fpoly.qtrim(out), fq
+    out = [_element_mod_p(field_k, c, fq) for c in poly.coeffs]
+    return trim(out, fq), fq
 
 
 def _element_mod_p(field_k, alpha, fq):
@@ -124,17 +124,12 @@ def _element_mod_p(field_k, alpha, fq):
     for x in theta_poly:
         x = Fraction(x)
         if x.denominator % fq.p == 0:
-            raise fpoly_reduction_error(fq.p)
+            raise NonMonogenicError(
+                f"coordinate denominators are not invertible mod {fq.p}; "
+                "power basis required"
+            )
         coeffs.append((x.numerator * pow(x.denominator, -1, fq.p)) % fq.p)
     return fq.elem(coeffs)
-
-
-def fpoly_reduction_error(p):
-    from .ideal import NonMonogenicError
-
-    return NonMonogenicError(
-        f"coordinate denominators are not invertible mod {p}; power basis required"
-    )
 
 
 def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
@@ -145,26 +140,22 @@ def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
     roots are found and the multiple ones lifted by brute force.
     """
     fbar, fq = _reduce_to_residue_field(poly, pid)
-    if fbar == fpoly.ZERO_Q:
+    zero = (fq.zero,)
+    if fbar == zero:
         # Every residue is a root as far as P^1; higher powers by brute force.
         if e == 1:
             return fq.q
         return _count_roots_bruteforce_power(poly, pid, e, cap)
-    dbar = fpoly.q_deriv(fbar, fq)
-    if e == 1 or (dbar != fpoly.ZERO_Q and len(fpoly.q_gcd(fbar, dbar, fq)) == 1):
+    dbar = deriv(fbar, fq)
+    if e == 1 or (dbar != zero and len(gcd(fbar, dbar, fq)) == 1):
         return fpoly.count_roots_in_fq(fbar, fq)
     count = 0
     for root in fpoly.roots_in_fq(fbar, fq):
-        if dbar != fpoly.ZERO_Q and fpoly.q_eval(dbar, root, fq) != (0,):
+        if dbar != zero and evaluate(dbar, root, fq) != fq.zero:
             count += 1  # simple root lifts uniquely to every P^e
         else:
             count += _count_lifts_bruteforce(poly, pid, e, root, fq, cap)
     return count
-
-
-def _lift_residue_element(field_k, root, fq):
-    """An algebraic integer reducing to the residue-field element mod P."""
-    return field_k.from_theta_poly(tuple(int(c) for c in root))
 
 
 def _count_lifts_bruteforce(poly, pid, e, root, fq, cap):
@@ -173,7 +164,7 @@ def _count_lifts_bruteforce(poly, pid, e, root, fq, cap):
     n_lifts = fq.q ** (e - 1)
     if n_lifts > cap:
         raise ResidueCapError(f"degenerate Hensel case needs {n_lifts} residues")
-    rho = _lift_residue_element(field_k, root, fq)
+    rho = field_k.from_theta_poly(fq.coeffs(root))
     count = 0
     from .linalg import quotient_box
 
@@ -395,7 +386,7 @@ def bad_reduction_primes(poly):
 
 def _poly_discriminant_element(poly):
     """Res(f, f') as an element of O_K: a Sylvester determinant over O_K."""
-    return resultant(poly.coeffs, poly.derivative(), poly.field.one)
+    return resultant(poly.coeffs, poly.derivative(), poly.field)
 
 
 def euler_density(params, truncation_norm, bits=96):

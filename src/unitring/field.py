@@ -15,13 +15,8 @@ from fractions import Fraction
 
 from .intervals import RatInterval
 from .linalg import char_poly, det, mat_inv_frac
-from .rootiso import (
-    RootIsolation,
-    poly_eval,
-    poly_mul,
-    poly_trim,
-    sturm_count_real_roots,
-)
+from .poly import QQ, add, evaluate, mul, trim
+from .rootiso import RootIsolation, sturm_count_real_roots
 
 
 class IrreducibilityError(ValueError):
@@ -52,7 +47,7 @@ def _certify_irreducible(poly):
             divisors.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
         d += 1
     for r in divisors:
-        if poly_eval(poly, r) == 0:
+        if evaluate(poly, r, QQ) == 0:
             raise IrreducibilityError(f"reducible: rational root {r}")
     if n <= 3:
         return
@@ -93,14 +88,13 @@ def _next_prime(p):
 def _eisenstein_with_shift(poly):
     """Eisenstein criterion on p(X + t) for small shifts t."""
     from .intfactor import factor as factor_int
-    from .rootiso import poly_add, poly_mul, poly_scale
 
     n = len(poly) - 1
     for t in range(-4, 5):
         shifted = (poly[-1],)
         # Horner in (X + t): build p(X + t) from the top coefficient down.
         for c in reversed(poly[:-1]):
-            shifted = poly_add(poly_mul(shifted, (t, 1)), (c,))
+            shifted = add(mul(shifted, (t, 1), QQ), (c,), QQ)
         c0 = shifted[0]
         if c0 == 0:
             continue
@@ -118,7 +112,7 @@ class NumberField:
     """Degree-n number field with a fixed integral basis."""
 
     def __init__(self, min_poly, integral_basis=None, name="K"):
-        min_poly = poly_trim(min_poly)
+        min_poly = trim(min_poly, QQ)
         if min_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         if len(min_poly) < 3:
@@ -181,7 +175,7 @@ class NumberField:
         for i in range(n):
             row_i = []
             for j in range(n):
-                prod = poly_mul(self.basis[i], self.basis[j])
+                prod = mul(self.basis[i], self.basis[j], QQ)
                 coords = self._theta_to_coords(prod)
                 if any(c.denominator != 1 for c in coords):
                     raise ValueError(
@@ -254,11 +248,12 @@ class NumberField:
     def theta_poly_of(self, alpha):
         """Rational coefficients of alpha as a polynomial in theta."""
         if self.is_power_basis:
-            return poly_trim(alpha.coords)
+            return trim(alpha.coords, QQ)
         n = self.degree
-        return poly_trim(
-            sum(Fraction(alpha.coords[i]) * self.basis[i][k] for i in range(n))
-            for k in range(n)
+        return trim(
+            [sum(Fraction(alpha.coords[i]) * self.basis[i][k] for i in range(n))
+             for k in range(n)],
+            QQ,
         )
 
     def norm(self, alpha):

@@ -21,7 +21,7 @@ from .intervals import (
     sqrt_upper,
 )
 from .linalg import char_poly, det, mat_inv_frac
-from .rootiso import poly_divmod, poly_eval
+from .poly import QQ, divmod, evaluate
 
 MAX_BITS = 1 << 14
 
@@ -282,17 +282,17 @@ def _complex_tie(field, alpha, q, j, mod2_interval):
     if q not in mod2_interval:
         return False
     s_poly = _conjugate_products_poly(field.mult_matrix(alpha))
-    if poly_eval(s_poly, Fraction(q)) != 0:
+    if evaluate(s_poly, Fraction(q), QQ) != 0:
         return False
     # P(q) == 0: the tie is plausible; separate tau from other roots of P.
     k = 0
     while True:
-        quo, rem = poly_divmod(s_poly, (Fraction(-q), Fraction(1)))
+        quo, rem = divmod(s_poly, (Fraction(-q), Fraction(1)), QQ)
         if any(c != 0 for c in rem):
             break
         s_poly = quo
         k += 1
-    sq_val = poly_eval(s_poly, Fraction(q))
+    sq_val = evaluate(s_poly, Fraction(q), QQ)
     if sq_val == 0:
         raise ArithmeticError("deflation failed")
     # Distance from q to the nearest root of s_poly.

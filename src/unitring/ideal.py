@@ -239,7 +239,7 @@ class PrimeIdealData:
         return self.ideal.hnf
 
     def residue_field(self):
-        return fpoly.ResidueField(self.p, self.generator_poly)
+        return fpoly.residue_field(self.p, self.generator_poly)
 
     def sort_key(self):
         return (self.p, self.residue_degree, self.generator_poly)

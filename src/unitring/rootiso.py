@@ -1,7 +1,8 @@
-"""Polynomial utilities and certified complex root enclosures.
+"""Sturm counts, resultants and certified complex root enclosures.
 
 Coefficient convention: constant term first, so p = (c0, c1, ..., cn)
-means c0 + c1*X + ... + cn*X^n.
+means c0 + c1*X + ... + cn*X^n.  The polynomial arithmetic is
+`unitring.poly` over QQ (or, for resultants, over O_K).
 
 Root enclosures are disks with exact rational centers and radii.  The
 radius certificate is the classical nearest-root bound: for any point z,
@@ -17,100 +18,25 @@ from math import isqrt
 
 from .intervals import sqrt_upper
 from .linalg import det
+from .poly import QQ, deriv, divmod, sub, trim
 
 
 class PrecisionError(Exception):
     """Root refinement failed to reach the requested radius."""
 
 
-# ---------------------------------------------------------------------------
-# Generic polynomial helpers (constant-first coefficient tuples)
-
-
-def poly_trim(c):
-    c = list(c)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def poly_deg(c):
-    c = poly_trim(c)
-    return len(c) - 1 if any(c) else -1
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return poly_trim(x + y for x, y in zip(a, b))
-
-
-def poly_neg(a):
-    return tuple(-x for x in a)
-
-
-def poly_sub(a, b):
-    return poly_add(a, poly_neg(b))
-
-
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_scale(a, c):
-    return poly_trim(c * x for x in a)
-
-
-def poly_eval(c, x):
-    out = 0
-    for coef in reversed(c):
-        out = out * x + coef
-    return out
-
-
-def poly_deriv(c):
-    if len(c) <= 1:
-        return (0,)
-    return poly_trim(i * c[i] for i in range(1, len(c)))
-
-
-def poly_divmod(num, den):
-    """Quotient and remainder over the rationals."""
-    num = [Fraction(x) for x in num]
-    den = [Fraction(x) for x in poly_trim(den)]
-    if len(den) == 1 and den[0] == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    lead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        coef = num[i + len(den) - 1] / lead
-        q[i] = coef
-        if coef:
-            for j, d in enumerate(den):
-                num[i + j] -= coef * d
-    return poly_trim(q), poly_trim(num[: len(den) - 1] or [0])
-
-
 def sturm_count_real_roots(p):
     """Number of distinct real roots of a squarefree integer polynomial."""
-    chain = [tuple(Fraction(x) for x in poly_trim(p))]
-    chain.append(tuple(Fraction(x) for x in poly_deriv(p)))
-    while poly_deg(chain[-1]) > 0:
-        _, rem = poly_divmod(chain[-2], chain[-1])
-        if poly_deg(rem) < 0 or all(x == 0 for x in rem):
+    chain = [trim(p, QQ), deriv(p, QQ)]
+    while len(chain[-1]) > 1:
+        rem = divmod(chain[-2], chain[-1], QQ)[1]
+        if rem == (0,):
             break
-        chain.append(poly_neg(rem))
+        chain.append(sub((0,), rem, QQ))
 
     def signs_at_inf(sign):
         out = []
         for q in chain:
-            q = poly_trim(q)
             lead = q[-1]
             if lead == 0:
                 continue
@@ -128,8 +54,7 @@ def sturm_count_real_roots(p):
 
 
 def sylvester_matrix(p, q, zero=0):
-    p = poly_trim(p)
-    q = poly_trim(q)
+    """Sylvester matrix of two trimmed polynomials of degree >= 1."""
     m, n = len(p) - 1, len(q) - 1
     size = m + n
     rows = []
@@ -146,17 +71,16 @@ def sylvester_matrix(p, q, zero=0):
     return rows
 
 
-def resultant(p, q, one=1):
-    """Resultant of two polynomials over a commutative ring with unit one:
-    int, Fraction, or AlgebraicInt coefficients with one=field.one."""
-    p, q = poly_trim(p), poly_trim(q)
-    if poly_deg(p) < 1 and poly_deg(q) < 1:
-        return one
-    if poly_deg(p) < 1:
-        return p[0] ** poly_deg(q) if poly_deg(p) == 0 else 0
-    if poly_deg(q) < 1:
-        return q[0] ** poly_deg(p) if poly_deg(q) == 0 else 0
-    return det(sylvester_matrix(p, q, one - one), one)
+def resultant(p, q, K=QQ):
+    """Resultant of two polynomials over a commutative ring K with zero and
+    one: QQ for int and Fraction coefficients, or a NumberField for
+    AlgebraicInt coefficients in O_K."""
+    p, q = trim(p, K), trim(q, K)
+    if len(p) == 1:
+        return p[0] ** (len(q) - 1) if len(q) > 1 else K.one
+    if len(q) == 1:
+        return q[0] ** (len(p) - 1)
+    return det(sylvester_matrix(p, q, K.zero), K.one)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +155,11 @@ class RootIsolation:
     """
 
     def __init__(self, poly, bits=64):
-        poly = poly_trim(poly)
+        poly = trim(poly, QQ)
         if poly[-1] != 1:
             raise ValueError("polynomial must be monic")
         self.poly = poly
-        self.deriv = poly_deriv(poly)
+        self.deriv = deriv(poly, QQ)
         self.degree = len(poly) - 1
         self.n_real = sturm_count_real_roots(poly)
         self.bits = 0

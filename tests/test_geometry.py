@@ -21,7 +21,7 @@ from unitring.geometry import (
 from unitring.ideal import IdealLattice
 from unitring.linalg import identity
 from unitring.order import SubOrder
-from unitring.rootiso import poly_mul
+from unitring.poly import QQ, mul
 
 
 @pytest.fixture(scope="module")
@@ -153,8 +153,8 @@ def test_conjugate_products_poly_quadratic_closed_form(min_poly, coords):
     field = NumberField(min_poly)
     alpha = field.element(coords)
     nrm = alpha.norm()
-    expected = poly_mul(
-        (nrm * nrm, -(alpha * alpha).trace(), 1), poly_mul((-nrm, 1), (-nrm, 1))
+    expected = mul(
+        (nrm * nrm, -(alpha * alpha).trace(), 1), mul((-nrm, 1), (-nrm, 1), QQ), QQ
     )
     assert _conjugate_products_poly(field.mult_matrix(alpha)) == expected
 

@@ -4,13 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitring.poly import QQ, add, divmod, evaluate, mul
 from unitring.rootiso import (
     PrecisionError,
     RootIsolation,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
-    poly_trim,
     resultant,
     sturm_count_real_roots,
 )
@@ -38,17 +35,16 @@ def test_resultant_bilinear_small_cases():
     # Res of coprime quadratics is nonzero.
     assert resultant((1, 0, 1), (-2, 0, 1)) != 0
     # Common root -> zero.
-    common = poly_mul((-1, 1), (1, 0, 1))
+    common = mul((-1, 1), (1, 0, 1), QQ)
     assert resultant(common, (-1, 1)) == 0
 
 
 def test_poly_divmod_roundtrip():
     num = (3, -2, 0, 5, 1)
     den = (1, 2, 1)
-    q, r = poly_divmod(num, den)
-    rebuilt = tuple(poly_trim([a + b for a, b in
-                               zip(list(poly_mul(q, den)) + [0] * 8, list(r) + [0] * 8)]))[:len(num)]
-    assert tuple(Fraction(x) for x in poly_trim(rebuilt)) == tuple(Fraction(x) for x in num)
+    q, r = divmod(num, den, QQ)
+    assert len(r) < len(den)
+    assert add(mul(q, den, QQ), r, QQ) == num
 
 
 @pytest.mark.parametrize(
@@ -72,8 +68,8 @@ def test_enclosures_contain_roots(poly, expected_sig):
     for enc in iso.enclosures:
         if enc.is_real:
             lo, hi = enc.real_interval()
-            vlo = poly_eval(poly, Fraction(lo))
-            vhi = poly_eval(poly, Fraction(hi))
+            vlo = evaluate(poly, Fraction(lo), QQ)
+            vhi = evaluate(poly, Fraction(hi), QQ)
             assert vlo == 0 or vhi == 0 or (vlo < 0) != (vhi < 0)
     # Pairwise disjoint disks.
     for i in range(n):

@@ -26,9 +26,7 @@ from .density import (
     FixedDivisorError,
     HypothesisError,
     SievePolynomial,
-    check_hypotheses,
     empirical_count,
-    error_exponent,
     euler_density,
 )
 from .fieldspec import FieldSpecError, load_field_spec

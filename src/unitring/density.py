@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import fpoly
-from .field import AlgebraicInt, is_square_in_field
+from .field import is_square_in_field
 from .ideal import (
     IdealLattice,
     NonMonogenicError,
@@ -28,10 +28,10 @@ from .ideal import (
     prime_power,
     split_prime,
 )
+from .geometry import enumerate_region, enumerate_region_oracle
 from .intervals import PI, RatInterval
-from .kernel import prime_table
-from .linalg import det_triangular, hnf, lattice_intersection, lattice_sum
-from .geometry import RegionBox, enumerate_region
+from .intfactor import prime_table
+from .linalg import lattice_sum
 from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
 
@@ -502,23 +502,19 @@ def empirical_count(params, box, shard=None):
 def empirical_count_oracle(params, box):
     """From-scratch re-implementation used as the sieve's test oracle.
 
-    Walks the order lattice over a naive coordinate range, tests the region
-    by squared-embedding comparisons, and decides m-freeness by fully
-    factoring the value ideal.
+    Walks the order lattice over the naive coordinate ranges with exact
+    region decisions (enumerate_region_oracle) and decides m-freeness by
+    fully factoring the value ideal.
     """
-    from .ideal import is_mfree
-
-    order = params.order
-    field_k = params.field
     poly = params.poly
     count = 0
-    for alpha in enumerate_region(field_k, box, order.basis_hnf):
+    for alpha in enumerate_region_oracle(params.field, box, params.order.basis_hnf):
         val = poly(alpha)
         if val.is_zero():
             continue
         if any(pid.ideal.contains(val) for pid in params.excluded):
             continue
-        if is_mfree(IdealLattice.principal(val), params.m):
+        if all(e < params.m for _, e in IdealLattice.principal(val).factor()):
             count += 1
     return count
 

@@ -136,6 +136,7 @@ class NumberField:
             basis[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
         )
         self._build_tables()
+        self.norm_form = _norm_form(self.mult_table)
         self.n_real = sturm_count_real_roots(self.min_poly)
         if (n - self.n_real) % 2:
             raise ValueError("inconsistent signature")
@@ -257,8 +258,14 @@ class NumberField:
         )
 
     def norm(self, alpha):
-        """Field norm: product of all conjugates, det of the multiplication matrix."""
-        return det(self.mult_matrix(alpha))
+        """Field norm: product of all conjugates, the norm form at the coordinates."""
+        c = alpha.coords
+        total = 0
+        for coeff, idx in self.norm_form:
+            for i in idx:
+                coeff *= c[i]
+            total += coeff
+        return total
 
     def trace(self, alpha):
         m = self.mult_matrix(alpha)
@@ -351,6 +358,53 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({self.name}, deg={self.degree}, sig={self.signature}, disc={self.disc})"
+
+
+class _Form(dict):
+    """Integer polynomial in the coordinates as {exponent tuple: coefficient},
+    with just the ring operations that linalg.det needs."""
+
+    def __add__(self, other):
+        out = _Form(self)
+        for mono, c in other.items():
+            out[mono] = out.get(mono, 0) + c
+        return out
+
+    def __neg__(self):
+        return _Form({mono: -c for mono, c in self.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        out = _Form()
+        for ma, a in self.items():
+            for mb, b in other.items():
+                mono = tuple(x + y for x, y in zip(ma, mb))
+                out[mono] = out.get(mono, 0) + a * b
+        return out
+
+
+def _norm_form(mult_table):
+    """The norm form N(c) = det(sum_j c_j M_j), M_j multiplication by the
+    j-th basis element: a homogeneous integer polynomial of degree n.
+
+    Returns its nonzero terms as (coefficient, variable indices repeated by
+    exponent) pairs, in a fixed order.
+    """
+    n = len(mult_table)
+    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = [
+        [_Form({unit[j]: mult_table[i][j][k] for j in range(n) if mult_table[i][j][k]})
+         for k in range(n)]
+        for i in range(n)
+    ]
+    form = det(rows, one=_Form({(0,) * n: 1}))
+    return tuple(
+        (c, tuple(j for j, e in enumerate(mono) for _ in range(e)))
+        for mono, c in sorted(form.items(), reverse=True)
+        if c
+    )
 
 
 def _interval_poly_eval_real(coeffs, re, im):

@@ -11,15 +11,11 @@ roots are the pairwise products of the element's conjugates.
 """
 
 from fractions import Fraction
-from math import inf, nextafter
+from itertools import product
+from math import ceil, floor, inf, nextafter, sqrt
 
-from .intervals import (
-    AmbiguousPivotError,
-    RatInterval,
-    interval_abs_upper,
-    interval_mat_inv,
-    sqrt_upper,
-)
+from .intervals import AmbiguousPivotError, RatInterval, sqrt_upper
+from .intfactor import iroot
 from .linalg import char_poly, det, mat_inv_frac
 from .poly import QQ, divmod, evaluate
 
@@ -91,24 +87,10 @@ class RegionBox:
 def _nth_root_exact(x, n):
     """Rational n-th root of a positive rational, or None."""
     x = Fraction(x)
-    num = _int_nth_root(x.numerator, n)
-    den = _int_nth_root(x.denominator, n)
-    if num is None or den is None:
+    num, den = iroot(x.numerator, n), iroot(x.denominator, n)
+    if num**n != x.numerator or den**n != x.denominator:
         return None
     return Fraction(num, den)
-
-
-def _int_nth_root(v, n):
-    if v < 0:
-        return None
-    lo, hi = 0, max(2, 1 << ((v.bit_length() // n) + 2))
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**n < v:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo if lo**n == v else None
 
 
 def _sqrt_exact(x):
@@ -146,10 +128,38 @@ def _up(x):
     return nextafter(x, inf)
 
 
+# Float intervals (lo, hi) with outward rounding; a divisor excludes 0.
+
+
+def _iadd(a, b):
+    return _dn(a[0] + b[0]), _up(a[1] + b[1])
+
+
+def _isub(a, b):
+    return _dn(a[0] - b[1]), _up(a[1] - b[0])
+
+
+def _imul(a, b):
+    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return _dn(min(p)), _up(max(p))
+
+
+def _idiv(a, b):
+    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
+    return _dn(min(q)), _up(max(q))
+
+
+def _isq(a):
+    hi = _up(max(a[0] * a[0], a[1] * a[1]))
+    if a[0] <= 0.0 <= a[1]:
+        return 0.0, hi
+    return _dn(min(a[0] * a[0], a[1] * a[1])), hi
+
+
 class FloatRegionFilter:
     """Conservative membership screen for one (field, box) pair."""
 
-    __slots__ = ("r", "s", "n", "col_lo", "col_hi", "bound_lo", "bound_hi")
+    __slots__ = ("r", "s", "n", "col_lo", "col_hi", "bound_lo", "bound_hi", "side_hi")
 
     def __init__(self, field, box, bits=64):
         emb = field.embedding_matrix(bits)
@@ -163,6 +173,7 @@ class FloatRegionFilter:
             self.col_hi.append([_up(float(emb[j][k].hi)) for j in range(self.n)])
         self.bound_lo = [_dn(float(b)) for b in box.bounds_sq]
         self.bound_hi = [_up(float(b)) for b in box.bounds_sq]
+        self.side_hi = [_up(sqrt(b)) for b in self.bound_hi]
 
     def _coordinate_interval(self, coords, k):
         lo_acc, hi_acc = 0.0, 0.0
@@ -176,6 +187,45 @@ class FloatRegionFilter:
                 hi_acc = _up(hi_acc + _up(c * cl[j]))
         return lo_acc, hi_acc
 
+    def line_range(self, base, step, lo, hi):
+        """Narrow the integer range lo..hi of c to the c for which
+        base + c * step can lie in the region; lo > hi when none can.
+
+        Along the line each real embedding is linear in c and must lie in
+        (0, x_i]; each complex one must lie in the disk of radius x_j,
+        which the line meets in one interval.  The bounds on c come out
+        of outward-rounded float intervals, widened by 1.
+        """
+        r, s = self.r, self.s
+        spans = []
+        for i in range(r):
+            d = self._coordinate_interval(step, i)
+            if d[0] <= 0.0 <= d[1]:
+                continue
+            t = self._coordinate_interval(base, i)
+            spans.append(_idiv(_isub((0.0, self.side_hi[i]), t), d))
+        for j in range(s):
+            k = r + 2 * j
+            d_re = self._coordinate_interval(step, k)
+            d_im = self._coordinate_interval(step, k + 1)
+            d_sq = _iadd(_isq(d_re), _isq(d_im))
+            if not d_sq[0] > 0.0:
+                continue
+            t_re = self._coordinate_interval(base, k)
+            t_im = self._coordinate_interval(base, k + 1)
+            # t / d = mu + i nu, and |t + c d|^2 = |d|^2 ((c + mu)^2 + nu^2).
+            mu = _idiv(_iadd(_imul(t_re, d_re), _imul(t_im, d_im)), d_sq)
+            nu = _idiv(_isub(_imul(t_im, d_re), _imul(t_re, d_im)), d_sq)
+            rho_sq = _up(_up(self.bound_hi[r + j] / d_sq[0]) - _isq(nu)[0])
+            if rho_sq < 0.0:
+                return lo, lo - 1
+            rho = _up(sqrt(rho_sq))
+            spans.append((_dn(-mu[1] - rho), _up(-mu[0] + rho)))
+        for c_lo, c_hi in spans:
+            lo = max(lo, ceil(c_lo) - 1)
+            hi = min(hi, floor(c_hi) + 1)
+        return lo, hi
+
     def test(self, coords):
         """True / False when certain, None when the exact path must decide."""
         certain = True
@@ -186,21 +236,15 @@ class FloatRegionFilter:
                 return False
             if not lo > 0.0:
                 certain = False
-            sq_lo = 0.0 if lo <= 0.0 <= hi else _dn(min(lo * lo, hi * hi))
-            sq_hi = _up(max(lo * lo, hi * hi))
+            sq_lo, sq_hi = _isq((lo, hi))
             if sq_lo > self.bound_hi[i]:
                 return False
             if not sq_hi <= self.bound_lo[i]:
                 certain = False
         for j in range(s):
-            re_lo, re_hi = self._coordinate_interval(coords, r + 2 * j)
-            im_lo, im_hi = self._coordinate_interval(coords, r + 2 * j + 1)
-            re_sq_hi = _up(max(re_lo * re_lo, re_hi * re_hi))
-            im_sq_hi = _up(max(im_lo * im_lo, im_hi * im_hi))
-            re_sq_lo = 0.0 if re_lo <= 0.0 <= re_hi else _dn(min(re_lo * re_lo, re_hi * re_hi))
-            im_sq_lo = 0.0 if im_lo <= 0.0 <= im_hi else _dn(min(im_lo * im_lo, im_hi * im_hi))
-            mod_lo = _dn(re_sq_lo + im_sq_lo)
-            mod_hi = _up(re_sq_hi + im_sq_hi)
+            re = self._coordinate_interval(coords, r + 2 * j)
+            im = self._coordinate_interval(coords, r + 2 * j + 1)
+            mod_lo, mod_hi = _iadd(_isq(re), _isq(im))
             if mod_lo > self.bound_hi[r + j]:
                 return False
             if not mod_hi <= self.bound_lo[r + j]:
@@ -366,20 +410,23 @@ def enumerate_region(field, box, lattice_rows, shift=None, shard=None):
     n = field.degree
     shift_coords = shift.coords if shift is not None else None
     ranges = coordinate_ranges(field, box, lattice_rows, shift_coords)
-    zero = (0,) * n
     screen = FloatRegionFilter(field, box)
+    step = lattice_rows[n - 1]
 
     def rec(idx, partial):
-        if idx == n:
-            coords = partial if shift is None else tuple(
+        if idx == n - 1:
+            base = partial if shift is None else tuple(
                 a + b for a, b in zip(partial, shift.coords)
             )
-            quick = screen.test(coords)
-            if quick is False:
-                return
-            el = field.element(coords)
-            if quick is True or in_region(el, box):
-                yield el
+            lo, hi = screen.line_range(base, step, *ranges[idx])
+            for c in range(lo, hi + 1):
+                coords = tuple(a + c * b for a, b in zip(base, step))
+                quick = screen.test(coords)
+                if quick is False:
+                    continue
+                el = field.element(coords)
+                if quick is True or in_region(el, box):
+                    yield el
             return
         lo, hi = ranges[idx]
         for c in range(lo, hi + 1):
@@ -388,7 +435,22 @@ def enumerate_region(field, box, lattice_rows, shift=None, shard=None):
             nxt = tuple(a + c * b for a, b in zip(partial, lattice_rows[idx]))
             yield from rec(idx + 1, nxt)
 
-    yield from rec(0, zero)
+    yield from rec(0, (0,) * n)
+
+
+def enumerate_region_oracle(field, box, lattice_rows, shift=None):
+    """Test oracle for enumerate_region: the same points in the same order,
+    from every lattice point over the naive coordinate ranges decided by
+    in_region alone, with no float screen and no nested bound."""
+    shift_coords = shift.coords if shift is not None else (0,) * field.degree
+    ranges = coordinate_ranges(field, box, lattice_rows, shift_coords)
+    for coeffs in product(*(range(lo, hi + 1) for lo, hi in ranges)):
+        el = field.element([
+            s + sum(c * row[k] for c, row in zip(coeffs, lattice_rows))
+            for k, s in enumerate(shift_coords)
+        ])
+        if in_region(el, box):
+            yield el
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ an explicit error at primes dividing the index rather than a wrong answer.
 """
 
 from . import fpoly
-from .intfactor import factor as factor_int
+from .intfactor import factor as factor_int, mth_power_primes
 from .linalg import (
     det_triangular,
     hnf,
@@ -18,7 +18,6 @@ from .linalg import (
     quotient_box,
     reduce_mod_lattice,
     residue_transversal,
-    vec_mat,
 )
 
 RESIDUE_CAP = 10**6
@@ -221,7 +220,7 @@ class IdealLattice:
 class PrimeIdealData:
     """A prime ideal above p, from the Kummer-Dedekind factorization."""
 
-    __slots__ = ("p", "generator_poly", "residue_degree", "ramification", "ideal")
+    __slots__ = ("p", "generator_poly", "residue_degree", "ramification", "ideal", "_fq")
 
     def __init__(self, p, generator_poly, residue_degree, ramification, ideal):
         self.p = p
@@ -229,6 +228,7 @@ class PrimeIdealData:
         self.residue_degree = residue_degree
         self.ramification = ramification
         self.ideal = ideal
+        self._fq = None
 
     @property
     def norm(self):
@@ -239,7 +239,9 @@ class PrimeIdealData:
         return self.ideal.hnf
 
     def residue_field(self):
-        return fpoly.residue_field(self.p, self.generator_poly)
+        if self._fq is None:
+            self._fq = fpoly.residue_field(self.p, self.generator_poly)
+        return self._fq
 
     def sort_key(self):
         return (self.p, self.residue_degree, self.generator_poly)
@@ -330,24 +332,11 @@ def is_mfree(ideal, m):
 def element_is_mfree(alpha, m):
     """m-freeness of the principal ideal (alpha), avoiding full HNF work.
 
-    Checks the integer norm first; only when that fails does it compute
-    valuations at the primes whose m-th power could divide.
+    P^m | (alpha) forces p^m | N(alpha) for the prime p below P, so only
+    the primes p with p^m dividing the integer norm need valuations.
     """
-    from .intfactor import factor as ifactor
-
-    nrm = abs(alpha.norm())
-    if nrm == 0:
-        raise ValueError("zero element")
-    if nrm == 1:
-        return True
-    from .intfactor import is_power_free
-
-    if is_power_free(nrm, m):
-        return True
     field = alpha.field
-    for p, e in ifactor(nrm):
-        if e < m:
-            continue
+    for p in mth_power_primes(alpha.norm(), m):
         for pid in split_prime(field, p):
             if element_valuation(alpha, pid) >= m:
                 return False

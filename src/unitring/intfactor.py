@@ -1,17 +1,20 @@
 """Integer factorization sized for norm values from desk-scale sieves.
 
-Strategy: trial division over a shared prime table (hot kernel), then
-Brent's cycle-finding rho with a deterministic Miller-Rabin certificate on
-every cofactor.  The thirteen Miller-Rabin bases 2..41 are a proof of
-primality below PSI_13 (about 3.3 * 10**24), well above the norms of
-the bundled workloads.  A composite verdict is a proof at any size; a number
+Strategy: trial division over a shared prime table, then Brent's
+cycle-finding rho with a deterministic Miller-Rabin certificate on every
+cofactor.  The m-free test stops trial division early: once p**(m+1)
+exceeds the cofactor, the cofactor has at most m prime factors, so it is
+either the m-th power of a prime or m-free, and one exact root decides.
+
+The thirteen Miller-Rabin bases 2..41 are a proof of primality below
+PSI_13 (about 3.3 * 10**24), well above the norms of the bundled
+workloads.  A composite verdict is a proof at any size; a number
 at or above PSI_13 that passes every base raises PrimalityUnproven
 instead of being called prime.
 """
 
+from array import array
 from math import gcd, isqrt
-
-from . import kernel
 
 TRIAL_LIMIT = 10**6
 
@@ -34,11 +37,64 @@ class FactorizationTimeout(Exception):
         self.n = n
 
 
+def prime_table(limit):
+    """array('Q') of all primes <= limit (simple sieve, cached by caller)."""
+    if limit < 2:
+        return array("Q", [])
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    p = 2
+    while p * p <= limit:
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+        p += 1
+    return array("Q", (i for i in range(limit + 1) if sieve[i]))
+
+
 def primes():
     global _primes
     if _primes is None:
-        _primes = kernel.prime_table(TRIAL_LIMIT)
+        _primes = prime_table(TRIAL_LIMIT)
     return _primes
+
+
+def iroot(n, k):
+    """Largest r with r**k <= n, for integers n >= 0 and k >= 2."""
+    if n < 2:
+        return n
+    if k == 2:
+        return isqrt(n)
+    # Integer Newton from above decreases monotonically to the floor root.
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _trial_divide(n, k):
+    """Divide the table primes p out of n while p**k <= the cofactor.
+
+    Returns (factors, cofactor, done): (p, e) pairs in increasing p, and
+    done is True when the cofactor fell below p**k for the next prime p,
+    so that it has fewer than k prime factors, all above the last one
+    divided out; done is False when the table ran out first with a
+    cofactor above 1.
+    """
+    factors = []
+    lim = iroot(n, k)
+    for p in primes():
+        if p > lim:
+            return factors, n, True
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            factors.append((p, e))
+            lim = iroot(n, k)
+    return factors, n, n == 1
 
 
 # Deterministic for n < PSI_13 (Sorenson & Webster).  PSI_13 itself, the
@@ -117,44 +173,54 @@ def factor(n):
         raise ValueError("cannot factor 0")
     if n == 1:
         return []
-    fac, cof = kernel.trial_divide(n, primes())
-    fac = [(int(p), int(e)) for p, e in fac]
-    if cof > 1:
-        stack = [cof]
-        extra = {}
-        while stack:
-            c = stack.pop()
-            if is_prime(c):
-                extra[c] = extra.get(c, 0) + 1
-                continue
-            r = isqrt(c)
-            if r * r == c:
-                stack += [r, r]
-                continue
-            d = _brent_rho(c)
-            stack += [d, c // d]
-        merged = {}
-        for p, e in fac:
-            merged[p] = merged.get(p, 0) + e
-        for p, e in extra.items():
-            merged[p] = merged.get(p, 0) + e
-        fac = sorted(merged.items())
-    return fac
+    fac, cof, done = _trial_divide(n, 2)
+    if cof == 1:
+        return fac
+    if done:
+        # Fewer than two prime factors left: the cofactor is a prime.
+        return fac + [(cof, 1)]
+    return fac + _split(cof)
+
+
+def _split(n):
+    """Sorted (prime, exponent) pairs of n > 1 by rho and Miller-Rabin."""
+    counts = {}
+    stack = [n]
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            counts[c] = counts.get(c, 0) + 1
+            continue
+        r = isqrt(c)
+        if r * r == c:
+            stack += [r, r]
+            continue
+        d = _brent_rho(c)
+        stack += [d, c // d]
+    return sorted(counts.items())
+
+
+def mth_power_primes(n, m):
+    """Increasing list of the primes p with p**m | n, for n != 0 and m >= 2."""
+    n = abs(n)
+    if n == 0:
+        raise ValueError("0 is not m-free")
+    fac, cof, done = _trial_divide(n, m + 1)
+    out = [p for p, e in fac if e >= m]
+    if not done:
+        # The table ran out; no table prime divides the cofactor.
+        return out + [p for p, e in _split(cof) if e >= m]
+    # At most m prime factors are left, each above every table prime tried:
+    # the cofactor is m-free unless it is the m-th power of one prime.
+    r = iroot(cof, m)
+    if r > 1 and r**m == cof:
+        out.append(r)
+    return out
 
 
 def is_power_free(n, m):
     """True iff no prime power p**m divides |n|.  n must be nonzero."""
-    if n < 0:
-        n = -n
-    if n == 0:
-        raise ValueError("0 is not m-free")
-    if n == 1:
-        return True
-    verdict = kernel.power_free_part_known(n, m, primes())
-    if verdict != 2:
-        return bool(verdict)
-    # Cofactor above the table square: finish the job properly.
-    return all(e < m for _, e in factor(n))
+    return not mth_power_primes(n, m)
 
 
 def is_squarefree_int(n):

@@ -14,7 +14,6 @@ rigorous at any requested precision.
 """
 
 from fractions import Fraction
-from math import isqrt
 
 from .intervals import sqrt_upper
 from .linalg import det

@@ -12,14 +12,9 @@ by units over the base.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
-from .density import (
-    HypothesisError,
-    SievePolynomial,
-    check_hypotheses,
-)
+from .density import HypothesisError, check_hypotheses
 from .field import is_square_in_field
 from .ideal import IdealLattice, element_is_mfree, split_prime
 from .intfactor import is_squarefree_int

@@ -180,8 +180,9 @@ def test_exit_code_factorization_timeout(monkeypatch, capsys):
         raise FactorizationTimeout(n)
 
     monkeypatch.setattr(intfactor, "_brent_rho", exhausted)
-    # A squarefree semiprime above the trial table's square reaches rho.
-    assert main(["belcher", "-d", str(1_000_003 * 1_000_033)]) == EXIT_EXHAUSTED
+    # A squarefree semiprime above the cube of the trial table's largest
+    # prime is left whole by the m-free test's trial division and reaches rho.
+    assert main(["belcher", "-d", str((10**9 + 7) * (10**9 + 9))]) == EXIT_EXHAUSTED
     diag = last_diag(capsys.readouterr().err)
     assert diag["error"] == "exhausted" and "budget" in diag["message"]
 

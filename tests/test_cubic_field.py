@@ -187,8 +187,6 @@ def test_gaussian_sieve_end_to_end(qi):
 def test_gaussian_enumeration_is_disk(qi):
     # enumerate_region over Z[i] with volume x: count = Gauss circle number
     # for radius sqrt(x) (boundary included).
-    from math import isqrt
-
     box = RegionBox.cube(qi.signature, 25)  # radius 5
     pts = {p.coords for p in enumerate_region(qi, box, identity(2))}
     expected = {

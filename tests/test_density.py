@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from unitring.field import NumberField
 from unitring.geometry import RegionBox
-from unitring.ideal import IdealLattice, ResidueCapError, split_prime
+from unitring.ideal import IdealLattice, split_prime
 from unitring.order import SubOrder
 from unitring.density import (
     _poly_discriminant_element,

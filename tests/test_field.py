@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
+from unitring.linalg import det
 from unitring.rootiso import resultant
 
 
@@ -70,6 +71,38 @@ def test_norm_three_routes_agree_q5(c):
     n1 = alpha.norm()
     assert n1 == resultant_norm_oracle(alpha)
     assert n1 == embedding_product_norm_oracle(alpha)
+
+
+NORM_FORM_FIELDS = {
+    "q_sqrt5": ([-1, -1, 1], None),
+    "q_sqrt2": ([-2, 0, 1], None),
+    "q_i": ([1, 0, 1], None),
+    "cubic-23": ([-1, -1, 0, 1], None),
+    "q_sqrt5/alt": ([-5, 0, 1], [[1, 0], [Fraction(1, 2), Fraction(1, 2)]]),
+}
+
+
+@pytest.fixture(scope="module")
+def norm_form_fields():
+    return {name: NumberField(poly, integral_basis=basis, name=name)
+            for name, (poly, basis) in NORM_FORM_FIELDS.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(NORM_FORM_FIELDS)),
+       st.lists(st.integers(-10**6, 10**6), min_size=3, max_size=3))
+def test_norm_form_matches_det_and_resultant(norm_form_fields, name, c):
+    field = norm_form_fields[name]
+    alpha = field.element(c[:field.degree])
+    nrm = alpha.norm()
+    assert nrm == det(field.mult_matrix(alpha))
+    assert nrm == resultant_norm_oracle(alpha)
+
+
+def test_norm_form_term_counts(norm_form_fields):
+    # Q(sqrt5): N(a + b theta) = a^2 + ab - b^2; cubic-23 has 8 nonzero terms.
+    assert norm_form_fields["q_sqrt5"].norm_form == ((1, (0, 0)), (1, (0, 1)), (-1, (1, 1)))
+    assert len(norm_form_fields["cubic-23"].norm_form) == 8
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,9 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unitring.field import NumberField
@@ -12,14 +12,16 @@ from unitring.geometry import (
     EmbeddedLattice,
     EmptyCosetError,
     RegionBox,
+    coordinate_ranges,
     count_coset,
     enumerate_region,
+    enumerate_region_oracle,
     in_region,
     widmer_bound,
     widmer_constant,
 )
 from unitring.ideal import IdealLattice
-from unitring.linalg import identity
+from unitring.linalg import det, identity
 from unitring.order import SubOrder
 from unitring.poly import QQ, mul
 
@@ -132,6 +134,56 @@ def test_enumerate_shards_partition(q5):
                 p.coords for p in enumerate_region(q5, box, rows, shard=(i, shards))
             )
         assert sorted(combined) == full
+
+
+@pytest.fixture(scope="module")
+def k3():
+    return NumberField([-1, -1, 0, 1], name="cubic-23")
+
+
+def check_enumeration_against_oracle(field, data, top, max_candidates):
+    """Random box (squared bounds up to top), random full-rank lattice,
+    with and without shift: the nested-bound enumeration yields exactly
+    the oracle walk's points in the same order, and the shards partition
+    them.  Draws whose naive coordinate box holds more than max_candidates
+    points are skipped, since the oracle decides each one exactly."""
+    r, s = field.signature
+    n = field.degree
+    den = data.draw(st.sampled_from([1, 4]))
+    bounds_sq = [Fraction(data.draw(st.integers(den, top * den)), den) for _ in range(r + s)]
+    box = RegionBox(field.signature, bounds_sq)
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n))
+    assume(det(rows) != 0)
+    shift = None
+    if data.draw(st.booleans()):
+        shift = field.element(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    ranges = coordinate_ranges(field, box, rows, shift and shift.coords)
+    assume(prod(hi - lo + 1 for lo, hi in ranges) <= max_candidates)
+    expected = [p.coords for p in enumerate_region_oracle(field, box, rows, shift=shift)]
+    assert [p.coords for p in enumerate_region(field, box, rows, shift=shift)] == expected
+    for k in (2, 3):
+        parts = [p.coords for i in range(k)
+                 for p in enumerate_region(field, box, rows, shift=shift, shard=(i, k))]
+        assert sorted(parts) == sorted(expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_enumerate_matches_oracle_walk_real(q5, data):
+    check_enumeration_against_oracle(q5, data, 225, 3000)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_enumerate_matches_oracle_walk_disk(qi, data):
+    check_enumeration_against_oracle(qi, data, 225, 3000)
+
+
+# Exact decisions cost more in degree 3, hence the few small boxes.
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_enumerate_matches_oracle_walk_cubic(k3, data):
+    check_enumeration_against_oracle(k3, data, 4, 800)
 
 
 def test_boundary_tie_complex(qi):

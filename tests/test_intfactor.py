@@ -2,14 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unitring import kernel
 from unitring.intfactor import (
     PSI_13,
+    TRIAL_LIMIT,
     PrimalityUnproven,
     factor,
+    iroot,
     is_power_free,
     is_prime,
     is_squarefree_int,
+    mth_power_primes,
+    prime_table,
 )
 
 
@@ -40,6 +43,58 @@ def test_factor_matches_bruteforce(n):
 def test_power_free_matches_bruteforce(n, m):
     expected = all(e < m for _, e in brute_factor(n))
     assert is_power_free(n, m) == expected
+
+
+def mth_power_primes_by_factor(n, m):
+    return [p for p, e in factor(n) if e >= m]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=1, max_value=10**20), st.sampled_from([2, 3, 4]))
+def test_mth_power_primes_matches_factor(n, m):
+    assert mth_power_primes(n, m) == mth_power_primes_by_factor(n, m)
+    assert is_power_free(n, m) == (not mth_power_primes_by_factor(n, m))
+
+
+# Primes planted as p**m: p = 1009 lies above the early trial-division
+# cutoff of small cofactors, 999983 is the last table prime, and the rest
+# lie above TRIAL_LIMIT.  The factor q > TRIAL_LIMIT pushes the cofactor
+# of p**2 * q past the table's reach (the fallback range).
+PLANTED = (2, 1009, 65537, 999983, 1_000_003, 10_000_019)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from(PLANTED),
+    st.sampled_from([1, 1_000_033, 998_244_353]),
+    st.sampled_from([2, 3, 4]),
+)
+def test_mth_power_primes_planted(a, p, q, m):
+    n = a * q * p**m
+    got = mth_power_primes(n, m)
+    assert p in got
+    assert got == mth_power_primes_by_factor(n, m)
+
+
+def test_mth_power_primes_fallback_range():
+    # Cofactors at or above the table's reach, with and without a square.
+    p, q, r = 1_000_003, 1_000_033, 1_000_037
+    assert p * q * r > TRIAL_LIMIT**3
+    assert mth_power_primes(p * q * r, 2) == []
+    assert mth_power_primes(p * p * q, 2) == [p]
+    assert mth_power_primes(4 * p * p * q, 2) == [2, p]
+    assert mth_power_primes(999983**3, 2) == [999983]
+    assert mth_power_primes(-(p**3) * q, 3) == [p]
+    with pytest.raises(ValueError):
+        mth_power_primes(0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=2, max_value=5))
+def test_iroot_is_floor_root(n, k):
+    r = iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
 
 
 def test_factor_products_reconstruct():
@@ -84,8 +139,8 @@ def test_factor_one_and_sign():
 
 
 def test_prime_table_contents():
-    assert list(kernel.prime_table(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert len(kernel.prime_table(1)) == 0
+    assert list(prime_table(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
+    assert len(prime_table(1)) == 0
 
 
 def test_psi13_is_not_called_prime():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from unitring.field import NumberField
-from unitring.ideal import IdealLattice, iter_ideals, split_prime
+from unitring.ideal import IdealLattice, iter_ideals
 from unitring.linalg import hnf, lattice_sum
 from unitring.order import CoprimalityError, SubOrder, index_lower_bound
 

@@ -1,12 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from unitring.poly import QQ, add, divmod, evaluate, mul
 from unitring.rootiso import (
-    PrecisionError,
     RootIsolation,
     resultant,
     sturm_count_real_roots,

@@ -105,7 +105,7 @@ def _diag(kind, message):
 
 
 def _count_shard(payload):
-    (field_source, order_name, eta_coords, exclude_text, m, volume, shard_idx, shards) = payload
+    (field_source, order_name, eta_coords, exclude_text, m, volumes, shard_idx, shards) = payload
     spec = load_field_spec(field_source)
     field = spec.field
     order = spec.order_by_name(order_name)
@@ -113,8 +113,8 @@ def _count_shard(payload):
     poly = SievePolynomial.x_squared_minus(4 * eta)
     excluded = _merge_conductor(field, order, _excluded_primes(field, exclude_text))
     params = DensityParams(order=order, poly=poly, excluded=excluded, m=m)
-    box = RegionBox.cube(field.signature, volume)
-    return empirical_count(params, box, shard=(shard_idx, shards))
+    boxes = [RegionBox.cube(field.signature, x) for x in volumes]
+    return empirical_count(params, boxes, shard=(shard_idx, shards))
 
 
 def _merge_conductor(field, order, excluded):
@@ -123,29 +123,28 @@ def _merge_conductor(field, order, excluded):
     return tuple(merged)
 
 
-def _counts_for_boxes(args, field, order, params, xs, threads, field_source):
-    counts = []
-    for x in xs:
-        box = RegionBox.cube(field.signature, x)
-        if threads <= 1:
-            counts.append(empirical_count(params, box))
-        else:
-            payloads = [
-                (field_source, args.order, _parse_coords(args.eta, field.degree),
-                 args.exclude, args.m, x, i, threads)
-                for i in range(threads)
-            ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                shard_counts = list(pool.map(_count_shard, payloads))
-            counts.append(sum(shard_counts))
-    return counts
+def _counts_for_boxes(args, params, xs):
+    """One count per volume in xs, from one pass over the nested boxes; with
+    --threads above 1, one pool whose shards each count every box."""
+    field = params.field
+    threads = args.threads
+    if threads <= 1:
+        return empirical_count(params, [RegionBox.cube(field.signature, x) for x in xs])
+    payloads = [
+        (args.field, args.order, _parse_coords(args.eta, field.degree),
+         args.exclude, args.m, xs, i, threads)
+        for i in range(threads)
+    ]
+    with ProcessPoolExecutor(max_workers=threads) as pool:
+        shard_counts = list(pool.map(_count_shard, payloads))
+    return [sum(per_box) for per_box in zip(*shard_counts)]
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
 def _sieve_setup(args):
-    """Field spec, order, sieve parameters and box schedule of density/count."""
+    """Field spec, sieve parameters and box schedule of density/count."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     spec = load_field_spec(args.field)
@@ -155,14 +154,13 @@ def _sieve_setup(args):
     poly = SievePolynomial.x_squared_minus(4 * eta)
     excluded = _merge_conductor(field, order, _excluded_primes(field, args.exclude))
     params = DensityParams(order=order, poly=poly, excluded=excluded, m=args.m)
-    return spec, order, params, _parse_boxes(args.boxes)
+    return spec, params, _parse_boxes(args.boxes)
 
 
 def cmd_density(args):
-    spec, order, params, xs = _sieve_setup(args)
-    field = spec.field
+    spec, params, xs = _sieve_setup(args)
     report = euler_density(params, args.truncation)
-    counts = _counts_for_boxes(args, field, order, params, xs, args.threads, args.field)
+    counts = _counts_for_boxes(args, params, xs)
     d_lo = fmt_decimal_down(report.d_lower)
     d_hi = fmt_decimal_up(report.d_upper)
     lines = [
@@ -185,8 +183,8 @@ def cmd_density(args):
 
 
 def cmd_count(args):
-    spec, order, params, xs = _sieve_setup(args)
-    counts = _counts_for_boxes(args, spec.field, order, params, xs, args.threads, args.field)
+    spec, params, xs = _sieve_setup(args)
+    counts = _counts_for_boxes(args, params, xs)
     lines = [
         "# unitring count report",
         f"# field={spec.name}\torder={args.order or 'maximal'}\teta={args.eta}\tm={args.m}",

@@ -16,9 +16,10 @@ size, so the returned interval is rigorous.
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from operator import add, sub
 
 from . import fpoly
-from .field import is_square_in_field
+from .field import AlgebraicInt, is_square_in_field
 from .ideal import (
     IdealLattice,
     NonMonogenicError,
@@ -28,7 +29,7 @@ from .ideal import (
     prime_power,
     split_prime,
 )
-from .geometry import enumerate_region, enumerate_region_oracle
+from .geometry import FloatRegionFilter, RegionBox, enumerate_region_oracle, region_runs
 from .intervals import PI, RatInterval
 from .intfactor import prime_table
 from .linalg import lattice_sum
@@ -475,28 +476,66 @@ def euler_density(params, truncation_norm, bits=96):
 # Empirical counting
 
 
-def empirical_count(params, box, shard=None):
-    """Exact count of alpha in (order cap region) with nonzero f(alpha)
-    outside every excluded prime and an m-free value ideal.
+def empirical_count(params, boxes, shard=None):
+    """Exact counts, one per box, of alpha in (order cap region) with
+    nonzero f(alpha) outside every excluded prime and an m-free value ideal.
 
-    shard=(index, count) restricts to one deterministic slice of the
-    enumeration; summing over all indices recovers the full count.
+    One pass serves every box.  The runs of the box with the componentwise
+    largest bounds, which holds them all, are enumerated once, with the
+    per-point verdicts kept as prefix sums along each run.  Each box then
+    finds its sub-run of the line with its own filter and the same end
+    walk (FloatRegionFilter.run) and reads its count off the prefix sums.
+
+    shard=(index, count) restricts to one deterministic slice of that
+    enumeration; summing over all indices recovers the full counts.
     """
-    order = params.order
     field_k = params.field
-    poly = params.poly
     m = params.m
     excluded_ideals = [pid.ideal for pid in params.excluded]
-    count = 0
-    for alpha in enumerate_region(field_k, box, order.basis_hnf, shard=shard):
-        val = poly(alpha)
-        if val.is_zero():
-            continue
-        if any(ide.contains(val) for ide in excluded_ideals):
-            continue
-        if element_is_mfree(val, m):
-            count += 1
-    return count
+    boxes = list(boxes)
+    outer = RegionBox(field_k.signature, [max(b) for b in zip(*(bx.bounds_sq for bx in boxes))])
+    screens = [
+        None if bx.bounds_sq == outer.bounds_sq else FloatRegionFilter(field_k, bx)
+        for bx in boxes
+    ]
+    counts = [0] * len(boxes)
+    for base, step, lo, hi in region_runs(field_k, outer, params.order.basis_hnf, shard=shard):
+        total = 0
+        prefix = [0]
+        for val in run_values(params.poly, base, step, lo, hi):
+            if (not val.is_zero()
+                    and not any(ide.contains(val) for ide in excluded_ideals)
+                    and element_is_mfree(val, m)):
+                total += 1
+            prefix.append(total)
+        for k, screen in enumerate(screens):
+            a, b = (lo, hi) if screen is None else screen.run(base, step, lo, hi)
+            if a <= b:
+                counts[k] += prefix[b - lo + 1] - prefix[a - lo]
+    return counts
+
+
+def run_values(poly, base, step, lo, hi):
+    """Stream f(base + c * step) for c = lo .. hi by forward differences.
+
+    The value is a polynomial of degree g in c, so g + 1 exact evaluations
+    (at c = lo .. lo + g, which may lie past hi) give its difference
+    table, and each further value costs g coordinate-vector additions.
+    """
+    field_k = poly.field
+    g = poly.degree
+    table = [
+        poly(field_k.element([a + c * b for a, b in zip(base, step)])).coords
+        for c in range(lo, lo + g + 1)
+    ]
+    # In place, table[i] becomes the i-th difference at lo.
+    for i in range(1, g + 1):
+        for j in range(g, i - 1, -1):
+            table[j] = tuple(map(sub, table[j], table[j - 1]))
+    for _ in range(hi - lo + 1):
+        yield AlgebraicInt(field_k, table[0])
+        for i in range(g):
+            table[i] = tuple(map(add, table[i], table[i + 1]))
 
 
 def empirical_count_oracle(params, box):

@@ -157,11 +157,15 @@ def _isq(a):
 
 
 class FloatRegionFilter:
-    """Conservative membership screen for one (field, box) pair."""
+    """Conservative membership screen for one (field, box) pair, and the
+    exact ends of the run in which a line meets the region."""
 
-    __slots__ = ("r", "s", "n", "col_lo", "col_hi", "bound_lo", "bound_hi", "side_hi")
+    __slots__ = ("field", "box", "r", "s", "n", "col_lo", "col_hi", "bound_lo", "bound_hi",
+                 "side_hi")
 
     def __init__(self, field, box, bits=64):
+        self.field = field
+        self.box = box
         emb = field.embedding_matrix(bits)
         self.r, self.s = field.signature
         self.n = field.degree
@@ -225,6 +229,30 @@ class FloatRegionFilter:
             lo = max(lo, ceil(c_lo) - 1)
             hi = min(hi, floor(c_hi) + 1)
         return lo, hi
+
+    def run(self, base, step, lo, hi):
+        """The c in lo..hi with base + c * step in the region, as a range
+        (lo, hi); lo > hi when there is none.
+
+        The region is convex (each real place an interval, each complex
+        place a disk), so those c are consecutive.  After line_range, walk
+        inward from each end until it is a member, decided by the screen
+        and exactly where the screen is unsure; every c in between is a
+        member with no test.
+        """
+        lo, hi = self.line_range(base, step, lo, hi)
+        while lo <= hi and not self._member(base, step, lo):
+            lo += 1
+        while hi > lo and not self._member(base, step, hi):
+            hi -= 1
+        return lo, hi
+
+    def _member(self, base, step, c):
+        coords = tuple(a + c * b for a, b in zip(base, step))
+        quick = self.test(coords)
+        if quick is None:
+            return in_region(self.field.element(coords), self.box)
+        return quick
 
     def test(self, coords):
         """True / False when certain, None when the exact path must decide."""
@@ -399,43 +427,44 @@ def coordinate_ranges(field, box, lattice_rows, shift_coords=None, bits=256):
     return ranges
 
 
-def enumerate_region(field, box, lattice_rows, shift=None, shard=None):
-    """Stream the points of (shift + lattice) inside the region, in
-    lexicographic coordinate order.  Exhaustive and exact.
+def region_runs(field, box, lattice_rows, shift=None, shard=None):
+    """Stream the runs (base, step, lo, hi) of (shift + lattice) inside the
+    region, in lexicographic coordinate order: base + c * step lies in the
+    region exactly for lo <= c <= hi.  Exhaustive and exact.
 
-    shard=(index, count) keeps only the lattice coefficients whose first
-    coordinate falls in the given residue class: disjoint subboxes whose
-    union over all indices is the full enumeration.
+    Each run is one line along the last lattice row; since the region is
+    convex, the line meets it in consecutive c, and only the two run ends
+    are decided (FloatRegionFilter.run).  shard=(index, count) keeps only
+    the lines whose first lattice coefficient falls in the given residue
+    class: disjoint slices whose union over all indices is every run.
     """
     n = field.degree
-    shift_coords = shift.coords if shift is not None else None
+    shift_coords = shift.coords if shift is not None else (0,) * n
     ranges = coordinate_ranges(field, box, lattice_rows, shift_coords)
     screen = FloatRegionFilter(field, box)
     step = lattice_rows[n - 1]
+    outer = [range(lo, hi + 1) for lo, hi in ranges[:-1]]
+    if shard is not None:
+        outer[0] = outer[0][shard[0]::shard[1]]
+    for coeffs in product(*outer):
+        base = list(shift_coords)
+        for c, row in zip(coeffs, lattice_rows):
+            if c:
+                for k in range(n):
+                    base[k] += c * row[k]
+        base = tuple(base)
+        lo, hi = screen.run(base, step, *ranges[-1])
+        if lo <= hi:
+            yield base, step, lo, hi
 
-    def rec(idx, partial):
-        if idx == n - 1:
-            base = partial if shift is None else tuple(
-                a + b for a, b in zip(partial, shift.coords)
-            )
-            lo, hi = screen.line_range(base, step, *ranges[idx])
-            for c in range(lo, hi + 1):
-                coords = tuple(a + c * b for a, b in zip(base, step))
-                quick = screen.test(coords)
-                if quick is False:
-                    continue
-                el = field.element(coords)
-                if quick is True or in_region(el, box):
-                    yield el
-            return
-        lo, hi = ranges[idx]
+
+def enumerate_region(field, box, lattice_rows, shift=None, shard=None):
+    """Stream the points of (shift + lattice) inside the region, in
+    lexicographic coordinate order: the points of region_runs, with the
+    same shard slices."""
+    for base, step, lo, hi in region_runs(field, box, lattice_rows, shift, shard):
         for c in range(lo, hi + 1):
-            if idx == 0 and shard is not None and (c - lo) % shard[1] != shard[0]:
-                continue
-            nxt = tuple(a + c * b for a, b in zip(partial, lattice_rows[idx]))
-            yield from rec(idx + 1, nxt)
-
-    yield from rec(0, (0,) * n)
+            yield field.element([a + c * b for a, b in zip(base, step)])
 
 
 def enumerate_region_oracle(field, box, lattice_rows, shift=None):
@@ -507,9 +536,6 @@ class EmbeddedLattice:
                 "exact Gram for mixed-signature fields of degree > 2 is not supported"
             )
         return cls(gram)
-
-    def det_upper(self, bits=64):
-        return sqrt_upper(self.det_sq, bits)
 
     def minima_sq(self):
         """Exact squared successive minima (Euclidean ball), n <= 4."""

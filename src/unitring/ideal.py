@@ -15,7 +15,6 @@ from .linalg import (
     in_lattice,
     lattice_intersection,
     lattice_sum,
-    quotient_box,
     reduce_mod_lattice,
     residue_transversal,
 )
@@ -169,13 +168,6 @@ class IdealLattice:
             raise ResidueCapError(f"residue system of size {self.norm} exceeds cap {cap}")
         for v in residue_transversal(self.hnf):
             yield self.field.element(v)
-
-    def residues_of_sublattice(self, sub_rows, cap=RESIDUE_CAP):
-        """Transversal of the sublattice sub_rows inside this ideal lattice."""
-        count = abs(det_triangular(hnf(sub_rows))) // self.norm
-        if count > cap:
-            raise ResidueCapError(f"residue system of size {count} exceeds cap {cap}")
-        yield from quotient_box(hnf(sub_rows), self.hnf)
 
     # -- factorization ---------------------------------------------------------
 
@@ -333,12 +325,13 @@ def element_is_mfree(alpha, m):
     """m-freeness of the principal ideal (alpha), avoiding full HNF work.
 
     P^m | (alpha) forces p^m | N(alpha) for the prime p below P, so only
-    the primes p with p^m dividing the integer norm need valuations.
+    the primes P above the primes p with p^m dividing the integer norm
+    need a test, and v_P(alpha) >= m is exactly alpha in P^m.
     """
     field = alpha.field
     for p in mth_power_primes(alpha.norm(), m):
         for pid in split_prime(field, p):
-            if element_valuation(alpha, pid) >= m:
+            if prime_power(pid, m).contains(alpha):
                 return False
     return True
 

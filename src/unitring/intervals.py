@@ -109,14 +109,6 @@ class RatInterval:
     def sqrt(self, bits=64):
         return RatInterval(sqrt_lower(self.lo, bits), sqrt_upper(self.hi, bits))
 
-    def definitely_lt(self, other):
-        other = _coerce(other)
-        return self.hi < other.lo
-
-    def definitely_gt(self, other):
-        other = _coerce(other)
-        return self.lo > other.hi
-
 
 def _coerce(x):
     return x if isinstance(x, RatInterval) else RatInterval(Fraction(x))

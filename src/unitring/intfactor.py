@@ -2,23 +2,34 @@
 
 Strategy: trial division over a shared prime table, then Brent's
 cycle-finding rho with a deterministic Miller-Rabin certificate on every
-cofactor.  The m-free test stops trial division early: once p**(m+1)
-exceeds the cofactor, the cofactor has at most m prime factors, so it is
-either the m-th power of a prime or m-free, and one exact root decides.
+cofactor.  The m-free test takes the part of n made of primes below
+SMOOTH_BOUND with one gcd against their product (Bernstein, "How to find
+smooth parts of integers", 2004), and stops trial division early: once
+p**(m+1) exceeds the cofactor, the cofactor has at most m prime factors,
+so it is either the m-th power of a prime or m-free, and one exact root
+decides.
 
 The thirteen Miller-Rabin bases 2..41 are a proof of primality below
 PSI_13 (about 3.3 * 10**24), well above the norms of the bundled
-workloads.  A composite verdict is a proof at any size; a number
-at or above PSI_13 that passes every base raises PrimalityUnproven
-instead of being called prime.
+workloads.  A composite verdict is a proof at any size.  A cofactor at
+or above PSI_13 that passes every base gets one bounded rho attempt; if
+that splits it, factoring goes on with the parts, and otherwise it raises
+PrimalityUnproven instead of being called prime.
 """
 
 from array import array
 from math import gcd, isqrt
 
 TRIAL_LIMIT = 10**6
+# The m-free test divides out the primes below this bound through one gcd
+# with their product.
+SMOOTH_BOUND = 2200
+# Iterations of the one rho attempt on a cofactor that passes every
+# Miller-Rabin base at or above PSI_13: a few seconds at most.
+UNPROVEN_RHO_ITER = 2 * 10**6
 
 _primes = None
+_primorial = None
 
 
 class PrimalityUnproven(ArithmeticError):
@@ -58,6 +69,17 @@ def primes():
     return _primes
 
 
+def primorial():
+    """Product of the table primes below SMOOTH_BOUND."""
+    global _primorial
+    if _primorial is None:
+        out = 1
+        for p in prime_table(SMOOTH_BOUND - 1):
+            out *= p
+        _primorial = out
+    return _primorial
+
+
 def iroot(n, k):
     """Largest r with r**k <= n, for integers n >= 0 and k >= 2."""
     if n < 2:
@@ -88,10 +110,7 @@ def _trial_divide(n, k):
         if p > lim:
             return factors, n, True
         if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
+            n, e = _remove(n, p)
             factors.append((p, e))
             lim = iroot(n, k)
     return factors, n, n == 1
@@ -131,11 +150,12 @@ def is_prime(n):
     return True
 
 
-def _brent_rho(n, max_iter=10**7):
-    """One nontrivial factor of composite odd n, deterministic seed schedule."""
+def _brent_rho(n, max_iter=10**7, seeds=49):
+    """One nontrivial factor of composite odd n, deterministic seed schedule:
+    the seeds c = 1 .. seeds, each with at most about max_iter iterations."""
     if n % 2 == 0:
         return 2
-    for c in range(1, 50):
+    for c in range(1, seeds + 1):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         it = 0
@@ -188,7 +208,18 @@ def _split(n):
     stack = [n]
     while stack:
         c = stack.pop()
-        if is_prime(c):
+        try:
+            prime = is_prime(c)
+        except PrimalityUnproven:
+            # Every base passed above PSI_13: a rho split still proves c
+            # composite; a prime never splits, so the attempt is bounded.
+            try:
+                d = _brent_rho(c, UNPROVEN_RHO_ITER, seeds=1)
+            except FactorizationTimeout:
+                raise PrimalityUnproven(c) from None
+            stack += [d, c // d]
+            continue
+        if prime:
             counts[c] = counts.get(c, 0) + 1
             continue
         r = isqrt(c)
@@ -205,17 +236,46 @@ def mth_power_primes(n, m):
     n = abs(n)
     if n == 0:
         raise ValueError("0 is not m-free")
-    fac, cof, done = _trial_divide(n, m + 1)
-    out = [p for p, e in fac if e >= m]
-    if not done:
-        # The table ran out; no table prime divides the cofactor.
-        return out + [p for p, e in _split(cof) if e >= m]
-    # At most m prime factors are left, each above every table prime tried:
+    out = []
+    d = gcd(n, primorial())
+    if d > 1:
+        # d is squarefree: its prime factors are the primes below
+        # SMOOTH_BOUND that divide n.  Split it, and divide them out of n.
+        for p in primes():
+            if p * p > d:
+                break
+            if d % p == 0:
+                d //= p
+                n, e = _remove(n, p)
+                if e >= m:
+                    out.append(p)
+        if d > 1:
+            n, e = _remove(n, d)
+            if e >= m:
+                out.append(d)
+    # No prime factor below SMOOTH_BOUND is left, so below SMOOTH_BOUND**(m+1)
+    # the cofactor has at most m of them.
+    if n >= SMOOTH_BOUND ** (m + 1):
+        fac, n, done = _trial_divide(n, m + 1)
+        out += [p for p, e in fac if e >= m]
+        if not done:
+            # The table ran out; no table prime divides the cofactor.
+            return out + [p for p, e in _split(n) if e >= m]
+    # At most m prime factors are left, each above every prime divided out:
     # the cofactor is m-free unless it is the m-th power of one prime.
-    r = iroot(cof, m)
-    if r > 1 and r**m == cof:
+    r = iroot(n, m)
+    if r > 1 and r**m == n:
         out.append(r)
     return out
+
+
+def _remove(n, p):
+    """(n / p**e, e) for the largest e with p**e | n."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
 
 
 def is_power_free(n, m):

@@ -35,22 +35,6 @@ def vec_mat(v, m):
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
 
 
-def mat_vec(m, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(v, c):
-    return tuple(c * x for x in v)
-
-
 def hnf(rows, transform=False):
     """Row-style Hermite normal form of an integer matrix.
 

@@ -59,9 +59,6 @@ class SubOrder:
     def contains(self, alpha):
         return in_lattice(alpha.coords, self.basis_hnf)
 
-    def contains_lattice(self, rows):
-        return all(in_lattice(r, self.basis_hnf) for r in rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, SubOrder)

@@ -63,9 +63,8 @@ def test_criterion_1_density_convergence(q5):
     params = DensityParams(order=SubOrder.maximal(q5), poly=f, excluded=(), m=2)
     rep = euler_density(params, 10**4)
     assert rep.width <= Fraction(1, 1000), f"width {float(rep.width)}"
-    counts = {}
-    for x in (100, 1000, 10**4):
-        counts[x] = empirical_count(params, RegionBox.cube(q5.signature, x))
+    xs = (100, 1000, 10**4)
+    counts = dict(zip(xs, empirical_count(params, [RegionBox.cube(q5.signature, x) for x in xs])))
     mid = rep.d_mid
     rel = {x: abs(Fraction(n, x) - mid) / mid for x, n in counts.items()}
     assert rel[10**4] <= Fraction(15, 100), f"relative error {float(rel[10**4])}"
@@ -91,9 +90,8 @@ def test_criterion_2_order_variant(q5):
     assert gap.lhs == Fraction(1, 4) and gap.rhs == Fraction(3, 4) and gap.strict_gap
     rep = euler_density(params, 10**4)
     assert rep.width <= Fraction(1, 1000)
-    counts = {}
-    for x in (100, 1000, 10**4):
-        counts[x] = empirical_count(params, RegionBox.cube(q5.signature, x))
+    xs = (100, 1000, 10**4)
+    counts = dict(zip(xs, empirical_count(params, [RegionBox.cube(q5.signature, x) for x in xs])))
     mid = rep.d_mid
     rel = {x: abs(Fraction(n, x) - mid) / mid for x, n in counts.items()}
     assert rel[10**4] <= Fraction(15, 100)

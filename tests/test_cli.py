@@ -45,6 +45,18 @@ def test_density_threads_byte_identical(tmp_path):
     assert single.read_bytes() == multi.read_bytes()
 
 
+def test_count_threads_byte_identical_cubic(tmp_path):
+    # Several nested boxes in one pass, sharded over one pool of two workers.
+    spec = tmp_path / "cubic_23.json"
+    spec.write_text(json.dumps({"name": "cubic-23", "min_poly": [-1, -1, 0, 1]}))
+    base = ["count", "--field", str(spec), "--eta", "0,1,0", "--boxes", "8,27,125,216"]
+    outs = [tmp_path / "t1.tsv", tmp_path / "t2.tsv"]
+    for threads, out in zip(("1", "2"), outs):
+        assert main(base + ["--threads", threads, "--out", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert len(outs[0].read_text().splitlines()) == 4 + 4
+
+
 def test_density_order_variant(tmp_path):
     out = tmp_path / "o.tsv"
     code = main([
@@ -188,7 +200,9 @@ def test_exit_code_factorization_timeout(monkeypatch, capsys):
 
 
 def test_exit_code_primality_unproven():
-    proc = run_cli(["belcher", "-d", str(PSI_13)])
+    # PSI_13 + 142 is a prime that passes every Miller-Rabin base above the
+    # proven range, so neither a proof nor a rho split is at hand.
+    proc = run_cli(["belcher", "-d", str(PSI_13 + 142)])
     assert proc.returncode == EXIT_EXHAUSTED
     assert proc.stdout == ""
     assert last_diag(proc.stderr)["error"] == "exhausted"

@@ -154,7 +154,7 @@ def test_cubic_sieve_end_to_end(k3):
     f = SievePolynomial.x_squared_minus(4 * k3.theta)
     params = DensityParams(order=SubOrder.maximal(k3), poly=f, excluded=(), m=2)
     box = RegionBox(k3.signature, [Fraction(9), Fraction(9)])
-    n_fast = empirical_count(params, box)
+    [n_fast] = empirical_count(params, [box])
     n_oracle = empirical_count_oracle(params, box)
     assert n_fast == n_oracle
     assert n_fast > 0
@@ -172,7 +172,7 @@ def test_gaussian_sieve_end_to_end(qi):
     f = SievePolynomial.x_squared_minus(4 * i)
     params = DensityParams(order=SubOrder.maximal(qi), poly=f, excluded=(), m=2)
     box = RegionBox.cube(qi.signature, 100)  # disk of radius 10
-    n_fast = empirical_count(params, box)
+    [n_fast] = empirical_count(params, [box])
     n_oracle = empirical_count_oracle(params, box)
     assert n_fast == n_oracle
     assert n_fast > 0

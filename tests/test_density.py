@@ -28,6 +28,7 @@ from unitring.density import (
     root_count_bruteforce,
     root_count_order,
     root_count_order_bruteforce,
+    run_values,
 )
 
 
@@ -323,11 +324,11 @@ def test_empirical_count_examples(q5, f_theta):
     params = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=(), m=2)
     box22 = RegionBox.from_bounds(q5.signature, [2, 2])
     box11 = RegionBox.from_bounds(q5.signature, [1, 1])
-    assert empirical_count(params, box22) == 1
-    assert empirical_count(params, box11) == 1
+    assert empirical_count(params, [box22]) == [1]
+    assert empirical_count(params, [box11]) == [1]
     ps2 = tuple(split_prime(q5, 2))
     params2 = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=ps2, m=2)
-    assert empirical_count(params2, box22) == 1
+    assert empirical_count(params2, [box22]) == [1]
 
 
 def test_empirical_count_matches_oracle(q5, f_theta, f_eta, z_sqrt5):
@@ -340,16 +341,81 @@ def test_empirical_count_matches_oracle(q5, f_theta, f_eta, z_sqrt5):
     ]
     for params, vol in cases:
         box = RegionBox.cube(q5.signature, vol)
-        assert empirical_count(params, box) == empirical_count_oracle(params, box)
+        assert empirical_count(params, [box]) == [empirical_count_oracle(params, box)]
 
 
 def test_empirical_count_shards(q5, f_theta):
     params = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=(), m=2)
     box = RegionBox.cube(q5.signature, 300)
-    full = empirical_count(params, box)
+    [full] = empirical_count(params, [box])
     for shards in (2, 4):
-        total = sum(empirical_count(params, box, shard=(i, shards)) for i in range(shards))
+        total = sum(empirical_count(params, [box], shard=(i, shards))[0] for i in range(shards))
         assert total == full
+
+
+# q_sqrt5 (real places), q_i (a disk) and cubic-23 (both), with the
+# squared box bounds up to which the oracles stay quick.
+FIELDS = {"q_sqrt5": ([-1, -1, 1], 400), "q_i": ([1, 0, 1], 200), "cubic-23": ([-1, -1, 0, 1], 9)}
+
+
+@pytest.fixture(scope="module")
+def fields():
+    return {name: NumberField(poly, name=name) for name, (poly, _) in FIELDS.items()}
+
+
+def coords(n, lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.integers(1, 4), st.data())
+def test_run_values_match_horner(fields, name, g, data):
+    # Forward differences against Horner at every point of a run, runs
+    # shorter than the g + 1 starting points included.
+    field = fields[name]
+    n = field.degree
+    coeffs = [field.element(data.draw(coords(n, -9, 9))) for _ in range(g + 1)]
+    assume(not coeffs[-1].is_zero())
+    try:
+        poly = SievePolynomial(coeffs, assume_irreducible=True)
+    except ValueError:
+        assume(False)  # a quadratic with a square discriminant
+    base, step = data.draw(coords(n, -30, 30)), data.draw(coords(n, -5, 5))
+    lo = data.draw(st.integers(-20, 20))
+    hi = lo + data.draw(st.integers(0, 8))
+    expected = [poly(field.element([a + c * b for a, b in zip(base, step)])).coords
+                for c in range(lo, hi + 1)]
+    assert [v.coords for v in run_values(poly, base, step, lo, hi)] == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(FIELDS)), st.sampled_from([2, 3]), st.booleans(), st.data())
+def test_empirical_count_nested_boxes_match_oracle(fields, name, m, exclude_2, data):
+    # One pass over several boxes, nested or not, against the per-box
+    # oracle; the shards of 2 partition every count.
+    field = fields[name]
+    r, s = field.signature
+    top = FIELDS[name][1]
+    poly = SievePolynomial.x_squared_minus(4 * field.theta)
+    excluded = tuple(split_prime(field, 2)) if exclude_2 else ()
+    params = DensityParams(order=SubOrder.maximal(field), poly=poly, excluded=excluded, m=m)
+    boxes = [
+        RegionBox(field.signature, data.draw(st.lists(
+            st.fractions(1, top, max_denominator=4), min_size=r + s, max_size=r + s)))
+        for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    counts = empirical_count(params, boxes)
+    assert counts == [empirical_count_oracle(params, box) for box in boxes]
+    halves = [empirical_count(params, boxes, shard=(i, 2)) for i in range(2)]
+    assert [a + b for a, b in zip(*halves)] == counts
+
+
+def test_empirical_count_nested_cubes(q5, f_theta):
+    # The CLI's nested cubes, plus two boxes that are not nested.
+    params = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=(), m=2)
+    boxes = [RegionBox.cube(q5.signature, x) for x in (100, 400, 1000)]
+    boxes += [RegionBox(q5.signature, [900, 100]), RegionBox(q5.signature, [100, 900])]
+    assert empirical_count(params, boxes) == [empirical_count_oracle(params, b) for b in boxes]
 
 
 def test_gap_check_exact_values(q5, eta, z_sqrt5):

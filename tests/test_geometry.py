@@ -17,6 +17,7 @@ from unitring.geometry import (
     enumerate_region,
     enumerate_region_oracle,
     in_region,
+    region_runs,
     widmer_bound,
     widmer_constant,
 )
@@ -141,12 +142,36 @@ def k3():
     return NumberField([-1, -1, 0, 1], name="cubic-23")
 
 
+def run_points(field, box, rows, shift, shard):
+    return [
+        tuple(a + c * b for a, b in zip(base, step))
+        for base, step, lo, hi in region_runs(field, box, rows, shift=shift, shard=shard)
+        for c in range(lo, hi + 1)
+    ]
+
+
+def check_against_oracle(field, box, rows, shift):
+    """The runs are nonempty, and they and the enumeration yield exactly
+    the oracle walk's points in the same order; on every shard of 2 and 3
+    they partition them.  An end walk that stops one step early adds a
+    non-member, one that stops one step late drops a member."""
+    expected = [p.coords for p in enumerate_region_oracle(field, box, rows, shift=shift)]
+    assert [p.coords for p in enumerate_region(field, box, rows, shift=shift)] == expected
+    assert all(lo <= hi for _, _, lo, hi in region_runs(field, box, rows, shift=shift))
+    assert run_points(field, box, rows, shift, None) == expected
+    for k in (2, 3):
+        parts = [p for i in range(k) for p in run_points(field, box, rows, shift, (i, k))]
+        assert sorted(parts) == sorted(expected)
+        parts = [p.coords for i in range(k)
+                 for p in enumerate_region(field, box, rows, shift=shift, shard=(i, k))]
+        assert sorted(parts) == sorted(expected)
+
+
 def check_enumeration_against_oracle(field, data, top, max_candidates):
-    """Random box (squared bounds up to top), random full-rank lattice,
-    with and without shift: the nested-bound enumeration yields exactly
-    the oracle walk's points in the same order, and the shards partition
-    them.  Draws whose naive coordinate box holds more than max_candidates
-    points are skipped, since the oracle decides each one exactly."""
+    """check_against_oracle on a random box (squared bounds up to top) and
+    a random full-rank lattice, with and without shift.  Draws whose naive
+    coordinate box holds more than max_candidates points are skipped,
+    since the oracle decides each one exactly."""
     r, s = field.signature
     n = field.degree
     den = data.draw(st.sampled_from([1, 4]))
@@ -159,12 +184,7 @@ def check_enumeration_against_oracle(field, data, top, max_candidates):
         shift = field.element(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
     ranges = coordinate_ranges(field, box, rows, shift and shift.coords)
     assume(prod(hi - lo + 1 for lo, hi in ranges) <= max_candidates)
-    expected = [p.coords for p in enumerate_region_oracle(field, box, rows, shift=shift)]
-    assert [p.coords for p in enumerate_region(field, box, rows, shift=shift)] == expected
-    for k in (2, 3):
-        parts = [p.coords for i in range(k)
-                 for p in enumerate_region(field, box, rows, shift=shift, shard=(i, k))]
-        assert sorted(parts) == sorted(expected)
+    check_against_oracle(field, box, rows, shift)
 
 
 @settings(max_examples=40, deadline=None)
@@ -184,6 +204,14 @@ def test_enumerate_matches_oracle_walk_disk(qi, data):
 @given(st.data())
 def test_enumerate_matches_oracle_walk_cubic(k3, data):
     check_enumeration_against_oracle(k3, data, 4, 800)
+
+
+@pytest.mark.parametrize("shift", [None, (1, 1, 0)])
+def test_enumerate_matches_oracle_cubic_box(k3, shift):
+    # The random cubic draws above are tiny; this box holds 36 points on
+    # 22 runs, 14 of them longer than one point.
+    box = RegionBox(k3.signature, [Fraction(9), Fraction(9)])
+    check_against_oracle(k3, box, identity(3), shift and k3.element(shift))
 
 
 def test_boundary_tie_complex(qi):

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from unitring.field import NumberField
 from unitring.ideal import (
@@ -107,6 +109,23 @@ def test_mfree_examples(q5):
     assert is_mfree(IdealLattice.from_integer(q5, 5), 3)
     assert element_is_mfree(val, 2)
     assert not element_is_mfree(q5.rational(2) * q5.rational(2), 2)
+
+
+@pytest.fixture(scope="module")
+def qi():
+    return NumberField([1, 0, 1], name="Q(i)")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(0, 5), st.integers(0, 2),
+       st.sampled_from([2, 3]))
+def test_element_is_mfree_matches_factor_gaussian(qi, a, b, k, j, m):
+    # 2 ramifies in Z[i]: (1 + i)^k plants P^k above 2, and 3^j (3 is inert)
+    # plants a prime of residue degree 2.
+    val = qi.element((a, b)) * (qi.one + qi.theta) ** k * qi.rational(3**j)
+    assume(not val.is_zero())
+    expected = all(e < m for _, e in IdealLattice.principal(val).factor())
+    assert element_is_mfree(val, m) == expected
 
 
 def test_element_valuation(q5):

@@ -1,9 +1,12 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring.intfactor import (
     PSI_13,
+    SMOOTH_BOUND,
     TRIAL_LIMIT,
     PrimalityUnproven,
     factor,
@@ -77,6 +80,38 @@ def test_mth_power_primes_planted(a, p, q, m):
     assert got == mth_power_primes_by_factor(n, m)
 
 
+# The gcd route: 2179 is the last prime below SMOOTH_BOUND, so it comes out
+# of the gcd with the primorial; 2203 and 2207 are the first primes above
+# it, and 1_000_003 lies above TRIAL_LIMIT.
+NEAR_BOUND = (2179, 2203, 2207, 1_000_003)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**6),
+    st.sampled_from(NEAR_BOUND),
+    st.sampled_from([1, 2161, 2203, 1_000_033]),
+    st.sampled_from([2, 3, 4]),
+)
+def test_mth_power_primes_near_smooth_bound(a, p, q, m):
+    n = a * q * p**m
+    got = mth_power_primes(n, m)
+    assert p in got
+    assert got == mth_power_primes_by_factor(n, m)
+
+
+def test_mth_power_primes_gcd_route_cofactors():
+    assert 2179 < SMOOTH_BOUND < 2203
+    b3 = SMOOTH_BOUND**3
+    # Cofactors free of primes below the bound, under and over bound**(m+1).
+    assert 2203**2 < b3 and mth_power_primes(2**5 * 3 * 2203**2, 2) == [2, 2203]
+    assert 2203 * 2207 < b3 and mth_power_primes(2179**2 * 2203 * 2207, 2) == [2179]
+    assert 2203 * 2207 * 2213 >= b3 and mth_power_primes(2203 * 2207 * 2213, 2) == []
+    assert mth_power_primes(5**2 * 2203**2 * 2207, 2) == [5, 2203]
+    assert mth_power_primes(2203**3 * 1_000_003, 3) == [2203]
+    assert mth_power_primes(2179**4 * 1_000_003**4, 4) == [2179, 1_000_003]
+
+
 def test_mth_power_primes_fallback_range():
     # Cofactors at or above the table's reach, with and without a square.
     p, q, r = 1_000_003, 1_000_033, 1_000_037
@@ -148,10 +183,26 @@ def test_psi13_is_not_called_prime():
     assert PSI_13 == 1287836182261 * 2575672364521
     with pytest.raises(PrimalityUnproven):
         is_prime(PSI_13)
-    with pytest.raises(PrimalityUnproven):
-        factor(PSI_13)
     # Composite verdicts stay proofs above the bound ...
     assert not is_prime(43 * PSI_13)
     assert not is_prime((2**61 - 1) * (2**31 - 1) * 1_000_003)
     # ... and primes below it are still certified.
     assert is_prime(PSI_13 - 168)
+
+
+def test_factor_splits_psi13_by_rho():
+    # Every base passes, yet one bounded rho attempt splits it.
+    assert factor(PSI_13) == [(1287836182261, 1), (2575672364521, 1)]
+    assert mth_power_primes(4 * PSI_13, 2) == [2]
+
+
+def test_prime_above_psi13_raises_within_seconds():
+    # PSI_13 + 142 is prime (Pocklington: n - 1 = 2q with q prime below
+    # PSI_13, and 2 witnesses it) and passes every base: the bounded rho
+    # attempt cannot split it, so it raises instead of being called prime.
+    p = PSI_13 + 142
+    for n in (p, 1_000_003 * p):
+        start = time.monotonic()
+        with pytest.raises(PrimalityUnproven):
+            factor(n)
+        assert time.monotonic() - start < 20

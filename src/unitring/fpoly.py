@@ -22,7 +22,6 @@ from .poly import (
     divmod,
     gcd,
     monic,
-    mul,
     powmod,
     sub,
     trim,
@@ -50,7 +49,7 @@ def _split_attempt(a, size, f, K):
         return gcd(sub(powmod(a, (size - 1) // 2, f, K), (K.one,), K), f, K)
     t = acc = a
     while size > 2:
-        t = divmod(mul(t, t, K), f, K)[1]
+        t = K.mulmod(t, t, f)
         acc = add(acc, t, K)
         size //= 2
     return gcd(acc, f, K)
@@ -68,6 +67,9 @@ def _squarefree_decomposition(f, F):
         # A p-th power: Frobenius fixes F_p, so its p-th root is f[::p].
         return [(h, m * p) for h, m in _squarefree_decomposition(f[::p], F)]
     c = gcd(f, df, F)
+    if c == (F.one,):
+        # Squarefree already, as at every p that does not divide disc(f).
+        return [(f, 1)]
     w = divmod(f, c, F)[0]
     i = 1
     while len(w) > 1:

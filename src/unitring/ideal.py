@@ -18,6 +18,7 @@ from .linalg import (
     reduce_mod_lattice,
     residue_transversal,
 )
+from .poly import PrimeField, mul
 
 RESIDUE_CAP = 10**6
 
@@ -210,21 +211,38 @@ class IdealLattice:
 
 
 class PrimeIdealData:
-    """A prime ideal above p, from the Kummer-Dedekind factorization."""
+    """A prime ideal above p, from the Kummer-Dedekind factorization.
 
-    __slots__ = ("p", "generator_poly", "residue_degree", "ramification", "ideal", "_fq")
+    P = (p, g(theta)).  Equality, hashing and ordering use (field, p, g)
+    alone; the HNF lattice `ideal` is built on first access, so primes
+    that only ever need their residue field never build one.
+    """
 
-    def __init__(self, p, generator_poly, residue_degree, ramification, ideal):
+    __slots__ = ("field", "p", "generator_poly", "residue_degree", "ramification", "_ideal", "_fq")
+
+    def __init__(self, field, p, generator_poly, ramification):
+        self.field = field
         self.p = p
         self.generator_poly = generator_poly
-        self.residue_degree = residue_degree
+        self.residue_degree = len(generator_poly) - 1
         self.ramification = ramification
-        self.ideal = ideal
+        self._ideal = None
         self._fq = None
 
     @property
     def norm(self):
         return self.p**self.residue_degree
+
+    @property
+    def ideal(self):
+        if self._ideal is None:
+            field = self.field
+            gen = field.from_theta_poly(self.generator_poly)
+            ideal = IdealLattice.from_generators(field, [field.rational(self.p), gen])
+            if self.norm != ideal.norm:
+                raise ArithmeticError("prime ideal norm mismatch")
+            self._ideal = ideal
+        return self._ideal
 
     @property
     def hnf(self):
@@ -241,34 +259,42 @@ class PrimeIdealData:
     def __eq__(self, other):
         return (
             isinstance(other, PrimeIdealData)
-            and self.ideal.field is other.ideal.field
+            and self.field is other.field
             and self.p == other.p
             and self.generator_poly == other.generator_poly
         )
 
     def __hash__(self):
-        return hash((id(self.ideal.field), self.p, self.generator_poly))
+        return hash((id(self.field), self.p, self.generator_poly))
 
     def __repr__(self):
         return f"PrimeIdeal(p={self.p}, f={self.residue_degree}, e={self.ramification})"
 
 
 def power_basis_index(field):
-    """[O_K : Z[theta]] for the given integral basis."""
-    n = field.degree
-    rows = []
-    power = field.one
-    for _ in range(n):
-        rows.append(power.coords)
-        power = power * field.theta
-    h = hnf(rows)
-    if len(h) != n:
-        raise ArithmeticError("theta powers do not span")
-    return abs(det_triangular(h))
+    """[O_K : Z[theta]] for the given integral basis, computed once per field."""
+    idx = getattr(field, "_power_basis_index", None)
+    if idx is None:
+        n = field.degree
+        rows = []
+        power = field.one
+        for _ in range(n):
+            rows.append(power.coords)
+            power = power * field.theta
+        h = hnf(rows)
+        if len(h) != n:
+            raise ArithmeticError("theta powers do not span")
+        idx = field._power_basis_index = abs(det_triangular(h))
+    return idx
 
 
 def split_prime(field, p):
-    """Prime ideals above p by Kummer-Dedekind, sorted deterministically."""
+    """Prime ideals above p by Kummer-Dedekind, sorted deterministically.
+
+    No HNF is built here: each prime builds its own on first use of
+    `.ideal`, where its norm is checked.  The factorization is checked
+    for every p: the product of the g^e is the minimal polynomial mod p.
+    """
     cache = getattr(field, "_prime_cache", None)
     if cache is None:
         cache = field._prime_cache = {}
@@ -281,14 +307,14 @@ def split_prime(field, p):
             "Kummer-Dedekind splitting is unavailable on this basis"
         )
     factors = fpoly.factor_mod_p(field.min_poly, p)
-    out = []
+    F = PrimeField(p)
+    prod = (1,)
     for g, e in factors:
-        gen = field.from_theta_poly(g)
-        ideal = IdealLattice.from_generators(field, [field.rational(p), gen])
-        pid = PrimeIdealData(p, g, len(g) - 1, e, ideal)
-        if pid.norm != ideal.norm:
-            raise ArithmeticError("prime ideal norm mismatch")
-        out.append(pid)
+        for _ in range(e):
+            prod = mul(prod, g, F)
+    if prod != tuple(c % p for c in field.min_poly):
+        raise ArithmeticError("factors mod p do not multiply to the minimal polynomial")
+    out = [PrimeIdealData(field, p, g, e) for g, e in factors]
     out.sort(key=lambda q: q.sort_key())
     cache[p] = out
     return out

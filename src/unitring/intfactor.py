@@ -18,6 +18,8 @@ PrimalityUnproven instead of being called prime.
 """
 
 from array import array
+from bisect import bisect_left
+from itertools import compress, islice
 from math import gcd, isqrt
 
 TRIAL_LIMIT = 10**6
@@ -59,7 +61,7 @@ def prime_table(limit):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
         p += 1
-    return array("Q", (i for i in range(limit + 1) if sieve[i]))
+    return array("Q", compress(range(limit + 1), sieve))
 
 
 def primes():
@@ -95,8 +97,10 @@ def iroot(n, k):
         x = y
 
 
-def _trial_divide(n, k):
-    """Divide the table primes p out of n while p**k <= the cofactor.
+def _trial_divide(n, k, start=0):
+    """Divide the table primes p out of n while p**k <= the cofactor,
+    beginning at the table index start; no earlier table prime may
+    divide n.
 
     Returns (factors, cofactor, done): (p, e) pairs in increasing p, and
     done is True when the cofactor fell below p**k for the next prime p,
@@ -106,7 +110,7 @@ def _trial_divide(n, k):
     """
     factors = []
     lim = iroot(n, k)
-    for p in primes():
+    for p in islice(primes(), start, None):
         if p > lim:
             return factors, n, True
         if n % p == 0:
@@ -256,7 +260,8 @@ def mth_power_primes(n, m):
     # No prime factor below SMOOTH_BOUND is left, so below SMOOTH_BOUND**(m+1)
     # the cofactor has at most m of them.
     if n >= SMOOTH_BOUND ** (m + 1):
-        fac, n, done = _trial_divide(n, m + 1)
+        # The gcd has divided out every table prime below SMOOTH_BOUND.
+        fac, n, done = _trial_divide(n, m + 1, bisect_left(primes(), SMOOTH_BOUND))
         out += [p for p, e in fac if e >= m]
         if not done:
             # The table ran out; no table prime divides the cofactor.

@@ -4,9 +4,11 @@ A polynomial is a tuple of coefficients, constant term first, with a
 nonzero leading coefficient; the zero polynomial is (K.zero,).  Every
 routine takes trimmed tuples and returns trimmed tuples.  The coefficient
 field K is the last argument and supplies zero, one, add, sub, mul, inv,
-scalar(k) (the image of the integer k) and the fused addmul(acc, x, y) =
+scalar(k) (the image of the integer k), the fused addmul(acc, x, y) =
 acc + x*y and submul(acc, x, y) = acc - x*y that carry the inner loops of
-mul and divmod with one call per term.
+mul and divmod with one call per term, and mulmod(a, b, m) = a*b mod m on
+whole polynomials, the step of powmod.  Over F_p mulmod is one plain-int
+kernel; elsewhere it is mul followed by divmod.
 
 The fields are PrimeField(p) on ints mod p, ResidueField(p, g) = F_p[y]/(g)
 on coefficient tuples (its own arithmetic is these routines over
@@ -89,16 +91,36 @@ def gcd(a, b, K):
 
 
 def powmod(base, e, m, K):
-    """base^e mod m for e >= 0."""
-    result = (K.one,)
-    base = divmod(base, m, K)[1]
-    while e:
-        if e & 1:
-            result = divmod(mul(result, base, K), m, K)[1]
-        e >>= 1
-        if e:
-            base = divmod(mul(base, base, K), m, K)[1]
+    """base^e mod m for e >= 0, left to right over the bits of e.
+
+    Each set bit below the top one multiplies by the base; when the base
+    is X that is a shift and one reduction step instead of a full product.
+    """
+    if not e:
+        return (K.one,)
+    mulmod = K.mulmod
+    result = base = divmod(base, m, K)[1]
+    is_x = base == (K.zero, K.one)
+    if is_x:
+        inv_lead = K.inv(m[-1])
+    for i in range(e.bit_length() - 2, -1, -1):
+        result = mulmod(result, result, m)
+        if e >> i & 1:
+            result = _times_x(result, m, inv_lead, K) if is_x else mulmod(result, base, m)
     return result
+
+
+def _times_x(a, m, inv_lead, K):
+    """X*a mod m for deg a < deg m, given the inverse of m's leading term."""
+    n = len(m) - 1
+    out = [K.zero, *a]
+    if len(out) <= n:
+        return trim(out, K)
+    c = K.mul(out[n], inv_lead)
+    submul = K.submul
+    for j in range(n):
+        out[j] = submul(out[j], c, m[j])
+    return trim(out[:n], K)
 
 
 def deriv(a, K):
@@ -111,6 +133,11 @@ def evaluate(a, x, K):
     for c in reversed(a):
         out = K.addmul(c, out, x)
     return out
+
+
+def _mulmod(K, a, b, m):
+    """a*b mod m by mul and divmod; the mulmod of every field but F_p."""
+    return divmod(mul(a, b, K), m, K)[1]
 
 
 class PrimeField:
@@ -142,6 +169,30 @@ class PrimeField:
 
     def submul(self, acc, x, y):
         return (acc - x * y) % self.p
+
+    def mulmod(self, a, b, m):
+        """a*b mod m on plain ints: the product and the reduction carry
+        unreduced integers, and each output coefficient takes one % p."""
+        p = self.p
+        n = len(m) - 1
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        if len(out) > n:
+            lead = m[n] % p
+            if not lead:
+                raise ZeroDivisionError("polynomial division by zero")
+            inv_lead = 1 if lead == 1 else pow(lead, -1, p)
+            low = m[:n]
+            for i in range(len(out) - 1, n - 1, -1):
+                c = out[i] * inv_lead % p
+                if c:
+                    for j, y in enumerate(low, i - n):
+                        out[j] -= c * y
+            del out[n:]
+        return trim([x % p for x in out] or [0], self)
 
     def inv(self, a):
         return pow(a, -1, self.p)
@@ -184,13 +235,15 @@ class ResidueField:
         return sub(a, b, self.base)
 
     def mul(self, a, b):
-        return divmod(mul(a, b, self.base), self.g, self.base)[1]
+        return self.base.mulmod(a, b, self.g)
 
     def addmul(self, acc, x, y):
         return add(acc, self.mul(x, y), self.base)
 
     def submul(self, acc, x, y):
         return sub(acc, self.mul(x, y), self.base)
+
+    mulmod = _mulmod
 
     def inv(self, a):
         """Inverse by the extended Euclidean algorithm against g."""
@@ -261,6 +314,8 @@ class RationalField:
     @staticmethod
     def inv(a):
         return Fraction(1, a)
+
+    mulmod = _mulmod
 
     @staticmethod
     def scalar(k):

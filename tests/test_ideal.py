@@ -2,10 +2,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from unitring.density import DensityParams, SievePolynomial, bad_reduction_primes, euler_density
 from unitring.field import NumberField
+from unitring.fieldspec import load_field_spec
 from unitring.ideal import (
     IdealLattice,
     NonMonogenicError,
+    PrimeIdealData,
     ResidueCapError,
     element_is_mfree,
     element_valuation,
@@ -16,6 +19,8 @@ from unitring.ideal import (
     power_basis_index,
     split_prime,
 )
+from unitring.intfactor import prime_table
+from unitring.order import SubOrder
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +209,77 @@ def test_iter_ideals_complete(q5, q5_ideals_200):
     assert counts[19] == 2
     assert counts[9] == 1  # 3 inert
     assert counts[44] == 2  # 4 * 11: 1 * 2
+
+
+# Fresh fields, so that no prime of theirs has been split or built yet.
+LAZY_FIELDS = {
+    "q_sqrt5": lambda: load_field_spec("q_sqrt5").field,
+    "q_i": lambda: load_field_spec("q_i").field,
+    "cubic-23": lambda: NumberField([-1, -1, 0, 1], name="cubic-23"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_FIELDS))
+def test_lazy_prime_ideals_match_kummer_dedekind(name):
+    # split_prime builds no HNF; each prime's lazily built ideal is
+    # (p, g(theta)) of norm p^f, and the primes above p multiply back to
+    # (p) with their ramification indices.
+    field = LAZY_FIELDS[name]()
+    idx = power_basis_index(field)
+    for p in prime_table(2999):
+        if idx % p == 0:
+            continue
+        primes = split_prime(field, p)
+        assert all(pid._ideal is None for pid in primes)
+        assert sum(pid.ramification * pid.residue_degree for pid in primes) == field.degree
+        product = IdealLattice.unit_ideal(field)
+        for pid in primes:
+            gen = field.from_theta_poly(pid.generator_poly)
+            expected = IdealLattice.from_generators(field, [field.rational(p), gen])
+            assert pid.ideal == expected
+            assert pid.ideal.norm == p**pid.residue_degree
+            product = product * pid.ideal**pid.ramification
+        assert product == IdealLattice.from_integer(field, p)
+
+
+def test_euler_density_builds_only_excluded_and_bad_prime_ideals():
+    field = LAZY_FIELDS["q_sqrt5"]()
+    poly = SievePolynomial.x_squared_minus(4 * field.element((0, 1)))
+    excluded = tuple(split_prime(field, 11))
+    params = DensityParams(order=SubOrder.maximal(field), poly=poly, excluded=excluded, m=2)
+    euler_density(params, 10**4)
+    allowed = set(excluded) | bad_reduction_primes(poly)
+    primes = [pid for above in field._prime_cache.values() for pid in above]
+    assert len(primes) > 1000
+    built = {pid for pid in primes if pid._ideal is not None}
+    assert built and built <= allowed
+
+
+def test_prime_ideal_identity_builds_no_ideal(q5):
+    other = NumberField([-1, -1, 1], name="Q(sqrt5)")
+    split = split_prime(q5, 11) + split_prime(q5, 19)
+    twins = [PrimeIdealData(q5, pid.p, pid.generator_poly, pid.ramification) for pid in split]
+    strangers = [PrimeIdealData(other, pid.p, pid.generator_poly, pid.ramification) for pid in split]
+    assert twins == split and [hash(a) for a in twins] == [hash(a) for a in split]
+    assert all(a != b for a, b in zip(split, strangers))
+    assert split[0] != split[1] and split[0] in set(twins)
+    assert sorted(reversed(twins), key=PrimeIdealData.sort_key) == split
+    assert all(pid._ideal is None for pid in twins + strangers)
+
+
+def test_prime_ideal_with_wrong_generator_fails_norm_check(q5):
+    # theta + 1 is no root of X^2 - X - 1 mod 11: (11, theta + 1) is the unit
+    # ideal, whose norm is not 11.
+    pid = PrimeIdealData(q5, 11, (1, 1), 1)
+    assert pid == PrimeIdealData(q5, 11, (1, 1), 1)
+    with pytest.raises(ArithmeticError):
+        pid.ideal
+
+
+def test_split_prime_rejects_factors_that_do_not_multiply_back(monkeypatch):
+    # Right degrees, wrong factor: X + 1 does not divide X^2 - X - 1 mod 11,
+    # whose roots are 4 and 8.  The degree sum alone would pass this.
+    field = LAZY_FIELDS["q_sqrt5"]()
+    monkeypatch.setattr("unitring.ideal.fpoly.factor_mod_p", lambda poly, p: [((1, 1), 1), ((3, 1), 1)])
+    with pytest.raises(ArithmeticError):
+        split_prime(field, 11)

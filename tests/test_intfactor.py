@@ -1,4 +1,5 @@
 import time
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,20 @@ def test_mth_power_primes_gcd_route_cofactors():
     assert mth_power_primes(5**2 * 2203**2 * 2207, 2) == [5, 2203]
     assert mth_power_primes(2203**3 * 1_000_003, 3) == [2203]
     assert mth_power_primes(2179**4 * 1_000_003**4, 4) == [2179, 1_000_003]
+    # Cofactors at or above bound**(m+1) go on to trial division from the
+    # first table prime above the bound: 2203 must still be found, and so
+    # must a prime just above 10**4.
+    for m in (2, 3):
+        for small, cofactor in (
+            (1, 2203**m * 1_000_003 * 1_000_033),
+            (1, 10007**m * 2207 * 1_000_003),
+            (2**m * 3, 2203**m * 10009**m * 2213),
+            (1, 2203 ** (m + 1) * 10007 ** (m + 2)),
+        ):
+            assert cofactor >= SMOOTH_BOUND ** (m + 1)
+            n = small * cofactor
+            expected = [p for p, e in factor(n) if e >= m]
+            assert expected and mth_power_primes(n, m) == expected
 
 
 def test_mth_power_primes_fallback_range():
@@ -206,3 +221,20 @@ def test_prime_above_psi13_raises_within_seconds():
         with pytest.raises(PrimalityUnproven):
             factor(n)
         assert time.monotonic() - start < 20
+
+
+def _naive_primes(n):
+    return [k for k in range(2, n + 1) if all(k % d for d in range(2, isqrt(k) + 1))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 5000))
+def test_prime_table_matches_naive_filter(n):
+    assert list(prime_table(n)) == _naive_primes(n)
+
+
+def test_prime_table_small_limits():
+    for n in (0, 1, 2, 3, 5000):
+        table = prime_table(n)
+        assert table.typecode == "Q"
+        assert list(table) == _naive_primes(n)

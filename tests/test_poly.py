@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring.fpoly import residue_field
-from unitring.poly import QQ, PrimeField, add, divmod, evaluate, gcd, mul, trim
+from unitring.poly import QQ, PrimeField, add, divmod, evaluate, gcd, mul, powmod, trim
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
@@ -49,3 +49,75 @@ def test_divmod_and_gcd_properties(name, data):
     assert divmod(b, g, K)[1] == (K.zero,)
     # A common factor of a and b divides their gcd.
     assert divmod(g, common, K)[1] == (K.zero,)
+
+
+def powmod_reference(base, e, m, K):
+    """base^e mod m by square and multiply, each product a generic mul
+    followed by divmod, so that neither the field's mulmod nor the X ladder
+    takes part."""
+    result = (K.one,)
+    base = divmod(base, m, K)[1]
+    while e:
+        if e & 1:
+            result = divmod(mul(result, base, K), m, K)[1]
+        e >>= 1
+        base = divmod(mul(base, base, K), m, K)[1]
+    return result
+
+
+def _nonresidue(p):
+    return next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+
+
+# F_4, F_9, F_{10007^2}, F_8 and F_27 for the ResidueField runs.
+POWMOD_RESIDUE_FIELDS = [
+    (2, (1, 1, 1)),
+    (3, (1, 0, 1)),
+    (10007, (10007 - _nonresidue(10007), 0, 1)),
+    (2, (1, 1, 0, 1)),
+    (3, (2, 2, 0, 1)),
+]
+
+
+def _draw_powmod_case(data, K, p, elem, max_degree):
+    """(base, e, m): a modulus of degree 1..max_degree whose leading term
+    is not one when the field allows it, an exponent among 0, 1, p, q,
+    (q - 1)/2 for q = |K|^deg m and random ones, and the base X or a
+    random polynomial of up to twice the modulus degree."""
+    deg = data.draw(st.integers(1, max_degree), label="deg m")
+    lead = data.draw(elem.filter(lambda c: c != K.zero and (c != K.one or K.q == 2)), label="lead")
+    m = tuple(data.draw(st.lists(elem, min_size=deg, max_size=deg), label="m")) + (lead,)
+    q = K.q**deg
+    e = data.draw(
+        st.sampled_from([0, 1, p, q, (q - 1) // 2]) | st.integers(0, 2 * q), label="e"
+    )
+    x = (K.zero, K.one)
+    random_base = st.lists(elem, min_size=1, max_size=2 * deg + 1).map(lambda c: trim(c, K))
+    base = data.draw(st.just(x) | random_base, label="base")
+    return base, e, m
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007, 2**31 - 1])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_powmod_prime_field_matches_generic(p, data):
+    # The plain-int mulmod kernel and the X ladder against generic
+    # products with divmod over the same field.
+    K = PrimeField(p)
+    base, e, m = _draw_powmod_case(data, K, p, st.integers(0, p - 1), 6)
+    a = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8).map(lambda c: trim(c, K)))
+    # mulmod first: a kernel that leaves coefficients unreduced fails here
+    # at once, before powmod squares them into huge integers.
+    assert K.mulmod(base, a, m) == divmod(mul(base, a, K), m, K)[1]
+    assert powmod(base, e, m, K) == powmod_reference(base, e, m, K)
+
+
+@pytest.mark.parametrize("p, g", POWMOD_RESIDUE_FIELDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_powmod_residue_field_matches_generic(p, g, data):
+    fq = residue_field(p, g)
+    coeffs = st.lists(st.integers(0, p - 1), min_size=fq.f, max_size=fq.f)
+    elem = coeffs.map(fq.elem)
+    base, e, m = _draw_powmod_case(data, fq, p, elem, 3)
+    assert powmod(base, e, m, fq) == powmod_reference(base, e, m, fq)

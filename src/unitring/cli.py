@@ -7,17 +7,24 @@ Exit codes:
   3  search or cap exhaustion: tower search bound, residue cap, rho
      factorization budget, or a primality claim beyond the proven range
   4  configuration error: bad argument (argparse usage errors included),
-     UNITRING_THREADS, field spec or tower file
-Exits 2-4 print one JSON line {"error", "message"} to stderr, never a
-traceback or a usage text.  Reports are deterministic: exact rationals
-print as p/q, reals as fixed 12-digit decimals, and outputs are
-byte-identical across runs and thread counts.
+     UNITRING_THREADS, field spec, tower file or --out path, or an input
+     the sieve rejects (reducible quadratic, m below the admissible
+     threshold, coefficients outside the order, a non-prime --exclude,
+     truncation too small, a box volume with no rational side, a
+     non-squarefree belcher -d)
+  5  internal error: any other exception, a fault of the program
+Exits 2-5 print one JSON line {"error", "message"} to stderr, never a
+traceback or a usage text; an internal error names the exception's type
+and the innermost frame that raised it.  Reports are deterministic:
+exact rationals print as p/q, reals as fixed 12-digit decimals, and
+outputs are byte-identical across runs and thread counts.
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
@@ -28,12 +35,14 @@ from .density import (
     SievePolynomial,
     empirical_count,
     euler_density,
+    mfree_threshold,
+    tail_lower,
 )
 from .fieldspec import FieldSpecError, load_field_spec
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
 from .intervals import fmt_decimal, fmt_decimal_down, fmt_decimal_up
-from .intfactor import FactorizationTimeout, PrimalityUnproven
+from .intfactor import FactorizationTimeout, PrimalityUnproven, is_prime
 from .tower import (
     SearchExhausted,
     belcher_criterion,
@@ -47,6 +56,7 @@ EXIT_CHECK_FAILED = 1
 EXIT_HYPOTHESIS = 2
 EXIT_EXHAUSTED = 3
 EXIT_CONFIG = 4
+EXIT_INTERNAL = 5
 
 
 class ConfigError(ValueError):
@@ -84,6 +94,8 @@ def _excluded_primes(field, text):
             p = int(part)
         except ValueError:
             raise ConfigError(f"bad rational prime {part!r}")
+        if not is_prime(p):
+            raise ConfigError(f"--exclude: {p} is not a prime")
         out.extend(split_prime(field, p))
     return tuple(out)
 
@@ -91,8 +103,11 @@ def _excluded_primes(field, text):
 def _emit(out_path, text):
     data = text.encode("utf-8")
     if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "wb") as fh:
+                fh.write(data)
+        except OSError as e:
+            raise ConfigError(f"cannot write --out {out_path!r}: {e}") from None
     else:
         sys.stdout.buffer.write(data)
 
@@ -105,36 +120,18 @@ def _diag(kind, message):
 
 
 def _count_shard(payload):
-    (field_source, order_name, eta_coords, exclude_text, m, volumes, shard_idx, shards) = payload
-    spec = load_field_spec(field_source)
-    field = spec.field
-    order = spec.order_by_name(order_name)
-    eta = field.element(eta_coords)
-    poly = SievePolynomial.x_squared_minus(4 * eta)
-    excluded = _merge_conductor(field, order, _excluded_primes(field, exclude_text))
-    params = DensityParams(order=order, poly=poly, excluded=excluded, m=m)
-    boxes = [RegionBox.cube(field.signature, x) for x in volumes]
-    return empirical_count(params, boxes, shard=(shard_idx, shards))
+    args, shard = payload
+    _, params, _, boxes = _sieve_setup(args)
+    return empirical_count(params, boxes, shard=shard)
 
 
-def _merge_conductor(field, order, excluded):
-    support = [pid for pid, _ in order.conductor().factor()]
-    merged = sorted(set(excluded) | set(support), key=lambda q: q.sort_key())
-    return tuple(merged)
-
-
-def _counts_for_boxes(args, params, xs):
-    """One count per volume in xs, from one pass over the nested boxes; with
+def _counts_for_boxes(args, params, boxes):
+    """One count per box, from one pass over the nested boxes; with
     --threads above 1, one pool whose shards each count every box."""
-    field = params.field
     threads = args.threads
     if threads <= 1:
-        return empirical_count(params, [RegionBox.cube(field.signature, x) for x in xs])
-    payloads = [
-        (args.field, args.order, _parse_coords(args.eta, field.degree),
-         args.exclude, args.m, xs, i, threads)
-        for i in range(threads)
-    ]
+        return empirical_count(params, boxes)
+    payloads = [(args, (i, threads)) for i in range(threads)]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         shard_counts = list(pool.map(_count_shard, payloads))
     return [sum(per_box) for per_box in zip(*shard_counts)]
@@ -144,23 +141,42 @@ def _counts_for_boxes(args, params, xs):
 
 
 def _sieve_setup(args):
-    """Field spec, sieve parameters and box schedule of density/count."""
+    """Field spec, sieve parameters, box volumes and boxes of density/count;
+    pool workers rebuild theirs from the same arguments."""
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     spec = load_field_spec(args.field)
     field = spec.field
     order = spec.order_by_name(args.order)
     eta = field.element(_parse_coords(args.eta, field.degree))
-    poly = SievePolynomial.x_squared_minus(4 * eta)
-    excluded = _merge_conductor(field, order, _excluded_primes(field, args.exclude))
+    try:
+        poly = SievePolynomial.x_squared_minus(4 * eta)
+    except ValueError as e:
+        raise ConfigError(f"--eta {args.eta}: {e}") from None
+    if not poly.in_order(order):
+        raise ConfigError(f"--eta {args.eta}: X^2 - 4 eta has coefficients outside the order")
+    threshold = mfree_threshold(poly.degree)
+    if args.m < threshold:
+        raise ConfigError(f"--m {args.m} is below the admissible threshold {threshold}")
+    xs = _parse_boxes(args.boxes)
+    try:
+        boxes = [RegionBox.cube(field.signature, x) for x in xs]
+    except ValueError as e:
+        raise ConfigError(f"--boxes {args.boxes}: {e}") from None
+    support = {pid for pid, _ in order.conductor().factor()}
+    excluded = tuple(sorted(set(_excluded_primes(field, args.exclude)) | support,
+                            key=lambda q: q.sort_key()))
     params = DensityParams(order=order, poly=poly, excluded=excluded, m=args.m)
-    return spec, params, _parse_boxes(args.boxes)
+    return spec, params, xs, boxes
 
 
 def cmd_density(args):
-    spec, params, xs = _sieve_setup(args)
-    report = euler_density(params, args.truncation)
-    counts = _counts_for_boxes(args, params, xs)
+    spec, params, xs, boxes = _sieve_setup(args)
+    T = args.truncation
+    if T < 1 or tail_lower(params.field.degree, params.poly.degree, params.m, T) <= 0:
+        raise ConfigError(f"--truncation {T} is too small for a positive tail bound")
+    report = euler_density(params, T)
+    counts = _counts_for_boxes(args, params, boxes)
     d_lo = fmt_decimal_down(report.d_lower)
     d_hi = fmt_decimal_up(report.d_upper)
     lines = [
@@ -183,8 +199,8 @@ def cmd_density(args):
 
 
 def cmd_count(args):
-    spec, params, xs = _sieve_setup(args)
-    counts = _counts_for_boxes(args, params, xs)
+    spec, params, xs, boxes = _sieve_setup(args)
+    counts = _counts_for_boxes(args, params, boxes)
     lines = [
         "# unitring count report",
         f"# field={spec.name}\torder={args.order or 'maximal'}\teta={args.eta}\tm={args.m}",
@@ -257,7 +273,10 @@ def _default_eta(field, units):
 
 def cmd_belcher(args):
     if args.d is not None:
-        value = belcher_criterion(args.d)
+        try:
+            value = belcher_criterion(args.d)
+        except ValueError as e:
+            raise ConfigError(f"-d {args.d}: {e}") from None
         _emit(args.out, f"d\tgenerated_by_units\n{args.d}\t{value}\n")
         return EXIT_OK
     bound = args.table
@@ -285,6 +304,8 @@ def _read_tower(path):
         raise ConfigError(f"cannot read tower file: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("tower file must hold a JSON object")
+    if not all(isinstance(st, dict) for st in doc.get("steps", [])):
+        raise ConfigError("tower file steps must be JSON objects")
     missing = [k for k in _TOWER_KEYS if k not in doc]
     for i, st in enumerate(doc.get("steps", [])):
         missing += [f"steps[{i}].{k}" for k in _STEP_KEYS if k not in st]
@@ -300,16 +321,23 @@ def cmd_verify(args):
     from .order import SubOrder
     from .tower import Tower, compositum_basis
 
-    basis = None
-    if "integral_basis" in doc:
-        basis = [[Fraction(x) for x in row] for row in doc["integral_basis"]]
-    field = NumberField(doc["min_poly"], integral_basis=basis)
-    start = SubOrder(field, [tuple(r) for r in doc["start_order"]])
-    eta = field.element(doc["eta"])
+    try:
+        basis = None
+        if "integral_basis" in doc:
+            basis = [[Fraction(x) for x in row] for row in doc["integral_basis"]]
+        field = NumberField(doc["min_poly"], integral_basis=basis)
+        start = SubOrder(field, [tuple(r) for r in doc["start_order"]])
+        eta = field.element(doc["eta"])
+        omegas = [field.element(st["omega"]) for st in doc["steps"]]
+    except (TypeError, ValueError, ZeroDivisionError) as e:
+        raise ConfigError(f"tower file: {e}") from None
     steps = []
-    for st in doc["steps"]:
-        omega = field.element(st["omega"])
-        step = quadratic_step(omega, eta)
+    for st, omega in zip(doc["steps"], omegas):
+        try:
+            step = quadratic_step(omega, eta)
+        except ValueError as e:
+            _diag("verify", f"stored step does not certify: {e}")
+            return EXIT_CHECK_FAILED
         if [list(r) for r in step.disc_ideal.hnf] != st["disc_hnf"]:
             _diag("verify", "stored discriminant HNF does not match recomputation")
             return EXIT_CHECK_FAILED
@@ -420,9 +448,11 @@ def main(argv=None):
     except (ConfigError, FieldSpecError, FixedDivisorError) as e:
         _diag("config", e)
         return EXIT_CONFIG
-    except ValueError as e:
-        _diag("config", e)
-        return EXIT_CONFIG
+    except Exception as e:
+        where = traceback.extract_tb(e.__traceback__)[-1]
+        _diag("internal", f"{type(e).__name__} in {where.name} "
+                          f"({os.path.basename(where.filename)}:{where.lineno}): {e}")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -16,22 +16,23 @@ size, so the returned interval is rigorous.
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from operator import add, sub
+from itertools import accumulate, islice, repeat
+from math import lcm
 
 from . import fpoly
-from .field import AlgebraicInt, is_square_in_field
+from .field import is_square_in_field
 from .ideal import (
     IdealLattice,
     NonMonogenicError,
     ResidueCapError,
-    element_is_mfree,
+    in_mth_power_above,
     is_fixed_divisor,
     prime_power,
     split_prime,
 )
 from .geometry import FloatRegionFilter, RegionBox, enumerate_region_oracle, region_runs
 from .intervals import PI, RatInterval
-from .intfactor import prime_table
+from .intfactor import mth_power_primes, prime_table
 from .linalg import lattice_sum
 from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
@@ -50,7 +51,7 @@ class FixedDivisorError(ValueError):
 class SievePolynomial:
     """Polynomial over the order with AlgebraicInt coefficients, constant first."""
 
-    __slots__ = ("field", "coeffs", "degree", "irreducible_certified")
+    __slots__ = ("field", "coeffs", "degree", "irreducible_certified", "theta_numerators")
 
     def __init__(self, coeffs, assume_irreducible=False):
         coeffs = list(coeffs)
@@ -61,6 +62,11 @@ class SievePolynomial:
         self.field = coeffs[0].field
         self.coeffs = tuple(coeffs)
         self.degree = len(coeffs) - 1
+        # (den, rows): the coefficients as polynomials in theta, each row
+        # the integer numerators over the one common denominator den.
+        rows = [self.field.theta_poly_of(c) for c in self.coeffs]
+        den = lcm(*(x.denominator for row in rows for x in row))
+        self.theta_numerators = (den, tuple(tuple(int(x * den) for x in row) for row in rows))
         if self.degree == 2:
             # Quadratic: irreducible over O_K iff the discriminant is a non-square.
             a, b, c = self.coeffs[2], self.coeffs[1], self.coeffs[0]
@@ -113,24 +119,16 @@ def _reduce_to_residue_field(poly, pid):
     Returns the coefficient tuple over F_q (constant first).  Raises when a
     coordinate denominator is not invertible mod p (non-monogenic basis).
     """
-    field_k = poly.field
+    den, rows = poly.theta_numerators
+    p = pid.p
+    if den % p == 0:
+        raise NonMonogenicError(
+            f"coordinate denominators are not invertible mod {p}; "
+            "power basis required"
+        )
+    inv = pow(den, -1, p)
     fq = pid.residue_field()
-    out = [_element_mod_p(field_k, c, fq) for c in poly.coeffs]
-    return trim(out, fq), fq
-
-
-def _element_mod_p(field_k, alpha, fq):
-    theta_poly = field_k.theta_poly_of(alpha)
-    coeffs = []
-    for x in theta_poly:
-        x = Fraction(x)
-        if x.denominator % fq.p == 0:
-            raise NonMonogenicError(
-                f"coordinate denominators are not invertible mod {fq.p}; "
-                "power basis required"
-            )
-        coeffs.append((x.numerator * pow(x.denominator, -1, fq.p)) % fq.p)
-    return fq.elem(coeffs)
+    return trim([fq.elem([x * inv % p for x in row]) for row in rows], fq), fq
 
 
 def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
@@ -390,6 +388,12 @@ def _poly_discriminant_element(poly):
     return resultant(poly.coeffs, poly.derivative(), poly.field)
 
 
+def tail_lower(n, g, m, T):
+    """Lower end of the tail interval [1 - n g T^{1-m} / (m-1), 1] that
+    encloses the Euler factors of the prime ideals of norm above T."""
+    return 1 - Fraction(n * g, (m - 1) * T ** (m - 1))
+
+
 def euler_density(params, truncation_norm, bits=96):
     """Rigorous interval for the density constant D of the sieve.
 
@@ -407,6 +411,11 @@ def euler_density(params, truncation_norm, bits=96):
     g = poly.degree
     r, s = field_k.signature
 
+    T = truncation_norm
+    tail_low = tail_lower(n, g, m, T)
+    if tail_low <= 0:
+        raise ValueError("truncation norm too small for a positive tail bound")
+
     excluded = set(params.excluded)
     cond_sum = conductor_sum(params)
     conductor_support = {pid for pid, _ in order.conductor().factor()}
@@ -419,7 +428,6 @@ def euler_density(params, truncation_norm, bits=96):
     main_num, main_den = 1, 1
     zero_witness = None
     handled = set()
-    T = truncation_norm
     for p in prime_table(T):
         for pid in split_prime(field_k, p):
             if pid.norm > T or pid in excluded:
@@ -443,9 +451,6 @@ def euler_density(params, truncation_norm, bits=96):
         handled.add(pid)
 
     main_exact = Fraction(main_num, main_den)
-    tail_low = 1 - Fraction(n * g, 1) * Fraction(1, T ** (m - 1)) / (m - 1)
-    if tail_low <= 0:
-        raise ValueError("truncation norm too small for a positive tail bound")
     c1 = (2 * PI) ** s / RatInterval(Fraction(abs(field_k.disc))).sqrt(bits)
     prefactor = c1 * Fraction(1, order.index)
     raw = prefactor * cond_sum * excl_prod
@@ -486,12 +491,22 @@ def empirical_count(params, boxes, shard=None):
     finds its sub-run of the line with its own filter and the same end
     walk (FloatRegionFilter.run) and reads its count off the prefix sums.
 
+    Each verdict starts from the integer norm N of the value (run_norms):
+    N = 0 exactly when the value is 0, and a prime P above p holds it only
+    if p | N, P^m only if p^m | N; only then is the value built and tested.
+    As P^m contains p^m O_K and base, step and f lie over O_K, that test
+    depends on c mod p^m alone (c mod p for an excluded P): each run
+    memoises it by (p^m, c mod p^m) or (p, c mod p).
+
     shard=(index, count) restricts to one deterministic slice of that
     enumeration; summing over all indices recovers the full counts.
     """
     field_k = params.field
+    poly = params.poly
     m = params.m
-    excluded_ideals = [pid.ideal for pid in params.excluded]
+    excluded = {}
+    for pid in params.excluded:
+        excluded.setdefault(pid.p, []).append(pid.ideal)
     boxes = list(boxes)
     outer = RegionBox(field_k.signature, [max(b) for b in zip(*(bx.bounds_sq for bx in boxes))])
     screens = [
@@ -500,12 +515,24 @@ def empirical_count(params, boxes, shard=None):
     ]
     counts = [0] * len(boxes)
     for base, step, lo, hi in region_runs(field_k, outer, params.order.basis_hnf, shard=shard):
+        memo = {}
+
+        def holds(c, p, q):
+            # Whether f at c lies in an excluded P above p (q = p) or in
+            # some P^m above p (q = p^m); each of them contains q O_K.
+            key = (q, c % q)
+            if key not in memo:
+                val = poly(field_k.element([a + c * b for a, b in zip(base, step)]))
+                memo[key] = (any(ide.contains(val) for ide in excluded[p]) if q == p
+                             else in_mth_power_above(val, p, m))
+            return memo[key]
+
         total = 0
         prefix = [0]
-        for val in run_values(params.poly, base, step, lo, hi):
-            if (not val.is_zero()
-                    and not any(ide.contains(val) for ide in excluded_ideals)
-                    and element_is_mfree(val, m)):
+        for c, norm in enumerate(run_norms(poly, base, step, lo, hi), lo):
+            if (norm
+                    and not (excluded and any(norm % p == 0 and holds(c, p, p) for p in excluded))
+                    and not any(holds(c, p, p**m) for p in mth_power_primes(norm, m))):
                 total += 1
             prefix.append(total)
         for k, screen in enumerate(screens):
@@ -515,27 +542,44 @@ def empirical_count(params, boxes, shard=None):
     return counts
 
 
-def run_values(poly, base, step, lo, hi):
-    """Stream f(base + c * step) for c = lo .. hi by forward differences.
+def run_norms(poly, base, step, lo, hi):
+    """N(f(base + c * step)) for c = lo .. hi, as an iterable of ints.
 
-    The value is a polynomial of degree g in c, so g + 1 exact evaluations
-    (at c = lo .. lo + g, which may lie past hi) give its difference
-    table, and each further value costs g coordinate-vector additions.
+    The value's coordinates are polynomials of degree g in c and the norm
+    form is homogeneous of degree n, so the norm is an integer polynomial
+    of degree D = n g in c.  The first min(hi - lo + 1, D + 1) norms come
+    from the norm form at coordinates found by g + 1 exact evaluations and
+    forward differences; each further norm costs D integer additions.
     """
     field_k = poly.field
     g = poly.degree
-    table = [
+    D = field_k.degree * g
+    count = hi - lo + 1
+    k = min(count, D + 1)
+    vals = [
         poly(field_k.element([a + c * b for a, b in zip(base, step)])).coords
-        for c in range(lo, lo + g + 1)
+        for c in range(lo, lo + min(k, g + 1))
     ]
-    # In place, table[i] becomes the i-th difference at lo.
-    for i in range(1, g + 1):
-        for j in range(g, i - 1, -1):
-            table[j] = tuple(map(sub, table[j], table[j - 1]))
-    for _ in range(hi - lo + 1):
-        yield AlgebraicInt(field_k, table[0])
-        for i in range(g):
-            table[i] = tuple(map(add, table[i], table[i + 1]))
+    if k > g + 1:
+        vals = zip(*(_poly_sequence(column, k) for column in zip(*vals)))
+    norms = [field_k.norm_of_coords(v) for v in vals]
+    return norms if count <= D else _poly_sequence(norms, count)
+
+
+def _poly_sequence(values, count):
+    """The first count values of the integer polynomial sequence of degree
+    len(values) - 1 whose first values are the given ones."""
+    table = list(values)
+    d = len(table) - 1
+    # In place, table[i] becomes the i-th forward difference at the start.
+    for i in range(1, d + 1):
+        for j in range(d, i - 1, -1):
+            table[j] -= table[j - 1]
+    # The d-th difference is constant; d running sums rebuild the values.
+    seq = repeat(table[d])
+    for t in reversed(table[:d]):
+        seq = accumulate(seq, initial=t)
+    return islice(seq, count)
 
 
 def empirical_count_oracle(params, box):

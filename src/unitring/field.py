@@ -259,7 +259,10 @@ class NumberField:
 
     def norm(self, alpha):
         """Field norm: product of all conjugates, the norm form at the coordinates."""
-        c = alpha.coords
+        return self.norm_of_coords(alpha.coords)
+
+    def norm_of_coords(self, c):
+        """The norm form at a coordinate vector."""
         total = 0
         for coeff, idx in self.norm_form:
             for i in idx:

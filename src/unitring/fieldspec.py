@@ -23,10 +23,11 @@ BUNDLED = ("q_sqrt5", "q_sqrt2", "q_i")
 
 
 def _parse_rational(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    if isinstance(x, (int, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise FieldSpecError(f"bad rational {x!r}") from None
     raise FieldSpecError(f"expected integer or 'p/q' string, got {x!r}")
 
 
@@ -80,7 +81,10 @@ def load_field_spec(source):
         raise FieldSpecError(str(e))
     units = []
     for coords in data.get("units", []):
-        u = field.element(coords)
+        try:
+            u = field.element(coords)
+        except (TypeError, ValueError) as e:
+            raise FieldSpecError(f"declared unit {coords}: {e}") from None
         if abs(u.norm()) != 1:
             raise FieldSpecError(f"declared unit {coords} has norm {u.norm()}")
         units.append(u)

@@ -354,12 +354,12 @@ def element_is_mfree(alpha, m):
     the primes P above the primes p with p^m dividing the integer norm
     need a test, and v_P(alpha) >= m is exactly alpha in P^m.
     """
-    field = alpha.field
-    for p in mth_power_primes(alpha.norm(), m):
-        for pid in split_prime(field, p):
-            if prime_power(pid, m).contains(alpha):
-                return False
-    return True
+    return not any(in_mth_power_above(alpha, p, m) for p in mth_power_primes(alpha.norm(), m))
+
+
+def in_mth_power_above(alpha, p, m):
+    """True iff alpha lies in P^m for some prime P above p."""
+    return any(prime_power(pid, m).contains(alpha) for pid in split_prime(alpha.field, p))
 
 
 # PrimeIdealData uses __slots__; power caches live in a side table.

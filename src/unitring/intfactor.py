@@ -2,12 +2,13 @@
 
 Strategy: trial division over a shared prime table, then Brent's
 cycle-finding rho with a deterministic Miller-Rabin certificate on every
-cofactor.  The m-free test takes the part of n made of primes below
-SMOOTH_BOUND with one gcd against their product (Bernstein, "How to find
-smooth parts of integers", 2004), and stops trial division early: once
-p**(m+1) exceeds the cofactor, the cofactor has at most m prime factors,
-so it is either the m-th power of a prime or m-free, and one exact root
-decides.
+cofactor.  The table of primes up to TRIAL_LIMIT is built only when trial
+division passes SMOOTH_BOUND.  The m-free test takes the part of n made
+of primes below SMOOTH_BOUND through iterated gcds with their product
+(Bernstein, "How to find smooth parts of integers", 2004), and stops
+trial division early: once p**(m+1) exceeds the cofactor, the cofactor
+has at most m prime factors, so it is either the m-th power of a prime
+or m-free, and one exact root decides.
 
 The thirteen Miller-Rabin bases 2..41 are a proof of primality below
 PSI_13 (about 3.3 * 10**24), well above the norms of the bundled
@@ -18,20 +19,19 @@ PrimalityUnproven instead of being called prime.
 """
 
 from array import array
-from bisect import bisect_left
 from itertools import compress, islice
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 TRIAL_LIMIT = 10**6
-# The m-free test divides out the primes below this bound through one gcd
-# with their product.
+# The primes below this bound are tabled apart, and the m-free test divides
+# them out through gcds with their product.
 SMOOTH_BOUND = 2200
 # Iterations of the one rho attempt on a cofactor that passes every
 # Miller-Rabin base at or above PSI_13: a few seconds at most.
 UNPROVEN_RHO_ITER = 2 * 10**6
 
 _primes = None
-_primorial = None
+_smooth = None
 
 
 class PrimalityUnproven(ArithmeticError):
@@ -71,15 +71,13 @@ def primes():
     return _primes
 
 
-def primorial():
-    """Product of the table primes below SMOOTH_BOUND."""
-    global _primorial
-    if _primorial is None:
-        out = 1
-        for p in prime_table(SMOOTH_BOUND - 1):
-            out *= p
-        _primorial = out
-    return _primorial
+def _smooth_primes():
+    """(the primes below SMOOTH_BOUND, their product), built on first use."""
+    global _smooth
+    if _smooth is None:
+        table = prime_table(SMOOTH_BOUND - 1)
+        _smooth = (table, prod(table))
+    return _smooth
 
 
 def iroot(n, k):
@@ -110,7 +108,9 @@ def _trial_divide(n, k, start=0):
     """
     factors = []
     lim = iroot(n, k)
-    for p in islice(primes(), start, None):
+    # lim only falls; below the last small prime, the small table suffices.
+    small = _smooth_primes()[0]
+    for p in islice(small if lim < small[-1] else primes(), start, None):
         if p > lim:
             return factors, n, True
         if n % p == 0:
@@ -241,27 +241,32 @@ def mth_power_primes(n, m):
     if n == 0:
         raise ValueError("0 is not m-free")
     out = []
-    d = gcd(n, primorial())
+    small, primorial = _smooth_primes()
+    # d_0 is the product of the primes below SMOOTH_BOUND that divide n, and
+    # d_k = gcd(n / (d_0 ... d_{k-1}), d_{k-1}) the product of those whose
+    # (k+1)-th power does.  Once some d_k is 1, the quotient holds no prime
+    # below SMOOTH_BOUND; otherwise d_{m-1} is split and divided out.
+    d = gcd(n, primorial)
+    for _ in range(m - 1):
+        if d == 1:
+            break
+        n //= d
+        d = gcd(n, d)
     if d > 1:
-        # d is squarefree: its prime factors are the primes below
-        # SMOOTH_BOUND that divide n.  Split it, and divide them out of n.
-        for p in primes():
+        for p in small:
             if p * p > d:
                 break
             if d % p == 0:
                 d //= p
-                n, e = _remove(n, p)
-                if e >= m:
-                    out.append(p)
+                out.append(p)
+                n = _remove(n, p)[0]
         if d > 1:
-            n, e = _remove(n, d)
-            if e >= m:
-                out.append(d)
+            out.append(d)
+            n = _remove(n, d)[0]
     # No prime factor below SMOOTH_BOUND is left, so below SMOOTH_BOUND**(m+1)
     # the cofactor has at most m of them.
     if n >= SMOOTH_BOUND ** (m + 1):
-        # The gcd has divided out every table prime below SMOOTH_BOUND.
-        fac, n, done = _trial_divide(n, m + 1, bisect_left(primes(), SMOOTH_BOUND))
+        fac, n, done = _trial_divide(n, m + 1, len(small))
         out += [p for p, e in fac if e >= m]
         if not done:
             # The table ran out; no table prime divides the cofactor.

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from unitring import intfactor
-from unitring.cli import EXIT_CONFIG, EXIT_EXHAUSTED, main
+from unitring import cli, intfactor
+from unitring.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_INTERNAL, main
 from unitring.intfactor import PSI_13, FactorizationTimeout
 
 RUN = [sys.executable, "-m", "unitring.cli"]
@@ -229,3 +229,77 @@ def test_usage_error_is_config_diagnostic(argv, needle, capsys):
     assert out == "" and len(err.splitlines()) == 1
     diag = last_diag(err)
     assert diag["error"] == "config" and needle in diag["message"]
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["count", "--field", "q_sqrt5", "--eta", "0,0", "--boxes", "100"], "reducible"),
+    (["count", "--field", "q_sqrt5", "--eta", "0,1", "--m", "1", "--boxes", "100"], "threshold"),
+    (["density", "--field", "q_sqrt5", "--eta", "0,1", "--boxes", "100", "--truncation", "2"],
+     "--truncation"),
+    (["belcher", "-d", "12"], "squarefree"),
+    (["count", "--field", "q_sqrt5", "--order", "Z[3theta]", "--eta", "0,1", "--boxes", "100"],
+     "order"),
+    (["count", "--field", "q_sqrt5", "--eta", "0,1", "--exclude", "4", "--boxes", "100"], "prime"),
+])
+def test_sieve_input_errors_are_config(argv, needle, capsys):
+    # Inputs the sieve rejects are user errors: exit 4, never "internal".
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    diag = last_diag(err)
+    assert diag["error"] == "config" and needle in diag["message"]
+
+
+def test_box_volume_without_rational_side_is_config(tmp_path, capsys):
+    spec = tmp_path / "cubic_23.json"
+    spec.write_text(json.dumps({"name": "cubic-23", "min_poly": [-1, -1, 0, 1]}))
+    assert main(["count", "--field", str(spec), "--eta", "0,1,0", "--boxes", "1000,2000"]) == EXIT_CONFIG
+    assert "--boxes 1000,2000" in last_diag(capsys.readouterr().err)["message"]
+
+
+def test_exit_code_internal(monkeypatch, capsys):
+    # Any other exception is a fault of the program: exit 5 with a
+    # one-line diagnostic naming its type and where it was raised.
+    def broken(*args, **kwargs):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "empirical_count", broken)
+    argv = ["count", "--field", "q_sqrt5", "--eta", "0,1", "--boxes", "100"]
+    assert main(argv) == EXIT_INTERNAL == 5
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    diag = last_diag(err)
+    assert diag["error"] == "internal"
+    assert diag["message"].startswith("ValueError in broken") and "planted fault" in diag["message"]
+
+
+@pytest.mark.parametrize("spec", [
+    {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], ["1/0", 1]]},
+    {"min_poly": [-1, -1, 1], "units": [[0, 1, 0]]},
+])
+def test_malformed_field_spec_is_config(spec, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["count", "--field", str(path), "--eta", "0,1", "--boxes", "100"]) == EXIT_CONFIG
+    assert last_diag(capsys.readouterr().err)["error"] == "config"
+
+
+def test_verify_tower_file_errors(tmp_path, capsys):
+    # A tower file that names no valid field is a config error; a stored
+    # step that no longer certifies is a failed check.
+    tower_path = tmp_path / "tower.json"
+    assert main(["tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta", "1,2",
+                 "--out", str(tower_path)]) == 0
+    doc = json.loads(tower_path.read_text())
+    bad_field = tmp_path / "bad_field.json"
+    bad_field.write_text(json.dumps(dict(doc, min_poly=[1, 2])))
+    assert main(["verify", "--tower", str(bad_field)]) == EXIT_CONFIG
+    bad_steps = tmp_path / "bad_steps.json"
+    bad_steps.write_text(json.dumps(dict(doc, steps=[1])))
+    assert main(["verify", "--tower", str(bad_steps)]) == EXIT_CONFIG
+    doc["steps"][0]["omega"] = [0, 2]
+    bad_step = tmp_path / "bad_step.json"
+    bad_step.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(bad_step)]) == 1
+    assert last_diag(capsys.readouterr().err)["error"] == "verify"

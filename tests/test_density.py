@@ -6,10 +6,13 @@ from hypothesis import strategies as st
 
 from unitring.field import NumberField
 from unitring.geometry import RegionBox
-from unitring.ideal import IdealLattice, split_prime
+from unitring.ideal import IdealLattice, NonMonogenicError, PrimeIdealData, split_prime
+from unitring.intfactor import prime_table
+from unitring.poly import trim
 from unitring.order import SubOrder
 from unitring.density import (
     _poly_discriminant_element,
+    _reduce_to_residue_field,
     DensityParams,
     FixedDivisorError,
     SievePolynomial,
@@ -28,7 +31,7 @@ from unitring.density import (
     root_count_bruteforce,
     root_count_order,
     root_count_order_bruteforce,
-    run_values,
+    run_norms,
 )
 
 
@@ -369,9 +372,10 @@ def coords(n, lo, hi):
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.integers(1, 4), st.data())
-def test_run_values_match_horner(fields, name, g, data):
-    # Forward differences against Horner at every point of a run, runs
-    # shorter than the g + 1 starting points included.
+def test_run_norms_match_horner(fields, name, g, data):
+    # Integer forward differences against field.norm of Horner values at
+    # every point of a run, runs shorter than the D + 1 = n g + 1 starting
+    # points included.
     field = fields[name]
     n = field.degree
     coeffs = [field.element(data.draw(coords(n, -9, 9))) for _ in range(g + 1)]
@@ -382,10 +386,10 @@ def test_run_values_match_horner(fields, name, g, data):
         assume(False)  # a quadratic with a square discriminant
     base, step = data.draw(coords(n, -30, 30)), data.draw(coords(n, -5, 5))
     lo = data.draw(st.integers(-20, 20))
-    hi = lo + data.draw(st.integers(0, 8))
-    expected = [poly(field.element([a + c * b for a, b in zip(base, step)])).coords
+    hi = lo + data.draw(st.one_of(st.integers(0, n * g + 1), st.integers(0, 40)))
+    expected = [field.norm(poly(field.element([a + c * b for a, b in zip(base, step)])))
                 for c in range(lo, hi + 1)]
-    assert [v.coords for v in run_values(poly, base, step, lo, hi)] == expected
+    assert list(run_norms(poly, base, step, lo, hi)) == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -408,6 +412,91 @@ def test_empirical_count_nested_boxes_match_oracle(fields, name, m, exclude_2, d
     assert counts == [empirical_count_oracle(params, box) for box in boxes]
     halves = [empirical_count(params, boxes, shard=(i, 2)) for i in range(2)]
     assert [a + b for a, b in zip(*halves)] == counts
+
+
+def test_empirical_count_norm_route_matches_oracle(fields, q5, f_eta, z_sqrt5):
+    # The norm route with its per-run memo, against the oracle's full
+    # factorization, on boxes whose runs outlast p^m for the small p:
+    # q_i, where 2 ramifies, at m = 2 and 3; Z[sqrt5] with the primes above
+    # 2 excluded; and Q(sqrt5) at m = 3.
+    qi = fields["q_i"]
+    ps2 = tuple(split_prime(q5, 2))
+    f_qi = SievePolynomial.x_squared_minus(4 * qi.element([1, 1]))
+    cases = [
+        (DensityParams(order=SubOrder.maximal(qi), poly=f_qi, excluded=(), m=2), 600),
+        (DensityParams(order=SubOrder.maximal(qi), poly=f_qi, excluded=(), m=3), 400),
+        (DensityParams(order=SubOrder.maximal(qi), poly=f_qi,
+                       excluded=tuple(split_prime(qi, 2)), m=2), 400),
+        (DensityParams(order=z_sqrt5, poly=f_eta, excluded=ps2, m=2), 1600),
+        (DensityParams(order=SubOrder.maximal(q5),
+                       poly=SievePolynomial.x_squared_minus(4 * q5.theta), excluded=(), m=3), 1600),
+    ]
+    for params, vol in cases:
+        boxes = [RegionBox.cube(params.field.signature, x) for x in (vol // 4, vol)]
+        assert empirical_count(params, boxes) == [empirical_count_oracle(params, b) for b in boxes]
+
+
+def test_empirical_count_skips_zero_values(q5):
+    # f = X - 1 vanishes at alpha = 1, inside every box: N = 0 there.
+    f = SievePolynomial([-q5.one, q5.one], assume_irreducible=True)
+    params = DensityParams(order=SubOrder.maximal(q5), poly=f, excluded=(), m=2)
+    boxes = [RegionBox.cube(q5.signature, x) for x in (1, 30, 300)]
+    counts = empirical_count(params, boxes)
+    assert counts == [empirical_count_oracle(params, b) for b in boxes]
+    assert counts[0] == 0
+
+
+def _reduce_per_element(poly, pid):
+    # The per-element route: every coefficient through Fractions at pid.
+    fq = pid.residue_field()
+    out = []
+    for c in poly.coeffs:
+        coeffs = []
+        for x in poly.field.theta_poly_of(c):
+            x = Fraction(x)
+            if x.denominator % pid.p == 0:
+                raise NonMonogenicError(pid.p)
+            coeffs.append(x.numerator * pow(x.denominator, -1, pid.p) % pid.p)
+        out.append(fq.elem(coeffs))
+    return trim(out, fq)
+
+
+def test_reduce_to_residue_field_matches_per_element(fields):
+    # Every prime ideal of norm <= 2000, on two sieve polynomials per field.
+    for name, field in fields.items():
+        n = field.degree
+        polys = [
+            SievePolynomial.x_squared_minus(4 * field.theta),
+            SievePolynomial([field.element([3] + [-1] * (n - 1)), field.element([0] * (n - 1) + [5]),
+                             field.element([2] + [0] * (n - 1)), field.element([1, 1] + [0] * (n - 2))],
+                            assume_irreducible=True),
+        ]
+        checked = 0
+        for p in prime_table(2000):
+            for pid in split_prime(field, p):
+                if pid.norm <= 2000:
+                    for poly in polys:
+                        fbar, fq = _reduce_to_residue_field(poly, pid)
+                        assert fq is pid.residue_field()
+                        assert fbar == _reduce_per_element(poly, pid)
+                        checked += 1
+        assert checked > 300
+
+
+def test_reduce_to_residue_field_common_denominator():
+    # Q(sqrt5) on the basis 1, (1 + sqrt5)/2: theta-coefficients have
+    # denominator 2, invertible at every odd p and not at p = 2.
+    k = NumberField([-5, 0, 1], integral_basis=[[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
+    w = k.element([0, 1])
+    poly = SievePolynomial([w, 3 * w, k.one], assume_irreducible=True)
+    assert poly.theta_numerators[0] == 2
+    for p in (3, 7, 11, 19, 29, 31):
+        for pid in split_prime(k, p):
+            assert _reduce_to_residue_field(poly, pid)[0] == _reduce_per_element(poly, pid)
+    two = PrimeIdealData(k, 2, (1, 1), 2)
+    for route in (_reduce_to_residue_field, _reduce_per_element):
+        with pytest.raises(NonMonogenicError):
+            route(poly, two)
 
 
 def test_empirical_count_nested_cubes(q5, f_theta):

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 from math import isqrt
 
@@ -125,6 +127,66 @@ def test_mth_power_primes_gcd_route_cofactors():
             n = small * cofactor
             expected = [p for p, e in factor(n) if e >= m]
             assert expected and mth_power_primes(n, m) == expected
+
+
+# Cofactors free of primes below SMOOTH_BOUND: 1; squares of primes above
+# it, below bound**(m+1) (one exact root decides) and above TRIAL_LIMIT;
+# a table-prime square times a prime; and products above bound**(m+1)
+# for every m in {2, 3, 4}, so that trial division runs.
+COFACTORS = (1, 2203**2, 7919**2, 1_000_003**2, 999983**2 * 2207,
+             10007**3 * 10009 * 2213, 2207**5 * 2213 * 1_000_033)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from((2, 3, 5, 7, 11, 13, 2179)), st.integers(1, 6)),
+             max_size=4),
+    st.sampled_from(COFACTORS),
+    st.sampled_from([2, 3, 4]),
+    st.booleans(),
+)
+def test_mth_power_primes_iterated_gcd(small, cofactor, m, negative):
+    # Small squares, cubes and higher powers go through the iterated gcds
+    # d_0 .. d_{m-1}; only d_{m-1} is split.
+    n = cofactor
+    for p, e in small:
+        n *= p**e
+    if negative:
+        n = -n
+    assert mth_power_primes(n, m) == mth_power_primes_by_factor(n, m)
+    assert factor(n) == brute_small_part(abs(n)) + factor(cofactor)
+
+
+def brute_small_part(n):
+    out = []
+    for p in (2, 3, 5, 7, 11, 13, 2179):
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            out.append((p, e))
+    return out
+
+
+def test_small_inputs_build_no_full_prime_table():
+    # Tiny norms, a small count and a density run at truncation 1000 use
+    # only the primes below SMOOTH_BOUND; a cofactor that needs trial
+    # division past the bound builds the full table.
+    code = "\n".join([
+        "import os",
+        "from unitring import cli, intfactor",
+        "assert intfactor.factor(256) == [(2, 8)]",
+        "argv = ['--field', 'q_sqrt5', '--eta=0,1', '--boxes', '100,1000', '--out', os.devnull]",
+        "assert cli.main(['count'] + argv) == 0",
+        "assert cli.main(['density', '--truncation', '1000'] + argv) == 0",
+        "print(intfactor._primes is None)",
+        "assert intfactor.factor(2203**2 * 2207) == [(2203, 2), (2207, 1)]",
+        "print(intfactor._primes is None)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
 
 
 def test_mth_power_primes_fallback_range():

@@ -37,11 +37,12 @@ from .density import (
     euler_density,
     mfree_threshold,
     tail_lower,
+    with_conductor_support,
 )
 from .fieldspec import FieldSpecError, load_field_spec
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
-from .intervals import fmt_decimal, fmt_decimal_down, fmt_decimal_up
+from .intervals import fmt_decimal_down, fmt_decimal_up
 from .intfactor import FactorizationTimeout, PrimalityUnproven, is_prime
 from .tower import (
     SearchExhausted,
@@ -163,9 +164,7 @@ def _sieve_setup(args):
         boxes = [RegionBox.cube(field.signature, x) for x in xs]
     except ValueError as e:
         raise ConfigError(f"--boxes {args.boxes}: {e}") from None
-    support = {pid for pid, _ in order.conductor().factor()}
-    excluded = tuple(sorted(set(_excluded_primes(field, args.exclude)) | support,
-                            key=lambda q: q.sort_key()))
+    excluded = with_conductor_support(order, _excluded_primes(field, args.exclude))
     params = DensityParams(order=order, poly=poly, excluded=excluded, m=args.m)
     return spec, params, xs, boxes
 
@@ -192,7 +191,7 @@ def cmd_density(args):
         ratio = Fraction(n, x)
         rel = abs(ratio - mid) / mid if mid else Fraction(0)
         lines.append(
-            f"{x}\t{n}\t{fmt_decimal(ratio)}\t{d_lo}\t{d_hi}\t{fmt_decimal(rel)}"
+            f"{x}\t{n}\t{fmt_decimal_down(ratio)}\t{d_lo}\t{d_hi}\t{fmt_decimal_down(rel)}"
         )
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -208,7 +207,7 @@ def cmd_count(args):
         "x\tN\tN_over_x",
     ]
     for x, n in zip(xs, counts):
-        lines.append(f"{x}\t{n}\t{fmt_decimal(Fraction(n, x))}")
+        lines.append(f"{x}\t{n}\t{fmt_decimal_down(Fraction(n, x))}")
     _emit(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 

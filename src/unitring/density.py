@@ -14,14 +14,15 @@ tail, with every prime of bad reduction handled exactly no matter its
 size, so the returned interval is rigorous.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import lcm
 
 from . import fpoly
 from .field import is_square_in_field
 from .ideal import (
+    RESIDUE_CAP,
     IdealLattice,
     NonMonogenicError,
     ResidueCapError,
@@ -30,14 +31,18 @@ from .ideal import (
     prime_power,
     split_prime,
 )
-from .geometry import FloatRegionFilter, RegionBox, enumerate_region_oracle, region_runs
-from .intervals import PI, RatInterval
+from .geometry import (
+    FloatRegionFilter,
+    RegionBox,
+    enumerate_region_oracle,
+    lattice_point_density,
+    region_runs,
+)
+from .intervals import RatInterval
 from .intfactor import mth_power_primes, prime_table
-from .linalg import lattice_sum
+from .linalg import lattice_sum, quotient_box
 from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
-
-ROOT_CAP = 10**6
 
 
 class FixedDivisorError(ValueError):
@@ -131,7 +136,7 @@ def _reduce_to_residue_field(poly, pid):
     return trim([fq.elem([x * inv % p for x in row]) for row in rows], fq), fq
 
 
-def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
+def count_roots_prime_power(poly, pid, e):
     """L(P^e): number of roots of the polynomial in O_K / P^e.
 
     A separable reduction f-bar has only simple roots, each lifting
@@ -144,7 +149,7 @@ def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
         # Every residue is a root as far as P^1; higher powers by brute force.
         if e == 1:
             return fq.q
-        return _count_roots_bruteforce_power(poly, pid, e, cap)
+        return root_count_bruteforce(poly, prime_power(pid, e))
     dbar = deriv(fbar, fq)
     if e == 1 or (dbar != zero and len(gcd(fbar, dbar, fq)) == 1):
         return fpoly.count_roots_in_fq(fbar, fq)
@@ -153,20 +158,18 @@ def count_roots_prime_power(poly, pid, e, cap=ROOT_CAP):
         if dbar != zero and evaluate(dbar, root, fq) != fq.zero:
             count += 1  # simple root lifts uniquely to every P^e
         else:
-            count += _count_lifts_bruteforce(poly, pid, e, root, fq, cap)
+            count += _count_lifts_bruteforce(poly, pid, e, root, fq)
     return count
 
 
-def _count_lifts_bruteforce(poly, pid, e, root, fq, cap):
+def _count_lifts_bruteforce(poly, pid, e, root, fq):
     field_k = poly.field
     target = prime_power(pid, e)
     n_lifts = fq.q ** (e - 1)
-    if n_lifts > cap:
+    if n_lifts > RESIDUE_CAP:
         raise ResidueCapError(f"degenerate Hensel case needs {n_lifts} residues")
     rho = field_k.from_theta_poly(fq.coeffs(root))
     count = 0
-    from .linalg import quotient_box
-
     for shift in quotient_box(target.hnf, pid.ideal.hnf):
         beta = rho + field_k.element(shift)
         if target.contains(poly(beta)):
@@ -174,39 +177,28 @@ def _count_lifts_bruteforce(poly, pid, e, root, fq, cap):
     return count
 
 
-def _count_roots_bruteforce_power(poly, pid, e, cap):
-    target = prime_power(pid, e)
-    if target.norm > cap:
-        raise ResidueCapError(f"brute force over {target.norm} residues exceeds cap")
-    count = 0
-    for beta in target.residues(cap):
-        if target.contains(poly(beta)):
-            count += 1
-    return count
-
-
-def root_count(poly, ideal, cap=ROOT_CAP):
+def root_count(poly, ideal):
     """L(a): roots of the polynomial in O_K/a, by CRT over prime powers."""
     if ideal.is_unit_ideal():
         return 1
     total = 1
     for pid, e in ideal.factor():
-        total *= count_roots_prime_power(poly, pid, e, cap)
+        total *= count_roots_prime_power(poly, pid, e)
     return total
 
 
-def root_count_bruteforce(poly, ideal, cap=ROOT_CAP):
+def root_count_bruteforce(poly, ideal):
     """Independent oracle: enumerate all residues and evaluate."""
     if ideal.is_unit_ideal():
         return 1
     count = 0
-    for beta in ideal.residues(cap):
+    for beta in ideal.residues():
         if ideal.contains(poly(beta)):
             count += 1
     return count
 
 
-def root_count_order(poly, ideal, order, cap=ROOT_CAP):
+def root_count_order(poly, ideal, order):
     """L_O(a): roots in O/(a cap O).  CRT across comaximal contractions,
     brute force otherwise."""
     if not poly.in_order(order):
@@ -214,7 +206,7 @@ def root_count_order(poly, ideal, order, cap=ROOT_CAP):
     if ideal.is_unit_ideal():
         return 1
     if order.is_maximal():
-        return root_count(poly, ideal, cap)
+        return root_count(poly, ideal)
     parts = [(pid, e) for pid, e in ideal.factor()]
     if len(parts) > 1:
         rows = [order.contract(prime_power(pid, e))[0] for pid, e in parts]
@@ -226,17 +218,15 @@ def root_count_order(poly, ideal, order, cap=ROOT_CAP):
         if comaximal:
             total = 1
             for pid, e in parts:
-                total *= root_count_order(poly, prime_power(pid, e), order, cap)
+                total *= root_count_order(poly, prime_power(pid, e), order)
             return total
-    return root_count_order_bruteforce(poly, ideal, order, cap)
+    return root_count_order_bruteforce(poly, ideal, order)
 
 
-def root_count_order_bruteforce(poly, ideal, order, cap=ROOT_CAP):
-    rows, idx = order.contract(ideal)
-    if idx > cap:
-        raise ResidueCapError(f"order residue system of size {idx} exceeds cap")
+def root_count_order_bruteforce(poly, ideal, order):
+    rows, _ = order.contract(ideal)
     count = 0
-    for alpha in order.residues_mod(rows, cap):
+    for alpha in order.residues_mod(rows):
         if ideal.contains(poly(alpha)):
             count += 1
     return count
@@ -256,20 +246,16 @@ def mfree_threshold(g):
     return m
 
 
-def find_fixed_divisor_mth_power(poly, m, samples=8, cap=ROOT_CAP):
+def find_fixed_divisor_mth_power(poly, m):
     """A prime P with P^m a fixed divisor of the polynomial, or None.
 
     Any fixed divisor divides the ideal generated by finitely many values,
-    so a gcd over a deterministic sample certifies absence.
+    so a gcd over a deterministic sample of eight points certifies absence.
     """
     field_k = poly.field
     gens = []
-    alpha = field_k.zero
     probe = [field_k.zero, field_k.one, field_k.theta, field_k.theta + field_k.one]
-    i = 2
-    while len(probe) < samples:
-        probe.append(field_k.rational(i))
-        i += 1
+    probe += [field_k.rational(i) for i in range(2, 6)]
     for alpha in probe:
         val = poly(alpha)
         if not val.is_zero():
@@ -286,9 +272,16 @@ def find_fixed_divisor_mth_power(poly, m, samples=8, cap=ROOT_CAP):
     for pid, e in g_ideal.factor():
         if e >= m:
             pm = prime_power(pid, m)
-            if pm.norm <= cap and is_fixed_divisor(poly.coeffs, pm, cap):
+            if pm.norm <= RESIDUE_CAP and is_fixed_divisor(poly.coeffs, pm):
                 return pid
     return None
+
+
+def with_conductor_support(order, excluded):
+    """The excluded prime ideals joined with the conductor support, sorted:
+    a sieve over the order must exclude both."""
+    merged = set(excluded) | set(order.conductor_support())
+    return tuple(sorted(merged, key=lambda q: q.sort_key()))
 
 
 @dataclass(frozen=True)
@@ -310,8 +303,7 @@ class DensityParams:
                 f"m={self.m} below the admissible threshold "
                 f"{mfree_threshold(poly.degree)} for degree {poly.degree}"
             )
-        support = {pid for pid, _ in order.conductor().factor()}
-        if not support <= set(self.excluded):
+        if not set(order.conductor_support()) <= set(self.excluded):
             raise ValueError("excluded primes must contain the conductor support")
         witness = find_fixed_divisor_mth_power(poly, self.m)
         if witness is not None:
@@ -330,7 +322,6 @@ class DensityReport:
     conductor_sum: Fraction
     excluded_product: Fraction
     exponent_data: tuple
-    empirical: list = dc_field(default_factory=list)
     zero_witness: object = None
 
     @property
@@ -349,8 +340,7 @@ def conductor_sum(params):
     the conductor support.
     """
     order = params.order
-    f_ideal = order.conductor()
-    support = [pid for pid, _ in f_ideal.factor()]
+    support = order.conductor_support()
     total = Fraction(0)
     for mask in range(1 << len(support)):
         a = IdealLattice.unit_ideal(params.field)
@@ -394,7 +384,7 @@ def tail_lower(n, g, m, T):
     return 1 - Fraction(n * g, (m - 1) * T ** (m - 1))
 
 
-def euler_density(params, truncation_norm, bits=96):
+def euler_density(params, truncation_norm):
     """Rigorous interval for the density constant D of the sieve.
 
     Exact rational work: the conductor sum, the excluded finite product,
@@ -409,7 +399,6 @@ def euler_density(params, truncation_norm, bits=96):
     m = params.m
     n = field_k.degree
     g = poly.degree
-    r, s = field_k.signature
 
     T = truncation_norm
     tail_low = tail_lower(n, g, m, T)
@@ -418,29 +407,20 @@ def euler_density(params, truncation_norm, bits=96):
 
     excluded = set(params.excluded)
     cond_sum = conductor_sum(params)
-    conductor_support = {pid for pid, _ in order.conductor().factor()}
 
     excl_prod = Fraction(1)
-    for pid in sorted(excluded - conductor_support, key=lambda q: q.sort_key()):
+    for pid in sorted(excluded - set(order.conductor_support()), key=lambda q: q.sort_key()):
         l_val = root_count(poly, pid.ideal)
         excl_prod *= 1 - Fraction(l_val, pid.norm)
 
+    # The prime ideals of norm <= T, then the bad-reduction primes above T.
+    small = (pid for p in prime_table(T) for pid in split_prime(field_k, p) if pid.norm <= T)
+    large_bad = sorted((pid for pid in bad_reduction_primes(poly) if pid.norm > T),
+                       key=lambda q: q.sort_key())
     main_num, main_den = 1, 1
     zero_witness = None
-    handled = set()
-    for p in prime_table(T):
-        for pid in split_prime(field_k, p):
-            if pid.norm > T or pid in excluded:
-                continue
-            l_val = count_roots_prime_power(poly, pid, m)
-            npm = pid.norm**m
-            if l_val == npm:
-                zero_witness = pid
-            main_num *= npm - l_val
-            main_den *= npm
-            handled.add(pid)
-    for pid in sorted(bad_reduction_primes(poly), key=lambda q: q.sort_key()):
-        if pid in excluded or pid in handled:
+    for pid in chain(small, large_bad):
+        if pid in excluded:
             continue
         l_val = count_roots_prime_power(poly, pid, m)
         npm = pid.norm**m
@@ -448,11 +428,9 @@ def euler_density(params, truncation_norm, bits=96):
             zero_witness = pid
         main_num *= npm - l_val
         main_den *= npm
-        handled.add(pid)
 
     main_exact = Fraction(main_num, main_den)
-    c1 = (2 * PI) ** s / RatInterval(Fraction(abs(field_k.disc))).sqrt(bits)
-    prefactor = c1 * Fraction(1, order.index)
+    prefactor = lattice_point_density(field_k) * Fraction(1, order.index)
     raw = prefactor * cond_sum * excl_prod
     if zero_witness is not None:
         return DensityReport(
@@ -705,13 +683,11 @@ def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     if is_square_in_field(eta):
         raise HypothesisError("eta must not be a square in the field")
     poly = SievePolynomial.x_squared_minus(4 * eta)
-    conductor_support = [pid for pid, _ in order.conductor().factor()]
-    full_excluded = tuple(sorted(set(excluded) | set(conductor_support),
-                                 key=lambda q: q.sort_key()))
+    full_excluded = with_conductor_support(order, excluded)
     params_o = DensityParams(order=order, poly=poly, excluded=full_excluded, m=2)
     lhs = Fraction(1, order.index) * conductor_sum(params_o)
     rhs = Fraction(1)
-    for pid in conductor_support:
+    for pid in order.conductor_support():
         rhs *= 1 - Fraction(root_count(poly, pid.ideal), pid.norm)
     maximal = SubOrder.maximal(field_k)
     params_k = DensityParams(order=maximal, poly=poly, excluded=full_excluded, m=2)

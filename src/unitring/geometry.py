@@ -14,12 +14,14 @@ from fractions import Fraction
 from itertools import product
 from math import ceil, floor, inf, nextafter, sqrt
 
-from .intervals import AmbiguousPivotError, RatInterval, sqrt_upper
+from .intervals import PI, AmbiguousPivotError, RatInterval, sqrt_upper
 from .intfactor import iroot
-from .linalg import char_poly, det, mat_inv_frac
+from .linalg import char_poly, det, hnf, mat_inv_frac
 from .poly import QQ, divmod, evaluate
 
 MAX_BITS = 1 << 14
+# Dyadic precision of the square roots in the density main terms.
+SQRT_BITS = 96
 
 
 class EmptyCosetError(ValueError):
@@ -163,10 +165,10 @@ class FloatRegionFilter:
     __slots__ = ("field", "box", "r", "s", "n", "col_lo", "col_hi", "bound_lo", "bound_hi",
                  "side_hi")
 
-    def __init__(self, field, box, bits=64):
+    def __init__(self, field, box):
         self.field = field
         self.box = box
-        emb = field.embedding_matrix(bits)
+        emb = field.embedding_matrix(64)
         self.r, self.s = field.signature
         self.n = field.degree
         # Column-major float enclosures of the embedding matrix.
@@ -284,7 +286,7 @@ class FloatRegionFilter:
 # Exact membership
 
 
-def in_region(alpha, box, max_bits=MAX_BITS):
+def in_region(alpha, box):
     """Exact decision: alpha totally positive and |sigma_i(alpha)| <= x_i."""
     field = alpha.field
     r, s = field.signature
@@ -294,7 +296,7 @@ def in_region(alpha, box, max_bits=MAX_BITS):
         # Totally positive requires strict positivity at real embeddings.
         return r == 0
     bits = 64
-    while bits <= max_bits:
+    while bits <= MAX_BITS:
         reals, pairs = field.sigma_pairs(alpha, bits)
         verdict = _try_decide(field, alpha, box, reals, pairs, r, s)
         if verdict is not None:
@@ -401,7 +403,7 @@ def _conjugate_products_poly(m):
 # Enumeration
 
 
-def coordinate_ranges(field, box, lattice_rows, shift_coords=None, bits=256):
+def coordinate_ranges(field, box, lattice_rows, shift_coords=None):
     """Integer ranges for lattice coefficients c with shift + c*H possibly
     inside the embedded box; rigorous outer bounds, never under-covering."""
     r, s = field.signature
@@ -414,7 +416,7 @@ def coordinate_ranges(field, box, lattice_rows, shift_coords=None, bits=256):
         std_bounds.extend([b, b])
     from .field import _coordinate_bounds
 
-    coord_bound = _coordinate_bounds(field, std_bounds, bits)
+    coord_bound = _coordinate_bounds(field, std_bounds, 256)
     h_inv = mat_inv_frac(lattice_rows)
     shift = shift_coords or (0,) * n
     ranges = []
@@ -549,7 +551,7 @@ class EmbeddedLattice:
         minima = []
         chosen = []
         for val, c in vecs:
-            if _rank_of(chosen + [c]) > len(chosen):
+            if len(hnf(chosen + [c])) > len(chosen):
                 chosen.append(c)
                 minima.append(val)
                 if len(minima) == self.n:
@@ -558,25 +560,6 @@ class EmbeddedLattice:
             raise ArithmeticError("minima enumeration incomplete")
         self._minima_sq = tuple(minima)
         return self._minima_sq
-
-
-def _rank_of(vectors):
-    work = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    cols = len(work[0])
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
 
 
 def _enumerate_quadratic(gram, bound):
@@ -680,7 +663,14 @@ def widmer_bound(lattice, n_maps, lip):
 # Coset counting (the main-term/error-term comparison)
 
 
-def count_coset(field, beta, modulus_ideal, box, order=None, bits=96):
+def lattice_point_density(field):
+    """(2 pi)^s / sqrt|d_K| as an interval: the points of O_K per unit of
+    region volume."""
+    s = field.signature[1]
+    return (2 * PI) ** s / RatInterval(Fraction(abs(field.disc))).sqrt(SQRT_BITS)
+
+
+def count_coset(field, beta, modulus_ideal, box, order=None):
     """Count (beta + modulus) cap order cap region, with the density main
     term and a rigorous bound data bundle.
 
@@ -702,14 +692,11 @@ def count_coset(field, beta, modulus_ideal, box, order=None, bits=96):
     count = 0
     for _ in enumerate_region(field, box, m_rows, shift=alpha0):
         count += 1
-    r, s = field.signature
-    from .intervals import PI
     from .linalg import det_triangular
 
     index = abs(det_triangular(m_rows))
-    c1 = (2 * PI) ** s / RatInterval(Fraction(abs(field.disc))).sqrt(bits)
-    x = RatInterval(box.volume_sq).sqrt(bits)
-    main = c1 * x * Fraction(1, index)
+    x = RatInterval(box.volume_sq).sqrt(SQRT_BITS)
+    main = lattice_point_density(field) * x * Fraction(1, index)
     diff = RatInterval(Fraction(count)) - main
     err = RatInterval(min(abs(diff.lo), abs(diff.hi)) if diff.lo * diff.hi > 0 else Fraction(0),
                       max(abs(diff.lo), abs(diff.hi)))

@@ -28,7 +28,7 @@ class NonMonogenicError(NotImplementedError):
 
 
 class ResidueCapError(ValueError):
-    """A brute-force residue enumeration would exceed the configured cap."""
+    """A brute-force residue enumeration would exceed RESIDUE_CAP residues."""
 
 
 class IdealLattice:
@@ -163,10 +163,10 @@ class IdealLattice:
         """Canonical representative of alpha modulo the ideal."""
         return self.field.element(reduce_mod_lattice(alpha.coords, self.hnf))
 
-    def residues(self, cap=RESIDUE_CAP):
+    def residues(self):
         """Stream a complete residue system, deterministically ordered."""
-        if self.norm > cap:
-            raise ResidueCapError(f"residue system of size {self.norm} exceeds cap {cap}")
+        if self.norm > RESIDUE_CAP:
+            raise ResidueCapError(f"residue system of size {self.norm} exceeds cap {RESIDUE_CAP}")
         for v in residue_transversal(self.hnf):
             yield self.field.element(v)
 
@@ -194,20 +194,11 @@ class IdealLattice:
         return out
 
     def valuation_at(self, pid):
-        """Exact valuation v_P(self) by iterated power containment."""
-        if not pid.ideal.divides(self):
-            return 0
-        v = 1
-        power = pid.ideal
-        while True:
-            power = power * pid.ideal
-            if power.divides(self):
-                v += 1
-            else:
-                return v
-
-    def support(self):
-        return [pid for pid, _ in self.factor()]
+        """Exact valuation v_P(self) by containment in cached powers of P."""
+        v = 0
+        while prime_power(pid, v + 1).divides(self):
+            v += 1
+        return v
 
 
 class PrimeIdealData:
@@ -215,10 +206,12 @@ class PrimeIdealData:
 
     P = (p, g(theta)).  Equality, hashing and ordering use (field, p, g)
     alone; the HNF lattice `ideal` is built on first access, so primes
-    that only ever need their residue field never build one.
+    that only ever need their residue field never build one.  Its powers
+    P^k are cached on it as they are built (prime_power).
     """
 
-    __slots__ = ("field", "p", "generator_poly", "residue_degree", "ramification", "_ideal", "_fq")
+    __slots__ = ("field", "p", "generator_poly", "residue_degree", "ramification", "_ideal", "_fq",
+                 "_powers")
 
     def __init__(self, field, p, generator_poly, ramification):
         self.field = field
@@ -228,6 +221,7 @@ class PrimeIdealData:
         self.ramification = ramification
         self._ideal = None
         self._fq = None
+        self._powers = None
 
     @property
     def norm(self):
@@ -362,13 +356,11 @@ def in_mth_power_above(alpha, p, m):
     return any(prime_power(pid, m).contains(alpha) for pid in split_prime(alpha.field, p))
 
 
-# PrimeIdealData uses __slots__; power caches live in a side table.
-_POWER_CACHE = {}
-
-
 def prime_power(pid, k):
-    """P^k with caching (k >= 1)."""
-    powers = _POWER_CACHE.setdefault(pid, [pid.ideal])
+    """P^k (k >= 1), cached on the prime."""
+    powers = pid._powers
+    if powers is None:
+        powers = pid._powers = [pid.ideal]
     while len(powers) < k:
         powers.append(powers[-1] * pid.ideal)
     return powers[k - 1]
@@ -376,15 +368,13 @@ def prime_power(pid, k):
 
 def element_valuation(alpha, pid):
     """v_P(alpha) by iterated membership in cached powers of P."""
-    if not pid.ideal.contains(alpha):
-        return 0
-    v = 1
+    v = 0
     while prime_power(pid, v + 1).contains(alpha):
         v += 1
     return v
 
 
-def is_fixed_divisor(poly_coeffs, ideal, cap=RESIDUE_CAP):
+def is_fixed_divisor(poly_coeffs, ideal):
     """True iff the ideal contains f(beta) for every residue beta.
 
     f is given by its AlgebraicInt coefficients, constant first.  One full
@@ -392,7 +382,7 @@ def is_fixed_divisor(poly_coeffs, ideal, cap=RESIDUE_CAP):
     for gamma in the ideal.
     """
     field = ideal.field
-    for beta in ideal.residues(cap):
+    for beta in ideal.residues():
         val = field.zero
         for c in reversed(poly_coeffs):
             val = val * beta + c

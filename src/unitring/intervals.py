@@ -157,16 +157,6 @@ _PI_50 = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
 PI = RatInterval(_PI_50, _PI_50 + Fraction(1, 10**50))
 
 
-def fmt_decimal(x, digits=12):
-    """Deterministic fixed-point rendering of a Fraction, truncated."""
-    x = Fraction(x)
-    sign = "-" if x < 0 else ""
-    x = abs(x)
-    scaled = (x.numerator * 10**digits) // x.denominator
-    whole, frac = divmod(scaled, 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
-
-
 def fmt_decimal_down(x, digits=12):
     """Decimal lower bound: rounds toward minus infinity."""
     x = Fraction(x)

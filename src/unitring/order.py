@@ -10,7 +10,7 @@ formula [O : a cap O] = N(a) on the coprime side.
 
 from fractions import Fraction
 
-from .ideal import IdealLattice, split_prime
+from .ideal import RESIDUE_CAP, IdealLattice, ResidueCapError, split_prime
 from .linalg import (
     det_triangular,
     hnf,
@@ -30,7 +30,7 @@ class CoprimalityError(ValueError):
 class SubOrder:
     """An order of the field, as an HNF sublattice of O_K closed under products."""
 
-    __slots__ = ("field", "basis_hnf", "index", "_conductor")
+    __slots__ = ("field", "basis_hnf", "index", "_conductor", "_conductor_support")
 
     def __init__(self, field, basis_rows):
         h = hnf(basis_rows)
@@ -48,10 +48,30 @@ class SubOrder:
                 if not in_lattice((a * b).coords, h):
                     raise ValueError("lattice is not closed under multiplication")
         self._conductor = None
+        self._conductor_support = None
 
     @classmethod
     def maximal(cls, field):
         return cls(field, identity(field.degree))
+
+    @classmethod
+    def generated(cls, field, rows):
+        """The ring generated by the rows, which must span 1: their HNF,
+        closed under pairwise products of its rows until it stops changing.
+
+        Raises ValueError when the ring has rank below the field degree.
+        """
+        current = hnf(rows)
+        while True:
+            els = [field.element_from_coords_unchecked(r) for r in current]
+            products = [(a * b).coords for i, a in enumerate(els) for b in els[i:]]
+            nxt = hnf(list(current) + products)
+            if nxt == current:
+                break
+            current = nxt
+        if len(current) < field.degree:
+            raise ValueError(f"the generators span a ring of rank {len(current)} < {field.degree}")
+        return cls(field, current)
 
     def is_maximal(self):
         return self.index == 1
@@ -92,6 +112,12 @@ class SubOrder:
         self._conductor = IdealLattice(field, hnf(current))
         return self._conductor
 
+    def conductor_support(self):
+        """The prime ideals of O_K dividing the conductor, sorted by sort_key."""
+        if self._conductor_support is None:
+            self._conductor_support = tuple(pid for pid, _ in self.conductor().factor())
+        return self._conductor_support
+
     # -- contraction / extension ------------------------------------------------
 
     def contract(self, ideal):
@@ -116,44 +142,20 @@ class SubOrder:
             raise CoprimalityError("module is not coprime to the conductor in O")
         return self.extend(rows)
 
-    def residues_mod(self, sub_rows, cap=10**6):
+    def residues_mod(self, sub_rows):
         """Transversal of the sublattice sub_rows inside the order."""
-        count = abs(det_triangular(hnf(sub_rows))) // self.index
-        if count > cap:
-            from .ideal import ResidueCapError
-
-            raise ResidueCapError(f"residue system of size {count} exceeds cap {cap}")
-        for v in quotient_box(hnf(sub_rows), self.basis_hnf):
+        h = hnf(sub_rows)
+        count = abs(det_triangular(h)) // self.index
+        if count > RESIDUE_CAP:
+            raise ResidueCapError(f"residue system of size {count} exceeds cap {RESIDUE_CAP}")
+        for v in quotient_box(h, self.basis_hnf):
             yield self.field.element(v)
 
     # -- order enlargement --------------------------------------------------------
 
     def adjoin(self, alpha):
         """The order O[alpha] for an algebraic integer alpha."""
-        field = self.field
-        rows = list(self.basis_hnf)
-        current = hnf(rows)
-        # Saturate the module under multiplication by alpha and by itself.
-        while True:
-            new_rows = list(current)
-            for r in current:
-                el = field.element_from_coords_unchecked(r)
-                new_rows.append((el * alpha).coords)
-            for i in range(len(current)):
-                a = field.element_from_coords_unchecked(current[i])
-                for j in range(i, len(current)):
-                    b = field.element_from_coords_unchecked(current[j])
-                    new_rows.append((a * b).coords)
-            nxt = hnf(new_rows)
-            if nxt == current:
-                break
-            current = nxt
-        return SubOrder(field, current)
-
-
-def conductor_support(order):
-    """Prime ideals of O_K dividing the conductor."""
-    return order.conductor().support()
+        return SubOrder.generated(self.field, list(self.basis_hnf) + [alpha.coords])
 
 
 def order_primes_over_conductor(order):
@@ -164,9 +166,8 @@ def order_primes_over_conductor(order):
     is [O : p], and the last entry factors p*O_K.
     """
     field = order.field
-    f = order.conductor()
     groups = {}
-    for pid, _ in f.factor():
+    for pid in order.conductor_support():
         rows, idx = order.contract(pid.ideal)
         groups.setdefault(rows, (idx, []))[1].append(pid)
     out = []

@@ -212,32 +212,39 @@ class RootIsolation:
             z = _round_z(csub(z, cdiv(pv, dv)), bits)
         return z
 
+    def _polish(self, z, bits, real=False):
+        """Newton steps from z until the certified radius is at most
+        2^-bits; (z, radius).  A real root's center stays on the real axis."""
+        target = Fraction(1, 1 << bits)
+        sqrt_bits = bits + 32
+        work_bits = max(bits * 4, 256)
+        if real:
+            z = (z[0], Fraction(0))
+        r = self._radius_at(z, sqrt_bits)
+        rounds = 0
+        while r is None or r > target:
+            z = self._newton(z, 2, work_bits)
+            if real:
+                z = (z[0], Fraction(0))
+            r = self._radius_at(z, sqrt_bits)
+            rounds += 1
+            if rounds > 60:
+                raise PrecisionError("newton refinement stalled")
+            if rounds % 8 == 0:
+                work_bits *= 2
+        return z, r
+
     def refine(self, bits):
         """Shrink every enclosure radius below 2^-bits."""
         if self.bits >= bits:
             return
-        target = Fraction(1, 1 << bits)
-        centers = [e.center if isinstance(e, RootEnclosure) else e
-                   for e in (self.enclosures if self.bits else self._raw)]
         if self.bits:
             # Re-polish only the stored representatives (reals + upper half).
             centers = [e.center for e in self._repr_enclosures]
-        sqrt_bits = bits + 32
-        disks = []
-        for z in centers:
-            r = self._radius_at(z, sqrt_bits)
-            rounds = 0
-            work_bits = max(bits * 4, 256)
-            while r is None or r > target:
-                z = self._newton(z, 2, work_bits)
-                r = self._radius_at(z, sqrt_bits)
-                rounds += 1
-                if rounds > 60:
-                    raise PrecisionError("newton refinement stalled")
-                if rounds % 8 == 0:
-                    work_bits *= 2
-            disks.append((z, r))
-        self._classify(disks, bits, target)
+        else:
+            centers = self._raw
+        disks = [self._polish(z, bits) for z in centers]
+        self._classify(disks, bits, Fraction(1, 1 << bits))
         self.bits = bits
 
     def _classify(self, disks, bits, target):
@@ -253,22 +260,7 @@ class RootIsolation:
                     upper.append((z, r))
             if len(real) != self.n_real or len(upper) != (n - self.n_real) // 2:
                 raise PrecisionError("root classification ambiguous; raise bits")
-            sqrt_bits = bits + 32
-            fixed = []
-            for z, r in real:
-                zr = (z[0], Fraction(0))
-                rr = self._radius_at(zr, sqrt_bits)
-                rounds = 0
-                work_bits = max(bits * 4, 256)
-                while rr is None or rr > target:
-                    zr = ((self._newton(zr, 2, work_bits))[0], Fraction(0))
-                    rr = self._radius_at(zr, sqrt_bits)
-                    rounds += 1
-                    if rounds > 60:
-                        raise PrecisionError("newton refinement stalled")
-                    if rounds % 8 == 0:
-                        work_bits *= 2
-                fixed.append(RootEnclosure(zr, rr, True))
+            fixed = [RootEnclosure(*self._polish(z, bits, real=True), True) for z, _ in real]
             fixed.sort(key=lambda e: e.center[0])
             ups = [RootEnclosure(z, r, False) for z, r in upper]
             ups.sort(key=lambda e: (e.center[0], e.center[1]))

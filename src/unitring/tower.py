@@ -14,12 +14,15 @@ by units over the base.
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .density import HypothesisError, check_hypotheses
+from .density import HypothesisError, check_hypotheses, with_conductor_support
 from .field import is_square_in_field
 from .ideal import IdealLattice, element_is_mfree, split_prime
 from .intfactor import is_squarefree_int
-from .linalg import hnf
 from .order import SubOrder
+
+
+# Engineering cap on the number of tower steps; each step halves the index.
+MAX_STEPS = 64
 
 
 class SearchExhausted(RuntimeError):
@@ -59,35 +62,12 @@ def unit_order(field, unit_gens):
     Rejects non-units; rejects generator sets whose ring closure does not
     reach full rank (the ring would not be an order).
     """
-    gens = []
+    rows = [field.one_coords]
     for u in unit_gens:
         if abs(u.norm()) != 1:
             raise ValueError(f"generator with norm {u.norm()} is not a unit")
-        gens.append(u)
-        gens.append(u.inverse())
-    rows = [field.one_coords]
-    for g in gens:
-        rows.append(g.coords)
-    current = hnf(rows)
-    while True:
-        new_rows = list(current)
-        els = [field.element_from_coords_unchecked(r) for r in current]
-        for i, a in enumerate(els):
-            for b in els[i:]:
-                new_rows.append((a * b).coords)
-        for g in gens:
-            for a in els:
-                new_rows.append((a * g).coords)
-        nxt = hnf(new_rows)
-        if nxt == current:
-            break
-        current = nxt
-    if len(current) < field.degree:
-        raise ValueError(
-            "units generate a ring of rank "
-            f"{len(current)} < {field.degree}; supply more units"
-        )
-    return SubOrder(field, current)
+        rows += [u.coords, u.inverse().coords]
+    return SubOrder.generated(field, rows)
 
 
 def candidate_elements(field, start_shell=0):
@@ -132,9 +112,7 @@ def find_omega(order, excluded, eta, search_bound=2000):
     if is_square_in_field(eta):
         raise HypothesisError("eta must not be a square in the field")
     # The gap argument needs the conductor support excluded as well.
-    conductor_support = {pid for pid, _ in order.conductor().factor()}
-    full_excluded = sorted(set(excluded) | conductor_support,
-                           key=lambda q: q.sort_key())
+    full_excluded = with_conductor_support(order, excluded)
     tried = 0
     for omega in candidate_elements(field):
         tried += 1
@@ -241,8 +219,7 @@ def compositum_basis(steps):
     return sets, rel_disc
 
 
-def build_tower(field, unit_gens=None, start_order=None, eta=None,
-                search_bound=2000, max_steps=64):
+def build_tower(field, unit_gens=None, start_order=None, eta=None, search_bound=2000):
     """Run the full construction: check hypotheses, iterate the element
     search, enlarge the order until it is maximal, and verify."""
     if not check_hypotheses(field):
@@ -267,7 +244,7 @@ def build_tower(field, unit_gens=None, start_order=None, eta=None,
     excluded = set(split_prime(field, 2))
     steps = []
     while not current.is_maximal():
-        if len(steps) >= max_steps:
+        if len(steps) >= MAX_STEPS:
             raise SearchExhausted("maximum number of tower steps exceeded")
         omega = find_omega(current, tuple(excluded), eta, search_bound)
         step = quadratic_step(omega, eta)
@@ -325,30 +302,16 @@ def verify_unit_generation(tower):
     """Re-verify the five structural claims of a built tower.
 
     (a) every step's constant term is a unit (so each alpha is a unit);
-    (b) omega = alpha + eta/alpha holds symbolically mod the step minimal
-        polynomial; (c) adjoining all omegas to the start order reaches
+    (b) each step's alpha_minpoly is X^2 - omega X + eta, so that
+        alpha (omega - alpha) = eta, i.e. omega = alpha + eta/alpha, holds
+        in O_K[X]/(alpha_minpoly); (c) adjoining all omegas to the start order reaches
         the maximal order; (d) the step discriminants are odd and pairwise
         coprime; (e) the number of steps is at most log2 of the start index.
     """
     field = tower.field
     eta_ok = all(abs(st.eta.norm()) == 1 for st in tower.steps)
 
-    symbolic_ok = True
-    for st in tower.steps:
-        c0, c1, c2 = st.alpha_minpoly
-        if not (c0 == st.eta and c1 == -st.omega and c2 == field.one):
-            symbolic_ok = False
-            continue
-        # omega = alpha + eta alpha^{-1} cleared of denominators reads
-        # alpha * (omega - alpha) = eta; verify in O_K[X]/(minpoly).
-        # X * (omega - X) = omega X - X^2 -> omega X - (omega X - eta) = eta.
-        prod_const = field.zero  # X * omega has no constant term
-        prod_lin = st.omega  # coefficient of X in X*(omega - X) before reduction
-        # subtract X^2 == omega X - eta:
-        red_lin = prod_lin - st.omega
-        red_const = prod_const + st.eta
-        if not (red_lin.is_zero() and red_const == st.eta):
-            symbolic_ok = False
+    symbolic_ok = all(st.alpha_minpoly == (st.eta, -st.omega, field.one) for st in tower.steps)
 
     rebuilt = tower.start_order
     for st in tower.steps:

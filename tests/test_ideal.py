@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from unitring.ideal import (
     iter_ideals,
     mobius,
     power_basis_index,
+    prime_power,
     split_prime,
 )
 from unitring.intfactor import prime_table
@@ -161,7 +164,7 @@ def test_residue_systems(q5):
     assert len(res) == 4
     assert len({two.reduce(r).coords for r in res}) == 4
     with pytest.raises(ResidueCapError):
-        list(IdealLattice.from_integer(q5, 2000).residues(cap=100))
+        list(IdealLattice.from_integer(q5, 2000).residues())  # norm 4 * 10**6
 
 
 def test_power_basis_index(q5):
@@ -240,6 +243,26 @@ def test_lazy_prime_ideals_match_kummer_dedekind(name):
             assert pid.ideal.norm == p**pid.residue_degree
             product = product * pid.ideal**pid.ramification
         assert product == IdealLattice.from_integer(field, p)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_FIELDS))
+def test_valuation_at_matches_element_valuation(name):
+    # The ideal route (containment of the ideal in P^k) and the element
+    # route (membership of the element in P^k) agree on principal ideals,
+    # and the powers cached on each prime are the ideal powers.
+    field = LAZY_FIELDS[name]()
+    primes = [pid for p in (2, 3, 5, 7, 11) for pid in split_prime(field, p)]
+    for pid in primes:
+        for k in range(1, 4):
+            assert prime_power(pid, k) == pid.ideal**k
+        assert pid._powers[0] is pid.ideal
+    for coords in itertools.product(range(-3, 4), repeat=field.degree):
+        if not any(coords):
+            continue
+        alpha = field.element(coords) * field.rational(12)
+        ideal = IdealLattice.principal(alpha)
+        for pid in primes:
+            assert ideal.valuation_at(pid) == element_valuation(alpha, pid)
 
 
 def test_euler_density_builds_only_excluded_and_bad_prime_ideals():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from unitring.field import NumberField
+from unitring.fieldspec import BUNDLED, load_field_spec
 from unitring.ideal import IdealLattice, iter_ideals
 from unitring.linalg import hnf, lattice_sum
 from unitring.order import CoprimalityError, SubOrder, index_lower_bound
@@ -141,3 +142,31 @@ def test_adjoin(q5, z_sqrt5):
     assert enlarged.is_maximal()
     same = z_sqrt5.adjoin(q5.element((-1, 2)))  # sqrt5 already inside
     assert same == z_sqrt5
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_generated_returns_bundled_orders_unchanged(name):
+    spec = load_field_spec(name)
+    for order in [SubOrder.maximal(spec.field), *spec.orders.values()]:
+        assert SubOrder.generated(spec.field, order.basis_hnf) == order
+
+
+def test_generated_ring_closure(q5, z_sqrt5):
+    # Z[sqrt5] from 1 and sqrt5 alone: sqrt5^2 = 5 is already in the span.
+    assert SubOrder.generated(q5, [(1, 0), (-1, 2)]) == z_sqrt5
+    # In a cubic field 1 and theta span a rank-2 module; its closure adds
+    # theta^2 and reaches Z[theta] = O_K.
+    cubic = NumberField([-1, -1, 0, 1])
+    assert SubOrder.generated(cubic, [(1, 0, 0), (0, 1, 0)]).is_maximal()
+    with pytest.raises(ValueError):
+        SubOrder.generated(q5, [(1, 0)])  # Z has rank 1
+
+
+def test_conductor_support(q5, z_sqrt5, z_3theta):
+    assert SubOrder.maximal(q5).conductor_support() == ()
+    for order in (z_sqrt5, z_3theta, SubOrder(q5, [(1, 0), (0, 4)])):
+        support = order.conductor_support()
+        assert support == tuple(pid for pid, _ in order.conductor().factor())
+        assert list(support) == sorted(support, key=lambda q: q.sort_key())
+        assert order.conductor_support() is support
+    assert [pid.p for pid in z_3theta.conductor_support()] == [3]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from unitring.density import HypothesisError
@@ -284,6 +286,21 @@ def test_verify_detects_tampering(q5, eta, z_sqrt5):
     # 2 omega has even discriminant value: check (d) must fail.
     assert not rep.discs_coprime_and_odd
     assert not rep.all_passed()
+
+
+def test_verify_detects_wrong_minpoly(q5, eta, z_sqrt5):
+    # X^2 + omega X + eta in place of X^2 - omega X + eta: only check (b) fails.
+    t = build_tower(q5, start_order=z_sqrt5, eta=eta)
+    st = t.steps[0]
+    wrong = dataclasses.replace(st, alpha_minpoly=(st.eta, st.omega, q5.one))
+    rep = verify_unit_generation(dataclasses.replace(t, steps=[wrong]))
+    assert rep.as_dict() == {
+        "eta_is_unit": True,
+        "symbolic_identity": False,
+        "reaches_maximal": True,
+        "discs_coprime_and_odd": True,
+        "step_count_bounded": True,
+    }
 
 
 def test_belcher_paper_values():

@@ -7,11 +7,10 @@ Exit codes:
   3  search or cap exhaustion: tower search bound, residue cap, rho
      factorization budget, or a primality claim beyond the proven range
   4  configuration error: bad argument (argparse usage errors included),
-     UNITRING_THREADS, field spec, tower file or --out path, or an input
-     the sieve rejects (reducible quadratic, m below the admissible
-     threshold, coefficients outside the order, a non-prime --exclude,
-     truncation too small, a box volume with no rational side, a
-     non-squarefree belcher -d)
+     field spec, tower file or --out path, or an input the sieve rejects
+     (reducible quadratic, m below the admissible threshold, coefficients
+     outside the order, a non-prime --exclude, truncation too small, a box
+     volume with no rational side, a non-squarefree belcher -d)
   5  internal error: any other exception, a fault of the program
 Exits 2-5 print one JSON line {"error", "message"} to stderr, never a
 traceback or a usage text; an internal error names the exception's type
@@ -46,9 +45,9 @@ from .intervals import fmt_decimal_down, fmt_decimal_up
 from .intfactor import FactorizationTimeout, PrimalityUnproven, is_prime
 from .tower import (
     SearchExhausted,
+    Tower,
     belcher_criterion,
     build_tower,
-    quadratic_step,
     verify_unit_generation,
 )
 
@@ -212,7 +211,7 @@ def cmd_count(args):
     return EXIT_OK
 
 
-def _tower_to_json(spec_name, args, tower, verification):
+def _tower_to_json(spec_name, tower):
     return {
         "field": spec_name,
         "min_poly": list(tower.field.min_poly),
@@ -229,7 +228,6 @@ def _tower_to_json(spec_name, args, tower, verification):
         ],
         "final_index": tower.final_index,
         "compositum_sets": [sorted(s) for s in tower.compositum_sets],
-        "verification": verification.as_dict(),
     }
 
 
@@ -252,7 +250,7 @@ def cmd_tower(args):
         raise ConfigError("no eta given and no units declared")
     tower = build_tower(field, start_order=start, eta=eta, search_bound=args.search_bound)
     verification = verify_unit_generation(tower)
-    doc = _tower_to_json(spec.name, args, tower, verification)
+    doc = dict(_tower_to_json(spec.name, tower), verification=verification.as_dict())
     _emit(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return EXIT_OK if verification.all_passed() else EXIT_CHECK_FAILED
 
@@ -290,8 +288,8 @@ def cmd_belcher(args):
     return EXIT_OK
 
 
-_TOWER_KEYS = ("min_poly", "start_order", "eta", "steps", "compositum_sets")
-_STEP_KEYS = ("omega", "disc_hnf")
+_TOWER_KEYS = ("min_poly", "start_order", "eta", "steps", "final_index", "compositum_sets")
+_STEP_KEYS = ("omega", "disc_hnf", "disc_norm")
 
 
 def _read_tower(path):
@@ -314,42 +312,37 @@ def _read_tower(path):
 
 
 def cmd_verify(args):
+    """Replay the file's omegas on its start order and eta, compare every
+    result the file states with the replay, then run the five checks."""
     doc = _read_tower(args.tower)
     from .field import NumberField
-    from .ideal import IdealLattice
     from .order import SubOrder
-    from .tower import Tower, compositum_basis
 
     try:
         basis = None
         if "integral_basis" in doc:
             basis = [[Fraction(x) for x in row] for row in doc["integral_basis"]]
         field = NumberField(doc["min_poly"], integral_basis=basis)
-        start = SubOrder(field, [tuple(r) for r in doc["start_order"]])
-        eta = field.element(doc["eta"])
+        tower = Tower(field, SubOrder(field, [tuple(r) for r in doc["start_order"]]),
+                      field.element(doc["eta"]))
         omegas = [field.element(st["omega"]) for st in doc["steps"]]
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"tower file: {e}") from None
-    steps = []
-    for st, omega in zip(doc["steps"], omegas):
+    for omega in omegas:
         try:
-            step = quadratic_step(omega, eta)
+            tower.extend(omega)
         except ValueError as e:
             _diag("verify", f"stored step does not certify: {e}")
             return EXIT_CHECK_FAILED
-        if [list(r) for r in step.disc_ideal.hnf] != st["disc_hnf"]:
-            _diag("verify", "stored discriminant HNF does not match recomputation")
+    replay = _tower_to_json(None, tower)
+    stated = [(f"steps[{i}].{k}", st[k], rst[k])
+              for i, (st, rst) in enumerate(zip(doc["steps"], replay["steps"]))
+              for k in ("disc_hnf", "disc_norm")]
+    stated += [(k, doc[k], replay[k]) for k in ("final_index", "compositum_sets")]
+    for name, got, want in stated:
+        if got != want:
+            _diag("verify", f"stated {name} {got} differs from the replayed {want}")
             return EXIT_CHECK_FAILED
-        steps.append(step)
-    tower = Tower(
-        field=field,
-        start_order=start,
-        eta=eta,
-        steps=steps,
-        final_order=_rebuild_final(start, steps),
-        compositum_sets=[frozenset(s) for s in doc["compositum_sets"]],
-        relative_disc=compositum_basis(steps)[1] if steps else IdealLattice.unit_ideal(field),
-    )
     verification = verify_unit_generation(tower)
     result = verification.as_dict()
     lines = ["check\tpassed"]
@@ -359,26 +352,11 @@ def cmd_verify(args):
     return EXIT_OK if verification.all_passed() else EXIT_CHECK_FAILED
 
 
-def _rebuild_final(start, steps):
-    current = start
-    for st in steps:
-        current = current.adjoin(st.omega)
-    return current
-
-
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse whose usage errors raise ConfigError instead of exiting 2."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
-
-
-def _env_threads():
-    text = os.environ.get("UNITRING_THREADS", "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"UNITRING_THREADS must be an integer, got {text!r}") from None
 
 
 def build_parser():
@@ -398,8 +376,7 @@ def build_parser():
                        help="rational primes whose ideal factors are excluded, comma separated")
         p.add_argument("--boxes", default="100,1000,10000",
                        help="strictly increasing volumes x, comma separated")
-        p.add_argument("--threads", type=int, default=_env_threads(),
-                       help="worker processes (default: UNITRING_THREADS, else 1)")
+        p.add_argument("--threads", type=int, default=1, help="worker processes")
         p.add_argument("--out", default="", help="output path (default stdout)")
 
     p_density = sub.add_parser("density", help="Euler product density and empirical counts")

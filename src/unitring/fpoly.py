@@ -104,23 +104,38 @@ def _distinct_degree(f, F):
     return out
 
 
-def _equal_degree_split(f, d, F, rng):
-    """Factor a monic squarefree product of degree-d irreducibles."""
+def _equal_degree_split(f, d, K, rng):
+    """Factor a monic squarefree product of degree-d irreducibles over K.
+
+    Each random a has deg f coefficients drawn through the field, K.f LCG
+    draws each.  In characteristic 2 the trace of a at roots r, r' differs
+    by Tr(a(r) - a(r')); with a = X + s alone, roots whose difference has
+    trace 0 would never separate.
+    """
     n = len(f) - 1
     if n == d:
         return [f]
     while True:
-        a = trim([rng.next(F.p) for _ in range(n)], F)
-        if a == (0,):
+        a = trim([K.elem([rng.next(K.p) for _ in range(K.f)]) for _ in range(n)], K)
+        if a == (K.zero,):
             continue
-        split = gcd(a, f, F)
+        split = gcd(a, f, K)
         if not 0 < len(split) - 1 < n:
-            split = _split_attempt(a, F.p**d, f, F)
+            split = _split_attempt(a, K.q**d, f, K)
         if 0 < len(split) - 1 < n:
             return sorted(
-                _equal_degree_split(split, d, F, rng)
-                + _equal_degree_split(divmod(f, split, F)[0], d, F, rng)
+                _equal_degree_split(split, d, K, rng)
+                + _equal_degree_split(divmod(f, split, K)[0], d, K, rng)
             )
+
+
+def _rng_for(f, K):
+    """The LCG seeded by p and the coefficients of f over K."""
+    seed = K.p
+    for c in f:
+        for ci in K.coeffs(c):
+            seed = (seed * 1000003 + ci) % (1 << 62)
+    return _LCG(seed)
 
 
 def factor_mod_p(poly, p):
@@ -133,10 +148,7 @@ def factor_mod_p(poly, p):
     if len(f) <= 1:
         raise ValueError("cannot factor a constant polynomial")
     f = monic(f, F)
-    seed = p
-    for c in f:
-        seed = (seed * 1000003 + c) % (1 << 62)
-    rng = _LCG(seed)
+    rng = _rng_for(f, F)
     out = []
     for sq, mult in _squarefree_decomposition(f, F):
         for prod, d in _distinct_degree(sq, F):
@@ -180,34 +192,11 @@ def count_roots_in_fq(f, fq):
 
 
 def roots_in_fq(f, fq):
-    """All roots in F_q of a nonzero polynomial, deterministically ordered."""
+    """All roots in F_q of a nonzero polynomial, sorted: the constant terms,
+    negated, of the linear factors of gcd(X^q - X, f)."""
     if f == (fq.zero,):
         raise ValueError("zero polynomial")
-    return sorted(_split_linear(_linear_part(f, fq), fq))
-
-
-def _split_linear(g, fq):
-    """Roots of a monic product of distinct linear factors over F_q.
-
-    Splits with a = c X + s for random c != 0 and s.  In characteristic 2
-    the trace of a at roots r, r' differs by Tr(c (r - r')), so c must vary:
-    with c = 1 roots whose difference has trace 0 never separate.
-    """
-    deg = len(g) - 1
-    if deg == 0:
+    g = _linear_part(f, fq)
+    if len(g) == 1:
         return []
-    if deg == 1:
-        return [fq.sub(fq.zero, fq.mul(g[0], fq.inv(g[1])))]
-    seed = fq.p
-    for c in g:
-        for ci in fq.coeffs(c):
-            seed = (seed * 1000003 + ci + 7) % (1 << 62)
-    rng = _LCG(seed)
-    while True:
-        scale = fq.elem([rng.next(fq.p) for _ in range(fq.f)])
-        if scale == fq.zero:
-            continue
-        shift = fq.elem([rng.next(fq.p) for _ in range(fq.f)])
-        h = _split_attempt((shift, scale), fq.q, g, fq)
-        if 0 < len(h) - 1 < deg:
-            return _split_linear(h, fq) + _split_linear(divmod(g, h, fq)[0], fq)
+    return sorted(fq.sub(fq.zero, h[0]) for h in _equal_degree_split(g, 1, fq, _rng_for(g, fq)))

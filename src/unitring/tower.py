@@ -18,6 +18,7 @@ from .density import HypothesisError, check_hypotheses, with_conductor_support
 from .field import is_square_in_field
 from .ideal import IdealLattice, element_is_mfree, split_prime
 from .intfactor import is_squarefree_int
+from .linalg import char_poly
 from .order import SubOrder
 
 
@@ -32,28 +33,69 @@ class SearchExhausted(RuntimeError):
 @dataclass(frozen=True)
 class TowerStep:
     omega: object
-    eta: object
     disc_ideal: IdealLattice
     disc_element_norm: int
-    alpha_minpoly: tuple  # (eta, -omega, 1): X^2 - omega X + eta, constant first
 
-    def disc_value(self):
-        return self.omega * self.omega - 4 * self.eta
+    def disc_value(self, eta):
+        return self.omega * self.omega - 4 * eta
 
 
-@dataclass
 class Tower:
-    field: object
-    start_order: SubOrder
-    eta: object
-    steps: list
-    final_order: SubOrder
-    compositum_sets: list  # subsets of step indices labelling the basis products
-    relative_disc: IdealLattice
+    """A tower is its inputs: the field, the start order, the eta and
+    the steps, which `extend` grows one omega at a time.  What the steps
+    imply is derived there, once per step: the chain of orders from the
+    start order, the steps that enlarge the compositum basis (`kept`) and
+    the relative discriminant of the top field over K."""
+
+    def __init__(self, field, start_order, eta):
+        self.field = field
+        self.start_order = start_order
+        self.eta = eta
+        self.steps = []
+        self.orders = [start_order]
+        self.kept = []
+        self.relative_disc = IdealLattice.unit_ideal(field)
 
     @property
     def final_index(self):
-        return self.final_order.index
+        return self.orders[-1].index
+
+    @property
+    def compositum_sets(self):
+        """Subsets of step indices labelling the basis products of alphas."""
+        sets = [frozenset()]
+        for i in self.kept:
+            sets += [s | {i} for s in sets]
+        return sets
+
+    def extend(self, omega):
+        """Certify the step X^2 - omega X + eta, add it to the compositum
+        basis and adjoin omega to the top order; returns the step.
+
+        A step whose discriminant value differs from a product of kept ones
+        by a square lies in their compositum and is not kept; otherwise its
+        discriminant must be coprime to theirs.  Raises ValueError on a
+        step that does not certify.
+        """
+        step = quadratic_step(omega, self.eta)
+        kept = [self.steps[i] for i in self.kept]
+        products = [step.disc_value(self.eta)]
+        for k in kept:
+            products += [v * k.disc_value(self.eta) for v in products]
+        if not any(is_square_in_field(v) for v in products[1:]):
+            if not all(step.disc_ideal.is_coprime(k.disc_ideal) for k in kept):
+                raise ValueError(
+                    "step discriminants are not pairwise coprime; "
+                    "the compositum basis construction does not apply"
+                )
+            # D_{LL'} = D_L^{[L':K]} * D_{L'}^{[L:K]}, iterated over the steps.
+            self.relative_disc = (self.relative_disc * self.relative_disc) * (
+                step.disc_ideal ** (1 << len(kept))
+            )
+            self.kept.append(len(self.steps))
+        self.orders.append(self.orders[-1].adjoin(omega))
+        self.steps.append(step)
+        return step
 
 
 def unit_order(field, unit_gens):
@@ -138,7 +180,6 @@ def quadratic_step(omega, eta):
     discriminant value defines a quadratic extension whose ring of
     integers is the polynomial ring; discriminant valuations are verified
     prime by prime through the power-valuation formula."""
-    field = omega.field
     value = omega * omega - 4 * eta
     if value.is_zero():
         raise ValueError("discriminant value is zero")
@@ -155,13 +196,7 @@ def quadratic_step(omega, eta):
         v = llorente_nart_valuation(2, 0, e)
         if v != 1 or e != 1:
             raise ArithmeticError("squarefree discriminant should have valuation 1")
-    return TowerStep(
-        omega=omega,
-        eta=eta,
-        disc_ideal=disc_ideal,
-        disc_element_norm=nrm,
-        alpha_minpoly=(eta, -omega, field.one),
-    )
+    return TowerStep(omega=omega, disc_ideal=disc_ideal, disc_element_norm=nrm)
 
 
 def llorente_nart_valuation(r, v_p_of_r, v_p_of_beta):
@@ -174,54 +209,10 @@ def llorente_nart_valuation(r, v_p_of_r, v_p_of_beta):
     return r * v_p_of_r + r - gcd(r, v_p_of_beta)
 
 
-def compositum_basis(steps):
-    """Index sets of the compositum integral basis and the relative
-    discriminant of the full tower over the base field.
-
-    A later step falling inside the compositum of the earlier ones (its
-    discriminant value differing from a product of earlier ones by a
-    square) collapses; otherwise pairwise coprimality of the discriminants
-    is required and the discriminant multiplies as disc(L)^2 * (d_i)^[L:K].
-    """
-    if not steps:
-        raise ValueError("empty step list")
-    field = steps[0].omega.field
-    kept = []
-    sets = [frozenset()]
-    rel_disc = IdealLattice.unit_ideal(field)
-    for idx, step in enumerate(steps):
-        value = step.disc_value()
-        collapsed = False
-        for mask in range(1, 1 << len(kept)):
-            prod = value
-            for i, kstep in enumerate(kept):
-                if mask >> i & 1:
-                    prod = prod * kstep.disc_value()
-            if is_square_in_field(prod):
-                collapsed = True
-                break
-        if collapsed:
-            continue
-        for kstep in kept:
-            if not step.disc_ideal.is_coprime(kstep.disc_ideal):
-                raise ValueError(
-                    "step discriminants are not pairwise coprime; "
-                    "the compositum basis construction does not apply"
-                )
-        # D_{LL'} = D_L^{[L':K]} * D_{L'}^{[L:K]}, iterated over the steps.
-        degree_so_far = 1 << len(kept)
-        rel_disc = (rel_disc * rel_disc) * (step.disc_ideal**degree_so_far)
-        new_sets = list(sets)
-        for s in sets:
-            new_sets.append(s | {idx})
-        sets = new_sets
-        kept.append(step)
-    return sets, rel_disc
-
-
 def build_tower(field, unit_gens=None, start_order=None, eta=None, search_bound=2000):
-    """Run the full construction: check hypotheses, iterate the element
-    search, enlarge the order until it is maximal, and verify."""
+    """Run the full construction: check hypotheses, then extend the tower
+    by the first admissible omega until its top order is maximal, each step
+    at least halving the index."""
     if not check_hypotheses(field):
         raise HypothesisError(
             "a prime above 2 or 3 has residue degree 1; the construction "
@@ -240,33 +231,17 @@ def build_tower(field, unit_gens=None, start_order=None, eta=None, search_bound=
     if is_square_in_field(eta):
         raise HypothesisError("eta must not be a square in the field")
 
-    current = start_order
+    tower = Tower(field, start_order, eta)
     excluded = set(split_prime(field, 2))
-    steps = []
-    while not current.is_maximal():
-        if len(steps) >= MAX_STEPS:
+    while not tower.orders[-1].is_maximal():
+        if len(tower.steps) >= MAX_STEPS:
             raise SearchExhausted("maximum number of tower steps exceeded")
-        omega = find_omega(current, tuple(excluded), eta, search_bound)
-        step = quadratic_step(omega, eta)
-        enlarged = current.adjoin(omega)
-        if enlarged.index * 2 > current.index:
+        omega = find_omega(tower.orders[-1], tuple(excluded), eta, search_bound)
+        step = tower.extend(omega)
+        if tower.orders[-1].index * 2 > tower.orders[-2].index:
             raise ArithmeticError("index did not halve after adjoining the witness")
-        steps.append(step)
         excluded |= {pid for pid, _ in step.disc_ideal.factor()}
-        current = enlarged
-    if steps:
-        sets, rel_disc = compositum_basis(steps)
-    else:
-        sets, rel_disc = [frozenset()], IdealLattice.unit_ideal(field)
-    return Tower(
-        field=field,
-        start_order=start_order,
-        eta=eta,
-        steps=steps,
-        final_order=current,
-        compositum_sets=sets,
-        relative_disc=rel_disc,
-    )
+    return tower
 
 
 @dataclass
@@ -298,25 +273,34 @@ class VerificationReport:
         }
 
 
-def verify_unit_generation(tower):
-    """Re-verify the five structural claims of a built tower.
+def alpha_char_poly(omega, eta):
+    """Characteristic polynomial over Q, constant first, of a root alpha of
+    X^2 - omega X + eta: that of the 2n x 2n integer matrix of
+    multiplication by alpha on O_K + O_K alpha, where alpha w_i = w_i alpha
+    and alpha w_i alpha = -eta w_i + omega w_i alpha."""
+    n = omega.field.degree
+    minus_eta = omega.field.mult_matrix(-eta)
+    times_omega = omega.field.mult_matrix(omega)
+    rows = [(0,) * n + tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rows += [minus_eta[i] + times_omega[i] for i in range(n)]
+    return char_poly(rows)
 
-    (a) every step's constant term is a unit (so each alpha is a unit);
-    (b) each step's alpha_minpoly is X^2 - omega X + eta, so that
-        alpha (omega - alpha) = eta, i.e. omega = alpha + eta/alpha, holds
-        in O_K[X]/(alpha_minpoly); (c) adjoining all omegas to the start order reaches
-        the maximal order; (d) the step discriminants are odd and pairwise
-        coprime; (e) the number of steps is at most log2 of the start index.
+
+def verify_unit_generation(tower):
+    """Re-verify the five claims of a tower.
+
+    (a) eta is a unit; (b) each alpha is a unit: its characteristic
+        polynomial over Q is monic with constant term +-1, so alpha^-1 is
+        integral and omega = alpha + eta alpha^-1; (c) the tower's chain of
+        orders ends at the maximal order; (d) the step discriminants are odd
+        and pairwise coprime; (e) the number of steps is at most log2 of the
+        start index.
     """
     field = tower.field
-    eta_ok = all(abs(st.eta.norm()) == 1 for st in tower.steps)
-
-    symbolic_ok = all(st.alpha_minpoly == (st.eta, -st.omega, field.one) for st in tower.steps)
-
-    rebuilt = tower.start_order
-    for st in tower.steps:
-        rebuilt = rebuilt.adjoin(st.omega)
-    reaches = rebuilt.is_maximal() and tower.final_order.is_maximal()
+    eta_ok = abs(tower.eta.norm()) == 1
+    char_polys = [alpha_char_poly(st.omega, tower.eta) for st in tower.steps]
+    symbolic_ok = all(cp[-1] == 1 and cp[0] in (1, -1) for cp in char_polys)
+    reaches = tower.orders[-1].is_maximal()
 
     discs_ok = True
     two = IdealLattice.from_integer(field, 2)
@@ -327,11 +311,7 @@ def verify_unit_generation(tower):
             if not st.disc_ideal.is_coprime(st2.disc_ideal):
                 discs_ok = False
 
-    start_index = tower.start_order.index
-    bound = 0
-    while 1 << (bound + 1) <= start_index:
-        bound += 1
-    count_ok = len(tower.steps) <= bound or (start_index == 1 and not tower.steps)
+    count_ok = len(tower.steps) <= tower.start_order.index.bit_length() - 1
 
     return VerificationReport(
         eta_is_unit=eta_ok,

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -8,6 +7,7 @@ import pytest
 from unitring import cli, intfactor
 from unitring.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_INTERNAL, main
 from unitring.intfactor import PSI_13, FactorizationTimeout
+from unitring.order import SubOrder
 
 RUN = [sys.executable, "-m", "unitring.cli"]
 
@@ -157,6 +157,46 @@ def test_verify_rejects_tamper(tmp_path):
     assert proc.returncode != 0
 
 
+TOWER_ARGS = ["tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta", "1,2"]
+
+
+@pytest.mark.parametrize("key, stated", [
+    ("final_index", 7),
+    ("compositum_sets", [[0], [0, 5]]),
+    ("disc_norm", 12345),
+], ids=["final_index", "compositum_sets", "disc_norm"])
+def test_verify_rejects_false_stated_result(key, stated, tmp_path, capsys):
+    # The replay recomputes every result the file states; one false value
+    # fails the check with a "verify" diagnostic and prints no report.
+    tower_path = tmp_path / "tower.json"
+    assert main(TOWER_ARGS + ["--out", str(tower_path)]) == 0
+    doc = json.loads(tower_path.read_text())
+    (doc["steps"][0] if key == "disc_norm" else doc)[key] = stated
+    tower_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--tower", str(tower_path)]) == 1
+    out, err = capsys.readouterr()
+    diag = last_diag(err)
+    assert out == "" and diag["error"] == "verify" and key in diag["message"]
+
+
+def test_each_omega_adjoined_once(tmp_path, monkeypatch):
+    # tower and verify each adjoin the one omega of the Z[sqrt5] tower once.
+    calls = []
+    adjoin = SubOrder.adjoin
+
+    def counted(order, alpha):
+        calls.append(alpha.coords)
+        return adjoin(order, alpha)
+
+    monkeypatch.setattr(SubOrder, "adjoin", counted)
+    tower_path = tmp_path / "tower.json"
+    assert main(TOWER_ARGS + ["--out", str(tower_path)]) == 0
+    assert calls == [(0, 1)]
+    assert main(["verify", "--tower", str(tower_path), "--out", str(tmp_path / "v.tsv")]) == 0
+    assert calls == [(0, 1), (0, 1)]
+
+
 def last_diag(stderr):
     lines = stderr.splitlines()
     assert "Traceback" not in stderr
@@ -206,15 +246,6 @@ def test_exit_code_primality_unproven():
     assert proc.returncode == EXIT_EXHAUSTED
     assert proc.stdout == ""
     assert last_diag(proc.stderr)["error"] == "exhausted"
-
-
-def test_bad_threads_environment_variable():
-    env = dict(os.environ, UNITRING_THREADS="abc")
-    proc = run_cli(["belcher", "-d", "5"], env=env)
-    assert proc.returncode == EXIT_CONFIG
-    assert proc.stdout == ""
-    diag = last_diag(proc.stderr)
-    assert diag["error"] == "config" and "UNITRING_THREADS" in diag["message"]
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -1,6 +1,8 @@
 """Source hygiene, by an AST scan: no module imports a name it never uses,
 and every top-level definition in src/ is referenced from src/, tests/ or
-perfbench/."""
+perfbench/: imported from its module, read as an attribute of that module,
+loaded in its own module where no local name shadows it, or named by a
+string constant."""
 
 import ast
 from pathlib import Path
@@ -52,17 +54,139 @@ def test_no_unused_imports():
     assert not unused, "imported but never used:\n" + "\n".join(unused)
 
 
-def test_every_src_definition_is_referenced():
-    # References of each top-level statement, so that a definition's use
-    # of its own name (recursion) does not count.
+# Scopes whose parameters and assignments shadow a module's globals.
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+MODULES = {path.stem for path in SRC}
+
+
+def _source_module(node):
+    """The unitring module an ImportFrom reads: its name, "" for the
+    package itself, None outside unitring."""
+    if node.level:
+        return node.module or ""
+    if node.module == "unitring":
+        return ""
+    if node.module and node.module.startswith("unitring."):
+        return node.module[len("unitring."):]
+    return None
+
+
+def _module_aliases(tree):
+    """Local names bound to unitring modules (`from . import fpoly`)."""
+    return {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and _source_module(node) == ""
+        for alias in node.names
+        if alias.name in MODULES
+    }
+
+
+def _local_names(scope):
+    """Names a function, lambda or comprehension binds in its own scope."""
+    names = set()
+    if hasattr(scope, "args"):
+        a = scope.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+        names |= {x.arg for x in params if x}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, _SCOPES + (ast.ClassDef,)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _names(nodes):
+    return [node.id for node in nodes if isinstance(node, ast.Name)]
+
+
+def _strings(nodes):
+    return [e.value for e in nodes if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+
+def _hook_target(node):
+    """The function or class a tracer hook ("unitring.module", "name", ...)
+    names, else None."""
+    head = _strings(node.elts[:2])
+    if len(head) == 2 and head[0].startswith("unitring."):
+        return head[1].split(".")[0]
+    return None
+
+
+def _definition_references(stmt, module, aliases):
+    """(module, name) pairs a top-level statement references: names it
+    imports from a unitring module, attributes it reads off a module alias,
+    and globals of its own module (None outside src/) that it loads where no
+    enclosing scope shadows them; plus (None, name) for the names that an
+    __all__ list or a tracer hook ("unitring.module", "name", ...) spells
+    out as strings."""
+    out = set()
+
+    def visit(node, shadowed):
+        if isinstance(node, ast.ImportFrom) and _source_module(node):
+            out.update((_source_module(node), alias.name) for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            out.add((aliases[node.value.id], node.attr))
+        elif (module and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+              and node.id not in shadowed):
+            out.add((module, node.id))
+        elif isinstance(node, ast.Assign) and "__all__" in _names(node.targets):
+            out.update((None, name) for name in _strings(getattr(node.value, "elts", ())))
+        elif isinstance(node, ast.Tuple) and _hook_target(node):
+            out.add((None, _hook_target(node)))
+        if isinstance(node, _SCOPES):
+            shadowed = shadowed | _local_names(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, shadowed)
+
+    visit(stmt, frozenset())
+    return out
+
+
+def _unreferenced(sources):
+    """Top-level functions and classes of the src/ modules among `sources`
+    ({path: text}) that no other top-level statement references."""
     statements = []
-    for path in SRC + TESTS + PERFBENCH:
-        for stmt in _tree(path).body:
-            statements.append((path, stmt, _references(stmt)))
-    unreferenced = []
+    for path, text in sources.items():
+        tree = ast.parse(text, filename=str(path))
+        module = path.stem if path in SRC else None
+        aliases = _module_aliases(tree)
+        for stmt in tree.body:
+            statements.append((path, stmt, _definition_references(stmt, module, aliases)))
+    out = []
     for path, stmt, _ in statements:
         if path not in SRC or not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
             continue
-        if not any(stmt.name in refs for _, other, refs in statements if other is not stmt):
-            unreferenced.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {stmt.name}")
+        keys = {(path.stem, stmt.name), (None, stmt.name)}
+        if not any(keys & refs for _, other, refs in statements if other is not stmt):
+            out.append(f"{path.relative_to(ROOT)}:{stmt.lineno}: {stmt.name}")
+    return out
+
+
+def _sources():
+    return {path: path.read_text(encoding="utf-8") for path in SRC + TESTS + PERFBENCH}
+
+
+def test_every_src_definition_is_referenced():
+    unreferenced = _unreferenced(_sources())
     assert not unreferenced, "defined but never referenced:\n" + "\n".join(unreferenced)
+
+
+def test_shadowed_name_is_not_a_reference():
+    # `excluded` is a local variable or parameter in cli, density and tower;
+    # none of those uses refers to a module function of that name.
+    sources = _sources()
+    tower = ROOT / "src" / "unitring" / "tower.py"
+    sources[tower] += "\n\ndef excluded(order):\n    return ()\n"
+    assert [line.rsplit(": ", 1)[1] for line in _unreferenced(sources)] == ["excluded"]

@@ -9,10 +9,10 @@ from unitring.order import SubOrder
 from unitring.tower import (
     SearchExhausted,
     Tower,
+    alpha_char_poly,
     belcher_criterion,
     build_tower,
     candidate_elements,
-    compositum_basis,
     find_omega,
     llorente_nart_valuation,
     quadratic_step,
@@ -99,7 +99,15 @@ def test_quadratic_step_example(q5, eta):
     st = quadratic_step(q5.theta, eta)
     assert st.disc_ideal.norm == 19
     assert st.disc_element_norm == -19
-    assert st.alpha_minpoly == (eta, -q5.theta, q5.one)
+
+
+def test_alpha_char_poly(q5, eta):
+    # alpha^2 - theta alpha + (2 + sqrt5): a root of X^4 - X^3 + 3X^2 + 3X - 1,
+    # constant term N(eta) = -1, so alpha is a unit.
+    assert alpha_char_poly(q5.theta, eta) == (-1, 3, 3, -1, 1)
+    # eta = 3: constant term N(3) = 9, so alpha is not a unit.
+    cp = alpha_char_poly(q5.theta, q5.rational(3))
+    assert cp[0] == 9 and cp[-1] == 1
 
 
 def test_quadratic_step_rejections(q5, eta):
@@ -124,7 +132,7 @@ def test_quadratic_step_valuations_prime_by_prime(q5, eta):
             st = quadratic_step(omega, eta)
         except ValueError:
             continue
-        value = st.disc_value()
+        value = st.disc_value(eta)
         for pid, e in st.disc_ideal.factor():
             assert e == 1
             assert element_valuation(value, pid) == 1
@@ -140,28 +148,29 @@ def test_llorente_nart_values():
         llorente_nart_valuation(1, 0, 0)
 
 
-def test_compositum_single_and_pair(q5, eta):
-    st1 = quadratic_step(q5.theta, eta)
-    sets, disc = compositum_basis([st1])
-    assert sets == [frozenset(), frozenset({0})]
-    assert disc == st1.disc_ideal
+def test_compositum_single_and_pair(q5, eta, z_sqrt5):
+    tower = Tower(q5, z_sqrt5, eta)
+    st1 = tower.extend(q5.theta)
+    assert tower.compositum_sets == [frozenset(), frozenset({0})]
+    assert tower.relative_disc == st1.disc_ideal
     # A second step with coprime discriminant: omega = 1 + theta, norm -11.
-    st2 = quadratic_step(q5.one + q5.theta, eta)
+    st2 = tower.extend(q5.one + q5.theta)
     assert st2.disc_ideal.is_coprime(st1.disc_ideal)
-    sets2, disc2 = compositum_basis([st1, st2])
-    assert sets2 == [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    assert disc2 == (st1.disc_ideal ** 2) * (st2.disc_ideal ** 2)
+    assert tower.compositum_sets == [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+    assert tower.relative_disc == (st1.disc_ideal ** 2) * (st2.disc_ideal ** 2)
+    assert [o.index for o in tower.orders] == [2, 1, 1]
 
 
-def test_compositum_collapse(q5, eta):
-    st1 = quadratic_step(q5.theta, eta)
-    st2 = quadratic_step(-q5.theta, eta)  # same discriminant value
-    sets, disc = compositum_basis([st1, st2])
-    assert sets == [frozenset(), frozenset({0})]
-    assert disc == st1.disc_ideal
+def test_compositum_collapse(q5, eta, z_sqrt5):
+    tower = Tower(q5, z_sqrt5, eta)
+    st1 = tower.extend(q5.theta)
+    tower.extend(-q5.theta)  # same discriminant value
+    assert tower.compositum_sets == [frozenset(), frozenset({0})]
+    assert tower.relative_disc == st1.disc_ideal
+    assert len(tower.steps) == 2
 
 
-def test_compositum_coprimality_error(q5, eta):
+def test_compositum_coprimality_error(q5, eta, z_sqrt5):
     st1 = quadratic_step(q5.theta, eta)
     # Another step whose disc shares the prime above 19 but is a different
     # field: value = disc1 * unit^2 would collapse; we need a true overlap.
@@ -190,11 +199,14 @@ def test_compositum_coprimality_error(q5, eta):
     collapse_free = True
     from unitring.field import is_square_in_field
 
-    if is_square_in_field(found.disc_value() * st1.disc_value()):
+    if is_square_in_field(found.disc_value(eta) * st1.disc_value(eta)):
         collapse_free = False
     if collapse_free:
+        tower = Tower(q5, z_sqrt5, eta)
+        tower.extend(st1.omega)
         with pytest.raises(ValueError):
-            compositum_basis([st1, found])
+            tower.extend(found.omega)
+        assert len(tower.steps) == len(tower.orders) - 1 == 1
 
 
 def test_build_tower_one_step(q5, eta, z_sqrt5):
@@ -261,41 +273,29 @@ def test_build_tower_hypothesis_failure(eta):
 
 
 def test_verify_detects_tampering(q5, eta, z_sqrt5):
+    # A stored discriminant ideal doubled to an even one: only check (d) fails.
     t = build_tower(q5, start_order=z_sqrt5, eta=eta)
     st = t.steps[0]
-    doubled = 2 * st.omega
-    from unitring.tower import TowerStep
-
-    tampered_step = TowerStep(
-        omega=doubled,
-        eta=st.eta,
-        disc_ideal=IdealLattice.principal(doubled * doubled - 4 * st.eta),
-        disc_element_norm=(doubled * doubled - 4 * st.eta).norm(),
-        alpha_minpoly=(st.eta, -doubled, q5.one),
-    )
-    tampered = Tower(
-        field=t.field,
-        start_order=t.start_order,
-        eta=t.eta,
-        steps=[tampered_step],
-        final_order=t.final_order,
-        compositum_sets=t.compositum_sets,
-        relative_disc=t.relative_disc,
-    )
-    rep = verify_unit_generation(tampered)
-    # 2 omega has even discriminant value: check (d) must fail.
-    assert not rep.discs_coprime_and_odd
-    assert not rep.all_passed()
-
-
-def test_verify_detects_wrong_minpoly(q5, eta, z_sqrt5):
-    # X^2 + omega X + eta in place of X^2 - omega X + eta: only check (b) fails.
-    t = build_tower(q5, start_order=z_sqrt5, eta=eta)
-    st = t.steps[0]
-    wrong = dataclasses.replace(st, alpha_minpoly=(st.eta, st.omega, q5.one))
-    rep = verify_unit_generation(dataclasses.replace(t, steps=[wrong]))
-    assert rep.as_dict() == {
+    two = IdealLattice.from_integer(q5, 2)
+    t.steps[0] = dataclasses.replace(st, disc_ideal=st.disc_ideal * two)
+    assert verify_unit_generation(t).as_dict() == {
         "eta_is_unit": True,
+        "symbolic_identity": True,
+        "reaches_maximal": True,
+        "discs_coprime_and_odd": False,
+        "step_count_bounded": True,
+    }
+
+
+def test_verify_detects_wrong_minpoly(q5, z_sqrt5):
+    # omega = theta replayed with eta = 3 in place of a unit: X^2 - theta X + 3
+    # certifies (value theta - 11, norm 109) and reaches O_K, but alpha's
+    # characteristic polynomial has constant term 9, so (a) and (b) fail.
+    t = Tower(q5, z_sqrt5, q5.rational(3))
+    st = t.extend(q5.theta)
+    assert st.disc_value(t.eta) == q5.theta - q5.rational(11) and st.disc_element_norm == 109
+    assert verify_unit_generation(t).as_dict() == {
+        "eta_is_unit": False,
         "symbolic_identity": False,
         "reaches_maximal": True,
         "discs_coprime_and_odd": True,

@@ -38,6 +38,7 @@ from .density import (
     tail_lower,
     with_conductor_support,
 )
+from .field import is_square_in_field
 from .fieldspec import FieldSpecError, load_field_spec
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
@@ -257,8 +258,6 @@ def cmd_tower(args):
 
 def _default_eta(field, units):
     """First declared unit that is not a square, else its cube."""
-    from .field import is_square_in_field
-
     for u in units:
         if not is_square_in_field(u):
             return u
@@ -312,7 +311,8 @@ def _read_tower(path):
 
 
 def cmd_verify(args):
-    """Replay the file's omegas on its start order and eta, compare every
+    """Check that eta is a non-square in the start order, as build_tower
+    requires; replay the file's omegas on that order and eta, compare every
     result the file states with the replay, then run the five checks."""
     doc = _read_tower(args.tower)
     from .field import NumberField
@@ -328,6 +328,12 @@ def cmd_verify(args):
         omegas = [field.element(st["omega"]) for st in doc["steps"]]
     except (TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"tower file: {e}") from None
+    if not tower.start_order.contains(tower.eta):
+        _diag("verify", "eta does not lie in the start order")
+        return EXIT_CHECK_FAILED
+    if is_square_in_field(tower.eta):
+        _diag("verify", "eta is a square in the field")
+        return EXIT_CHECK_FAILED
     for omega in omegas:
         try:
             tower.extend(omega)

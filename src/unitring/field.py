@@ -12,11 +12,14 @@ any requested precision.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import ceil, isqrt
 
 from .intervals import RatInterval
+from .intfactor import factor as factor_int, is_prime
 from .linalg import char_poly, det, mat_inv_frac
-from .poly import QQ, add, evaluate, mul, trim
-from .rootiso import RootIsolation, sturm_count_real_roots
+from .poly import QQ, add, deriv, evaluate, gcd, mul, trim
+from .rootiso import MAX_BITS, PrecisionError, RootIsolation, _ceval, sturm_count_real_roots
 
 
 class IrreducibilityError(ValueError):
@@ -36,19 +39,19 @@ def _certify_irreducible(poly):
         raise IrreducibilityError("constant polynomial")
     if n == 1:
         return
-    # Rational roots: candidates divide the constant term (monic).
+    if len(gcd(poly, deriv(poly, QQ), QQ)) > 1:
+        raise IrreducibilityError("reducible: repeated factor")
+    # Rational roots of a monic integer polynomial are divisors of c0.
     c0 = poly[0]
     if c0 == 0:
         raise IrreducibilityError("reducible: zero constant term")
-    divisors = set()
-    d = 1
-    while d * d <= abs(c0):
-        if c0 % d == 0:
-            divisors.update({d, -d, abs(c0) // d, -(abs(c0) // d)})
-        d += 1
-    for r in divisors:
-        if evaluate(poly, r, QQ) == 0:
-            raise IrreducibilityError(f"reducible: rational root {r}")
+    divisors = [1]
+    for q, e in factor_int(c0):
+        divisors = [d * q**k for d in divisors for k in range(e + 1)]
+    for d in divisors:
+        for r in (d, -d):
+            if evaluate(poly, r, QQ) == 0:
+                raise IrreducibilityError(f"reducible: rational root {r}")
     if n <= 3:
         return
     if _eisenstein_with_shift(poly):
@@ -62,6 +65,7 @@ def _certify_irreducible(poly):
             fac = factor_mod_p(tuple(c % p for c in poly), p)
             if sum(e * (len(g) - 1) for g, e in fac) == n:
                 if any(e > 1 for _, e in fac):
+                    # p divides the discriminant; a squarefree f has few such.
                     p = _next_prime(p)
                     continue
                 degs = [len(g) - 1 for g, _ in fac]
@@ -77,8 +81,6 @@ def _certify_irreducible(poly):
 
 
 def _next_prime(p):
-    from .intfactor import is_prime
-
     p += 1
     while not is_prime(p):
         p += 1
@@ -87,8 +89,6 @@ def _next_prime(p):
 
 def _eisenstein_with_shift(poly):
     """Eisenstein criterion on p(X + t) for small shifts t."""
-    from .intfactor import factor as factor_int
-
     n = len(poly) - 1
     for t in range(-4, 5):
         shifted = (poly[-1],)
@@ -144,6 +144,7 @@ class NumberField:
         self.disc = self._discriminant()
         self._roots = None
         self._emb_cache = {}
+        self._inv_emb_cache = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -195,13 +196,16 @@ class NumberField:
         self.theta_coords = tuple(int(c) for c in theta)
 
     def _discriminant(self):
-        """Trace form determinant on the integral basis."""
+        """Trace form determinant on the integral basis; keeps the inverse
+        of the form, whose rows are the dual basis w_j* with Tr(w_i w_j*)
+        = [i == j]."""
         n = self.degree
         tr = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 prod = self.element_from_coords_unchecked(self.mult_table[i][j])
                 tr[i][j] = prod.trace()
+        self.trace_form_inv = mat_inv_frac(tr)
         return det(tr)
 
     # -- element constructors ------------------------------------------------
@@ -312,29 +316,41 @@ class NumberField:
             return self._emb_cache[bits]
         iso = self.root_isolation(bits)
         r, s = self.signature
-        n = self.degree
-        cols = []
-        for idx in range(r + s):
-            enc = iso.enclosures[idx]
-            re = RatInterval(enc.center[0] - enc.radius, enc.center[0] + enc.radius)
-            if enc.is_real:
-                im = RatInterval(0)
-            else:
-                im = RatInterval(enc.center[1] - enc.radius, enc.center[1] + enc.radius)
-            cols.append((re, im))
+        roots = []
+        for enc in iso.enclosures[:r + s]:
+            (x, y), rad = enc.center, enc.radius
+            im = RatInterval(0) if enc.is_real else RatInterval(y - rad, y + rad)
+            roots.append((RatInterval(x - rad, x + rad), im))
         rows = []
-        for j in range(n):
-            row = []
-            for idx in range(r):
-                val = _interval_poly_eval_real(self.basis[j], cols[idx][0], cols[idx][1])
-                row.append(val[0])
-            for idx in range(r, r + s):
-                val = _interval_poly_eval_real(self.basis[j], cols[idx][0], cols[idx][1])
-                row.append(val[0])
-                row.append(val[1])
-            rows.append(tuple(row))
+        for w in self.basis:
+            vals = [_ceval(w, z) for z in roots]
+            rows.append(tuple(v[0] for v in vals[:r]) + tuple(x for v in vals[r:] for x in v))
         out = tuple(rows)
         self._emb_cache[bits] = out
+        return out
+
+    def inverse_embedding(self, bits=64):
+        """M[k][j] with coords_j(alpha) = sum_k std_k(alpha) M[k][j], as
+        RatIntervals: S M encloses the identity for S = embedding_matrix.
+
+        Coordinate j of alpha is Tr(alpha w_j*), the sum over the real
+        places of sigma(alpha) sigma(w_j*) plus, at each complex place,
+        2 Re(sigma(alpha) sigma(w_j*)).  So M[k][j] is sigma_k(w_j*) at a
+        real place and 2 Re, -2 Im of it at a complex one: no elimination.
+        """
+        if bits in self._inv_emb_cache:
+            return self._inv_emb_cache[bits]
+        emb = self.embedding_matrix(bits)
+        r = self.signature[0]
+        scale = [1] * r + [2, -2] * self.signature[1]
+        out = tuple(
+            tuple(
+                sum((emb[i][k] * c for i, c in enumerate(dual) if c), RatInterval(0)) * scale[k]
+                for dual in self.trace_form_inv
+            )
+            for k in range(self.degree)
+        )
+        self._inv_emb_cache[bits] = out
         return out
 
     def sigma_std(self, alpha, bits=64):
@@ -408,17 +424,6 @@ def _norm_form(mult_table):
         for mono, c in sorted(form.items(), reverse=True)
         if c
     )
-
-
-def _interval_poly_eval_real(coeffs, re, im):
-    """Evaluate a rational polynomial at the complex rectangle (re, im)."""
-    acc_re, acc_im = RatInterval(0), RatInterval(0)
-    for c in reversed(coeffs):
-        acc_re, acc_im = (
-            acc_re * re - acc_im * im + Fraction(c),
-            acc_re * im + acc_im * re,
-        )
-    return acc_re, acc_im
 
 
 class AlgebraicInt:
@@ -525,81 +530,54 @@ def is_square_in_field(eta):
     """Exact test: eta == beta^2 for some algebraic integer beta.
 
     Equivalent to being a square in the field, since the ring of integers
-    is integrally closed.  Floats only narrow the search box; every
-    candidate is verified by exact squaring.
+    is integrally closed.  After the norm and real-sign checks, each choice
+    of square roots of the embeddings (one sign fixed, as -beta is a root
+    too) is taken through the inverse embedding until every coordinate
+    interval is narrower than 1; a choice counts only when its integer
+    coordinates square to eta exactly.
     """
     field = eta.field
     if eta.is_zero():
         return True
     nrm = eta.norm()
-    if nrm < 0:
-        return False
-    from math import isqrt
-
-    rt = isqrt(abs(nrm))
-    if rt * rt != abs(nrm):
+    if nrm < 0 or isqrt(nrm) ** 2 != nrm:
         return False
     bits = 64
-    r, s = field.signature
-    while True:
+    while bits <= MAX_BITS:
         reals, pairs = field.sigma_pairs(eta, bits)
         if any(iv.hi < 0 for iv in reals):
             return False
-        if all(iv.lo > 0 or iv.hi < 0 for iv in reals):
-            break
+        if all(iv.lo > 0 for iv in reals):
+            # The square roots at each place: +-sqrt at a real one, +-x +- iy
+            # with x, y >= 0 at a complex one.
+            places = [[(v,), (-v,)] for v in (iv.sqrt(bits) for iv in reals)]
+            for re, im in pairs:
+                mod = _sqrt_nonneg(re * re + im * im, bits)
+                x = _sqrt_nonneg((mod + re) / 2, bits)
+                y = _sqrt_nonneg((mod - re) / 2, bits)
+                places.append([(x, y), (x, -y), (-x, y), (-x, -y)])
+            places[0] = places[0][:len(places[0]) // 2]
+            inv = field.inverse_embedding(bits)
+            undecided = False
+            for choice in product(*places):
+                std = [v for place in choice for v in place]
+                coords = [sum((x * m for x, m in zip(std, col)), RatInterval(0))
+                          for col in zip(*inv)]
+                ints = [ceil(iv.lo) for iv in coords]
+                if any(c > iv.hi for c, iv in zip(ints, coords)):
+                    continue
+                if any(iv.width >= 1 for iv in coords):
+                    undecided = True
+                    continue
+                beta = field.element(ints)
+                if beta * beta == eta:
+                    return True
+            if not undecided:
+                return False
         bits *= 2
-        if bits > 4096:
-            raise ArithmeticError("cannot separate embedding signs")
-    # |sigma_i(beta)| <= sqrt(|sigma_i(eta)|), expanded to coordinate bounds.
-    from .intervals import sqrt_upper
-
-    std_bounds = []
-    for iv in reals:
-        std_bounds.append(sqrt_upper(max(iv.hi, Fraction(0))))
-    for re, im in pairs:
-        mod2 = re * re + im * im
-        b = sqrt_upper(sqrt_upper(max(mod2.hi, Fraction(0))))
-        std_bounds.append(b)
-        std_bounds.append(b)
-    coord_bounds = _coordinate_bounds(field, std_bounds, bits)
-    ranges = [range(-b, b + 1) for b in coord_bounds]
-    candidate = [0] * field.degree
-    return _square_search(field, eta, ranges, candidate, 0)
+    raise PrecisionError("squareness undecided at maximum precision")
 
 
-def _square_search(field, eta, ranges, candidate, idx):
-    if idx == len(ranges):
-        beta = field.element(candidate)
-        return (beta * beta) == eta
-    for v in ranges[idx]:
-        candidate[idx] = v
-        if _square_search(field, eta, ranges, candidate, idx + 1):
-            return True
-    candidate[idx] = 0
-    return False
-
-
-def _coordinate_bounds(field, std_bounds, bits=64):
-    """Integer bounds b_j with |coords_j| <= b_j for any element whose
-    standard embedding is bounded coordinatewise by std_bounds.
-
-    Uses a rigorous interval inverse of the embedding matrix: coords =
-    sigma_vector * S^{-1}, so |coords_j| <= sum_k bound_k * |inv[k][j]|.
-    """
-    from .intervals import AmbiguousPivotError, interval_abs_upper, interval_mat_inv
-
-    n = field.degree
-    while True:
-        s = field.embedding_matrix(bits)
-        try:
-            inv = interval_mat_inv(s)
-            break
-        except AmbiguousPivotError:
-            bits *= 2
-            if bits > 1 << 14:
-                raise
-    out = []
-    for j in range(n):
-        est = sum(Fraction(std_bounds[k]) * interval_abs_upper(inv[k][j]) for k in range(n))
-        out.append(int(est) + 1)
-    return out
+def _sqrt_nonneg(iv, bits):
+    """Enclosure of sqrt(t) for the t >= 0 inside iv."""
+    return RatInterval(max(iv.lo, 0), max(iv.hi, 0)).sqrt(bits)

@@ -12,14 +12,14 @@ roots are the pairwise products of the element's conjugates.
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, inf, nextafter, sqrt
+from math import ceil, floor, isqrt
 
-from .intervals import PI, AmbiguousPivotError, RatInterval, sqrt_upper
+from .intervals import PI, RatInterval, sqrt_upper
 from .intfactor import iroot
 from .linalg import char_poly, det, hnf, mat_inv_frac
 from .poly import QQ, divmod, evaluate
+from .rootiso import MAX_BITS, PrecisionError
 
-MAX_BITS = 1 << 14
 # Dyadic precision of the square roots in the density main terms.
 SQRT_BITS = 96
 
@@ -117,80 +117,73 @@ def successive_minima(lattice, bits=64):
 
 
 # ---------------------------------------------------------------------------
-# Float prefilter: directed-rounding interval screen before exact work.
+# Fixed-point prefilter: an integer interval screen before exact work.
 # Decisions it returns are certain; every tight case falls through to the
 # exact path, so the filter only narrows the search.
 
-
-def _dn(x):
-    return nextafter(x, -inf)
-
-
-def _up(x):
-    return nextafter(x, inf)
+# Embedding entries are held as integers scaled by 2^FIXED_BITS and rounded
+# outward.  A squared bound b is held as floor(b 2^(2 FIXED_BITS)): an
+# integer exceeds b exactly when it exceeds that floor.
+FIXED_BITS = 64
 
 
-# Float intervals (lo, hi) with outward rounding; a divisor excludes 0.
+def _sq(a):
+    """The squares of the integer interval a = (lo, hi)."""
+    lo, hi = sorted((a[0] * a[0], a[1] * a[1]))
+    return (0 if a[0] <= 0 <= a[1] else lo), hi
 
 
-def _iadd(a, b):
-    return _dn(a[0] + b[0]), _up(a[1] + b[1])
+def _norm_sq(re, im):
+    """re^2 + im^2 over integer intervals."""
+    x, y = _sq(re), _sq(im)
+    return x[0] + y[0], x[1] + y[1]
 
 
-def _isub(a, b):
-    return _dn(a[0] - b[1]), _up(a[1] - b[0])
-
-
-def _imul(a, b):
+def _dot(a, b, c, d):
+    """a b + c d over integer intervals."""
     p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _dn(min(p)), _up(max(p))
+    q = (c[0] * d[0], c[0] * d[1], c[1] * d[0], c[1] * d[1])
+    return min(p) + min(q), max(p) + max(q)
 
 
-def _idiv(a, b):
-    q = (a[0] / b[0], a[0] / b[1], a[1] / b[0], a[1] / b[1])
-    return _dn(min(q)), _up(max(q))
-
-
-def _isq(a):
-    hi = _up(max(a[0] * a[0], a[1] * a[1]))
-    if a[0] <= 0.0 <= a[1]:
-        return 0.0, hi
-    return _dn(min(a[0] * a[0], a[1] * a[1])), hi
+def _quotient_range(num, den):
+    """The ceiling of the least and the floor of the greatest a / b over a
+    in the integer interval num and b in den, which excludes 0."""
+    return (min(-(-a // b) for a in num for b in den),
+            max(a // b for a in num for b in den))
 
 
 class FloatRegionFilter:
     """Conservative membership screen for one (field, box) pair, and the
-    exact ends of the run in which a line meets the region."""
+    exact ends of the run in which a line meets the region.  It computes on
+    integers: the embedding matrix in fixed point, rounded outward."""
 
-    __slots__ = ("field", "box", "r", "s", "n", "col_lo", "col_hi", "bound_lo", "bound_hi",
-                 "side_hi")
+    __slots__ = ("field", "box", "r", "s", "n", "col_lo", "col_hi", "bound", "side_hi")
 
     def __init__(self, field, box):
         self.field = field
         self.box = box
-        emb = field.embedding_matrix(64)
+        emb = field.embedding_matrix(FIXED_BITS)
         self.r, self.s = field.signature
         self.n = field.degree
-        # Column-major float enclosures of the embedding matrix.
-        self.col_lo = []
-        self.col_hi = []
-        for k in range(self.n):
-            self.col_lo.append([_dn(float(emb[j][k].lo)) for j in range(self.n)])
-            self.col_hi.append([_up(float(emb[j][k].hi)) for j in range(self.n)])
-        self.bound_lo = [_dn(float(b)) for b in box.bounds_sq]
-        self.bound_hi = [_up(float(b)) for b in box.bounds_sq]
-        self.side_hi = [_up(sqrt(b)) for b in self.bound_hi]
+        one = 1 << FIXED_BITS
+        # Column-major fixed-point enclosures of the embedding matrix.
+        self.col_lo = [[floor(emb[j][k].lo * one) for j in range(self.n)] for k in range(self.n)]
+        self.col_hi = [[ceil(emb[j][k].hi * one) for j in range(self.n)] for k in range(self.n)]
+        self.bound = [floor(b * one * one) for b in box.bounds_sq]
+        # sqrt(b) 2^FIXED_BITS < sqrt(bound + 1) <= isqrt(bound) + 1.
+        self.side_hi = [isqrt(b) + 1 for b in self.bound]
 
     def _coordinate_interval(self, coords, k):
-        lo_acc, hi_acc = 0.0, 0.0
+        lo_acc = hi_acc = 0
         cl, ch = self.col_lo[k], self.col_hi[k]
         for j, c in enumerate(coords):
             if c > 0:
-                lo_acc = _dn(lo_acc + _dn(c * cl[j]))
-                hi_acc = _up(hi_acc + _up(c * ch[j]))
+                lo_acc += c * cl[j]
+                hi_acc += c * ch[j]
             elif c < 0:
-                lo_acc = _dn(lo_acc + _dn(c * ch[j]))
-                hi_acc = _up(hi_acc + _up(c * cl[j]))
+                lo_acc += c * ch[j]
+                hi_acc += c * cl[j]
         return lo_acc, hi_acc
 
     def line_range(self, base, step, lo, hi):
@@ -198,38 +191,38 @@ class FloatRegionFilter:
         base + c * step can lie in the region; lo > hi when none can.
 
         Along the line each real embedding is linear in c and must lie in
-        (0, x_i]; each complex one must lie in the disk of radius x_j,
-        which the line meets in one interval.  The bounds on c come out
-        of outward-rounded float intervals, widened by 1.
+        (0, x_i]; each complex one, t + c d, must lie in the disk of radius
+        x_j, which holds when |d|^2 c + Re(t conj d) is at most
+        sqrt(x_j^2 |d|^2 - Im(t conj d)^2) in absolute value.
         """
         r, s = self.r, self.s
         spans = []
         for i in range(r):
             d = self._coordinate_interval(step, i)
-            if d[0] <= 0.0 <= d[1]:
+            if d[0] <= 0 <= d[1]:
                 continue
             t = self._coordinate_interval(base, i)
-            spans.append(_idiv(_isub((0.0, self.side_hi[i]), t), d))
+            spans.append(_quotient_range((-t[1], self.side_hi[i] - t[0]), d))
         for j in range(s):
             k = r + 2 * j
             d_re = self._coordinate_interval(step, k)
             d_im = self._coordinate_interval(step, k + 1)
-            d_sq = _iadd(_isq(d_re), _isq(d_im))
-            if not d_sq[0] > 0.0:
+            d_sq = _norm_sq(d_re, d_im)
+            if d_sq[0] <= 0:
                 continue
             t_re = self._coordinate_interval(base, k)
             t_im = self._coordinate_interval(base, k + 1)
-            # t / d = mu + i nu, and |t + c d|^2 = |d|^2 ((c + mu)^2 + nu^2).
-            mu = _idiv(_iadd(_imul(t_re, d_re), _imul(t_im, d_im)), d_sq)
-            nu = _idiv(_isub(_imul(t_im, d_re), _imul(t_re, d_im)), d_sq)
-            rho_sq = _up(_up(self.bound_hi[r + j] / d_sq[0]) - _isq(nu)[0])
-            if rho_sq < 0.0:
+            # Re(t conj d) and Im(t conj d).
+            p = _dot(t_re, d_re, t_im, d_im)
+            q = _dot(t_im, d_re, t_re, (-d_im[1], -d_im[0]))
+            rho_sq = (self.bound[r + j] + 1) * d_sq[1] - _sq(q)[0]
+            if rho_sq < 0:
                 return lo, lo - 1
-            rho = _up(sqrt(rho_sq))
-            spans.append((_dn(-mu[1] - rho), _up(-mu[0] + rho)))
+            rho = isqrt(rho_sq - 1) + 1 if rho_sq else 0
+            spans.append(_quotient_range((-p[1] - rho, rho - p[0]), d_sq))
         for c_lo, c_hi in spans:
-            lo = max(lo, ceil(c_lo) - 1)
-            hi = min(hi, floor(c_hi) + 1)
+            lo = max(lo, c_lo)
+            hi = min(hi, c_hi)
         return lo, hi
 
     def run(self, base, step, lo, hi):
@@ -262,22 +255,22 @@ class FloatRegionFilter:
         r, s = self.r, self.s
         for i in range(r):
             lo, hi = self._coordinate_interval(coords, i)
-            if hi < 0.0:
+            if hi < 0:
                 return False
-            if not lo > 0.0:
+            if lo <= 0:
                 certain = False
-            sq_lo, sq_hi = _isq((lo, hi))
-            if sq_lo > self.bound_hi[i]:
+            sq_lo, sq_hi = _sq((lo, hi))
+            if sq_lo > self.bound[i]:
                 return False
-            if not sq_hi <= self.bound_lo[i]:
+            if sq_hi > self.bound[i]:
                 certain = False
         for j in range(s):
             re = self._coordinate_interval(coords, r + 2 * j)
             im = self._coordinate_interval(coords, r + 2 * j + 1)
-            mod_lo, mod_hi = _iadd(_isq(re), _isq(im))
-            if mod_lo > self.bound_hi[r + j]:
+            mod_lo, mod_hi = _norm_sq(re, im)
+            if mod_lo > self.bound[r + j]:
                 return False
-            if not mod_hi <= self.bound_lo[r + j]:
+            if mod_hi > self.bound[r + j]:
                 certain = False
         return True if certain else None
 
@@ -302,7 +295,7 @@ def in_region(alpha, box):
         if verdict is not None:
             return verdict
         bits *= 2
-    raise AmbiguousPivotError("region membership undecided at maximum precision")
+    raise PrecisionError("region membership undecided at maximum precision")
 
 
 def _try_decide(field, alpha, box, reals, pairs, r, s):
@@ -389,7 +382,7 @@ def _complex_tie(field, alpha, q, j, mod2_interval):
             return True
         field_bits *= 2
         if field_bits > MAX_BITS:
-            raise AmbiguousPivotError("complex tie undecided at maximum precision")
+            raise PrecisionError("complex tie undecided at maximum precision")
 
 
 def _conjugate_products_poly(m):
@@ -405,25 +398,26 @@ def _conjugate_products_poly(m):
 
 def coordinate_ranges(field, box, lattice_rows, shift_coords=None):
     """Integer ranges for lattice coefficients c with shift + c*H possibly
-    inside the embedded box; rigorous outer bounds, never under-covering."""
+    inside the embedded box; rigorous outer bounds, never under-covering.
+
+    An element with |std_k| <= b_k has |coords_l| <= sum_k b_k |M[k][l]|
+    for the inverse embedding M."""
     r, s = field.signature
     n = field.degree
-    std_bounds = []
-    for i in range(r):
-        std_bounds.append(sqrt_upper(box.bounds_sq[i], 32))
-    for j in range(s):
-        b = sqrt_upper(box.bounds_sq[r + j], 32)
-        std_bounds.extend([b, b])
-    from .field import _coordinate_bounds
-
-    coord_bound = _coordinate_bounds(field, std_bounds, 256)
+    std_bounds = [sqrt_upper(b, 32) for b in box.bounds_sq[:r + s]]
+    std_bounds = std_bounds[:r] + [b for b in std_bounds[r:] for _ in range(2)]
+    inv = field.inverse_embedding(256)
+    coord_bound = [
+        int(sum(b * max(-m.lo, m.hi) for b, m in zip(std_bounds, col))) + 1
+        for col in zip(*inv)
+    ]
     h_inv = mat_inv_frac(lattice_rows)
     shift = shift_coords or (0,) * n
     ranges = []
     for k in range(n):
         reach = Fraction(0)
         for l in range(n):
-            reach += (Fraction(coord_bound[l]) + abs(Fraction(shift[l]))) * abs(h_inv[l][k])
+            reach += (coord_bound[l] + abs(Fraction(shift[l]))) * abs(h_inv[l][k])
         bound = int(reach) + 1
         ranges.append((-bound, bound))
     return ranges
@@ -708,7 +702,7 @@ def _coset_representative(field, beta, order, modulus_ideal):
     from .linalg import solve_upper_int
 
     stacked = list(order.basis_hnf) + list(modulus_ideal.hnf)
-    h, u = _hnf_with_u(stacked)
+    h, u = hnf(stacked, transform=True)
     coeff = solve_upper_int(h, beta.coords)
     if coeff is None:
         raise EmptyCosetError("coset does not meet the order")
@@ -725,8 +719,3 @@ def _coset_representative(field, beta, order, modulus_ideal):
                         order_part[t] += contrib * row[t]
     return field.element(order_part)
 
-
-def _hnf_with_u(rows):
-    from .linalg import hnf
-
-    return hnf(rows, transform=True)

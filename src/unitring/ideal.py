@@ -13,7 +13,6 @@ from .linalg import (
     det_triangular,
     hnf,
     in_lattice,
-    lattice_intersection,
     lattice_sum,
     reduce_mod_lattice,
     residue_transversal,
@@ -140,10 +139,6 @@ class IdealLattice:
 
     def __add__(self, other):
         h = lattice_sum(self.hnf, other.hnf)
-        return IdealLattice(self.field, h, _validated=True)
-
-    def intersect(self, other):
-        h = lattice_intersection(self.hnf, other.hnf)
         return IdealLattice(self.field, h, _validated=True)
 
     def contains(self, alpha):

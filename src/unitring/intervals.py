@@ -114,44 +114,6 @@ def _coerce(x):
     return x if isinstance(x, RatInterval) else RatInterval(Fraction(x))
 
 
-class AmbiguousPivotError(ArithmeticError):
-    """Interval Gaussian elimination hit a pivot straddling zero."""
-
-
-def interval_mat_inv(rows):
-    """Inverse of an interval matrix by Gauss-Jordan elimination.
-
-    Every entry of the result encloses the corresponding entry of the
-    inverse of any point matrix inside `rows`.  Raises AmbiguousPivotError
-    when a pivot interval contains zero; callers refine and retry.
-    """
-    n = len(rows)
-    a = [[_coerce(x) for x in row] + [RatInterval(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            iv = a[i][col]
-            if iv.lo > 0 or iv.hi < 0:
-                piv = i
-                break
-        if piv is None:
-            raise AmbiguousPivotError(f"no usable pivot in column {col}")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col:
-                f = a[i][col]
-                if f.lo != 0 or f.hi != 0:
-                    a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
-
-
-def interval_abs_upper(iv):
-    return max(abs(iv.lo), abs(iv.hi))
-
-
 # 50 verified decimal digits; the true value lies strictly inside.
 _PI_50 = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
 PI = RatInterval(_PI_50, _PI_50 + Fraction(1, 10**50))

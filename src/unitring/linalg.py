@@ -199,11 +199,6 @@ def lattice_intersection(a_rows, b_rows):
     return hnf(gens)
 
 
-def lattice_index(sub_h, super_h):
-    """Index [super : sub] for nested full-rank lattices in HNF."""
-    return abs(det_triangular(sub_h)) // abs(det_triangular(super_h))
-
-
 def lattice_scale_preimage(target_rows, m_frac):
     """{v in Z^n : v * m_frac in lattice(target_rows)} for invertible rational m.
 

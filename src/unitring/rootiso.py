@@ -20,8 +20,12 @@ from .linalg import det
 from .poly import QQ, deriv, divmod, sub, trim
 
 
+# Precision cap, in bits, of every refinement loop over embeddings.
+MAX_BITS = 1 << 14
+
+
 class PrecisionError(Exception):
-    """Root refinement failed to reach the requested radius."""
+    """A certified enclosure did not reach the precision a decision needs."""
 
 
 def sturm_count_real_roots(p):

@@ -112,11 +112,11 @@ def unit_order(field, unit_gens):
     return SubOrder.generated(field, rows)
 
 
-def candidate_elements(field, start_shell=0):
+def candidate_elements(field):
     """Deterministic stream of elements: shells of increasing coordinate
     max-norm, ordered inside a shell by (|c|, sign) per coordinate."""
     n = field.degree
-    shell = start_shell
+    shell = 0
 
     def key_order(bound):
         vals = [0]
@@ -291,7 +291,9 @@ def verify_unit_generation(tower):
 
     (a) eta is a unit; (b) each alpha is a unit: its characteristic
         polynomial over Q is monic with constant term +-1, so alpha^-1 is
-        integral and omega = alpha + eta alpha^-1; (c) the tower's chain of
+        integral and omega = alpha + eta alpha^-1.  That constant term is
+        N_{L/Q}(alpha) = N_{K/Q}(eta), so (b) passes exactly when (a) does:
+        it is not an independent check; (c) the tower's chain of
         orders ends at the maximal order; (d) the step discriminants are odd
         and pairwise coprime; (e) the number of steps is at most log2 of the
         start index.

@@ -123,6 +123,15 @@ def test_exit_code_config():
     assert proc4.returncode == 4
 
 
+@pytest.mark.parametrize("eta, code", [("110000000000,0", 0), ("100000000000000,0", EXIT_CONFIG)])
+def test_large_eta_squareness_is_quick(eta, code):
+    # 16 eta has a square norm and positive embeddings, so only the
+    # squareness test tells whether X^2 - 4 eta is reducible (10^14 is a
+    # square); it must not search a coordinate box of side sqrt(16 eta).
+    proc = run_cli(["count", "--field", "q_sqrt5", f"--eta={eta}", "--boxes", "100"], timeout=60)
+    assert proc.returncode == code
+
+
 def test_exit_code_success():
     proc = run_cli(["belcher", "-d", "5"])
     assert proc.returncode == 0
@@ -164,10 +173,14 @@ TOWER_ARGS = ["tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta", "1,
     ("final_index", 7),
     ("compositum_sets", [[0], [0, 5]]),
     ("disc_norm", 12345),
-], ids=["final_index", "compositum_sets", "disc_norm"])
+    ("eta", [1, 1]),
+    ("eta", [5, 8]),
+], ids=["final_index", "compositum_sets", "disc_norm", "eta_outside_order", "eta_square"])
 def test_verify_rejects_false_stated_result(key, stated, tmp_path, capsys):
     # The replay recomputes every result the file states; one false value
-    # fails the check with a "verify" diagnostic and prints no report.
+    # fails the check with a "verify" diagnostic and prints no report.  An
+    # eta outside Z[sqrt5] (theta^2) or a square one (theta^6, for which
+    # omega = theta still certifies) is refused before the replay.
     tower_path = tmp_path / "tower.json"
     assert main(TOWER_ARGS + ["--out", str(tower_path)]) == 0
     doc = json.loads(tower_path.read_text())

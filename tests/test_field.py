@@ -1,11 +1,13 @@
+import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
+from unitring.intervals import RatInterval
 from unitring.linalg import det
 from unitring.rootiso import resultant
 
@@ -192,6 +194,20 @@ def test_irreducibility_guard():
     NumberField([1, 0, 0, 0, 1])
 
 
+@pytest.mark.parametrize("poly, reducible", [
+    ([4, 0, -4, 0, 1], True),  # (X^2 - 2)^2: a repeated factor mod every prime
+    ([-10000000000000061, 0, 1], False),  # X^2 - p for a 17-digit prime p
+], ids=["square_of_quadratic", "large_prime_constant"])
+def test_irreducibility_certificate_is_quick(poly, reducible):
+    start = time.perf_counter()
+    if reducible:
+        with pytest.raises(IrreducibilityError, match="repeated factor"):
+            NumberField(poly)
+    else:
+        NumberField(poly)
+    assert time.perf_counter() - start < 1
+
+
 def test_inverse_unit_and_nonunit(q5):
     th = q5.theta
     assert th.inverse() * th == q5.one
@@ -246,3 +262,53 @@ def test_is_square_imaginary(qi):
     assert is_square_in_field(-qi.one)  # i^2
     assert is_square_in_field(2 * i)  # (1+i)^2
     assert not is_square_in_field(i + qi.one)  # 1+i has norm 2, not a square
+
+
+EMBEDDING_FIELDS = {
+    **NORM_FORM_FIELDS,
+    "cubic": ([-2, -1, 0, 1], None),
+    "x4+1": ([1, 0, 0, 0, 1], None),
+}
+
+
+@pytest.fixture(scope="module")
+def embedding_fields():
+    return {name: NumberField(poly, integral_basis=basis, name=name)
+            for name, (poly, basis) in EMBEDDING_FIELDS.items()}
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+@pytest.mark.parametrize("name", sorted(EMBEDDING_FIELDS))
+def test_inverse_embedding_encloses_identity(embedding_fields, name, bits):
+    field = embedding_fields[name]
+    s, m = field.embedding_matrix(bits), field.inverse_embedding(bits)
+    n = field.degree
+    for i in range(n):
+        for j in range(n):
+            entry = sum((s[i][k] * m[k][j] for k in range(n)), RatInterval(0))
+            assert int(i == j) in entry
+            assert entry.width < Fraction(1, 1 << (bits // 2))
+
+
+# One non-square d per field with a square norm and positive real
+# embeddings, so that only the rounding step can reject beta^2 d.
+NON_SQUARES = {
+    "q_sqrt5": (3, 0),
+    "q_i": (3, 0),
+    "cubic-23": (0, 1, 0),  # theta, the fundamental unit
+    "x4+1": (3, 0, 0, 0),
+    "q_sqrt5/alt": (3, 0),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(NON_SQUARES)),
+       st.lists(st.integers(-30, 30), min_size=4, max_size=4))
+def test_is_square_by_construction(embedding_fields, name, c):
+    field = embedding_fields[name]
+    beta = field.element(c[:field.degree])
+    assume(not beta.is_zero())
+    d = field.element(NON_SQUARES[name])
+    assert isqrt(d.norm()) ** 2 == d.norm()
+    assert is_square_in_field(beta * beta)
+    assert not is_square_in_field(beta * beta * d)

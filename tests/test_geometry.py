@@ -11,6 +11,7 @@ from unitring.geometry import (
     _conjugate_products_poly,
     EmbeddedLattice,
     EmptyCosetError,
+    FloatRegionFilter,
     RegionBox,
     coordinate_ranges,
     count_coset,
@@ -223,6 +224,59 @@ def test_boundary_tie_complex(qi):
     assert not in_region(qi.rational(2) + i, box)  # 5 > 4
     # r = 0: zero is vacuously totally positive and inside any box.
     assert in_region(qi.zero, box)
+
+
+# Points on the boundary of a cube: alpha = 100 at x = 10^4 on Q(sqrt5),
+# where both embeddings equal the side, and a + bi with a^2 + b^2 = 100 at
+# x = 100 on Q(i), whose modulus equals the radius.
+BOUNDARY_POINTS = {
+    "q5": (10**4, [(100, 0)]),
+    "qi": (100, [(a, b) for a in range(-10, 11) for b in range(-10, 11) if a * a + b * b == 100]),
+}
+
+
+def check_screen(field, box, coords):
+    """The screen's verdict, when certain, is in_region's; returns that."""
+    verdict = FloatRegionFilter(field, box).test(coords)
+    exact = in_region(field.element(coords), box)
+    assert verdict is None or verdict == exact
+    return exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_screen_certain_verdicts_are_exact(q5, qi, k3, data):
+    # Random points of a cube, and points on its boundary, which the
+    # closed region holds.
+    name = data.draw(st.sampled_from(["q5", "qi", "k3"]))
+    field = {"q5": q5, "qi": qi, "k3": k3}[name]
+    if name != "k3" and data.draw(st.booleans()):
+        volume, points = BOUNDARY_POINTS[name]
+        assert check_screen(field, RegionBox.cube(field.signature, volume),
+                            data.draw(st.sampled_from(points)))
+        return
+    volume = data.draw(st.integers(1, 12)) ** 3 if name == "k3" else data.draw(
+        st.integers(1, 10**5))
+    box = RegionBox.cube(field.signature, volume)
+    ranges = coordinate_ranges(field, box, identity(field.degree))
+    check_screen(field, box, tuple(data.draw(st.integers(lo - 2, hi + 2)) for lo, hi in ranges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_screen_rounds_outward(q5, k3, data):
+    # One bound within 2^-200 of the point's squared embedding there, on
+    # either side, and the others far: only a screen whose enclosures are
+    # rounded outward stays right.  The embeddings of Q(i) are exact.
+    field = data.draw(st.sampled_from([q5, k3]))
+    coords = tuple(data.draw(st.integers(-40, 40)) for _ in range(field.degree))
+    reals, pairs = field.sigma_pairs(field.element(coords), 256)
+    mods = [iv * iv for iv in reals] + [re * re + im * im for re, im in pairs]
+    bounds = [max(m.hi + 1, 1) for m in mods]
+    k = data.draw(st.integers(0, len(mods) - 1))
+    eps = Fraction(1, 1 << 200)
+    bounds[k] = max(mods[k].hi + eps if data.draw(st.booleans()) else mods[k].lo - eps, 1)
+    check_screen(field, RegionBox(field.signature, bounds), coords)
 
 
 @settings(max_examples=60, deadline=None)

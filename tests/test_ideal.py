@@ -194,7 +194,6 @@ def test_ideal_sum_and_coprime(q5):
     assert p11a.is_coprime(p11b)
     assert not p11a.is_coprime(p11a)
     assert (p11a + p11b).is_unit_ideal()
-    assert p11a.intersect(p11b) == p11a * p11b
 
 
 def test_iter_ideals_complete(q5, q5_ideals_200):

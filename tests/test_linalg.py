@@ -11,9 +11,7 @@ from unitring.linalg import (
     det_triangular,
     hnf,
     hnf_kernel,
-    identity,
     in_lattice,
-    lattice_index,
     lattice_intersection,
     lattice_sum,
     mat_inv_frac,
@@ -121,12 +119,6 @@ def test_quotient_box():
     assert len(reps) == 4  # index (4*6)/(2*3)
     seen = {reduce_mod_lattice(r, sub) for r in reps}
     assert len(seen) == 4
-
-
-def test_lattice_index():
-    sub = hnf([(2, 0), (0, 4)])
-    sup = identity(2)
-    assert lattice_index(sub, sup) == 8
 
 
 def test_det_rational_entries():

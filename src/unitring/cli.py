@@ -39,7 +39,7 @@ from .density import (
     with_conductor_support,
 )
 from .field import is_square_in_field
-from .fieldspec import FieldSpecError, load_field_spec
+from .fieldspec import FieldSpecError, load_field_spec, parse_rational
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
 from .intervals import fmt_decimal_down, fmt_decimal_up
@@ -300,10 +300,11 @@ def _read_tower(path):
         raise ConfigError(f"cannot read tower file: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("tower file must hold a JSON object")
-    if not all(isinstance(st, dict) for st in doc.get("steps", [])):
-        raise ConfigError("tower file steps must be JSON objects")
+    steps = doc.get("steps", [])
+    if not isinstance(steps, list) or not all(isinstance(st, dict) for st in steps):
+        raise ConfigError("tower file steps must be a list of JSON objects")
     missing = [k for k in _TOWER_KEYS if k not in doc]
-    for i, st in enumerate(doc.get("steps", [])):
+    for i, st in enumerate(steps):
         missing += [f"steps[{i}].{k}" for k in _STEP_KEYS if k not in st]
     if missing:
         raise ConfigError(f"tower file lacks {', '.join(missing)}")
@@ -315,15 +316,15 @@ def cmd_verify(args):
     requires; replay the file's omegas on that order and eta, compare every
     result the file states with the replay, then run the five checks."""
     doc = _read_tower(args.tower)
-    from .field import NumberField
+    from .field import NumberField, int_rows
     from .order import SubOrder
 
     try:
         basis = None
         if "integral_basis" in doc:
-            basis = [[Fraction(x) for x in row] for row in doc["integral_basis"]]
+            basis = [[parse_rational(x) for x in row] for row in doc["integral_basis"]]
         field = NumberField(doc["min_poly"], integral_basis=basis)
-        tower = Tower(field, SubOrder(field, [tuple(r) for r in doc["start_order"]]),
+        tower = Tower(field, SubOrder(field, int_rows(doc["start_order"])),
                       field.element(doc["eta"]))
         omegas = [field.element(st["omega"]) for st in doc["steps"]]
     except (TypeError, ValueError, ZeroDivisionError) as e:

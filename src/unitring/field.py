@@ -6,119 +6,104 @@ powers of the defining root theta.  Elements carry integer coordinates on
 the integral basis; all ring operations go through precomputed integer
 structure constants, so arithmetic never leaves the integers.
 
-Embeddings are certified: sigma values are returned as exact rational
-intervals derived from the root enclosures of the defining polynomial, at
-any requested precision.
+The defining polynomial is certified irreducible from its root
+enclosures: the one RootIsolation a field keeps, which also gives its
+signature.  Embeddings are certified: sigma values are returned as exact
+rational intervals derived from those enclosures, at any requested
+precision.  Coordinates and coefficients are read exactly: ints (not
+bools) and integral Fractions only.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import ceil, isqrt
 
 from .intervals import RatInterval
-from .intfactor import factor as factor_int, is_prime
 from .linalg import char_poly, det, mat_inv_frac
-from .poly import QQ, add, deriv, evaluate, gcd, mul, trim
-from .rootiso import MAX_BITS, PrecisionError, RootIsolation, _ceval, sturm_count_real_roots
+from .poly import QQ, deriv, divmod, gcd, mul, trim
+from .rootiso import MAX_BITS, PrecisionError, RootIsolation, _ceval
 
 
 class IrreducibilityError(ValueError):
-    """The defining polynomial could not be certified irreducible."""
+    """The defining polynomial is reducible over Q."""
+
+
+def exact_int(x):
+    """x as an int: an int other than a bool, or an integral Fraction."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    raise ValueError(f"expected an integer, got {x!r}")
+
+
+def int_rows(x):
+    """A list of lists of integers as tuples of exact ints; ValueError
+    for any other shape or entry."""
+    if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
+        raise ValueError("expected a list of integer rows")
+    return [tuple(exact_int(c) for c in row) for row in x]
 
 
 def _certify_irreducible(poly):
-    """Certify irreducibility over Q or raise.
+    """Certify a squarefree monic integer polynomial irreducible over Q;
+    returns its RootIsolation, or raises IrreducibilityError.
 
-    Squarefree check, rational root test (conclusive through degree 3),
-    then factorization degree patterns modulo small primes.
+    A monic factor over Q has integer coefficients (Gauss's lemma) and its
+    roots are a set of places: real roots, giving X - r, and conjugate
+    pairs, giving X^2 - 2 Re z X + |z|^2.  Each set of places of total
+    degree at most n/2 gives its product with interval coefficients.  The
+    set is ruled out once some coefficient interval holds no integer;
+    once all are narrower than 1, the one integer candidate is divided
+    into poly exactly.  Undecided sets are retried at twice the bits: a
+    product that is not integral has a coefficient that is not an
+    integer, so refinement decides every set.
     """
-    from .fpoly import factor_mod_p
-
-    n = len(poly) - 1
-    if n < 1:
-        raise IrreducibilityError("constant polynomial")
-    if n == 1:
-        return
     if len(gcd(poly, deriv(poly, QQ), QQ)) > 1:
         raise IrreducibilityError("reducible: repeated factor")
-    # Rational roots of a monic integer polynomial are divisors of c0.
-    c0 = poly[0]
-    if c0 == 0:
-        raise IrreducibilityError("reducible: zero constant term")
-    divisors = [1]
-    for q, e in factor_int(c0):
-        divisors = [d * q**k for d in divisors for k in range(e + 1)]
-    for d in divisors:
-        for r in (d, -d):
-            if evaluate(poly, r, QQ) == 0:
-                raise IrreducibilityError(f"reducible: rational root {r}")
-    if n <= 3:
-        return
-    if _eisenstein_with_shift(poly):
-        return
-    # Degree patterns mod p must allow a proper factor for reducibility.
-    possible = set(range(n + 1))
-    p = 2
-    tried = 0
-    while tried < 25:
-        if poly[-1] % p != 0:
-            fac = factor_mod_p(tuple(c % p for c in poly), p)
-            if sum(e * (len(g) - 1) for g, e in fac) == n:
-                if any(e > 1 for _, e in fac):
-                    # p divides the discriminant; a squarefree f has few such.
-                    p = _next_prime(p)
-                    continue
-                degs = [len(g) - 1 for g, _ in fac]
-                sums = {0}
-                for dg in degs:
-                    sums |= {s + dg for s in sums}
-                possible &= sums
-                if possible <= {0, n}:
-                    return
-                tried += 1
-        p = _next_prime(p)
-    raise IrreducibilityError("cannot certify irreducibility; supply an irreducible polynomial")
-
-
-def _next_prime(p):
-    p += 1
-    while not is_prime(p):
-        p += 1
-    return p
-
-
-def _eisenstein_with_shift(poly):
-    """Eisenstein criterion on p(X + t) for small shifts t."""
-    n = len(poly) - 1
-    for t in range(-4, 5):
-        shifted = (poly[-1],)
-        # Horner in (X + t): build p(X + t) from the top coefficient down.
-        for c in reversed(poly[:-1]):
-            shifted = add(mul(shifted, (t, 1), QQ), (c,), QQ)
-        c0 = shifted[0]
-        if c0 == 0:
-            continue
-        if abs(c0) > 10**12:
-            continue
-        for q, _ in factor_int(abs(c0)):
-            if c0 % (q * q) == 0:
+    iso = RootIsolation(poly)
+    r, s = iso.signature
+    sets = [c for k in range(1, r + s + 1) for c in combinations(range(r + s), k)
+            if sum(1 if i < r else 2 for i in c) <= (len(poly) - 1) // 2]
+    while True:
+        factors = []
+        for enc in iso.enclosures[:r + s]:
+            re, im = enc.box()
+            factors.append((-re, 1) if enc.is_real else (re * re + im * im, -2 * re, 1))
+        undecided = []
+        for c in sets:
+            g = (1,)
+            for i in c:
+                g = mul(g, factors[i], QQ)
+            coeffs = g[:-1]
+            ints = [ceil(iv.lo) for iv in coeffs]
+            if any(k > iv.hi for k, iv in zip(ints, coeffs)):
                 continue
-            if all(shifted[k] % q == 0 for k in range(n)):
-                return True
-    return False
+            if any(iv.width >= 1 for iv in coeffs):
+                undecided.append(c)
+                continue
+            cand = (*ints, 1)
+            if divmod(poly, cand, QQ)[1] == (0,):
+                raise IrreducibilityError(f"reducible: factor {cand}, constant term first")
+        if not undecided:
+            return iso
+        if 2 * iso.bits > MAX_BITS:
+            raise PrecisionError("irreducibility undecided at maximum precision")
+        sets = undecided
+        iso.refine(2 * iso.bits)
 
 
 class NumberField:
     """Degree-n number field with a fixed integral basis."""
 
     def __init__(self, min_poly, integral_basis=None, name="K"):
-        min_poly = trim(min_poly, QQ)
+        min_poly = trim(tuple(exact_int(c) for c in min_poly), QQ)
         if min_poly[-1] != 1:
             raise ValueError("defining polynomial must be monic")
         if len(min_poly) < 3:
             raise ValueError("degree must be at least 2")
-        _certify_irreducible(min_poly)
-        self.min_poly = tuple(int(c) for c in min_poly)
+        self._roots = _certify_irreducible(min_poly)
+        self.min_poly = min_poly
         self.degree = len(min_poly) - 1
         self.name = name
         n = self.degree
@@ -137,12 +122,8 @@ class NumberField:
         )
         self._build_tables()
         self.norm_form = _norm_form(self.mult_table)
-        self.n_real = sturm_count_real_roots(self.min_poly)
-        if (n - self.n_real) % 2:
-            raise ValueError("inconsistent signature")
-        self.signature = (self.n_real, (n - self.n_real) // 2)
+        self.signature = self._roots.signature
         self.disc = self._discriminant()
-        self._roots = None
         self._emb_cache = {}
         self._inv_emb_cache = {}
 
@@ -211,16 +192,10 @@ class NumberField:
     # -- element constructors ------------------------------------------------
 
     def element(self, coords):
-        out = []
-        for c in coords:
-            if isinstance(c, Fraction):
-                if c.denominator != 1:
-                    raise ValueError("non-integer coordinate")
-                c = c.numerator
-            out.append(int(c))
-        if len(out) != self.degree:
+        coords = tuple(c if type(c) is int else exact_int(c) for c in coords)
+        if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
-        return AlgebraicInt(self, tuple(out))
+        return AlgebraicInt(self, coords)
 
     def element_from_coords_unchecked(self, coords):
         return AlgebraicInt(self, coords)
@@ -300,10 +275,8 @@ class NumberField:
     # -- embeddings ---------------------------------------------------------
 
     def root_isolation(self, bits=64):
-        if self._roots is None:
-            self._roots = RootIsolation(self.min_poly, bits=bits)
-        else:
-            self._roots.refine(bits)
+        """The field's one RootIsolation, refined to at least bits."""
+        self._roots.refine(bits)
         return self._roots
 
     def embedding_matrix(self, bits=64):
@@ -316,11 +289,7 @@ class NumberField:
             return self._emb_cache[bits]
         iso = self.root_isolation(bits)
         r, s = self.signature
-        roots = []
-        for enc in iso.enclosures[:r + s]:
-            (x, y), rad = enc.center, enc.radius
-            im = RatInterval(0) if enc.is_real else RatInterval(y - rad, y + rad)
-            roots.append((RatInterval(x - rad, x + rad), im))
+        roots = [enc.box() for enc in iso.enclosures[:r + s]]
         rows = []
         for w in self.basis:
             vals = [_ceval(w, z) for z in roots]

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from importlib import resources
 
-from .field import NumberField
+from .field import NumberField, int_rows
 from .order import SubOrder
 
 
@@ -22,13 +22,20 @@ class FieldSpecError(ValueError):
 BUNDLED = ("q_sqrt5", "q_sqrt2", "q_i")
 
 
-def _parse_rational(x):
-    if isinstance(x, (int, str)):
+def parse_rational(x):
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             raise FieldSpecError(f"bad rational {x!r}") from None
     raise FieldSpecError(f"expected integer or 'p/q' string, got {x!r}")
+
+
+def _rows(x, what):
+    """x if it is a list of lists, else FieldSpecError."""
+    if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
+        raise FieldSpecError(f"{what} must be a list of lists")
+    return x
 
 
 class FieldSpec:
@@ -67,31 +74,36 @@ def load_field_spec(source):
             )
         except json.JSONDecodeError as e:
             raise FieldSpecError(f"malformed JSON in {source!r}: {e}")
-    try:
-        min_poly = [int(c) for c in data["min_poly"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise FieldSpecError(f"bad or missing min_poly: {e}")
+    if not isinstance(data, dict):
+        raise FieldSpecError("a field spec must be a JSON object")
+    min_poly = data.get("min_poly")
+    if not isinstance(min_poly, list):
+        raise FieldSpecError("missing min_poly or not a list")
     basis = None
     if data.get("integral_basis") is not None:
-        basis = [[_parse_rational(x) for x in row] for row in data["integral_basis"]]
+        basis = [[parse_rational(x) for x in row]
+                 for row in _rows(data["integral_basis"], "integral_basis")]
     name = data.get("name", "K")
     try:
         field = NumberField(min_poly, integral_basis=basis, name=name)
     except ValueError as e:
         raise FieldSpecError(str(e))
     units = []
-    for coords in data.get("units", []):
+    for coords in _rows(data.get("units", []), "units"):
         try:
             u = field.element(coords)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise FieldSpecError(f"declared unit {coords}: {e}") from None
         if abs(u.norm()) != 1:
             raise FieldSpecError(f"declared unit {coords} has norm {u.norm()}")
         units.append(u)
+    order_rows = data.get("orders", {})
+    if not isinstance(order_rows, dict):
+        raise FieldSpecError("orders must map names to basis rows")
     orders = {}
-    for oname, rows in data.get("orders", {}).items():
+    for oname, rows in order_rows.items():
         try:
-            orders[oname] = SubOrder(field, [tuple(int(x) for x in r) for r in rows])
+            orders[oname] = SubOrder(field, int_rows(rows))
         except ValueError as e:
             raise FieldSpecError(f"order {oname!r}: {e}")
     return FieldSpec(field, units, orders, name)

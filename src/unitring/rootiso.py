@@ -15,7 +15,7 @@ rigorous at any requested precision.
 
 from fractions import Fraction
 
-from .intervals import sqrt_upper
+from .intervals import RatInterval, sqrt_upper
 from .linalg import det
 from .poly import QQ, deriv, divmod, sub, trim
 
@@ -140,8 +140,12 @@ class RootEnclosure:
     def conjugate(self):
         return RootEnclosure((self.center[0], -self.center[1]), self.radius, self.is_real)
 
-    def real_interval(self):
-        return (self.center[0] - self.radius, self.center[0] + self.radius)
+    def box(self):
+        """(re, im) RatIntervals of the square around the disk; im is
+        exactly 0 for a real root."""
+        (x, y), rad = self.center, self.radius
+        im = RatInterval(0) if self.is_real else RatInterval(y - rad, y + rad)
+        return RatInterval(x - rad, x + rad), im
 
     def __repr__(self):
         re, im = float(self.center[0]), float(self.center[1])
@@ -166,7 +170,8 @@ class RootIsolation:
         self.degree = len(poly) - 1
         self.n_real = sturm_count_real_roots(poly)
         self.bits = 0
-        self._raw = self._initial_disks()
+        # Classified once; every refinement polishes these representatives.
+        self._reps = self._classify([self._polish(z, bits) for z in self._initial_disks()])
         self.refine(bits)
 
     # -- initial float approximations -------------------------------------
@@ -242,49 +247,9 @@ class RootIsolation:
         """Shrink every enclosure radius below 2^-bits."""
         if self.bits >= bits:
             return
-        if self.bits:
-            # Re-polish only the stored representatives (reals + upper half).
-            centers = [e.center for e in self._repr_enclosures]
-        else:
-            centers = self._raw
-        disks = [self._polish(z, bits) for z in centers]
-        self._classify(disks, bits, Fraction(1, 1 << bits))
-        self.bits = bits
-
-    def _classify(self, disks, bits, target):
-        n = self.degree
-        first = self.bits == 0
-        if first:
-            # Identify real roots: disks whose imaginary range touches zero.
-            real, upper = [], []
-            for z, r in disks:
-                if abs(z[1]) <= r:
-                    real.append((z, r))
-                elif z[1] > 0:
-                    upper.append((z, r))
-            if len(real) != self.n_real or len(upper) != (n - self.n_real) // 2:
-                raise PrecisionError("root classification ambiguous; raise bits")
-            fixed = [RootEnclosure(*self._polish(z, bits, real=True), True) for z, _ in real]
-            fixed.sort(key=lambda e: e.center[0])
-            ups = [RootEnclosure(z, r, False) for z, r in upper]
-            ups.sort(key=lambda e: (e.center[0], e.center[1]))
-            self._repr_enclosures = fixed + ups
-        else:
-            reps = []
-            for (z, r), old in zip(disks, self._repr_enclosures):
-                if old.is_real:
-                    z = (z[0], Fraction(0))
-                    r2 = self._radius_at(z, bits + 32)
-                    if r2 is not None and r2 <= target:
-                        r = r2
-                    else:
-                        raise PrecisionError("real root drifted")
-                reps.append(RootEnclosure(z, r, old.is_real))
-            self._repr_enclosures = reps
-        reps = self._repr_enclosures
-        full = [e for e in reps if e.is_real] + [e for e in reps if not e.is_real] + [
-            e.conjugate() for e in reps if not e.is_real
-        ]
+        self._reps = [RootEnclosure(*self._polish(e.center, bits, e.is_real), e.is_real)
+                      for e in self._reps]
+        full = self._reps + [e.conjugate() for e in self._reps if not e.is_real]
         # Disjointness certifies one root per disk.
         for i in range(len(full)):
             for j in range(i + 1, len(full)):
@@ -292,6 +257,18 @@ class RootIsolation:
                 if d2 <= (full[i].radius + full[j].radius) ** 2:
                     raise PrecisionError("enclosures overlap; raise bits")
         self.enclosures = full
+        self.bits = bits
+
+    def _classify(self, disks):
+        """Representatives from polished disks: those meeting the real axis,
+        ascending, then those in the upper half plane by (re, im)."""
+        real = [RootEnclosure(z, r, True) for z, r in disks if abs(z[1]) <= r]
+        upper = [RootEnclosure(z, r, False) for z, r in disks if z[1] > r]
+        if len(real) != self.n_real or len(upper) != (self.degree - self.n_real) // 2:
+            raise PrecisionError("root classification ambiguous; raise bits")
+        real.sort(key=lambda e: e.center[0])
+        upper.sort(key=lambda e: (e.center[0], e.center[1]))
+        return real + upper
 
     @property
     def signature(self):

@@ -11,8 +11,8 @@ products of the alphas then exhibits the top ring of integers as generated
 by units over the base.
 """
 
-from dataclasses import dataclass
-from math import gcd, isqrt
+from dataclasses import asdict, dataclass
+from math import isqrt
 
 from .density import HypothesisError, check_hypotheses, with_conductor_support
 from .field import is_square_in_field
@@ -178,8 +178,8 @@ def find_omega(order, excluded, eta, search_bound=2000):
 def quadratic_step(omega, eta):
     """Certify one tower step: X^2 - omega X + eta with squarefree odd
     discriminant value defines a quadratic extension whose ring of
-    integers is the polynomial ring; discriminant valuations are verified
-    prime by prime through the power-valuation formula."""
+    integers is the polynomial ring, since the value's squarefree ideal
+    gives every ramified prime discriminant valuation exactly 1."""
     value = omega * omega - 4 * eta
     if value.is_zero():
         raise ValueError("discriminant value is zero")
@@ -188,42 +188,21 @@ def quadratic_step(omega, eta):
         raise ValueError("discriminant value is not coprime to 2")
     if is_square_in_field(value):
         raise ValueError("discriminant value is a square: the quadratic is reducible")
-    disc_ideal = IdealLattice.principal(value)
     if not element_is_mfree(value, 2):
         raise ValueError("discriminant value is not squarefree")
-    # Lemma check: every ramified prime gets valuation exactly 1.
-    for pid, e in disc_ideal.factor():
-        v = llorente_nart_valuation(2, 0, e)
-        if v != 1 or e != 1:
-            raise ArithmeticError("squarefree discriminant should have valuation 1")
-    return TowerStep(omega=omega, disc_ideal=disc_ideal, disc_element_norm=nrm)
+    return TowerStep(omega=omega, disc_ideal=IdealLattice.principal(value),
+                     disc_element_norm=nrm)
 
 
-def llorente_nart_valuation(r, v_p_of_r, v_p_of_beta):
-    """Discriminant valuation of the radical extension X^r - beta at a
-    prime not dividing gcd(r, v_P(beta)): r*v_P(r) + r - gcd(r, v_P(beta))."""
-    if r < 2:
-        raise ValueError("radical degree must be at least 2")
-    if v_p_of_r < 0 or v_p_of_beta < 0:
-        raise ValueError("valuations must be nonnegative")
-    return r * v_p_of_r + r - gcd(r, v_p_of_beta)
-
-
-def build_tower(field, unit_gens=None, start_order=None, eta=None, search_bound=2000):
-    """Run the full construction: check hypotheses, then extend the tower
-    by the first admissible omega until its top order is maximal, each step
-    at least halving the index."""
+def build_tower(field, start_order, eta, search_bound=2000):
+    """Run the full construction from start_order and the unit eta: check
+    hypotheses, then extend the tower by the first admissible omega until
+    its top order is maximal, each step at least halving the index."""
     if not check_hypotheses(field):
         raise HypothesisError(
             "a prime above 2 or 3 has residue degree 1; the construction "
             "applies after base-change to K(sqrt(5))"
         )
-    if start_order is None:
-        if not unit_gens:
-            raise ValueError("need unit generators or an explicit start order")
-        start_order = unit_order(field, unit_gens)
-    if eta is None:
-        raise ValueError("an explicit non-square unit eta is required")
     if abs(eta.norm()) != 1:
         raise HypothesisError("eta must be a unit")
     if not start_order.contains(eta):
@@ -253,24 +232,10 @@ class VerificationReport:
     step_count_bounded: bool
 
     def all_passed(self):
-        return all(
-            (
-                self.eta_is_unit,
-                self.symbolic_identity,
-                self.reaches_maximal,
-                self.discs_coprime_and_odd,
-                self.step_count_bounded,
-            )
-        )
+        return all(self.as_dict().values())
 
     def as_dict(self):
-        return {
-            "eta_is_unit": self.eta_is_unit,
-            "symbolic_identity": self.symbolic_identity,
-            "reaches_maximal": self.reaches_maximal,
-            "discs_coprime_and_odd": self.discs_coprime_and_odd,
-            "step_count_bounded": self.step_count_bounded,
-        }
+        return asdict(self)
 
 
 def alpha_char_poly(omega, eta):

@@ -320,6 +320,16 @@ def test_exit_code_internal(monkeypatch, capsys):
 @pytest.mark.parametrize("spec", [
     {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], ["1/0", 1]]},
     {"min_poly": [-1, -1, 1], "units": [[0, 1, 0]]},
+    {"min_poly": [-1, -1, 1], "units": 5},
+    {"min_poly": [-1, -1, 1], "orders": []},
+    {"min_poly": [-1, -1, 1], "orders": {"A": 5}},
+    {"min_poly": [-1, -1, 1], "integral_basis": 5},
+    # Entries are read exactly: no float is truncated, no boolean counts as 0 or 1.
+    {"min_poly": [1.5, 0, 1]},
+    {"min_poly": [-1, -1, True]},
+    {"min_poly": [-1, -1, 1], "units": [[0, 1.0]]},
+    {"min_poly": [-1, -1, 1], "orders": {"A": [[1, 0], [0, 2.0]]}},
+    {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, True]]},
 ])
 def test_malformed_field_spec_is_config(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"
@@ -341,6 +351,18 @@ def test_verify_tower_file_errors(tmp_path, capsys):
     bad_steps = tmp_path / "bad_steps.json"
     bad_steps.write_text(json.dumps(dict(doc, steps=[1])))
     assert main(["verify", "--tower", str(bad_steps)]) == EXIT_CONFIG
+    # Malformed shapes, floats and booleans are config errors: each entry
+    # is read exactly, never truncated by int().
+    step0 = doc["steps"][0]
+    for edit in ({"steps": 5}, {"start_order": [[1, 0], [0, 2.0]]},
+                 {"eta": [1.9, 2.5]}, {"eta": [True, 2]},
+                 {"steps": [dict(step0, omega=[0.2, 1.7])] + doc["steps"][1:]},
+                 {"min_poly": [-1.7, -1, 1]}):
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(dict(doc, **edit)))
+        capsys.readouterr()
+        assert main(["verify", "--tower", str(edited)]) == EXIT_CONFIG, edit
+        assert last_diag(capsys.readouterr().err)["error"] == "config"
     doc["steps"][0]["omega"] = [0, 2]
     bad_step = tmp_path / "bad_step.json"
     bad_step.write_text(json.dumps(doc))

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from unitring import field as field_module
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
 from unitring.intervals import RatInterval
 from unitring.linalg import det
-from unitring.rootiso import resultant
+from unitring.rootiso import RootEnclosure, RootIsolation, resultant
 
 
 @pytest.fixture(scope="module")
@@ -189,23 +190,69 @@ def test_irreducibility_guard():
         NumberField([-4, 0, 1])  # (X-2)(X+2)
     with pytest.raises(IrreducibilityError):
         NumberField([0, 1, 0, 1])  # X(X^2+1)
-    # X^4 + 1 is irreducible over Q but splits mod every prime:
-    # the degree-pattern certificate must still succeed via products.
+    # X^4 + 1 is irreducible over Q but splits mod every prime.
     NumberField([1, 0, 0, 0, 1])
 
 
-@pytest.mark.parametrize("poly, reducible", [
-    ([4, 0, -4, 0, 1], True),  # (X^2 - 2)^2: a repeated factor mod every prime
-    ([-10000000000000061, 0, 1], False),  # X^2 - p for a 17-digit prime p
-], ids=["square_of_quadratic", "large_prime_constant"])
-def test_irreducibility_certificate_is_quick(poly, reducible):
+# Two 18-digit primes: the constant term of X^2 - pq is slow to factor.
+P, Q = 100000000000000003, 100000000000000013
+
+
+@pytest.mark.parametrize("poly, refusal", [
+    ([4, 0, -4, 0, 1], "repeated factor"),  # (X^2 - 2)^2
+    ([-10000000000000061, 0, 1], None),  # X^2 - p for a 17-digit prime p
+    ([1, 0, -10, 0, 1], None),  # Q(sqrt2, sqrt3): reducible mod every prime
+    ([4, 0, -16, 0, 1], None),  # X^4 - 16X^2 + 4: reducible mod every prime
+    ([-1, -1, 0, 0, 0, 1], None),  # X^5 - X - 1
+    ([1, 0, 0, 1, 0, 0, 1], None),  # X^6 + X^3 + 1
+    ([-P * Q, 0, 1], None),  # X^2 - pq
+    ([2, 0, 3, 0, 1], r"factor \(([12]), 0, 1\)"),  # (X^2 + 1)(X^2 + 2)
+    ([6, 0, -5, 0, 1], r"factor \((-2|-3), 0, 1\)"),  # (X^2 - 2)(X^2 - 3)
+    ([-2, -2, -2, 1, 1, 1], r"factor \(1, 1, 1\)"),  # (X^2 + X + 1)(X^3 - 2)
+    ([-1, 1, -1, 1], r"factor \(-1, 1\)"),  # (X - 1)(X^2 + 1)
+], ids=["square_of_quadratic", "large_prime_constant", "sqrt2_sqrt3", "x4_16x2_4",
+        "x5_x_1", "x6_x3_1", "semiprime_constant", "x2p1_x2p2", "x2m2_x2m3",
+        "x2px1_x3m2", "xm1_x2p1"])
+def test_irreducibility_certificate_is_quick(poly, refusal):
     start = time.perf_counter()
-    if reducible:
-        with pytest.raises(IrreducibilityError, match="repeated factor"):
+    if refusal:
+        with pytest.raises(IrreducibilityError, match=refusal):
             NumberField(poly)
     else:
         NumberField(poly)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("poly, refusal", [
+    ([1, 0, -10, 0, 1], None),
+    ([1, 0, 0, 1, 0, 0, 1], None),
+    ([-1, -1, 0, 1], None),
+    ([6, 0, -5, 0, 1], r"factor \((-2|-3), 0, 1\)"),
+    ([-2, -2, -2, 1, 1, 1], r"factor \(1, 1, 1\)"),
+    ([-1, 1, -1, 1], r"factor \(-1, 1\)"),
+])
+def test_irreducibility_certificate_refines(poly, refusal, monkeypatch):
+    # Enclosures only as tight as asked for, from 1 bit up: the certificate
+    # must refine until every set of places is decided, and decide as before.
+    asked = []
+    refine = RootIsolation.refine
+
+    def loose(self, bits):
+        refine(self, bits)
+        asked.append(bits)
+        self.enclosures = [
+            RootEnclosure(e.center, max(e.radius, Fraction(1, 1 << bits)), e.is_real)
+            for e in self.enclosures
+        ]
+
+    monkeypatch.setattr(RootIsolation, "refine", loose)
+    monkeypatch.setattr(field_module, "RootIsolation", lambda p: RootIsolation(p, bits=1))
+    if refusal:
+        with pytest.raises(IrreducibilityError, match=refusal):
+            NumberField(poly)
+    else:
+        NumberField(poly)
+    assert max(asked) > 1
 
 
 def test_inverse_unit_and_nonunit(q5):

@@ -64,9 +64,10 @@ def test_enclosures_contain_roots(poly, expected_sig):
     # real roots: p changes sign across the real interval.
     for enc in iso.enclosures:
         if enc.is_real:
-            lo, hi = enc.real_interval()
-            vlo = evaluate(poly, Fraction(lo), QQ)
-            vhi = evaluate(poly, Fraction(hi), QQ)
+            re, im = enc.box()
+            assert im.lo == im.hi == 0
+            vlo = evaluate(poly, re.lo, QQ)
+            vhi = evaluate(poly, re.hi, QQ)
             assert vlo == 0 or vhi == 0 or (vlo < 0) != (vhi < 0)
     # Pairwise disjoint disks.
     for i in range(n):

@@ -14,7 +14,6 @@ from unitring.tower import (
     build_tower,
     candidate_elements,
     find_omega,
-    llorente_nart_valuation,
     quadratic_step,
     unit_order,
     verify_unit_generation,
@@ -123,8 +122,7 @@ def test_quadratic_step_rejections(q5, eta):
 
 
 def test_quadratic_step_valuations_prime_by_prime(q5, eta):
-    # Each ramified prime of a step discriminant carries valuation exactly
-    # 1, matching the radical-extension formula with r=2, v_P(2)=0, v_P=1.
+    # Each ramified prime of a step discriminant carries valuation exactly 1.
     from unitring.ideal import element_valuation
 
     for omega in (q5.theta, q5.one + q5.theta, q5.element((1, -1))):
@@ -136,16 +134,6 @@ def test_quadratic_step_valuations_prime_by_prime(q5, eta):
         for pid, e in st.disc_ideal.factor():
             assert e == 1
             assert element_valuation(value, pid) == 1
-            assert llorente_nart_valuation(2, 0, 1) == 1
-
-
-def test_llorente_nart_values():
-    assert llorente_nart_valuation(2, 0, 1) == 1
-    assert llorente_nart_valuation(2, 0, 0) == 0
-    assert llorente_nart_valuation(3, 0, 1) == 2
-    assert llorente_nart_valuation(2, 1, 1) == 3
-    with pytest.raises(ValueError):
-        llorente_nart_valuation(1, 0, 0)
 
 
 def test_compositum_single_and_pair(q5, eta, z_sqrt5):
@@ -252,7 +240,7 @@ def test_build_tower_index_halving(q5, eta):
 
 
 def test_build_tower_from_units(q5, eta):
-    t = build_tower(q5, unit_gens=[eta], eta=eta)
+    t = build_tower(q5, unit_order(q5, [eta]), eta)
     assert t.start_order.index == 2
     assert t.final_index == 1
     assert verify_unit_generation(t).all_passed()

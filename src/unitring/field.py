@@ -19,9 +19,9 @@ from itertools import combinations, product
 from math import ceil, isqrt
 
 from .intervals import RatInterval
-from .linalg import char_poly, det, mat_inv_frac
+from .linalg import char_poly, det, mat_inv_frac, vec_mat
 from .poly import QQ, deriv, divmod, gcd, mul, trim
-from .rootiso import MAX_BITS, PrecisionError, RootIsolation, _ceval
+from .rootiso import MAX_BITS, PrecisionError, RootIsolation, ceval
 
 
 class IrreducibilityError(ValueError):
@@ -184,7 +184,7 @@ class NumberField:
         tr = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                prod = self.element_from_coords_unchecked(self.mult_table[i][j])
+                prod = self.element(self.mult_table[i][j])
                 tr[i][j] = prod.trace()
         self.trace_form_inv = mat_inv_frac(tr)
         return det(tr)
@@ -195,9 +195,6 @@ class NumberField:
         coords = tuple(c if type(c) is int else exact_int(c) for c in coords)
         if len(coords) != self.degree:
             raise ValueError("coordinate length mismatch")
-        return AlgebraicInt(self, coords)
-
-    def element_from_coords_unchecked(self, coords):
         return AlgebraicInt(self, coords)
 
     def from_theta_poly(self, coeffs):
@@ -268,6 +265,12 @@ class NumberField:
             rows.append(tuple(acc))
         return tuple(rows)
 
+    def products(self, rows_a, rows_b):
+        """Coordinates of a*b for every row a of rows_a and b of rows_b,
+        in that order: b times the multiplication matrix of a."""
+        return [vec_mat(b, m) for m in (self.mult_matrix(self.element(a)) for a in rows_a)
+                for b in rows_b]
+
     def char_poly(self, alpha):
         """Characteristic polynomial of alpha (monic, integer, constant first)."""
         return char_poly(self.mult_matrix(alpha))
@@ -292,7 +295,7 @@ class NumberField:
         roots = [enc.box() for enc in iso.enclosures[:r + s]]
         rows = []
         for w in self.basis:
-            vals = [_ceval(w, z) for z in roots]
+            vals = [ceval(w, z) for z in roots]
             rows.append(tuple(v[0] for v in vals[:r]) + tuple(x for v in vals[r:] for x in v))
         out = tuple(rows)
         self._emb_cache[bits] = out

@@ -16,7 +16,8 @@ from math import ceil, floor, isqrt
 
 from .intervals import PI, RatInterval, sqrt_upper
 from .intfactor import iroot
-from .linalg import char_poly, det, hnf, mat_inv_frac
+from .linalg import (char_poly, det, det_triangular, hnf, lattice_intersection, mat_inv_frac,
+                     solve_upper_int, vec_mat)
 from .poly import QQ, divmod, evaluate
 from .rootiso import MAX_BITS, PrecisionError
 
@@ -513,7 +514,7 @@ class EmbeddedLattice:
         """Standard embedding of a coordinate lattice, exact Gram."""
         r, s = field.signature
         n = field.degree
-        els = [field.element_from_coords_unchecked(row) for row in lattice_rows]
+        els = [field.element(row) for row in lattice_rows]
         gram = [[None] * n for _ in range(n)]
         if s == 0:
             for i in range(n):
@@ -671,23 +672,22 @@ def count_coset(field, beta, modulus_ideal, box, order=None):
     Returns (count, main RatInterval, error RatInterval).  Raises
     EmptyCosetError when the coset misses the order entirely.
     """
-    from .linalg import in_lattice, lattice_intersection, lattice_sum
-
     if order is None:
         from .order import SubOrder
 
         order = SubOrder.maximal(field)
-    sum_lat = lattice_sum(order.basis_hnf, modulus_ideal.hnf)
-    if not in_lattice(beta.coords, sum_lat):
+    # A representative alpha0 = beta - m, m in the modulus, alpha0 in the
+    # order: beta = coeff h, and h = u (order rows, then modulus rows).
+    n = field.degree
+    h, u = hnf(list(order.basis_hnf) + list(modulus_ideal.hnf), transform=True)
+    coeff = solve_upper_int(h, beta.coords)
+    if coeff is None:
         raise EmptyCosetError("coset does not meet the order")
+    alpha0 = field.element(vec_mat(vec_mat(coeff, u[:n])[:n], order.basis_hnf))
     m_rows = lattice_intersection(modulus_ideal.hnf, order.basis_hnf)
-    # Representative alpha0 = beta - m with m in modulus, alpha0 in order.
-    alpha0 = _coset_representative(field, beta, order, modulus_ideal)
     count = 0
     for _ in enumerate_region(field, box, m_rows, shift=alpha0):
         count += 1
-    from .linalg import det_triangular
-
     index = abs(det_triangular(m_rows))
     x = RatInterval(box.volume_sq).sqrt(SQRT_BITS)
     main = lattice_point_density(field) * x * Fraction(1, index)
@@ -695,27 +695,4 @@ def count_coset(field, beta, modulus_ideal, box, order=None):
     err = RatInterval(min(abs(diff.lo), abs(diff.hi)) if diff.lo * diff.hi > 0 else Fraction(0),
                       max(abs(diff.lo), abs(diff.hi)))
     return count, main, err
-
-
-def _coset_representative(field, beta, order, modulus_ideal):
-    """Some alpha0 in (beta + modulus) cap order."""
-    from .linalg import solve_upper_int
-
-    stacked = list(order.basis_hnf) + list(modulus_ideal.hnf)
-    h, u = hnf(stacked, transform=True)
-    coeff = solve_upper_int(h, beta.coords)
-    if coeff is None:
-        raise EmptyCosetError("coset does not meet the order")
-    # beta = sum coeff_i h_i; pull back through u to the stacked generators.
-    k_order = len(order.basis_hnf)
-    order_part = [0] * field.degree
-    for i, ci in enumerate(coeff):
-        if ci:
-            for j in range(len(stacked)):
-                contrib = ci * u[i][j]
-                if contrib and j < k_order:
-                    row = stacked[j]
-                    for t in range(field.degree):
-                        order_part[t] += contrib * row[t]
-    return field.element(order_part)
 

@@ -12,6 +12,7 @@ from .intfactor import factor as factor_int, mth_power_primes
 from .linalg import (
     det_triangular,
     hnf,
+    identity,
     in_lattice,
     lattice_sum,
     reduce_mod_lattice,
@@ -46,25 +47,16 @@ class IdealLattice:
             self._check_module()
 
     def _check_module(self):
-        for row in self.hnf:
-            alpha = self.field.element_from_coords_unchecked(row)
-            for j in range(self.field.degree):
-                basis_j = self.field.element_from_coords_unchecked(
-                    tuple(1 if k == j else 0 for k in range(self.field.degree))
-                )
-                prod = alpha * basis_j
-                if not in_lattice(prod.coords, self.hnf):
-                    raise ValueError("lattice is not an O_K-module")
+        n = self.field.degree
+        if not all(in_lattice(v, self.hnf) for v in self.field.products(self.hnf, identity(n))):
+            raise ValueError("lattice is not an O_K-module")
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def from_generators(cls, field, elements):
         """Ideal generated by the given elements (as an O_K-module)."""
-        rows = []
-        for g in elements:
-            rows.extend(field.mult_matrix(g))
-        h = hnf(rows)
+        h = hnf(field.products([g.coords for g in elements], identity(field.degree)))
         if len(h) != field.degree:
             raise ValueError("zero ideal rejected")
         return cls(field, h, _validated=True)
@@ -75,8 +67,6 @@ class IdealLattice:
 
     @classmethod
     def unit_ideal(cls, field):
-        from .linalg import identity
-
         return cls(field, identity(field.degree), _validated=True)
 
     @classmethod
@@ -115,15 +105,8 @@ class IdealLattice:
     # -- arithmetic -----------------------------------------------------------
 
     def __mul__(self, other):
-        field = self.field
-        gens = []
-        rows_b = other.hnf if isinstance(other, IdealLattice) else other
-        for ra in self.hnf:
-            a = field.element_from_coords_unchecked(ra)
-            for rb in rows_b:
-                b = field.element_from_coords_unchecked(rb)
-                gens.append((a * b).coords)
-        return IdealLattice(field, hnf(gens), _validated=True)
+        h = hnf(self.field.products(self.hnf, other.hnf))
+        return IdealLattice(self.field, h, _validated=True)
 
     def __pow__(self, k):
         if k < 0:
@@ -144,12 +127,9 @@ class IdealLattice:
     def contains(self, alpha):
         return in_lattice(alpha.coords, self.hnf)
 
-    def contains_ideal(self, other):
-        return all(in_lattice(row, self.hnf) for row in other.hnf)
-
     def divides(self, other):
         """self | other, i.e. other is contained in self."""
-        return self.contains_ideal(other)
+        return all(in_lattice(row, self.hnf) for row in other.hnf)
 
     def is_coprime(self, other):
         return (self + other).is_unit_ideal()

@@ -11,7 +11,7 @@ dictionary keys.
 """
 
 from fractions import Fraction
-from math import gcd
+from itertools import product
 from operator import mul
 
 
@@ -199,47 +199,13 @@ def lattice_intersection(a_rows, b_rows):
     return hnf(gens)
 
 
-def lattice_scale_preimage(target_rows, m_frac):
-    """{v in Z^n : v * m_frac in lattice(target_rows)} for invertible rational m.
-
-    Computed by clearing denominators of target * m^{-1} and intersecting
-    with the scaled standard lattice.
-    """
-    n = len(target_rows[0])
-    m_inv = mat_inv_frac(m_frac)
-    rat_rows = [
-        [sum(Fraction(target_rows[i][k]) * m_inv[k][j] for k in range(n)) for j in range(n)]
-        for i in range(len(target_rows))
-    ]
-    den = 1
-    for row in rat_rows:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    int_rows = [[int(x * den) for x in row] for row in rat_rows]
-    scaled = lattice_intersection(hnf(int_rows), tuple(tuple(den if i == j else 0 for j in range(n)) for i in range(n)))
-    return hnf([[x // den for x in row] for row in scaled])
-
-
 def residue_transversal(h):
     """Stream coordinate vectors of a complete residue system modulo the
     row lattice of upper-triangular full-rank h, in lexicographic order.
 
     The representatives are all vectors with 0 <= v_i < h[i][i].
     """
-    n = len(h)
-    diag = [h[i][i] for i in range(n)]
-    idx = [0] * n
-    while True:
-        yield tuple(idx)
-        j = n - 1
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < diag[j]:
-                break
-            idx[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    return product(*(range(h[i][i]) for i in range(len(h))))
 
 
 def reduce_mod_lattice(v, h):

@@ -1,25 +1,27 @@
 """Orders below the maximal order: conductors, contraction, extension.
 
 A suborder is a full-rank subring of O_K stored as the HNF of its
-coordinate lattice.  The conductor is computed as the colon ideal
-{x in O_K : x * O_K is inside the order}, one multiplication-matrix
-preimage per basis element.  Contraction and extension implement the
+coordinate lattice.  The conductor is the colon ideal
+{x in O_K : x * O_K is inside the order}, read off one integer kernel
+modulo the index [O_K : O].  Contraction and extension implement the
 coprime-to-conductor bijection between ideal monoids, with the index
 formula [O : a cap O] = N(a) on the coprime side.
 """
 
 from fractions import Fraction
 
-from .ideal import RESIDUE_CAP, IdealLattice, ResidueCapError, split_prime
+from .ideal import RESIDUE_CAP, IdealLattice, ResidueCapError
 from .linalg import (
     det_triangular,
     hnf,
+    hnf_kernel,
     identity,
     in_lattice,
     lattice_intersection,
-    lattice_scale_preimage,
     lattice_sum,
+    mat_inv_frac,
     quotient_box,
+    vec_mat,
 )
 
 
@@ -41,12 +43,8 @@ class SubOrder:
         self.index = abs(det_triangular(h))
         if not in_lattice(field.one_coords, h):
             raise ValueError("order must contain 1")
-        for i in range(field.degree):
-            a = field.element_from_coords_unchecked(h[i])
-            for j in range(i, field.degree):
-                b = field.element_from_coords_unchecked(h[j])
-                if not in_lattice((a * b).coords, h):
-                    raise ValueError("lattice is not closed under multiplication")
+        if not all(in_lattice(v, h) for v in field.products(h, h)):
+            raise ValueError("lattice is not closed under multiplication")
         self._conductor = None
         self._conductor_support = None
 
@@ -63,9 +61,7 @@ class SubOrder:
         """
         current = hnf(rows)
         while True:
-            els = [field.element_from_coords_unchecked(r) for r in current]
-            products = [(a * b).coords for i, a in enumerate(els) for b in els[i:]]
-            nxt = hnf(list(current) + products)
+            nxt = hnf(list(current) + field.products(current, current))
             if nxt == current:
                 break
             current = nxt
@@ -95,21 +91,24 @@ class SubOrder:
     # -- conductor -------------------------------------------------------------
 
     def conductor(self):
-        """Largest O_K-ideal contained in the order."""
+        """Largest O_K-ideal contained in the order.
+
+        With H the order's HNF, d = [O_K : O] and A = d H^-1 (integral), x
+        is in the conductor iff every x w_j is in O, i.e. coords(x w_j) A is
+        0 mod d.  Row i of block B_j is coords(w_i w_j) A, so the conductor
+        is the v with v [B_1 ... B_n] in d Z^(n^2): the first n coordinates
+        of the integer kernel of that matrix stacked over d I.
+        """
         if self._conductor is not None:
             return self._conductor
         field = self.field
         n = field.degree
-        current = self.basis_hnf
-        for j in range(n):
-            basis_j = field.element_from_coords_unchecked(
-                tuple(1 if k == j else 0 for k in range(n))
-            )
-            mj = field.mult_matrix(basis_j)
-            mj_frac = tuple(tuple(Fraction(x) for x in row) for row in mj)
-            pre = lattice_scale_preimage(self.basis_hnf, mj_frac)
-            current = lattice_intersection(current, pre)
-        self._conductor = IdealLattice(field, hnf(current))
+        d = self.index
+        a = [[int(x * d) for x in row] for row in mat_inv_frac(self.basis_hnf)]
+        prods = field.products(identity(n), identity(n))  # w_i w_j at i n + j
+        rows = [[x % d for j in range(n) for x in vec_mat(prods[i * n + j], a)] for i in range(n)]
+        rows += [[d if k == i else 0 for k in range(n * n)] for i in range(n * n)]
+        self._conductor = IdealLattice(field, hnf([v[:n] for v in hnf_kernel(rows)]))
         return self._conductor
 
     def conductor_support(self):
@@ -128,12 +127,7 @@ class SubOrder:
 
     def extend(self, rows):
         """The O_K-ideal generated by an O-submodule given by rows."""
-        field = self.field
-        gens = []
-        for r in rows:
-            alpha = field.element_from_coords_unchecked(r)
-            gens.append(alpha)
-        return IdealLattice.from_generators(field, gens)
+        return IdealLattice.from_generators(self.field, [self.field.element(r) for r in rows])
 
     def extend_contracted(self, rows):
         """psi on the coprime-to-conductor monoid; checks c + (f cap O) = O."""
@@ -165,25 +159,8 @@ def order_primes_over_conductor(order):
     where p_rows is the HNF of the order-prime p = P cap O, index_in_order
     is [O : p], and the last entry factors p*O_K.
     """
-    field = order.field
-    groups = {}
-    for pid in order.conductor_support():
-        rows, idx = order.contract(pid.ideal)
-        groups.setdefault(rows, (idx, []))[1].append(pid)
-    out = []
-    for rows, (idx, pids) in sorted(groups.items()):
-        ext = order.extend(rows)
-        fac = []
-        seen = set()
-        for p in sorted({q.p for q in pids}):
-            for pid in split_prime(field, p):
-                e = ext.valuation_at(pid)
-                if e and pid not in seen:
-                    fac.append((pid, e))
-                    seen.add(pid)
-        fac.sort(key=lambda t: t[0].sort_key())
-        out.append((rows, idx, fac))
-    return out
+    groups = dict(order.contract(pid.ideal) for pid in order.conductor_support())
+    return [(rows, idx, order.extend(rows).factor()) for rows, idx in sorted(groups.items())]
 
 
 def index_lower_bound(order):

@@ -14,6 +14,7 @@ rigorous at any requested precision.
 """
 
 from fractions import Fraction
+from math import ldexp
 
 from .intervals import RatInterval, sqrt_upper
 from .linalg import det
@@ -111,7 +112,7 @@ def cabs2(a):
     return a[0] * a[0] + a[1] * a[1]
 
 
-def _ceval(c, z):
+def ceval(c, z):
     out = (Fraction(0), Fraction(0))
     for coef in reversed(c):
         out = cadd(cmul(out, z), (Fraction(coef), Fraction(0)))
@@ -177,9 +178,14 @@ class RootIsolation:
     # -- initial float approximations -------------------------------------
 
     def _initial_disks(self):
+        """Durand-Kerner on p(2^s z) / 2^(ns), where 2^(s+1) is at least the
+        Fujiwara bound on the roots, so the floats stay in range; a
+        power-of-two scale is exact, so the iterates are those of p scaled
+        by 2^-s."""
         n = self.degree
-        pf = [float(c) for c in self.poly]
-        bound = 1.0 + max(abs(c) for c in pf[:-1]) if n else 1.0
+        s = max((abs(self.poly[n - k]).bit_length() + k - 1) // k for k in range(1, n + 1))
+        pf = [ldexp(float(c), -s * (n - k)) for k, c in enumerate(self.poly)]
+        bound = ldexp(1.0 + max(abs(float(c)) for c in self.poly[:-1]), -s)
         zs = [bound * complex(0.4, 0.9) ** k for k in range(1, n + 1)]
         for _ in range(400):
             new = []
@@ -196,16 +202,16 @@ class RootIsolation:
                 new.append(z - step)
                 delta = max(delta, abs(step))
             zs = new
-            if delta < 1e-13:
+            if delta < ldexp(1e-13, -s):
                 break
-        return [(Fraction(z.real).limit_denominator(1 << 80),
-                 Fraction(z.imag).limit_denominator(1 << 80)) for z in zs]
+        return [(Fraction(ldexp(z.real, s)).limit_denominator(1 << 80),
+                 Fraction(ldexp(z.imag, s)).limit_denominator(1 << 80)) for z in zs]
 
     # -- certification ------------------------------------------------------
 
     def _radius_at(self, z, sqrt_bits=96):
-        num = cabs2(_ceval(self.poly, z))
-        den = cabs2(_ceval(self.deriv, z))
+        num = cabs2(ceval(self.poly, z))
+        den = cabs2(ceval(self.deriv, z))
         if den == 0:
             return None
         if num == 0:
@@ -214,8 +220,8 @@ class RootIsolation:
 
     def _newton(self, z, steps, bits):
         for _ in range(steps):
-            pv = _ceval(self.poly, z)
-            dv = _ceval(self.deriv, z)
+            pv = ceval(self.poly, z)
+            dv = ceval(self.deriv, z)
             if dv == (0, 0):
                 break
             z = _round_z(csub(z, cdiv(pv, dv)), bits)
@@ -244,18 +250,21 @@ class RootIsolation:
         return z, r
 
     def refine(self, bits):
-        """Shrink every enclosure radius below 2^-bits."""
+        """Shrink every enclosure radius below 2^-bits, and further, at
+        twice the bits each time, until the disks are pairwise disjoint:
+        disjointness certifies one root per disk."""
         if self.bits >= bits:
             return
-        self._reps = [RootEnclosure(*self._polish(e.center, bits, e.is_real), e.is_real)
-                      for e in self._reps]
-        full = self._reps + [e.conjugate() for e in self._reps if not e.is_real]
-        # Disjointness certifies one root per disk.
-        for i in range(len(full)):
-            for j in range(i + 1, len(full)):
-                d2 = cabs2(csub(full[i].center, full[j].center))
-                if d2 <= (full[i].radius + full[j].radius) ** 2:
-                    raise PrecisionError("enclosures overlap; raise bits")
+        while True:
+            self._reps = [RootEnclosure(*self._polish(e.center, bits, e.is_real), e.is_real)
+                          for e in self._reps]
+            full = self._reps + [e.conjugate() for e in self._reps if not e.is_real]
+            if all(cabs2(csub(a.center, b.center)) > (a.radius + b.radius) ** 2
+                   for i, a in enumerate(full) for b in full[i + 1:]):
+                break
+            bits *= 2
+            if bits > MAX_BITS:
+                raise PrecisionError("enclosures overlap at maximum precision")
         self.enclosures = full
         self.bits = bits
 

@@ -12,6 +12,7 @@ by units over the base.
 """
 
 from dataclasses import asdict, dataclass
+from itertools import count, product
 from math import isqrt
 
 from .density import HypothesisError, check_hypotheses, with_conductor_support
@@ -115,31 +116,11 @@ def unit_order(field, unit_gens):
 def candidate_elements(field):
     """Deterministic stream of elements: shells of increasing coordinate
     max-norm, ordered inside a shell by (|c|, sign) per coordinate."""
-    n = field.degree
-    shell = 0
-
-    def key_order(bound):
-        vals = [0]
-        for v in range(1, bound + 1):
-            vals.extend([v, -v])
-        return vals
-
-    while True:
-        vals = key_order(shell)
-
-        def rec(idx, current, on_boundary):
-            if idx == n:
-                if on_boundary:
-                    yield tuple(current)
-                return
-            for v in vals:
-                current.append(v)
-                yield from rec(idx + 1, current, on_boundary or abs(v) == shell)
-                current.pop()
-
-        for coords in rec(0, [], shell == 0):
-            yield field.element(coords)
-        shell += 1
+    for shell in count():
+        vals = [0] + [v for k in range(1, shell + 1) for v in (k, -k)]
+        for coords in product(vals, repeat=field.degree):
+            if max(map(abs, coords)) == shell:
+                yield field.element(coords)
 
 
 def find_omega(order, excluded, eta, search_bound=2000):

@@ -10,6 +10,7 @@ from unitring import field as field_module
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
 from unitring.intervals import RatInterval
 from unitring.linalg import det
+from unitring.poly import QQ, evaluate
 from unitring.rootiso import RootEnclosure, RootIsolation, resultant
 
 
@@ -253,6 +254,22 @@ def test_irreducibility_certificate_refines(poly, refusal, monkeypatch):
     else:
         NumberField(poly)
     assert max(asked) > 1
+
+
+A, B = 2**128 + 3, 2**129 + 5
+
+
+@pytest.mark.parametrize("poly", [
+    [2, 0, -(10**40 + 2), 0, 1],  # roots near +-10^20 and +-sqrt2 10^-20, 2^-65 apart
+    [A * B + 1, 0, -(A + B), 0, 1],  # roots near +-2^64: unscaled floats overflow
+], ids=["close_roots", "large_roots"])
+def test_isolates_close_and_large_roots(poly):
+    field = NumberField(poly)
+    assert field.signature == (4, 0)
+    # Each disk is certified to hold one real root: f changes sign across it.
+    for enc in field.root_isolation().enclosures:
+        re, _ = enc.box()
+        assert evaluate(field.min_poly, re.lo, QQ) * evaluate(field.min_poly, re.hi, QQ) < 0
 
 
 def test_inverse_unit_and_nonunit(q5):

@@ -190,3 +190,16 @@ def test_shadowed_name_is_not_a_reference():
     tower = ROOT / "src" / "unitring" / "tower.py"
     sources[tower] += "\n\ndef excluded(order):\n    return ()\n"
     assert [line.rsplit(": ", 1)[1] for line in _unreferenced(sources)] == ["excluded"]
+
+
+def test_no_private_imports_between_src_modules():
+    # A module's underscore names are its own; tests may still import them.
+    private = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+        for path in SRC
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, "private names imported from another module:\n" + "\n".join(private)

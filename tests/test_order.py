@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -170,3 +171,41 @@ def test_conductor_support(q5, z_sqrt5, z_3theta):
         assert list(support) == sorted(support, key=lambda q: q.sort_key())
         assert order.conductor_support() is support
     assert [pid.p for pid in z_3theta.conductor_support()] == [3]
+
+
+def _z_plus(field, k):
+    """The order Z + k O_K."""
+    n = field.degree
+    rows = [[k * (i == j) for j in range(n)] for i in range(n)]
+    return SubOrder(field, [field.one_coords, *rows])
+
+
+def _conductor_oracle(order):
+    """The conductor from its definition: d O_K lies in it for d = [O_K : O],
+    so it is spanned by d O_K and the residues x mod d O_K with every x w_j
+    in the order."""
+    field = order.field
+    n, d = field.degree, order.index
+    basis = [field.element(tuple(int(i == j) for j in range(n))) for i in range(n)]
+    kept = [
+        c for c in product(range(d), repeat=n)
+        if all(order.contains(field.element(c) * w) for w in basis)
+    ]
+    return hnf(kept + [tuple(d * (i == j) for j in range(n)) for i in range(n)])
+
+
+@pytest.mark.parametrize("poly, rows", [
+    ([-1, -1, 1], [(1, 0), (-1, 2)]),  # Z[sqrt5]
+    ([-1, -1, 1], [(1, 0), (0, 3)]),  # Z[3 theta]
+    ([-1, -1, 1], 4),
+    ([1, 0, 1], 2),
+    ([1, 0, 1], 3),
+    ([-1, -1, 0, 1], 2),  # cubic-23
+    ([-1, -1, 0, 1], 3),
+    ([1, 0, 0, 0, 1], 2),  # X^4 + 1
+], ids=["q5_z_sqrt5", "q5_z_3theta", "q5_z_4", "qi_z_2", "qi_z_3", "cubic23_z_2",
+        "cubic23_z_3", "x4p1_z_2"])
+def test_conductor_matches_residue_oracle(poly, rows):
+    field = NumberField(poly)
+    order = SubOrder(field, rows) if isinstance(rows, list) else _z_plus(field, rows)
+    assert order.conductor().hnf == _conductor_oracle(order)

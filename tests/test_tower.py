@@ -1,4 +1,5 @@
 import dataclasses
+from math import isqrt
 
 import pytest
 
@@ -52,6 +53,15 @@ def test_candidate_order_prefix(q5):
     assert prefix == [
         (0, 0),
         (0, 1), (0, -1), (1, 0), (1, 1), (1, -1), (-1, 0), (-1, 1), (-1, -1),
+    ]
+    stream = candidate_elements(NumberField([-1, -1, 0, 1]))  # cubic-23
+    prefix = [next(stream).coords for _ in range(27)]
+    assert prefix == [
+        (0, 0, 0),
+        (0, 0, 1), (0, 0, -1), (0, 1, 0), (0, 1, 1), (0, 1, -1), (0, -1, 0), (0, -1, 1),
+        (0, -1, -1), (1, 0, 0), (1, 0, 1), (1, 0, -1), (1, 1, 0), (1, 1, 1), (1, 1, -1),
+        (1, -1, 0), (1, -1, 1), (1, -1, -1), (-1, 0, 0), (-1, 0, 1), (-1, 0, -1), (-1, 1, 0),
+        (-1, 1, 1), (-1, 1, -1), (-1, -1, 0), (-1, -1, 1), (-1, -1, -1),
     ]
 
 
@@ -320,3 +330,40 @@ def _squarefree(d):
     from unitring.intfactor import is_squarefree_int
 
     return is_squarefree_int(d)
+
+
+def _generated_by_units_oracle(d):
+    """Whether O_K of Q(sqrt d) is generated by its units, from the
+    fundamental unit rather than from Belcher's criterion.
+
+    For d < 0 the units are roots of unity, which generate O_K only for
+    d = -1 and -3.  For d > 0 let omega be sqrt d, or (1 + sqrt d)/2 when
+    d = 1 mod 4.  The first convergent p/q of omega's continued fraction
+    with N(p - q omega) = +-1 gives the fundamental unit eps = p - q omega.
+    Every unit lies in Z[eps], as eps^-1 = +-(Tr eps - eps), and
+    [O_K : Z[eps]] = q.
+    """
+    if d < 0:
+        return d in (-1, -3)
+    quarter = d % 4 == 1
+    big_p, big_q = (1, 2) if quarter else (0, 1)  # omega = (P + sqrt d) / Q
+    p0, p1, q0, q1 = 0, 1, 1, 0
+    while True:
+        a = (big_p + isqrt(d)) // big_q
+        p0, p1 = p1, a * p1 + p0
+        q0, q1 = q1, a * q1 + q0
+        if quarter:
+            norm = p1 * p1 - p1 * q1 + q1 * q1 * (1 - d) // 4
+        else:
+            norm = p1 * p1 - d * q1 * q1
+        if abs(norm) == 1:
+            return q1 == 1
+        big_p = a * big_q - big_p
+        big_q = (d - big_p * big_p) // big_q
+
+
+def test_belcher_matches_fundamental_unit_oracle():
+    ds = [d for d in range(-1000, 1001)
+          if d not in (0, 1) and all(d % (k * k) for k in range(2, 32))]
+    assert len(ds) == 1215
+    assert [d for d in ds if belcher_criterion(d) != _generated_by_units_oracle(d)] == []

@@ -45,7 +45,12 @@ from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
 
 
-class FixedDivisorError(ValueError):
+class SieveInputError(ValueError):
+    """An input the sieve refuses: a polynomial, order, m, exclusion set or
+    truncation outside the hypotheses of the density theorem."""
+
+
+class FixedDivisorError(SieveInputError):
     """Some m-th prime power divides every value of the polynomial."""
 
     def __init__(self, witness):
@@ -56,14 +61,14 @@ class FixedDivisorError(ValueError):
 class SievePolynomial:
     """Polynomial over the order with AlgebraicInt coefficients, constant first."""
 
-    __slots__ = ("field", "coeffs", "degree", "irreducible_certified", "theta_numerators")
+    __slots__ = ("field", "coeffs", "degree", "theta_numerators")
 
     def __init__(self, coeffs, assume_irreducible=False):
         coeffs = list(coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
         if len(coeffs) < 2:
-            raise ValueError("degree must be at least 1")
+            raise SieveInputError("degree must be at least 1")
         self.field = coeffs[0].field
         self.coeffs = tuple(coeffs)
         self.degree = len(coeffs) - 1
@@ -74,17 +79,11 @@ class SievePolynomial:
         self.theta_numerators = (den, tuple(tuple(int(x * den) for x in row) for row in rows))
         if self.degree == 2:
             # Quadratic: irreducible over O_K iff the discriminant is a non-square.
-            a, b, c = self.coeffs[2], self.coeffs[1], self.coeffs[0]
-            disc = b * b - 4 * (a * c)
-            self.irreducible_certified = not is_square_in_field(disc)
-            if not self.irreducible_certified:
-                raise ValueError("quadratic is reducible: discriminant is a square")
-        else:
-            self.irreducible_certified = bool(assume_irreducible)
-            if not self.irreducible_certified:
-                raise ValueError(
-                    "irreducibility must be asserted by the caller for degree != 2"
-                )
+            c, b, a = self.coeffs
+            if is_square_in_field(b * b - 4 * (a * c)):
+                raise SieveInputError("quadratic is reducible: discriminant is a square")
+        elif not assume_irreducible:
+            raise SieveInputError("irreducibility must be asserted by the caller for degree != 2")
 
     @classmethod
     def x_squared_minus(cls, value):
@@ -297,14 +296,14 @@ class DensityParams:
         order = self.order
         poly = self.poly
         if not poly.in_order(order):
-            raise ValueError("polynomial must have coefficients in the order")
+            raise SieveInputError("polynomial must have coefficients in the order")
         if self.m < mfree_threshold(poly.degree):
-            raise ValueError(
+            raise SieveInputError(
                 f"m={self.m} below the admissible threshold "
                 f"{mfree_threshold(poly.degree)} for degree {poly.degree}"
             )
         if not set(order.conductor_support()) <= set(self.excluded):
-            raise ValueError("excluded primes must contain the conductor support")
+            raise SieveInputError("excluded primes must contain the conductor support")
         witness = find_fixed_divisor_mth_power(poly, self.m)
         if witness is not None:
             raise FixedDivisorError(witness)
@@ -378,19 +377,15 @@ def _poly_discriminant_element(poly):
     return resultant(poly.coeffs, poly.derivative(), poly.field)
 
 
-def tail_lower(n, g, m, T):
-    """Lower end of the tail interval [1 - n g T^{1-m} / (m-1), 1] that
-    encloses the Euler factors of the prime ideals of norm above T."""
-    return 1 - Fraction(n * g, (m - 1) * T ** (m - 1))
-
-
 def euler_density(params, truncation_norm):
     """Rigorous interval for the density constant D of the sieve.
 
     Exact rational work: the conductor sum, the excluded finite product,
     every local factor with norm below the truncation, and every prime of
-    bad reduction regardless of size.  The remaining tail is enclosed by
-    [1 - n g T^{1-m} / (m-1), 1].  The transcendental prefactor
+    bad reduction regardless of size.  The remaining tail, the Euler
+    factors of the prime ideals of norm above T, is enclosed by
+    [1 - n g T^{1-m} / (m-1), 1], so T must be at least 1 and leave that
+    lower end positive.  The transcendental prefactor
     (2 pi)^s / (sqrt|d_K| [O_K : O]) enters as an interval.
     """
     field_k = params.field
@@ -401,9 +396,11 @@ def euler_density(params, truncation_norm):
     g = poly.degree
 
     T = truncation_norm
-    tail_low = tail_lower(n, g, m, T)
+    if T < 1:
+        raise SieveInputError("truncation norm must be at least 1")
+    tail_low = 1 - Fraction(n * g, (m - 1) * T ** (m - 1))
     if tail_low <= 0:
-        raise ValueError("truncation norm too small for a positive tail bound")
+        raise SieveInputError("truncation norm too small for a positive tail bound")
 
     excluded = set(params.excluded)
     cond_sum = conductor_sum(params)
@@ -429,29 +426,20 @@ def euler_density(params, truncation_norm):
         main_num *= npm - l_val
         main_den *= npm
 
-    main_exact = Fraction(main_num, main_den)
-    prefactor = lattice_point_density(field_k) * Fraction(1, order.index)
-    raw = prefactor * cond_sum * excl_prod
-    if zero_witness is not None:
-        return DensityReport(
-            d_lower=Fraction(0),
-            d_upper=Fraction(0),
-            truncation_norm=T,
-            conductor_sum=cond_sum,
-            excluded_product=excl_prod,
-            exponent_data=error_exponent(n, g, m),
-            zero_witness=zero_witness,
-        )
-    main_iv = RatInterval(main_exact * tail_low, main_exact)
-    d_iv = raw * main_iv
-    lo, hi = min(d_iv.lo, d_iv.hi), max(d_iv.lo, d_iv.hi)
+    if zero_witness is None:
+        main_exact = Fraction(main_num, main_den)
+        prefactor = lattice_point_density(field_k) * Fraction(1, order.index)
+        d_iv = prefactor * cond_sum * excl_prod * RatInterval(main_exact * tail_low, main_exact)
+    else:
+        d_iv = RatInterval(0)
     return DensityReport(
-        d_lower=lo,
-        d_upper=hi,
+        d_lower=d_iv.lo,
+        d_upper=d_iv.hi,
         truncation_norm=T,
         conductor_sum=cond_sum,
         excluded_product=excl_prod,
         exponent_data=error_exponent(n, g, m),
+        zero_witness=zero_witness,
     )
 
 
@@ -665,6 +653,15 @@ def check_hypotheses(field_k):
     return True
 
 
+def check_eta(order, eta):
+    """The hypotheses on eta that the gap criterion and the tower share:
+    eta lies in the order and is not a square in the field."""
+    if not order.contains(eta):
+        raise HypothesisError("eta must lie in the order")
+    if is_square_in_field(eta):
+        raise HypothesisError("eta must not be a square in the field")
+
+
 def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     """Both sides of the finite gap inequality, exactly, plus full
     density intervals for the order and the maximal order."""
@@ -678,10 +675,7 @@ def density_gap_check(order, eta, excluded, truncation_norm=10**3):
         )
     if order.is_maximal():
         raise HypothesisError("the order must be a proper suborder")
-    if not order.contains(eta):
-        raise HypothesisError("eta must lie in the order")
-    if is_square_in_field(eta):
-        raise HypothesisError("eta must not be a square in the field")
+    check_eta(order, eta)
     poly = SievePolynomial.x_squared_minus(4 * eta)
     full_excluded = with_conductor_support(order, excluded)
     params_o = DensityParams(order=order, poly=poly, excluded=full_excluded, m=2)

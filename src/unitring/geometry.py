@@ -615,13 +615,7 @@ def _frac_range(center, limit_sq):
     if limit_sq < 0:
         return 0, -1
     w = sqrt_upper(limit_sq, 32)
-    lo_f = center - w
-    hi_f = center + w
-    import math
-
-    lo = math.ceil(lo_f)
-    hi = math.floor(hi_f)
-    return lo, hi
+    return ceil(center - w), floor(center + w)
 
 
 def widmer_constant(n):
@@ -685,9 +679,7 @@ def count_coset(field, beta, modulus_ideal, box, order=None):
         raise EmptyCosetError("coset does not meet the order")
     alpha0 = field.element(vec_mat(vec_mat(coeff, u[:n])[:n], order.basis_hnf))
     m_rows = lattice_intersection(modulus_ideal.hnf, order.basis_hnf)
-    count = 0
-    for _ in enumerate_region(field, box, m_rows, shift=alpha0):
-        count += 1
+    count = sum(hi - lo + 1 for _, _, lo, hi in region_runs(field, box, m_rows, shift=alpha0))
     index = abs(det_triangular(m_rows))
     x = RatInterval(box.volume_sq).sqrt(SQRT_BITS)
     main = lattice_point_density(field) * x * Fraction(1, index)

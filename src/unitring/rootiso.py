@@ -179,14 +179,14 @@ class RootIsolation:
 
     def _initial_disks(self):
         """Durand-Kerner on p(2^s z) / 2^(ns), where 2^(s+1) is at least the
-        Fujiwara bound on the roots, so the floats stay in range; a
+        Fujiwara bound on the roots, so the floats stay in range and the
+        scaled roots lie in the disk of radius 2, where the iterates start; a
         power-of-two scale is exact, so the iterates are those of p scaled
         by 2^-s."""
         n = self.degree
         s = max((abs(self.poly[n - k]).bit_length() + k - 1) // k for k in range(1, n + 1))
         pf = [ldexp(float(c), -s * (n - k)) for k, c in enumerate(self.poly)]
-        bound = ldexp(1.0 + max(abs(float(c)) for c in self.poly[:-1]), -s)
-        zs = [bound * complex(0.4, 0.9) ** k for k in range(1, n + 1)]
+        zs = [2 * complex(0.4, 0.9) ** k for k in range(1, n + 1)]
         for _ in range(400):
             new = []
             delta = 0.0

@@ -2,22 +2,26 @@
 
 The loop: starting from the order generated by the supplied units, search
 for an element w outside the current order whose discriminant value
-w^2 - 4 eta is squarefree, odd, and avoids the accumulated prime set;
-adjoin it, halve the index, repeat.  Each accepted step certifies a
-quadratic extension K(alpha), alpha^2 = w alpha - eta, whose ring of
-integers is the full polynomial ring O_K[alpha] because every ramified
-prime carries discriminant valuation exactly 1.  A compositum basis of
-products of the alphas then exhibits the top ring of integers as generated
-by units over the base.
+w^2 - 4 eta avoids the accumulated prime set and passes the step
+certificate (step_refusal: nonzero, odd, not a square, squarefree), the
+one rule that both the search and quadratic_step apply; adjoin it, halve
+the index, repeat.  Each accepted step certifies a quadratic extension
+K(alpha), alpha^2 = w alpha - eta, whose ring of integers is the full
+polynomial ring O_K[alpha] because every ramified prime carries
+discriminant valuation exactly 1.  A compositum basis of products of the
+alphas then exhibits the top ring of integers as generated by units over
+the base.  The hypotheses on eta (in the order, not a square) are checked
+once, by density.check_eta, when a Tower is made and when find_omega
+starts; build_tower adds that eta is a unit.
 """
 
 from dataclasses import asdict, dataclass
 from itertools import count, product
 from math import isqrt
 
-from .density import HypothesisError, check_hypotheses, with_conductor_support
+from .density import HypothesisError, check_eta, check_hypotheses, with_conductor_support
 from .field import is_square_in_field
-from .ideal import IdealLattice, element_is_mfree, split_prime
+from .ideal import IdealLattice, element_is_mfree
 from .intfactor import is_squarefree_int
 from .linalg import char_poly
 from .order import SubOrder
@@ -46,9 +50,12 @@ class Tower:
     the steps, which `extend` grows one omega at a time.  What the steps
     imply is derived there, once per step: the chain of orders from the
     start order, the steps that enlarge the compositum basis (`kept`) and
-    the relative discriminant of the top field over K."""
+    the relative discriminant of the top field over K.  Raises
+    HypothesisError unless eta lies in the start order and is not a
+    square (density.check_eta)."""
 
     def __init__(self, field, start_order, eta):
+        check_eta(start_order, eta)
         self.field = field
         self.start_order = start_order
         self.eta = eta
@@ -124,20 +131,16 @@ def candidate_elements(field):
 
 
 def find_omega(order, excluded, eta, search_bound=2000):
-    """First element w (in the deterministic candidate order) with
-    w outside the order, w^2 - 4 eta outside every excluded prime, and
-    (w^2 - 4 eta) squarefree."""
-    field = order.field
+    """First element w (in the deterministic candidate order) outside the
+    order whose discriminant value w^2 - 4 eta lies outside every excluded
+    prime and passes the step certificate (step_refusal)."""
     if order.is_maximal():
         raise HypothesisError("the order is already maximal; nothing to adjoin")
-    if not order.contains(eta):
-        raise HypothesisError("eta must lie in the order")
-    if is_square_in_field(eta):
-        raise HypothesisError("eta must not be a square in the field")
+    check_eta(order, eta)
     # The gap argument needs the conductor support excluded as well.
     full_excluded = with_conductor_support(order, excluded)
     tried = 0
-    for omega in candidate_elements(field):
+    for omega in candidate_elements(order.field):
         tried += 1
         if tried > search_bound:
             raise SearchExhausted(
@@ -146,38 +149,47 @@ def find_omega(order, excluded, eta, search_bound=2000):
         if order.contains(omega):
             continue
         value = omega * omega - 4 * eta
-        if value.is_zero():
-            continue
         if any(pid.ideal.contains(value) for pid in full_excluded):
             continue
-        if not element_is_mfree(value, 2):
-            continue
-        return omega
+        if step_refusal(value) is None:
+            return omega
     raise SearchExhausted("candidate stream ended unexpectedly")
+
+
+def step_refusal(value):
+    """Why a quadratic X^2 - omega X + eta with discriminant value
+    omega^2 - 4 eta certifies no tower step, or None when it does: the
+    value must be nonzero, odd, not a square and squarefree."""
+    if value.is_zero():
+        return "discriminant value is zero"
+    if value.norm() % 2 == 0:
+        return "discriminant value is not coprime to 2"
+    if is_square_in_field(value):
+        return "discriminant value is a square: the quadratic is reducible"
+    if not element_is_mfree(value, 2):
+        return "discriminant value is not squarefree"
+    return None
 
 
 def quadratic_step(omega, eta):
     """Certify one tower step: X^2 - omega X + eta with squarefree odd
     discriminant value defines a quadratic extension whose ring of
     integers is the polynomial ring, since the value's squarefree ideal
-    gives every ramified prime discriminant valuation exactly 1."""
+    gives every ramified prime discriminant valuation exactly 1.  Raises
+    ValueError with the step_refusal reason on a step that does not
+    certify."""
     value = omega * omega - 4 * eta
-    if value.is_zero():
-        raise ValueError("discriminant value is zero")
-    nrm = value.norm()
-    if nrm % 2 == 0:
-        raise ValueError("discriminant value is not coprime to 2")
-    if is_square_in_field(value):
-        raise ValueError("discriminant value is a square: the quadratic is reducible")
-    if not element_is_mfree(value, 2):
-        raise ValueError("discriminant value is not squarefree")
+    reason = step_refusal(value)
+    if reason is not None:
+        raise ValueError(reason)
     return TowerStep(omega=omega, disc_ideal=IdealLattice.principal(value),
-                     disc_element_norm=nrm)
+                     disc_element_norm=value.norm())
 
 
 def build_tower(field, start_order, eta, search_bound=2000):
     """Run the full construction from start_order and the unit eta: check
-    hypotheses, then extend the tower by the first admissible omega until
+    the field's hypotheses and that eta is a unit (Tower checks the rest of
+    eta's), then extend the tower by the first admissible omega until
     its top order is maximal, each step at least halving the index."""
     if not check_hypotheses(field):
         raise HypothesisError(
@@ -186,13 +198,9 @@ def build_tower(field, start_order, eta, search_bound=2000):
         )
     if abs(eta.norm()) != 1:
         raise HypothesisError("eta must be a unit")
-    if not start_order.contains(eta):
-        raise HypothesisError("eta must lie in the starting order")
-    if is_square_in_field(eta):
-        raise HypothesisError("eta must not be a square in the field")
 
     tower = Tower(field, start_order, eta)
-    excluded = set(split_prime(field, 2))
+    excluded = set()
     while not tower.orders[-1].is_maximal():
         if len(tower.steps) >= MAX_STEPS:
             raise SearchExhausted("maximum number of tower steps exceeded")

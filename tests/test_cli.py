@@ -93,6 +93,20 @@ def test_tower_roundtrip_and_verify(tmp_path):
     assert "reaches_maximal\tTrue" in verify_out.read_text()
 
 
+def test_tower_skips_a_unit_square_discriminant(tmp_path):
+    # In Z + 5 O_K with eta = -theta^5 the first candidate, theta, has the
+    # discriminant value theta^8: a unit square, which the search must skip
+    # as the step certificate refuses it.
+    spec = tmp_path / "z5.json"
+    spec.write_text(json.dumps({"name": "Q(sqrt5)", "min_poly": [-1, -1, 1],
+                                "orders": {"Z+5O": [[1, 0], [0, 5]]}}))
+    tower_path = tmp_path / "tower.json"
+    assert main(["tower", "--field", str(spec), "--order", "Z+5O", "--eta=-3,-5",
+                 "--out", str(tower_path)]) == 0
+    assert [s["omega"] for s in json.loads(tower_path.read_text())["steps"]] == [[1, 1]]
+    assert main(["verify", "--tower", str(tower_path), "--out", str(tmp_path / "v.tsv")]) == 0
+
+
 def test_exit_code_hypothesis():
     proc = run_cli(["tower", "--field", "q_sqrt2", "--eta", "1,1"])
     assert proc.returncode == 2
@@ -284,6 +298,8 @@ def test_usage_error_is_config_diagnostic(argv, needle, capsys):
     (["count", "--field", "q_sqrt5", "--order", "Z[3theta]", "--eta", "0,1", "--boxes", "100"],
      "order"),
     (["count", "--field", "q_sqrt5", "--eta", "0,1", "--exclude", "4", "--boxes", "100"], "prime"),
+    (["density", "--field", "q_sqrt5", "--eta", "0,1", "--boxes", "100", "--truncation", "0"],
+     "--truncation"),
 ])
 def test_sieve_input_errors_are_config(argv, needle, capsys):
     # Inputs the sieve rejects are user errors: exit 4, never "internal".

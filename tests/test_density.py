@@ -15,6 +15,7 @@ from unitring.density import (
     _reduce_to_residue_field,
     DensityParams,
     FixedDivisorError,
+    SieveInputError,
     SievePolynomial,
     bad_reduction_primes,
     check_hypotheses,
@@ -68,7 +69,7 @@ def test_sieve_polynomial_validation(q5):
     with pytest.raises(ValueError):
         SievePolynomial([q5.one])  # degree 0
     f = SievePolynomial.x_squared_minus(4 * th)
-    assert f.degree == 2 and f.irreducible_certified
+    assert f.degree == 2
     assert f(q5.one) == q5.one - 4 * th
 
 
@@ -303,6 +304,15 @@ def test_euler_density_nested_intervals(q5, f_theta):
     assert r2000.d_upper <= r500.d_upper <= r100.d_upper
     assert r2000.d_lower < r2000.d_upper
     assert r500.width < r100.width
+
+
+@pytest.mark.parametrize("T", [-5, 0, 1, 2])
+def test_euler_density_refuses_small_truncation(q5, f_theta, T):
+    # The tail [1 - n g T^(1-m) / (m-1), 1] needs T >= 1 and a positive
+    # lower end: n g = 4 and m = 2 refuse every T <= 4 alike.
+    params = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=(), m=2)
+    with pytest.raises(SieveInputError, match="truncation"):
+        euler_density(params, T)
 
 
 def test_euler_density_positive_factors_invariant(q5, f_eta):

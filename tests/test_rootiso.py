@@ -96,3 +96,15 @@ def test_real_root_centers_are_real():
 def test_rejects_nonmonic():
     with pytest.raises(ValueError):
         RootIsolation((1, 0, 2))
+
+
+def test_initial_disks_start_near_the_roots():
+    # Roots near +-2^64 and +-2^64.5 with a constant term near 2^257: started
+    # inside the scaled Fujiwara bound, the float iterates converge, and
+    # Newton polishing only refines them.
+    a, b = 2**128 + 3, 2**129 + 5
+    iso = RootIsolation((a * b + 1, 0, -(a + b), 0, 1))
+    for re, im in iso._initial_disks():
+        gap = min(abs(complex(re - e.center[0], im - e.center[1])) / abs(float(e.center[0]))
+                  for e in iso.enclosures)
+        assert gap < 2.0**-20

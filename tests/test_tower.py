@@ -104,6 +104,21 @@ def test_find_omega_exhaustion(q5, eta, z_sqrt5):
         find_omega(z_sqrt5, tuple(split_prime(q5, 2)), eta, search_bound=0)
 
 
+@pytest.mark.parametrize("rows, eta_coords, omega_coords", [
+    # Z + 5 O_K, eta = -theta^5: omega = theta gives theta^8, a unit square.
+    ([(1, 0), (0, 5)], (-3, -5), (1, 1)),
+    ([(1, 0), (-1, 2)], (1, 2), (0, 1)),
+    ([(1, 0), (-1, 2)], (-1, -2), (0, 1)),
+    ([(1, 0), (-1, 2)], (-3, 2), (0, 1)),
+    ([(1, 0), (-1, 2)], (3, -2), (0, 1)),
+])
+def test_find_omega_passes_the_step_certificate(q5, rows, eta_coords, omega_coords):
+    eta = q5.element(eta_coords)
+    omega = find_omega(SubOrder(q5, rows), (), eta)
+    assert omega.coords == omega_coords
+    quadratic_step(omega, eta)
+
+
 def test_quadratic_step_example(q5, eta):
     st = quadratic_step(q5.theta, eta)
     assert st.disc_ideal.norm == 19

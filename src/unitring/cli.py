@@ -5,7 +5,8 @@ Exit codes:
   1  a tower or verify check failed
   2  hypothesis violation
   3  search or cap exhaustion: tower search bound, residue cap, rho
-     factorization budget, or a primality claim beyond the proven range
+     factorization budget, a primality claim beyond the proven range, or
+     a decision undecided at the MAX_BITS precision cap
   4  configuration error: bad argument (argparse usage errors included),
      field spec, tower file or --out path, or an input the sieve rejects
      (reducible quadratic, m below the admissible threshold, coefficients
@@ -42,6 +43,7 @@ from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
 from .intervals import fmt_decimal_down, fmt_decimal_up
 from .intfactor import FactorizationTimeout, PrimalityUnproven, is_prime
+from .rootiso import PrecisionError
 from .tower import (
     SearchExhausted,
     Tower,
@@ -413,7 +415,7 @@ def main(argv=None):
         _diag("hypothesis", e)
         return EXIT_HYPOTHESIS
     except (SearchExhausted, ResidueCapError, NonMonogenicError,
-            FactorizationTimeout, PrimalityUnproven) as e:
+            FactorizationTimeout, PrimalityUnproven, PrecisionError) as e:
         _diag("exhausted", e)
         return EXIT_EXHAUSTED
     except (ConfigError, FieldSpecError, SieveInputError) as e:

@@ -3,32 +3,35 @@ rigorous tail, empirical counts over box regions, the admissible error
 exponents, and the density-gap inequality for the order-versus-maximal
 comparison.
 
-Root counts modulo prime powers are residue-field gcd counts wherever the
-reduced polynomial is separable: each root is then simple and lifts
-uniquely to every prime power (Hensel), so no root is ever found.  Only an
-inseparable reduction, at a prime of bad reduction, finds its roots, lifts
-the simple ones and counts the lifts of the multiple ones by brute force;
-brute-force residue enumeration is also the independent oracle below the
-cap.  The infinite Euler product is truncated with an explicit interval
-tail, with every prime of bad reduction handled exactly no matter its
-size, so the returned interval is rigorous.
+The local root count L(P^e) is decided in one place,
+count_roots_prime_power, and every Euler factor, the excluded product,
+the fixed-divisor check and the density gap read it there.  Wherever the
+reduced polynomial is separable it is a residue-field gcd count: each
+root is simple and lifts uniquely to every prime power (Hensel), so no
+root is ever found.  Only an inseparable reduction, at a prime of bad
+reduction, finds its roots, lifts the simple ones and counts the lifts of
+the multiple ones by brute force; a reduction that vanishes counts N(P)^e
+when every coefficient lies in P^e.  Every brute-force walk, the lifts
+and the oracles root_count_bruteforce and root_count_order_bruteforce,
+runs over ideal.residue_system, which alone holds the residue cap.  The
+infinite Euler product is truncated with an explicit interval tail, with
+every prime of bad reduction handled exactly no matter its size, so the
+returned interval is rigorous.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, islice, repeat
-from math import lcm
+from itertools import accumulate, chain, combinations, islice, repeat
+from math import lcm, prod
 
 from . import fpoly
 from .field import is_square_in_field
 from .ideal import (
-    RESIDUE_CAP,
     IdealLattice,
     NonMonogenicError,
-    ResidueCapError,
     in_mth_power_above,
-    is_fixed_divisor,
     prime_power,
+    residue_system,
     split_prime,
 )
 from .geometry import (
@@ -40,7 +43,7 @@ from .geometry import (
 )
 from .intervals import RatInterval
 from .intfactor import mth_power_primes, prime_table
-from .linalg import lattice_sum, quotient_box
+from .linalg import lattice_sum
 from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
 
@@ -145,10 +148,12 @@ def count_roots_prime_power(poly, pid, e):
     fbar, fq = _reduce_to_residue_field(poly, pid)
     zero = (fq.zero,)
     if fbar == zero:
-        # Every residue is a root as far as P^1; higher powers by brute force.
-        if e == 1:
-            return fq.q
-        return root_count_bruteforce(poly, prime_power(pid, e))
+        # Every value lies in P^e when every coefficient does (always at
+        # e = 1, as f-bar = 0); otherwise by brute force.
+        target = prime_power(pid, e)
+        if all(target.contains(c) for c in poly.coeffs):
+            return fq.q**e
+        return root_count_bruteforce(poly, target)
     dbar = deriv(fbar, fq)
     if e == 1 or (dbar != zero and len(gcd(fbar, dbar, fq)) == 1):
         return fpoly.count_roots_in_fq(fbar, fq)
@@ -162,73 +167,43 @@ def count_roots_prime_power(poly, pid, e):
 
 
 def _count_lifts_bruteforce(poly, pid, e, root, fq):
-    field_k = poly.field
+    """The lifts rho + beta of the residue-field root to O_K / P^e, beta
+    running over P / P^e, that are roots."""
     target = prime_power(pid, e)
-    n_lifts = fq.q ** (e - 1)
-    if n_lifts > RESIDUE_CAP:
-        raise ResidueCapError(f"degenerate Hensel case needs {n_lifts} residues")
-    rho = field_k.from_theta_poly(fq.coeffs(root))
-    count = 0
-    for shift in quotient_box(target.hnf, pid.ideal.hnf):
-        beta = rho + field_k.element(shift)
-        if target.contains(poly(beta)):
-            count += 1
-    return count
+    rho = poly.field.from_theta_poly(fq.coeffs(root))
+    return sum(target.contains(poly(rho + beta))
+               for beta in residue_system(poly.field, target.hnf, pid.hnf))
 
 
 def root_count(poly, ideal):
     """L(a): roots of the polynomial in O_K/a, by CRT over prime powers."""
-    if ideal.is_unit_ideal():
-        return 1
-    total = 1
-    for pid, e in ideal.factor():
-        total *= count_roots_prime_power(poly, pid, e)
-    return total
+    return prod(count_roots_prime_power(poly, pid, e) for pid, e in ideal.factor())
 
 
 def root_count_bruteforce(poly, ideal):
     """Independent oracle: enumerate all residues and evaluate."""
-    if ideal.is_unit_ideal():
-        return 1
-    count = 0
-    for beta in ideal.residues():
-        if ideal.contains(poly(beta)):
-            count += 1
-    return count
+    return sum(ideal.contains(poly(beta)) for beta in ideal.residues())
 
 
 def root_count_order(poly, ideal, order):
-    """L_O(a): roots in O/(a cap O).  CRT across comaximal contractions,
-    brute force otherwise."""
+    """L_O(a): roots in O/(a cap O).  CRT over the prime-power parts when
+    their contractions are pairwise comaximal, brute force otherwise."""
     if not poly.in_order(order):
         raise ValueError("polynomial coefficients must lie in the order")
-    if ideal.is_unit_ideal():
-        return 1
     if order.is_maximal():
         return root_count(poly, ideal)
-    parts = [(pid, e) for pid, e in ideal.factor()]
-    if len(parts) > 1:
-        rows = [order.contract(prime_power(pid, e))[0] for pid, e in parts]
-        comaximal = all(
-            lattice_sum(rows[i], rows[j]) == order.basis_hnf
-            for i in range(len(rows))
-            for j in range(i + 1, len(rows))
-        )
-        if comaximal:
-            total = 1
-            for pid, e in parts:
-                total *= root_count_order(poly, prime_power(pid, e), order)
-            return total
+    parts = [prime_power(pid, e) for pid, e in ideal.factor()]
+    rows = [order.contract(part)[0] for part in parts]
+    if all(lattice_sum(a, b) == order.basis_hnf for a, b in combinations(rows, 2)):
+        return prod(root_count_order_bruteforce(poly, part, order) for part in parts)
     return root_count_order_bruteforce(poly, ideal, order)
 
 
 def root_count_order_bruteforce(poly, ideal, order):
+    """Brute-force L_O(a): the residues of a cap O inside O that are roots."""
     rows, _ = order.contract(ideal)
-    count = 0
-    for alpha in order.residues_mod(rows):
-        if ideal.contains(poly(alpha)):
-            count += 1
-    return count
+    return sum(ideal.contains(poly(alpha))
+               for alpha in residue_system(poly.field, rows, order.basis_hnf))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +241,9 @@ def find_fixed_divisor_mth_power(poly, m):
         g_ideal = g_ideal + IdealLattice.principal(v)
         if g_ideal.is_unit_ideal():
             return None
-    if g_ideal.is_unit_ideal():
-        return None
     for pid, e in g_ideal.factor():
-        if e >= m:
-            pm = prime_power(pid, m)
-            if pm.norm <= RESIDUE_CAP and is_fixed_divisor(poly.coeffs, pm):
-                return pid
+        if e >= m and count_roots_prime_power(poly, pid, m) == pid.norm**m:
+            return pid
     return None
 
 
@@ -321,7 +292,6 @@ class DensityReport:
     conductor_sum: Fraction
     excluded_product: Fraction
     exponent_data: tuple
-    zero_witness: object = None
 
     @property
     def d_mid(self):
@@ -407,31 +377,24 @@ def euler_density(params, truncation_norm):
 
     excl_prod = Fraction(1)
     for pid in sorted(excluded - set(order.conductor_support()), key=lambda q: q.sort_key()):
-        l_val = root_count(poly, pid.ideal)
-        excl_prod *= 1 - Fraction(l_val, pid.norm)
+        excl_prod *= 1 - Fraction(count_roots_prime_power(poly, pid, 1), pid.norm)
 
     # The prime ideals of norm <= T, then the bad-reduction primes above T.
     small = (pid for p in prime_table(T) for pid in split_prime(field_k, p) if pid.norm <= T)
     large_bad = sorted((pid for pid in bad_reduction_primes(poly) if pid.norm > T),
                        key=lambda q: q.sort_key())
+    # A factor with L(P^m) = N(P)^m, a fixed divisor, makes D = [0, 0].
     main_num, main_den = 1, 1
-    zero_witness = None
     for pid in chain(small, large_bad):
         if pid in excluded:
             continue
-        l_val = count_roots_prime_power(poly, pid, m)
         npm = pid.norm**m
-        if l_val == npm:
-            zero_witness = pid
-        main_num *= npm - l_val
+        main_num *= npm - count_roots_prime_power(poly, pid, m)
         main_den *= npm
 
-    if zero_witness is None:
-        main_exact = Fraction(main_num, main_den)
-        prefactor = lattice_point_density(field_k) * Fraction(1, order.index)
-        d_iv = prefactor * cond_sum * excl_prod * RatInterval(main_exact * tail_low, main_exact)
-    else:
-        d_iv = RatInterval(0)
+    main_exact = Fraction(main_num, main_den)
+    prefactor = lattice_point_density(field_k) * Fraction(1, order.index)
+    d_iv = prefactor * cond_sum * excl_prod * RatInterval(main_exact * tail_low, main_exact)
     return DensityReport(
         d_lower=d_iv.lo,
         d_upper=d_iv.hi,
@@ -439,7 +402,6 @@ def euler_density(params, truncation_norm):
         conductor_sum=cond_sum,
         excluded_product=excl_prod,
         exponent_data=error_exponent(n, g, m),
-        zero_witness=zero_witness,
     )
 
 
@@ -682,7 +644,7 @@ def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     lhs = Fraction(1, order.index) * conductor_sum(params_o)
     rhs = Fraction(1)
     for pid in order.conductor_support():
-        rhs *= 1 - Fraction(root_count(poly, pid.ideal), pid.norm)
+        rhs *= 1 - Fraction(count_roots_prime_power(poly, pid, 1), pid.norm)
     maximal = SubOrder.maximal(field_k)
     params_k = DensityParams(order=maximal, poly=poly, excluded=full_excluded, m=2)
     d_order = euler_density(params_o, truncation_norm)

@@ -558,9 +558,8 @@ class EmbeddedLattice:
 
 
 def _enumerate_quadratic(gram, bound):
-    """All nonzero integer vectors c (up to sign, c > 0 lexic last nonzero)
-    with c^T G c <= bound, as (value, c) pairs.  Fincke-Pohst with exact
-    rational Cholesky."""
+    """All nonzero integer vectors c with c^T G c <= bound, both c and -c,
+    as (value, c) pairs.  Fincke-Pohst with exact rational Cholesky."""
     n = len(gram)
     # LDL^T decomposition.
     l = [[Fraction(0)] * n for _ in range(n)]
@@ -601,7 +600,6 @@ def _enumerate_quadratic(gram, bound):
         c[i] = 0
 
     rec(n - 1, Fraction(bound))
-    # Deduplicate +/- pairs deterministically: keep both, sorting handles order.
     return out
 
 

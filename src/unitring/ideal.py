@@ -15,8 +15,8 @@ from .linalg import (
     identity,
     in_lattice,
     lattice_sum,
+    quotient_box,
     reduce_mod_lattice,
-    residue_transversal,
 )
 from .poly import PrimeField, mul
 
@@ -139,11 +139,8 @@ class IdealLattice:
         return self.field.element(reduce_mod_lattice(alpha.coords, self.hnf))
 
     def residues(self):
-        """Stream a complete residue system, deterministically ordered."""
-        if self.norm > RESIDUE_CAP:
-            raise ResidueCapError(f"residue system of size {self.norm} exceeds cap {RESIDUE_CAP}")
-        for v in residue_transversal(self.hnf):
-            yield self.field.element(v)
+        """Stream a complete residue system, in lexicographic order."""
+        return residue_system(self.field, self.hnf, identity(self.field.degree))
 
     # -- factorization ---------------------------------------------------------
 
@@ -349,21 +346,19 @@ def element_valuation(alpha, pid):
     return v
 
 
-def is_fixed_divisor(poly_coeffs, ideal):
-    """True iff the ideal contains f(beta) for every residue beta.
+def residue_system(field, sub, sup):
+    """The elements of a transversal of the HNF lattice sub inside the HNF
+    lattice sup, in quotient_box order.
 
-    f is given by its AlgebraicInt coefficients, constant first.  One full
-    residue system suffices since f(beta + gamma) = f(beta) mod the ideal
-    for gamma in the ideal.
+    This is the one brute-force residue walk, and the one place where
+    RESIDUE_CAP is decided: a walk over more residues raises
+    ResidueCapError before it yields any.
     """
-    field = ideal.field
-    for beta in ideal.residues():
-        val = field.zero
-        for c in reversed(poly_coeffs):
-            val = val * beta + c
-        if not ideal.contains(val):
-            return False
-    return True
+    count = abs(det_triangular(sub) // det_triangular(sup))
+    if count > RESIDUE_CAP:
+        raise ResidueCapError(f"residue system of size {count} exceeds cap {RESIDUE_CAP}")
+    for v in quotient_box(sub, sup):
+        yield field.element(v)
 
 
 def iter_ideals(field, max_norm):

@@ -10,7 +10,7 @@ formula [O : a cap O] = N(a) on the coprime side.
 
 from fractions import Fraction
 
-from .ideal import RESIDUE_CAP, IdealLattice, ResidueCapError
+from .ideal import IdealLattice
 from .linalg import (
     det_triangular,
     hnf,
@@ -20,7 +20,6 @@ from .linalg import (
     lattice_intersection,
     lattice_sum,
     mat_inv_frac,
-    quotient_box,
     vec_mat,
 )
 
@@ -135,15 +134,6 @@ class SubOrder:
         if lattice_sum(rows, f_rows) != self.basis_hnf:
             raise CoprimalityError("module is not coprime to the conductor in O")
         return self.extend(rows)
-
-    def residues_mod(self, sub_rows):
-        """Transversal of the sublattice sub_rows inside the order."""
-        h = hnf(sub_rows)
-        count = abs(det_triangular(h)) // self.index
-        if count > RESIDUE_CAP:
-            raise ResidueCapError(f"residue system of size {count} exceeds cap {RESIDUE_CAP}")
-        for v in quotient_box(h, self.basis_hnf):
-            yield self.field.element(v)
 
     # -- order enlargement --------------------------------------------------------
 

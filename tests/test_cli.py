@@ -275,6 +275,15 @@ def test_exit_code_primality_unproven():
     assert last_diag(proc.stderr)["error"] == "exhausted"
 
 
+def test_precision_cap_is_exhaustion(tmp_path, capsys):
+    # Eisenstein at 2, so irreducible, with a complex pair about 7e-36 off
+    # the real axis: the root classification stays ambiguous at MAX_BITS.
+    spec = tmp_path / "near_real.json"
+    spec.write_text(json.dumps({"name": "near-real", "min_poly": [2, -4 * 10**10, 2 * 10**20, 0, 0, 1]}))
+    assert main(["count", "--field", str(spec), "--eta=0,1,0,0,0", "--boxes", "100"]) == EXIT_EXHAUSTED
+    assert last_diag(capsys.readouterr().err)["error"] == "exhausted"
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["count", "--field", "q_sqrt5", "--eta", "0,1", "--threads", "abc"], "--threads"),
     (["density", "--field", "q_sqrt5", "--boxes", "100"], "--eta"),

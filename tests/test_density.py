@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from unitring.field import NumberField
 from unitring.geometry import RegionBox
-from unitring.ideal import IdealLattice, NonMonogenicError, PrimeIdealData, split_prime
+from unitring.ideal import (
+    IdealLattice,
+    NonMonogenicError,
+    PrimeIdealData,
+    ResidueCapError,
+    split_prime,
+)
 from unitring.intfactor import prime_table
 from unitring.poly import trim
 from unitring.order import SubOrder
@@ -177,9 +183,9 @@ def test_fixed_divisor_detection(q5):
 
 
 def test_euler_density_zero_witness_path(q5):
-    # Bypass parameter validation to exercise the defensive D = 0 report:
+    # Bypass parameter validation to reach the Euler product itself:
     # 4(X^2+X+1) has (2)^2 as a fixed divisor, so the local factor at the
-    # inert (2) vanishes.
+    # inert (2) vanishes and the product reads D = [0, 0].
     g = SievePolynomial(
         [q5.rational(4), q5.rational(4), q5.rational(4)], assume_irreducible=True
     )
@@ -190,7 +196,30 @@ def test_euler_density_zero_witness_path(q5):
     object.__setattr__(params, "m", 2)
     rep = euler_density(params, 50)
     assert rep.d_lower == rep.d_upper == 0
-    assert rep.zero_witness is not None and rep.zero_witness.p == 2
+
+
+def test_fixed_divisor_beyond_the_residue_cap(q5):
+    # 37^2 (X^2 + X + 1): (37) is inert, so (37)^2 has 37^4 > 10^6 residues
+    # and every value lies in it; the fixed divisor must be found all the same.
+    c = q5.rational(37**2)
+    g = SievePolynomial([c, c, c], assume_irreducible=True)
+    p37 = split_prime(q5, 37)[0]
+    assert p37.residue_degree == 2
+    assert count_roots_prime_power(g, p37, 2) == 37**4
+    assert find_fixed_divisor_mth_power(g, 2) == p37
+    with pytest.raises(FixedDivisorError):
+        DensityParams(order=SubOrder.maximal(q5), poly=g, excluded=(), m=2)
+
+
+def test_degenerate_hensel_lift_hits_the_residue_cap(q5):
+    # At the inert P above 1000003, X^2 - 4 * 1000003 theta reduces to X^2,
+    # whose double root 0 has N(P) = 1000003^2 candidate lifts mod P^2.
+    p = 1000003
+    f = SievePolynomial.x_squared_minus(4 * p * q5.theta)
+    (pid,) = split_prime(q5, p)
+    assert pid.residue_degree == 2
+    with pytest.raises(ResidueCapError):
+        count_roots_prime_power(f, pid, 2)
 
 
 def test_density_params_validation(q5, f_eta, z_sqrt5):

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from unitring.density import DensityParams, SievePolynomial, bad_reduction_primes, euler_density
+from unitring.density import (
+    DensityParams,
+    SievePolynomial,
+    bad_reduction_primes,
+    euler_density,
+    root_count,
+)
 from unitring.field import NumberField
 from unitring.fieldspec import load_field_spec
 from unitring.ideal import (
@@ -14,7 +20,6 @@ from unitring.ideal import (
     ResidueCapError,
     element_is_mfree,
     element_valuation,
-    is_fixed_divisor,
     is_mfree,
     iter_ideals,
     mobius,
@@ -146,16 +151,18 @@ def test_element_valuation(q5):
 
 
 def test_fixed_divisor_examples(q5):
+    # An ideal a is a fixed divisor of f exactly when every residue mod a
+    # is a root, i.e. L(a) = N(a).
     th = q5.theta
     two = IdealLattice.from_integer(q5, 2)
     unit = IdealLattice.unit_ideal(q5)
     # f = X^2 - 4 theta: f(1) = 1 - 4 theta is odd.
-    f1 = [(-4) * th, q5.zero, q5.one]
-    assert is_fixed_divisor(f1, unit)
-    assert not is_fixed_divisor(f1, two)
-    # f = X^2 - X: f(theta) = theta^2 - theta = 1 not in (2).
-    f2 = [q5.zero, -q5.one, q5.one]
-    assert not is_fixed_divisor(f2, two)
+    f1 = SievePolynomial.x_squared_minus(4 * th)
+    assert root_count(f1, unit) == unit.norm
+    assert root_count(f1, two) < two.norm
+    # f = X^2 - X + 2 theta, which is X^2 - X mod 2: f(theta) = 1 + 2 theta.
+    f2 = SievePolynomial([2 * th, -q5.one, q5.one])
+    assert root_count(f2, two) < two.norm
 
 
 def test_residue_systems(q5):

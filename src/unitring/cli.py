@@ -4,9 +4,10 @@ Exit codes:
   0  success
   1  a tower or verify check failed
   2  hypothesis violation
-  3  search or cap exhaustion: tower search bound, residue cap, rho
-     factorization budget, a primality claim beyond the proven range, or
-     a decision undecided at the MAX_BITS precision cap
+  3  search or cap exhaustion: tower search bound, residue cap (residues
+     or region lines), rho factorization budget, a primality claim beyond
+     the proven range, or a decision undecided at the MAX_BITS precision
+     cap or Newton's 60-round cap
   4  configuration error: bad argument (argparse usage errors included),
      field spec, tower file or --out path, or an input the sieve rejects
      (reducible quadratic, m below the admissible threshold, coefficients
@@ -249,13 +250,10 @@ def cmd_tower(args):
 
 
 def _default_eta(field, units):
-    """First declared unit that is not a square, else its cube."""
+    """First declared unit that is not a square."""
     for u in units:
         if not is_square_in_field(u):
             return u
-        cube = u * u * u
-        if not is_square_in_field(cube):
-            return cube
     raise ConfigError("every declared unit is a square; give --eta explicitly")
 
 

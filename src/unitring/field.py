@@ -88,7 +88,7 @@ def _certify_irreducible(poly):
         if not undecided:
             return iso
         if 2 * iso.bits > MAX_BITS:
-            raise PrecisionError("irreducibility undecided at maximum precision")
+            raise PrecisionError(f"irreducibility undecided at MAX_BITS = {MAX_BITS}")
         sets = undecided
         iso.refine(2 * iso.bits)
 
@@ -352,8 +352,12 @@ class NumberField:
 
 
 class _Form(dict):
-    """Integer polynomial in the coordinates as {exponent tuple: coefficient},
-    with just the ring operations that linalg.det needs."""
+    """Integer polynomial in the coordinates as {monomial: coefficient},
+    with just the ring operations that linalg.det needs.  A monomial is its
+    exponent vector packed as the base-(n + 1) digits of one int, the first
+    exponent most significant, so a product of monomials is one addition:
+    the forms linalg.det builds here have degree at most n, so no digit
+    carries."""
 
     def __add__(self, other):
         out = _Form(self)
@@ -371,7 +375,7 @@ class _Form(dict):
         out = _Form()
         for ma, a in self.items():
             for mb, b in other.items():
-                mono = tuple(x + y for x, y in zip(ma, mb))
+                mono = ma + mb
                 out[mono] = out.get(mono, 0) + a * b
         return out
 
@@ -384,15 +388,15 @@ def _norm_form(mult_table):
     exponent) pairs, in a fixed order.
     """
     n = len(mult_table)
-    unit = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    digit = [(n + 1) ** (n - 1 - j) for j in range(n)]
     rows = [
-        [_Form({unit[j]: mult_table[i][j][k] for j in range(n) if mult_table[i][j][k]})
+        [_Form({digit[j]: mult_table[i][j][k] for j in range(n) if mult_table[i][j][k]})
          for k in range(n)]
         for i in range(n)
     ]
-    form = det(rows, one=_Form({(0,) * n: 1}))
+    form = det(rows, one=_Form({0: 1}))
     return tuple(
-        (c, tuple(j for j, e in enumerate(mono) for _ in range(e)))
+        (c, tuple(j for j in range(n) for _ in range(mono // digit[j] % (n + 1))))
         for mono, c in sorted(form.items(), reverse=True)
         if c
     )
@@ -547,7 +551,7 @@ def is_square_in_field(eta):
             if not undecided:
                 return False
         bits *= 2
-    raise PrecisionError("squareness undecided at maximum precision")
+    raise PrecisionError(f"squareness undecided at MAX_BITS = {MAX_BITS}")
 
 
 def _sqrt_nonneg(iv, bits):

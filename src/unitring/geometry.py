@@ -2,23 +2,24 @@
 successive minima, and the lattice point counting bound.
 
 Region bounds are stored as squared rationals so that boxes like the
-equal-sided one with total volume x (side x^{1/n}) stay exact.  Membership
-decisions refine certified embedding intervals until every comparison is
-strict, and resolve boundary ties by exact algebraic tests: a real
-embedding ties a rational bound only if the element itself is rational,
-and a complex modulus tie is decided through the integer polynomial whose
-roots are the pairwise products of the element's conjugates.
+equal-sided one with total volume x (side x^{1/n}) stay exact.  Membership is
+decided in one loop that refines certified embedding enclosures until
+each place lies strictly inside or outside its bound, or ties it exactly:
+a real place ties when the element's square is the rational bound, and a
+complex one is decided through the integer polynomial whose roots are the
+pairwise products of the element's conjugates.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt
+from math import ceil, floor, inf, isqrt, prod
 
 from .intervals import PI, RatInterval, sqrt_upper
+from .ideal import check_cap
 from .intfactor import iroot
 from .linalg import (char_poly, det, det_triangular, hnf, lattice_intersection, mat_inv_frac,
                      solve_upper_int, vec_mat)
-from .poly import QQ, divmod, evaluate
+from .poly import QQ, divmod
 from .rootiso import MAX_BITS, PrecisionError
 
 # Dyadic precision of the square roots in the density main terms.
@@ -281,7 +282,16 @@ class FloatRegionFilter:
 
 
 def in_region(alpha, box):
-    """Exact decision: alpha totally positive and |sigma_i(alpha)| <= x_i."""
+    """Exact decision: alpha totally positive and |sigma_i(alpha)| <= x_i.
+
+    One loop over precisions (64 bits, doubling up to MAX_BITS) with one
+    pass over the places: a real place must be positive, and each squared
+    modulus enclosure is compared with its squared bound b.  Above b
+    decides False, at or below b passes, and straddling b passes only on
+    an exact tie: alpha^2 = b at a real place; at a complex place, an
+    enclosure narrower than the _tie_gap of b in the pair-product
+    polynomial (built at most once per call).  Anything else is refined.
+    """
     field = alpha.field
     r, s = field.signature
     if box.signature != (r, s):
@@ -289,101 +299,67 @@ def in_region(alpha, box):
     if alpha.is_zero():
         # Totally positive requires strict positivity at real embeddings.
         return r == 0
+    # (real place?, b) -> the width below which a straddling enclosure is
+    # a tie: inf when alpha^2 = b, 0 when no tie is possible.
+    gaps = {}
+    products = None
     bits = 64
     while bits <= MAX_BITS:
         reals, pairs = field.sigma_pairs(alpha, bits)
-        verdict = _try_decide(field, alpha, box, reals, pairs, r, s)
-        if verdict is not None:
-            return verdict
-        bits *= 2
-    raise PrecisionError("region membership undecided at maximum precision")
-
-
-def _try_decide(field, alpha, box, reals, pairs, r, s):
-    for i, iv in enumerate(reals):
-        # Positivity: tie impossible since alpha != 0.
-        if iv.hi < 0:
-            return False
-        if not iv.lo > 0:
-            return None
-        b = box.bounds_sq[i]
-        sq = iv * iv
-        if sq.lo > b:
-            if _real_tie(field, alpha, b):
+        undecided = False
+        for i in range(r + s):
+            b = box.bounds_sq[i]
+            if i < r:
+                iv = reals[i]
+                if iv.hi < 0:
+                    return False
+                if not iv.lo > 0:
+                    # sigma(alpha) != 0 since alpha != 0: refinement decides.
+                    undecided = True
+                    continue
+                mod2 = iv * iv
+            else:
+                re, im = pairs[i - r]
+                mod2 = re * re + im * im
+            if mod2.lo > b:
+                return False
+            if mod2.hi <= b:
                 continue
-            return False
-        if not sq.hi <= b:
-            if _real_tie(field, alpha, b):
-                continue
-            return None
-    for j, (re, im) in enumerate(pairs):
-        b = box.bounds_sq[r + j]
-        mod2 = re * re + im * im
-        if mod2.hi <= b:
-            continue
-        if mod2.lo > b:
-            if _complex_tie(field, alpha, b, j, mod2):
-                continue
-            return False
-        if _complex_tie(field, alpha, b, j, mod2):
-            continue
-        return None
-    return True
-
-
-def _real_tie(field, alpha, bound_sq):
-    """sigma_i(alpha)^2 == bound_sq is equivalent to alpha^2 == bound_sq."""
-    sq = alpha * alpha
-    target = tuple(Fraction(bound_sq) * c for c in field.one_coords)
-    return all(Fraction(a) == t for a, t in zip(sq.coords, target))
-
-
-def _complex_tie(field, alpha, q, j, mod2_interval):
-    """Exact test |sigma_{r+j}(alpha)|^2 == q.
-
-    The modulus squared is z * conj(z), a product of two conjugates of
-    alpha, hence a root of P(t) = prod_{i,k} (t - z_i z_k) which has
-    rational coefficients.  P(q) != 0 rules the tie out at once; otherwise
-    deflate (t - q) out of P and separate the target from the remaining
-    roots by a rigorous gap bound.
-    """
-    if q not in mod2_interval:
-        return False
-    s_poly = _conjugate_products_poly(field.mult_matrix(alpha))
-    if evaluate(s_poly, Fraction(q), QQ) != 0:
-        return False
-    # P(q) == 0: the tie is plausible; separate tau from other roots of P.
-    k = 0
-    while True:
-        quo, rem = divmod(s_poly, (Fraction(-q), Fraction(1)), QQ)
-        if any(c != 0 for c in rem):
-            break
-        s_poly = quo
-        k += 1
-    sq_val = evaluate(s_poly, Fraction(q), QQ)
-    if sq_val == 0:
-        raise ArithmeticError("deflation failed")
-    # Distance from q to the nearest root of s_poly.
-    lead = abs(s_poly[-1])
-    deg = len(s_poly) - 1
-    cauchy = 1 + max(abs(Fraction(c)) for c in s_poly[:-1]) / lead if deg else Fraction(1)
-    reach = abs(Fraction(q)) + cauchy
-    gap = abs(sq_val) / (lead * max(reach, Fraction(1)) ** max(deg - 1, 0))
-    bits = 128
-    field_bits = 128
-    while True:
-        reals, pairs = field.sigma_pairs(alpha, field_bits)
-        re, im = pairs[j]
-        mod2 = re * re + im * im
-        if q not in mod2:
-            return False
-        if mod2.width < gap:
-            # tau lies within gap of q yet is a root of P = (t-q)^k * S:
-            # since no root of S is that close, tau == q.
+            key = (i < r, b)
+            if key not in gaps:
+                if i < r:
+                    square = (alpha * alpha).coords
+                    gaps[key] = inf if square == tuple(b * c for c in field.one_coords) else 0
+                else:
+                    if products is None:
+                        products = _conjugate_products_poly(field.mult_matrix(alpha))
+                    gaps[key] = _tie_gap(products, b)
+            if mod2.width >= gaps[key]:
+                undecided = True
+        if not undecided:
             return True
-        field_bits *= 2
-        if field_bits > MAX_BITS:
-            raise PrecisionError("complex tie undecided at maximum precision")
+        bits *= 2
+    raise PrecisionError(f"region membership undecided at MAX_BITS = {MAX_BITS}")
+
+
+def _tie_gap(poly, b):
+    """0 unless b is a root of poly; else a distance below which no other
+    root comes to b.
+
+    With poly = (t - b)^k S and S(b) != 0, every root rho of S has
+    |S(b)| = lead |b - rho| prod |b - rho'| <= lead |b - rho| reach^(deg - 1),
+    where reach = |b| + the Cauchy bound on the roots of S.
+    """
+    quo, (val,) = divmod(poly, (-b, 1), QQ)
+    if val:
+        return 0
+    while not val:
+        poly = quo
+        quo, (val,) = divmod(poly, (-b, 1), QQ)
+    lead = abs(poly[-1])
+    deg = len(poly) - 1
+    reach = abs(b) + 1 + Fraction(max((abs(c) for c in poly[:-1]), default=0)) / lead
+    return abs(val) / (lead * reach ** max(deg - 1, 0))
 
 
 def _conjugate_products_poly(m):
@@ -434,10 +410,13 @@ def region_runs(field, box, lattice_rows, shift=None, shard=None):
     are decided (FloatRegionFilter.run).  shard=(index, count) keeps only
     the lines whose first lattice coefficient falls in the given residue
     class: disjoint slices whose union over all indices is every run.
+    A box of more than RESIDUE_CAP lines, counted before sharding, raises
+    ResidueCapError.
     """
     n = field.degree
     shift_coords = shift.coords if shift is not None else (0,) * n
     ranges = coordinate_ranges(field, box, lattice_rows, shift_coords)
+    check_cap(prod(hi - lo + 1 for lo, hi in ranges[:-1]), "region line walk")
     screen = FloatRegionFilter(field, box)
     step = lattice_rows[n - 1]
     outer = [range(lo, hi + 1) for lo, hi in ranges[:-1]]

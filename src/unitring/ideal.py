@@ -28,7 +28,15 @@ class NonMonogenicError(NotImplementedError):
 
 
 class ResidueCapError(ValueError):
-    """A brute-force residue enumeration would exceed RESIDUE_CAP residues."""
+    """A brute-force walk would exceed RESIDUE_CAP steps: residues of a
+    quotient, or lines of a region."""
+
+
+def check_cap(count, walk):
+    """The one comparison with RESIDUE_CAP: raise ResidueCapError, naming
+    the walk, when it would take count steps, more than the cap."""
+    if count > RESIDUE_CAP:
+        raise ResidueCapError(f"{walk} of size {count} exceeds cap {RESIDUE_CAP}")
 
 
 class IdealLattice:
@@ -350,13 +358,10 @@ def residue_system(field, sub, sup):
     """The elements of a transversal of the HNF lattice sub inside the HNF
     lattice sup, in quotient_box order.
 
-    This is the one brute-force residue walk, and the one place where
-    RESIDUE_CAP is decided: a walk over more residues raises
-    ResidueCapError before it yields any.
+    This is the one brute-force residue walk: a walk over more than
+    RESIDUE_CAP residues raises ResidueCapError before it yields any.
     """
-    count = abs(det_triangular(sub) // det_triangular(sup))
-    if count > RESIDUE_CAP:
-        raise ResidueCapError(f"residue system of size {count} exceeds cap {RESIDUE_CAP}")
+    check_cap(abs(det_triangular(sub) // det_triangular(sup)), "residue system")
     for v in quotient_box(sub, sup):
         yield field.element(v)
 

@@ -172,7 +172,7 @@ class RootIsolation:
         self.n_real = sturm_count_real_roots(poly)
         self.bits = 0
         # Classified once; every refinement polishes these representatives.
-        self._reps = self._classify([self._polish(z, bits) for z in self._initial_disks()])
+        self._reps = self._classify(self._initial_disks(), bits)
         self.refine(bits)
 
     # -- initial float approximations -------------------------------------
@@ -228,8 +228,9 @@ class RootIsolation:
         return z
 
     def _polish(self, z, bits, real=False):
-        """Newton steps from z until the certified radius is at most
-        2^-bits; (z, radius).  A real root's center stays on the real axis."""
+        """Newton steps from z, rounded at 4 * bits (at least 256), until the
+        certified radius is at most 2^-bits, for at most 60 rounds of two
+        steps; (z, radius).  A real root's center stays on the real axis."""
         target = Fraction(1, 1 << bits)
         sqrt_bits = bits + 32
         work_bits = max(bits * 4, 256)
@@ -244,9 +245,7 @@ class RootIsolation:
             r = self._radius_at(z, sqrt_bits)
             rounds += 1
             if rounds > 60:
-                raise PrecisionError("newton refinement stalled")
-            if rounds % 8 == 0:
-                work_bits *= 2
+                raise PrecisionError("newton refinement stalled after 60 rounds")
         return z, r
 
     def refine(self, bits):
@@ -264,17 +263,25 @@ class RootIsolation:
                 break
             bits *= 2
             if bits > MAX_BITS:
-                raise PrecisionError("enclosures overlap at maximum precision")
+                raise PrecisionError(f"enclosures overlap at MAX_BITS = {MAX_BITS}")
         self.enclosures = full
         self.bits = bits
 
-    def _classify(self, disks):
-        """Representatives from polished disks: those meeting the real axis,
+    def _classify(self, zs, bits):
+        """Representatives from the approximations zs: all n are polished
+        at bits, and again at twice the bits each time until the disks that
+        meet the real axis match the Sturm count.  Those disks come first,
         ascending, then those in the upper half plane by (re, im)."""
-        real = [RootEnclosure(z, r, True) for z, r in disks if abs(z[1]) <= r]
-        upper = [RootEnclosure(z, r, False) for z, r in disks if z[1] > r]
-        if len(real) != self.n_real or len(upper) != (self.degree - self.n_real) // 2:
-            raise PrecisionError("root classification ambiguous; raise bits")
+        while True:
+            disks = [self._polish(z, bits) for z in zs]
+            real = [RootEnclosure(z, r, True) for z, r in disks if abs(z[1]) <= r]
+            upper = [RootEnclosure(z, r, False) for z, r in disks if z[1] > r]
+            if len(real) == self.n_real and len(upper) == (self.degree - self.n_real) // 2:
+                break
+            zs = [z for z, _ in disks]
+            bits *= 2
+            if bits > MAX_BITS:
+                raise PrecisionError(f"root classification ambiguous at MAX_BITS = {MAX_BITS}")
         real.sort(key=lambda e: e.center[0])
         upper.sort(key=lambda e: (e.center[0], e.center[1]))
         return real + upper

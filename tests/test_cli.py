@@ -275,13 +275,42 @@ def test_exit_code_primality_unproven():
     assert last_diag(proc.stderr)["error"] == "exhausted"
 
 
-def test_precision_cap_is_exhaustion(tmp_path, capsys):
-    # Eisenstein at 2, so irreducible, with a complex pair about 7e-36 off
-    # the real axis: the root classification stays ambiguous at MAX_BITS.
+def near_real_quintic(a):
+    """Eisenstein at 2, so irreducible, with a complex pair very close to
+    the real axis: about 7e-36 off it at a = 10**10."""
+    return [2, -4 * a, 2 * a * a, 0, 0, 1]
+
+
+def test_precision_cap_is_exhaustion(tmp_path):
+    # At a = 10**20 Newton polishing stalls at its round cap while the
+    # classification retries; the run must stop soon, not hang.
     spec = tmp_path / "near_real.json"
-    spec.write_text(json.dumps({"name": "near-real", "min_poly": [2, -4 * 10**10, 2 * 10**20, 0, 0, 1]}))
-    assert main(["count", "--field", str(spec), "--eta=0,1,0,0,0", "--boxes", "100"]) == EXIT_EXHAUSTED
-    assert last_diag(capsys.readouterr().err)["error"] == "exhausted"
+    spec.write_text(json.dumps({"name": "near-real", "min_poly": near_real_quintic(10**20)}))
+    proc = run_cli(["count", "--field", str(spec), "--eta=0,1,0,0,0", "--boxes", "32"], timeout=60)
+    assert proc.returncode == EXIT_EXHAUSTED
+    assert last_diag(proc.stderr)["error"] == "exhausted"
+
+
+@pytest.mark.parametrize("min_poly, eta, boxes", [
+    ([2, 0, -(10**40 + 2), 0, 1], "0,1,0,0", "16"),  # roots near +-10^20 and +-10^-20
+    (near_real_quintic(10**10), "0,1,0,0,0", "32"),
+], ids=["close_roots", "near_real"])
+def test_region_beyond_the_walk_cap_is_exhaustion(tmp_path, capsys, min_poly, eta, boxes):
+    # The naive coordinate box holds more than 10^22 lines.
+    spec = tmp_path / "wide.json"
+    spec.write_text(json.dumps({"name": "wide", "min_poly": min_poly}))
+    assert main(["count", "--field", str(spec), f"--eta={eta}", "--boxes", boxes]) == EXIT_EXHAUSTED
+    diag = last_diag(capsys.readouterr().err)
+    assert diag["error"] == "exhausted" and "region line walk" in diag["message"]
+
+
+def test_tower_refuses_when_every_unit_is_a_square(tmp_path, capsys):
+    # The only declared unit is theta^2 = 1 + theta, and no eta is given.
+    spec = tmp_path / "square_unit.json"
+    spec.write_text(json.dumps({"name": "Q(sqrt5)", "min_poly": [-1, -1, 1], "units": [[1, 1]]}))
+    assert main(["tower", "--field", str(spec)]) == EXIT_CONFIG
+    diag = last_diag(capsys.readouterr().err)
+    assert diag["error"] == "config" and "every declared unit is a square" in diag["message"]
 
 
 @pytest.mark.parametrize("argv, needle", [

@@ -104,9 +104,14 @@ def test_norm_form_matches_det_and_resultant(norm_form_fields, name, c):
 
 
 def test_norm_form_term_counts(norm_form_fields):
-    # Q(sqrt5): N(a + b theta) = a^2 + ab - b^2; cubic-23 has 8 nonzero terms.
+    # Q(sqrt5): N(a + b theta) = a^2 + ab - b^2; cubic-23 has 8 nonzero terms,
+    # the 15th cyclotomic field 5,979.
     assert norm_form_fields["q_sqrt5"].norm_form == ((1, (0, 0)), (1, (0, 1)), (-1, (1, 1)))
     assert len(norm_form_fields["cubic-23"].norm_form) == 8
+    cyclotomic = NumberField([1, -1, 0, 1, -1, 1, 0, -1, 1])
+    assert len(cyclotomic.norm_form) == 5979
+    alpha = cyclotomic.element([3, -1, 4, 1, -5, 9, 2, -6])
+    assert alpha.norm() == det(cyclotomic.mult_matrix(alpha))
 
 
 @settings(max_examples=60, deadline=None)
@@ -270,6 +275,14 @@ def test_isolates_close_and_large_roots(poly):
     for enc in field.root_isolation().enclosures:
         re, _ = enc.box()
         assert evaluate(field.min_poly, re.lo, QQ) * evaluate(field.min_poly, re.hi, QQ) < 0
+
+
+def test_classifies_a_pair_near_the_real_axis():
+    # Eisenstein at 2, with a complex pair about 7e-36 off the real axis:
+    # the 64-bit disks of the pair meet the axis, so classification retries.
+    field = NumberField([2, -4 * 10**10, 2 * 10**20, 0, 0, 1])
+    assert field.signature == (1, 2)
+    assert all(enc.center[1] > enc.radius for enc in field.root_isolation().enclosures[1:3])
 
 
 def test_inverse_unit_and_nonunit(q5):

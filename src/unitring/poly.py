@@ -4,11 +4,18 @@ A polynomial is a tuple of coefficients, constant term first, with a
 nonzero leading coefficient; the zero polynomial is (K.zero,).  Every
 routine takes trimmed tuples and returns trimmed tuples.  The coefficient
 field K is the last argument and supplies zero, one, add, sub, mul, inv,
-scalar(k) (the image of the integer k), the fused addmul(acc, x, y) =
+scalar(k) (the image of the integer k) and the fused addmul(acc, x, y) =
 acc + x*y and submul(acc, x, y) = acc - x*y that carry the inner loops of
-mul and divmod with one call per term, and mulmod(a, b, m) = a*b mod m on
-whole polynomials, the step of powmod.  Over F_p mulmod is one plain-int
-kernel; elsewhere it is mul followed by divmod.
+mul and the generic divmod with one call per term.  It also supplies the
+four polynomial kernels that divmod, gcd and powmod call: divmod(a, b),
+gcd(a, b), mulmod(a, b, m) = a*b mod m and powmod(base, e, m).
+
+PrimeField's kernels run on plain ints, with one % p per output
+coefficient.  A modulus of degree 2, monic or not, is unrolled in mulmod
+and powmod; every other degree goes through one reduction loop.
+ResidueField and QQ bind the generic routines (`_divmod`, `_gcd`,
+`_mulmod`, `_powmod`), which call the field's element operations once per
+term; they are also the oracle the F_p kernels are tested against.
 
 The fields are PrimeField(p) on ints mod p, ResidueField(p, g) = F_p[y]/(g)
 on coefficient tuples (its own arithmetic is these routines over
@@ -55,6 +62,45 @@ def mul(a, b, K):
 
 def divmod(a, b, K):
     """(q, r) with a = q*b + r and deg r < deg b, for b != 0."""
+    return K.divmod(a, b)
+
+
+def monic(a, K):
+    """a divided by its leading coefficient; the zero polynomial stays."""
+    lead = a[-1]
+    if lead == K.zero or lead == K.one:
+        return a
+    inv = K.inv(lead)
+    return tuple(K.mul(x, inv) for x in a)
+
+
+def gcd(a, b, K):
+    """Monic greatest common divisor; zero only when both are zero."""
+    return K.gcd(a, b)
+
+
+def powmod(base, e, m, K):
+    """base^e mod m for e >= 0."""
+    return K.powmod(base, e, m)
+
+
+def deriv(a, K):
+    return trim([K.mul(K.scalar(i), a[i]) for i in range(1, len(a))] or [K.zero], K)
+
+
+def evaluate(a, x, K):
+    """a(x) by Horner's rule."""
+    out = K.zero
+    for c in reversed(a):
+        out = K.addmul(c, out, x)
+    return out
+
+
+# The generic kernels, on the field's element operations: those of every
+# field but F_p, and the oracle of the F_p kernels.
+
+
+def _divmod(K, a, b):
     zero = K.zero
     n = len(b) - 1
     if b[n] == zero:
@@ -73,71 +119,27 @@ def divmod(a, b, K):
     return trim(q, K), trim(a[:n] or [zero], K)
 
 
-def monic(a, K):
-    """a divided by its leading coefficient; the zero polynomial stays."""
-    lead = a[-1]
-    if lead == K.zero or lead == K.one:
-        return a
-    inv = K.inv(lead)
-    return tuple(K.mul(x, inv) for x in a)
-
-
-def gcd(a, b, K):
-    """Monic greatest common divisor; zero only when both are zero."""
+def _gcd(K, a, b):
     zero = (K.zero,)
     while b != zero:
-        a, b = b, divmod(a, b, K)[1]
+        a, b = b, _divmod(K, a, b)[1]
     return monic(a, K)
 
 
-def powmod(base, e, m, K):
-    """base^e mod m for e >= 0, left to right over the bits of e.
+def _mulmod(K, a, b, m):
+    return _divmod(K, mul(a, b, K), m)[1]
 
-    Each set bit below the top one multiplies by the base; when the base
-    is X that is a shift and one reduction step instead of a full product.
-    """
+
+def _powmod(K, base, e, m):
+    """Left to right over the bits of e."""
+    result = base = _divmod(K, base, m)[1]
     if not e:
         return (K.one,)
-    mulmod = K.mulmod
-    result = base = divmod(base, m, K)[1]
-    is_x = base == (K.zero, K.one)
-    if is_x:
-        inv_lead = K.inv(m[-1])
-    for i in range(e.bit_length() - 2, -1, -1):
-        result = mulmod(result, result, m)
-        if e >> i & 1:
-            result = _times_x(result, m, inv_lead, K) if is_x else mulmod(result, base, m)
+    for bit in bin(e)[3:]:
+        result = _mulmod(K, result, result, m)
+        if bit == "1":
+            result = _mulmod(K, result, base, m)
     return result
-
-
-def _times_x(a, m, inv_lead, K):
-    """X*a mod m for deg a < deg m, given the inverse of m's leading term."""
-    n = len(m) - 1
-    out = [K.zero, *a]
-    if len(out) <= n:
-        return trim(out, K)
-    c = K.mul(out[n], inv_lead)
-    submul = K.submul
-    for j in range(n):
-        out[j] = submul(out[j], c, m[j])
-    return trim(out[:n], K)
-
-
-def deriv(a, K):
-    return trim([K.mul(K.scalar(i), a[i]) for i in range(1, len(a))] or [K.zero], K)
-
-
-def evaluate(a, x, K):
-    """a(x) by Horner's rule."""
-    out = K.zero
-    for c in reversed(a):
-        out = K.addmul(c, out, x)
-    return out
-
-
-def _mulmod(K, a, b, m):
-    """a*b mod m by mul and divmod; the mulmod of every field but F_p."""
-    return divmod(mul(a, b, K), m, K)[1]
 
 
 class PrimeField:
@@ -170,29 +172,97 @@ class PrimeField:
     def submul(self, acc, x, y):
         return (acc - x * y) % self.p
 
+    # The polynomial kernels: products and reductions carry unreduced
+    # ints, and each output coefficient takes one % p.
+
+    def divmod(self, a, b):
+        r = list(a)
+        q = self._reduce(r, b, self._inv_lead(b))
+        return trim(q, self), self._poly(r)
+
+    def gcd(self, a, b):
+        while b != (0,):
+            if len(b) == 1:
+                return (1,)
+            if len(a) >= len(b):
+                a = list(a)
+                self._reduce(a, b, self._inv_lead(b))
+                a = self._poly(a)
+            a, b = b, a
+        return monic(a, self)
+
     def mulmod(self, a, b, m):
-        """a*b mod m on plain ints: the product and the reduction carry
-        unreduced integers, and each output coefficient takes one % p."""
-        p = self.p
-        n = len(m) - 1
+        inv_lead = self._inv_lead(m)
+        if len(m) == 3 and len(a) < 3 and len(b) < 3:
+            p = self.p
+            a0, a1 = a if len(a) == 2 else (a[0], 0)
+            b0, b1 = b if len(b) == 2 else (b[0], 0)
+            c = a1 * b1 * inv_lead % p
+            r0 = (a0 * b0 - c * m[0]) % p
+            r1 = (a0 * b1 + a1 * b0 - c * m[1]) % p
+            return (r0, r1) if r1 else (r0,)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        if len(out) > n:
-            lead = m[n] % p
-            if not lead:
-                raise ZeroDivisionError("polynomial division by zero")
-            inv_lead = 1 if lead == 1 else pow(lead, -1, p)
-            low = m[:n]
-            for i in range(len(out) - 1, n - 1, -1):
-                c = out[i] * inv_lead % p
-                if c:
-                    for j, y in enumerate(low, i - n):
-                        out[j] -= c * y
-            del out[n:]
-        return trim([x % p for x in out] or [0], self)
+        self._reduce(out, m, inv_lead)
+        return self._poly(out)
+
+    def powmod(self, base, e, m):
+        """Left to right over the bits of e."""
+        p = self.p
+        inv_lead = self._inv_lead(m)
+        if len(base) >= len(m):
+            base = self.divmod(base, m)[1]
+        if not e:
+            return (1,)
+        bits = bin(e)[3:]
+        if len(m) != 3:
+            result = base
+            for bit in bits:
+                result = self.mulmod(result, result, m)
+                if bit == "1":
+                    result = self.mulmod(result, base, m)
+            return result
+        # m / lead(m) = X^2 + m1 X + m0.
+        m0, m1 = m[0] * inv_lead % p, m[1] * inv_lead % p
+        b0, b1 = base if len(base) == 2 else (base[0], 0)
+        u0, u1 = b0, b1
+        for bit in bits:
+            c = u1 * u1 % p
+            u0, u1 = (u0 * u0 - c * m0) % p, (2 * u0 * u1 - c * m1) % p
+            if bit == "1":
+                c = u1 * b1 % p
+                u0, u1 = (u0 * b0 - c * m0) % p, (u0 * b1 + u1 * b0 - c * m1) % p
+        return (u0, u1) if u1 else (u0,)
+
+    def _inv_lead(self, m):
+        """The inverse mod p of m's leading coefficient."""
+        lead = m[-1] % self.p
+        if not lead:
+            raise ZeroDivisionError("polynomial division by zero")
+        return 1 if lead == 1 else pow(lead, -1, self.p)
+
+    def _reduce(self, r, m, inv_lead):
+        """Divide the ints r by m in place, leaving the remainder's
+        unreduced coefficients, and return the quotient's."""
+        p = self.p
+        n = len(m) - 1
+        low = m[:n]
+        q = [0] * max(1, len(r) - n)
+        for i in range(len(r) - n - 1, -1, -1):
+            c = r[i + n] * inv_lead % p
+            if c:
+                q[i] = c
+                for j, y in enumerate(low, i):
+                    r[j] -= c * y
+        del r[n:]
+        return q
+
+    def _poly(self, r):
+        """The polynomial of the unreduced ints r."""
+        return trim([x % self.p for x in r] or [0], self)
 
     def inv(self, a):
         return pow(a, -1, self.p)
@@ -243,7 +313,10 @@ class ResidueField:
     def submul(self, acc, x, y):
         return sub(acc, self.mul(x, y), self.base)
 
+    divmod = _divmod
+    gcd = _gcd
     mulmod = _mulmod
+    powmod = _powmod
 
     def inv(self, a):
         """Inverse by the extended Euclidean algorithm against g."""
@@ -315,7 +388,10 @@ class RationalField:
     def inv(a):
         return Fraction(1, a)
 
+    divmod = _divmod
+    gcd = _gcd
     mulmod = _mulmod
+    powmod = _powmod
 
     @staticmethod
     def scalar(k):

@@ -3,7 +3,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unitring.fpoly import residue_field
-from unitring.poly import QQ, PrimeField, add, divmod, evaluate, gcd, mul, powmod, trim
+from unitring.poly import (
+    QQ,
+    PrimeField,
+    _divmod,
+    _gcd,
+    _mulmod,
+    _powmod,
+    add,
+    divmod,
+    evaluate,
+    gcd,
+    mul,
+    powmod,
+    trim,
+)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
@@ -43,25 +57,26 @@ def test_divmod_and_gcd_properties(name, data):
     q, r = divmod(a, b, K)
     assert add(mul(q, b, K), r, K) == a
     assert r == (K.zero,) or len(r) < len(b)
+    # Divisibility by the generic divmod, which is not F_7's kernel.
     g = gcd(a, b, K)
     assert g[-1] == K.one
-    assert divmod(a, g, K)[1] == (K.zero,)
-    assert divmod(b, g, K)[1] == (K.zero,)
+    assert _divmod(K, a, g)[1] == (K.zero,)
+    assert _divmod(K, b, g)[1] == (K.zero,)
     # A common factor of a and b divides their gcd.
-    assert divmod(g, common, K)[1] == (K.zero,)
+    assert _divmod(K, g, common)[1] == (K.zero,)
 
 
 def powmod_reference(base, e, m, K):
-    """base^e mod m by square and multiply, each product a generic mul
-    followed by divmod, so that neither the field's mulmod nor the X ladder
-    takes part."""
+    """base^e mod m by right-to-left square and multiply, each product a
+    generic mul followed by the generic divmod, so that no field's kernels
+    take part."""
     result = (K.one,)
-    base = divmod(base, m, K)[1]
+    base = _divmod(K, base, m)[1]
     while e:
         if e & 1:
-            result = divmod(mul(result, base, K), m, K)[1]
+            result = _divmod(K, mul(result, base, K), m)[1]
         e >>= 1
-        base = divmod(mul(base, base, K), m, K)[1]
+        base = _divmod(K, mul(base, base, K), m)[1]
     return result
 
 
@@ -79,13 +94,13 @@ POWMOD_RESIDUE_FIELDS = [
 ]
 
 
-def _draw_powmod_case(data, K, p, elem, max_degree):
-    """(base, e, m): a modulus of degree 1..max_degree whose leading term
-    is not one when the field allows it, an exponent among 0, 1, p, q,
-    (q - 1)/2 for q = |K|^deg m and random ones, and the base X or a
-    random polynomial of up to twice the modulus degree."""
-    deg = data.draw(st.integers(1, max_degree), label="deg m")
-    lead = data.draw(elem.filter(lambda c: c != K.zero and (c != K.one or K.q == 2)), label="lead")
+def _draw_powmod_case(data, K, p, elem, degrees):
+    """(base, e, m): a modulus of a degree drawn from `degrees`, monic or
+    not, an exponent among 0, 1, p, q, (q - 1)/2 for q = |K|^deg m and
+    random ones, and the base X, zero or a random polynomial of up to
+    twice the modulus degree plus one coefficients."""
+    deg = data.draw(degrees, label="deg m")
+    lead = data.draw(st.just(K.one) | elem.filter(lambda c: c != K.zero), label="lead")
     m = tuple(data.draw(st.lists(elem, min_size=deg, max_size=deg), label="m")) + (lead,)
     q = K.q**deg
     e = data.draw(
@@ -93,23 +108,64 @@ def _draw_powmod_case(data, K, p, elem, max_degree):
     )
     x = (K.zero, K.one)
     random_base = st.lists(elem, min_size=1, max_size=2 * deg + 1).map(lambda c: trim(c, K))
-    base = data.draw(st.just(x) | random_base, label="base")
+    base = data.draw(st.just(x) | st.just((K.zero,)) | random_base, label="base")
     return base, e, m
+
+
+# Moduli of degree 0 to 6 for the F_p kernels, with extra weight on the
+# unrolled degree 2.
+PRIME_FIELD_DEGREES = st.integers(0, 6) | st.just(2)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 10007, 2**31 - 1])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_powmod_prime_field_matches_generic(p, data):
-    # The plain-int mulmod kernel and the X ladder against generic
-    # products with divmod over the same field.
+    # The plain-int mulmod and powmod of PrimeField against the generic
+    # routines that ResidueField and QQ use, run on the same field.
     K = PrimeField(p)
-    base, e, m = _draw_powmod_case(data, K, p, st.integers(0, p - 1), 6)
+    base, e, m = _draw_powmod_case(data, K, p, st.integers(0, p - 1), PRIME_FIELD_DEGREES)
     a = data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=8).map(lambda c: trim(c, K)))
     # mulmod first: a kernel that leaves coefficients unreduced fails here
     # at once, before powmod squares them into huge integers.
-    assert K.mulmod(base, a, m) == divmod(mul(base, a, K), m, K)[1]
-    assert powmod(base, e, m, K) == powmod_reference(base, e, m, K)
+    assert K.mulmod(base, a, m) == _mulmod(K, base, a, m)
+    # Operands below the modulus degree take the unrolled product.
+    rb, ra = _divmod(K, base, m)[1], _divmod(K, a, m)[1]
+    assert K.mulmod(rb, ra, m) == _mulmod(K, rb, ra, m)
+    assert powmod(base, e, m, K) == _powmod(K, base, e, m) == powmod_reference(base, e, m, K)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10007, 2**31 - 1])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_prime_field_divmod_gcd_match_generic(p, data):
+    # The plain-int divmod and gcd of PrimeField against the generic
+    # routines, on operands longer and shorter than the divisor, zero
+    # among them, and on pairs with a common factor.
+    K = PrimeField(p)
+    _, _, m = _draw_powmod_case(data, K, p, st.integers(0, p - 1), PRIME_FIELD_DEGREES)
+    polys = st.lists(st.integers(0, p - 1), min_size=1, max_size=9).map(lambda c: trim(c, K))
+    a, b = data.draw(polys), data.draw(polys)
+    assert divmod(a, m, K) == _divmod(K, a, m)
+    assert gcd(a, b, K) == _gcd(K, a, b)
+    am, bm = mul(a, m, K), mul(b, m, K)
+    assert gcd(am, bm, K) == _gcd(K, am, bm)
+    assert gcd(am, m, K) == gcd(m, am, K) == _gcd(K, m, am)
+
+
+@pytest.mark.parametrize("m", [(0,), (1, 5), (1, 2, 10), (1, 2, 3, 5)])
+@pytest.mark.parametrize("a, b", [((1,), (1,)), ((1, 2), (1, 2)), ((1, 2, 3, 4), (4,))])
+def test_prime_field_kernels_refuse_a_zero_leading_coefficient(m, a, b):
+    # Each modulus has leading coefficient 0 mod 5; every kernel refuses
+    # it alike, whatever the operand lengths and the exponent.
+    K = PrimeField(5)
+    with pytest.raises(ZeroDivisionError):
+        K.mulmod(a, b, m)
+    with pytest.raises(ZeroDivisionError):
+        divmod(a, m, K)
+    for e in (0, 1, 7):
+        with pytest.raises(ZeroDivisionError):
+            powmod(a, e, m, K)
 
 
 @pytest.mark.parametrize("p, g", POWMOD_RESIDUE_FIELDS)
@@ -119,5 +175,5 @@ def test_powmod_residue_field_matches_generic(p, g, data):
     fq = residue_field(p, g)
     coeffs = st.lists(st.integers(0, p - 1), min_size=fq.f, max_size=fq.f)
     elem = coeffs.map(fq.elem)
-    base, e, m = _draw_powmod_case(data, fq, p, elem, 3)
+    base, e, m = _draw_powmod_case(data, fq, p, elem, st.integers(1, 3))
     assert powmod(base, e, m, fq) == powmod_reference(base, e, m, fq)

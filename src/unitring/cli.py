@@ -8,8 +8,9 @@ Exit codes:
      or region lines), rho factorization budget, a primality claim beyond
      the proven range, or a decision undecided at the MAX_BITS precision
      cap or Newton's 60-round cap
-  4  configuration error: bad argument (argparse usage errors included),
-     field spec, tower file or --out path, or an input the sieve rejects
+  4  configuration error: bad argument (argparse usage errors and a
+     --threads, --search-bound or --table below 1 included), field spec,
+     tower file or --out path, or an input the sieve rejects
      (reducible quadratic, m below the admissible threshold, coefficients
      outside the order, a non-prime --exclude, truncation too small, a box
      volume with no rational side, a non-squarefree belcher -d)
@@ -226,6 +227,8 @@ def _tower_to_json(spec_name, tower):
 
 
 def cmd_tower(args):
+    if args.search_bound < 1:
+        raise ConfigError(f"--search-bound must be at least 1, got {args.search_bound}")
     spec = load_field_spec(args.field)
     field = spec.field
     if args.order:
@@ -266,6 +269,8 @@ def cmd_belcher(args):
         _emit(args.out, f"d\tgenerated_by_units\n{args.d}\t{value}\n")
         return EXIT_OK
     bound = args.table
+    if bound < 1:
+        raise ConfigError(f"--table must be at least 1, got {bound}")
     from .intfactor import is_squarefree_int
 
     lines = ["d\tgenerated_by_units"]

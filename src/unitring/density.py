@@ -95,16 +95,7 @@ class SievePolynomial:
         return cls([-value, f.zero, f.one])
 
     def __call__(self, alpha):
-        val = self.field.zero
-        for c in reversed(self.coeffs):
-            val = val * alpha + c
-        return val
-
-    def derivative(self):
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(self.coeffs[i] * i)
-        return out
+        return evaluate(self.coeffs, alpha, self.field)
 
     def leading(self):
         return self.coeffs[-1]
@@ -344,7 +335,7 @@ def bad_reduction_primes(poly):
 
 def _poly_discriminant_element(poly):
     """Res(f, f') as an element of O_K: a Sylvester determinant over O_K."""
-    return resultant(poly.coeffs, poly.derivative(), poly.field)
+    return resultant(poly.coeffs, deriv(poly.coeffs, poly.field), poly.field)
 
 
 def euler_density(params, truncation_norm):

@@ -20,8 +20,8 @@ from math import ceil, isqrt
 
 from .intervals import RatInterval
 from .linalg import char_poly, det, mat_inv_frac, vec_mat
-from .poly import QQ, deriv, divmod, gcd, mul, trim
-from .rootiso import MAX_BITS, PrecisionError, RootIsolation, ceval
+from .poly import QQ, deriv, divmod, evaluate, gcd, mul, trim
+from .rootiso import RootIsolation, ceval, precisions
 
 
 class IrreducibilityError(ValueError):
@@ -55,9 +55,10 @@ def _certify_irreducible(poly):
     degree at most n/2 gives its product with interval coefficients.  The
     set is ruled out once some coefficient interval holds no integer;
     once all are narrower than 1, the one integer candidate is divided
-    into poly exactly.  Undecided sets are retried at twice the bits: a
-    product that is not integral has a coefficient that is not an
-    integer, so refinement decides every set.
+    into poly exactly.  Undecided sets are retried up the precision
+    ladder, each rung's enclosures tested once: a product that is not
+    integral has a coefficient that is not an integer, so refinement
+    decides every set.
     """
     if len(gcd(poly, deriv(poly, QQ), QQ)) > 1:
         raise IrreducibilityError("reducible: repeated factor")
@@ -65,7 +66,12 @@ def _certify_irreducible(poly):
     r, s = iso.signature
     sets = [c for k in range(1, r + s + 1) for c in combinations(range(r + s), k)
             if sum(1 if i < r else 2 for i in c) <= (len(poly) - 1) // 2]
-    while True:
+    tested = 0
+    for bits in precisions(iso.bits, "irreducibility"):
+        if bits <= tested:
+            continue  # refine overshot this rung: these enclosures are tested
+        iso.refine(bits)
+        tested = iso.bits
         factors = []
         for enc in iso.enclosures[:r + s]:
             re, im = enc.box()
@@ -87,10 +93,7 @@ def _certify_irreducible(poly):
                 raise IrreducibilityError(f"reducible: factor {cand}, constant term first")
         if not undecided:
             return iso
-        if 2 * iso.bits > MAX_BITS:
-            raise PrecisionError(f"irreducibility undecided at MAX_BITS = {MAX_BITS}")
         sets = undecided
-        iso.refine(2 * iso.bits)
 
 
 class NumberField:
@@ -116,7 +119,11 @@ class NumberField:
             if len(basis) != n or any(len(r) != n for r in basis):
                 raise ValueError("integral basis must be a square matrix of size degree")
         self.basis = basis
-        self.basis_inv = mat_inv_frac(basis)
+        try:
+            self.basis_inv = mat_inv_frac(basis)
+        except ZeroDivisionError:
+            rows = "; ".join(" ".join(map(str, row)) for row in basis)
+            raise ValueError(f"integral basis [{rows}] is singular") from None
         self.is_power_basis = all(
             basis[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
         )
@@ -129,27 +136,13 @@ class NumberField:
 
     # -- construction helpers ----------------------------------------------
 
-    def _reduce_theta_poly(self, coeffs):
-        """Reduce a theta-polynomial modulo min_poly to degree < n."""
-        coeffs = list(coeffs)
-        n = self.degree
-        for i in range(len(coeffs) - 1, n - 1, -1):
-            c = coeffs[i]
-            if c:
-                for j in range(n):
-                    coeffs[i - n + j] -= c * self.min_poly[j]
-            coeffs.pop()
-        while len(coeffs) < n:
-            coeffs.append(0)
-        return coeffs
-
     def _theta_to_coords(self, theta_poly):
         """Coordinates (Fractions) on the integral basis of a theta-polynomial."""
-        red = self._reduce_theta_poly(theta_poly)
+        red = divmod(theta_poly, self.min_poly, QQ)[1]
         inv = self.basis_inv
-        n = self.degree
         return tuple(
-            sum(Fraction(red[k]) * inv[k][j] for k in range(n)) for j in range(n)
+            sum(Fraction(c) * inv[k][j] for k, c in enumerate(red))
+            for j in range(self.degree)
         )
 
     def _build_tables(self):
@@ -219,6 +212,19 @@ class NumberField:
     def rational(self, q):
         """q * 1 for an integer q."""
         return self.element(tuple(q * c for c in self.one_coords))
+
+    # The coefficient ring O_K of unitring.poly and rootiso.resultant:
+    # zero, one, scalar, mul and addmul.
+
+    scalar = rational
+
+    @staticmethod
+    def mul(a, b):
+        return a * b
+
+    @staticmethod
+    def addmul(acc, x, y):
+        return acc + x * y
 
     # -- exact invariants ------------------------------------------------------
 
@@ -485,12 +491,9 @@ class AlgebraicInt:
         if abs(c0) != 1:
             raise ValueError("not a unit")
         # alpha * (alpha^{n-1} + c_{n-1} alpha^{n-2} + ... + c_1) = -c_0.
-        n = self.field.degree
-        acc = self.field.one
-        for k in range(n - 1, 0, -1):
-            acc = acc * self + self.field.rational(cp[k])
-        inv = acc * (-c0)
-        if (inv * self) != self.field.one:
+        field = self.field
+        inv = evaluate([field.rational(c) for c in cp[1:]], self, field) * (-c0)
+        if inv * self != field.one:
             raise ArithmeticError("unit inverse verification failed")
         return inv
 
@@ -518,8 +521,7 @@ def is_square_in_field(eta):
     nrm = eta.norm()
     if nrm < 0 or isqrt(nrm) ** 2 != nrm:
         return False
-    bits = 64
-    while bits <= MAX_BITS:
+    for bits in precisions(64, "squareness"):
         reals, pairs = field.sigma_pairs(eta, bits)
         if any(iv.hi < 0 for iv in reals):
             return False
@@ -550,8 +552,6 @@ def is_square_in_field(eta):
                     return True
             if not undecided:
                 return False
-        bits *= 2
-    raise PrecisionError(f"squareness undecided at MAX_BITS = {MAX_BITS}")
 
 
 def _sqrt_nonneg(iv, bits):

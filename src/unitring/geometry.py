@@ -20,7 +20,7 @@ from .intfactor import iroot
 from .linalg import (char_poly, det, det_triangular, hnf, lattice_intersection, mat_inv_frac,
                      solve_upper_int, vec_mat)
 from .poly import QQ, divmod
-from .rootiso import MAX_BITS, PrecisionError
+from .rootiso import precisions
 
 # Dyadic precision of the square roots in the density main terms.
 SQRT_BITS = 96
@@ -284,8 +284,8 @@ class FloatRegionFilter:
 def in_region(alpha, box):
     """Exact decision: alpha totally positive and |sigma_i(alpha)| <= x_i.
 
-    One loop over precisions (64 bits, doubling up to MAX_BITS) with one
-    pass over the places: a real place must be positive, and each squared
+    One loop up the precision ladder from 64 bits, with one pass over
+    the places: a real place must be positive, and each squared
     modulus enclosure is compared with its squared bound b.  Above b
     decides False, at or below b passes, and straddling b passes only on
     an exact tie: alpha^2 = b at a real place; at a complex place, an
@@ -303,8 +303,7 @@ def in_region(alpha, box):
     # a tie: inf when alpha^2 = b, 0 when no tie is possible.
     gaps = {}
     products = None
-    bits = 64
-    while bits <= MAX_BITS:
+    for bits in precisions(64, "region membership"):
         reals, pairs = field.sigma_pairs(alpha, bits)
         undecided = False
         for i in range(r + s):
@@ -338,8 +337,6 @@ def in_region(alpha, box):
                 undecided = True
         if not undecided:
             return True
-        bits *= 2
-    raise PrecisionError(f"region membership undecided at MAX_BITS = {MAX_BITS}")
 
 
 def _tie_gap(poly, b):

@@ -8,7 +8,7 @@ an explicit error at primes dividing the index rather than a wrong answer.
 """
 
 from . import fpoly
-from .intfactor import factor as factor_int, mth_power_primes
+from .intfactor import factor as factor_int, mth_power_primes, prime_table
 from .linalg import (
     det_triangular,
     hnf,
@@ -368,12 +368,8 @@ def residue_system(field, sub, sup):
 
 def iter_ideals(field, max_norm):
     """All nonzero ideals of norm <= max_norm, sorted by (norm, hnf)."""
-    from .intfactor import is_prime
-
     prime_pool = []
-    for p in range(2, max_norm + 1):
-        if not is_prime(p):
-            continue
+    for p in prime_table(max_norm):
         for pid in split_prime(field, p):
             if pid.norm <= max_norm:
                 prime_pool.append(pid)

@@ -21,16 +21,14 @@ def sqrt_lower(x, bits=64):
 
 
 def sqrt_upper(x, bits=64):
+    """Smallest dyadic s/2^bits with (s/2^bits)^2 >= x.  Requires x >= 0."""
     x = Fraction(x)
     if x < 0:
         raise ValueError("sqrt of negative")
     scale = 1 << bits
-    num = x.numerator * scale * scale
-    s = isqrt(num // x.denominator)
-    # s/scale may undershoot; bump until the square clears x.
-    while Fraction(s, scale) ** 2 < x:
-        s += 1
-    return Fraction(s, scale)
+    # s^2 >= N = x 4^bits exactly when s^2 >= ceil(N), an integer.
+    n = -(-x.numerator * scale * scale // x.denominator)
+    return Fraction(isqrt(n - 1) + 1 if n else 0, scale)
 
 
 class RatInterval:

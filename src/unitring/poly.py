@@ -20,7 +20,9 @@ term; they are also the oracle the F_p kernels are tested against.
 The fields are PrimeField(p) on ints mod p, ResidueField(p, g) = F_p[y]/(g)
 on coefficient tuples (its own arithmetic is these routines over
 PrimeField(p)), and QQ on int and Fraction.  `fpoly.residue_field` picks
-the finite field for a residue field O_K/P.
+the finite field for a residue field O_K/P.  A NumberField is the ring
+O_K for trim, deriv, evaluate and mul: it supplies zero, one, scalar, mul
+and addmul, and no division.
 """
 
 from fractions import Fraction

@@ -11,6 +11,9 @@ are pairwise disjoint each contains exactly one root, and conjugate
 symmetry sorts them into real roots and conjugate pairs.  Refinement is
 rational Newton iteration with dyadic rounding, so every enclosure stays
 rigorous at any requested precision.
+
+Every certified decision, here and in `field` and `geometry`, climbs the
+one precision ladder `precisions`.
 """
 
 from fractions import Fraction
@@ -27,6 +30,15 @@ MAX_BITS = 1 << 14
 
 class PrecisionError(Exception):
     """A certified enclosure did not reach the precision a decision needs."""
+
+
+def precisions(bits, what):
+    """The precision ladder of every certified decision: bits, 2 bits, ...
+    while at most MAX_BITS; then PrecisionError naming the decision what."""
+    while bits <= MAX_BITS:
+        yield bits
+        bits *= 2
+    raise PrecisionError(f"{what} undecided at MAX_BITS = {MAX_BITS}")
 
 
 def sturm_count_real_roots(p):
@@ -249,39 +261,33 @@ class RootIsolation:
         return z, r
 
     def refine(self, bits):
-        """Shrink every enclosure radius below 2^-bits, and further, at
-        twice the bits each time, until the disks are pairwise disjoint:
+        """Shrink every enclosure radius below 2^-bits, and further, up the
+        precision ladder, until the disks are pairwise disjoint:
         disjointness certifies one root per disk."""
         if self.bits >= bits:
             return
-        while True:
+        for bits in precisions(bits, "root separation"):
             self._reps = [RootEnclosure(*self._polish(e.center, bits, e.is_real), e.is_real)
                           for e in self._reps]
             full = self._reps + [e.conjugate() for e in self._reps if not e.is_real]
             if all(cabs2(csub(a.center, b.center)) > (a.radius + b.radius) ** 2
                    for i, a in enumerate(full) for b in full[i + 1:]):
                 break
-            bits *= 2
-            if bits > MAX_BITS:
-                raise PrecisionError(f"enclosures overlap at MAX_BITS = {MAX_BITS}")
         self.enclosures = full
         self.bits = bits
 
     def _classify(self, zs, bits):
         """Representatives from the approximations zs: all n are polished
-        at bits, and again at twice the bits each time until the disks that
+        at bits, and again up the precision ladder until the disks that
         meet the real axis match the Sturm count.  Those disks come first,
         ascending, then those in the upper half plane by (re, im)."""
-        while True:
+        for bits in precisions(bits, "root classification"):
             disks = [self._polish(z, bits) for z in zs]
             real = [RootEnclosure(z, r, True) for z, r in disks if abs(z[1]) <= r]
             upper = [RootEnclosure(z, r, False) for z, r in disks if z[1] > r]
             if len(real) == self.n_real and len(upper) == (self.degree - self.n_real) // 2:
                 break
             zs = [z for z, _ in disks]
-            bits *= 2
-            if bits > MAX_BITS:
-                raise PrecisionError(f"root classification ambiguous at MAX_BITS = {MAX_BITS}")
         real.sort(key=lambda e: e.center[0])
         upper.sort(key=lambda e: (e.center[0], e.center[1]))
         return real + upper

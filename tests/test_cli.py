@@ -118,7 +118,7 @@ def test_exit_code_hypothesis():
 def test_exit_code_exhaustion():
     proc = run_cli([
         "tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta", "1,2",
-        "--search-bound", "0",
+        "--search-bound", "1",
     ])
     assert proc.returncode == 3
     assert json.loads(proc.stderr.splitlines()[-1])["error"] == "exhausted"
@@ -316,10 +316,17 @@ def test_tower_refuses_when_every_unit_is_a_square(tmp_path, capsys):
 @pytest.mark.parametrize("argv, needle", [
     (["count", "--field", "q_sqrt5", "--eta", "0,1", "--threads", "abc"], "--threads"),
     (["density", "--field", "q_sqrt5", "--boxes", "100"], "--eta"),
+    (["tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta=1,2", "--search-bound", "0"],
+     "--search-bound"),
+    (["tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta=1,2", "--search-bound", "-1"],
+     "--search-bound"),
+    (["belcher", "--table", "0"], "--table"),
+    (["belcher", "--table", "-5"], "--table"),
 ])
 def test_usage_error_is_config_diagnostic(argv, needle, capsys):
     # argparse would exit 2 (documented as a hypothesis violation) with a
-    # usage text; a bad argument is a one-line exit-4 diagnostic instead.
+    # usage text; a bad argument, refused by argparse or by a subcommand
+    # (a bound below 1), is a one-line exit-4 diagnostic instead.
     assert main(argv) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
@@ -384,6 +391,7 @@ def test_exit_code_internal(monkeypatch, capsys):
     {"min_poly": [-1, -1, 1], "units": [[0, 1.0]]},
     {"min_poly": [-1, -1, 1], "orders": {"A": [[1, 0], [0, 2.0]]}},
     {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, True]]},
+    {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, 0]]},
 ])
 def test_malformed_field_spec_is_config(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from unitring import field as field_module
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
+from unitring.fieldspec import BUNDLED, load_field_spec
 from unitring.intervals import RatInterval
 from unitring.linalg import det
 from unitring.poly import QQ, evaluate
@@ -187,6 +188,8 @@ def test_rejects_non_ring_basis():
     with pytest.raises(ValueError):
         # {1, theta/2} is not multiplicatively closed for X^2 - X - 1... use X^2-5:
         NumberField([-5, 0, 1], integral_basis=[[1, 0], [0, Fraction(1, 2)]])
+    with pytest.raises(ValueError, match=r"integral basis \[1 0; 1/2 0\] is singular"):
+        NumberField([-5, 0, 1], integral_basis=[[1, 0], [Fraction(1, 2), 0]])
 
 
 def test_irreducibility_guard():
@@ -285,11 +288,14 @@ def test_classifies_a_pair_near_the_real_axis():
     assert all(enc.center[1] > enc.radius for enc in field.root_isolation().enclosures[1:3])
 
 
-def test_inverse_unit_and_nonunit(q5):
-    th = q5.theta
-    assert th.inverse() * th == q5.one
-    with pytest.raises(ValueError):
-        q5.rational(2).inverse()
+def test_inverse_unit_and_nonunit():
+    for name in BUNDLED:
+        spec = load_field_spec(name)
+        for u in spec.units:
+            assert u.inverse() * u == spec.field.one
+            assert u.inverse().inverse() == u
+        with pytest.raises(ValueError):
+            spec.field.rational(2).inverse()
 
 
 def test_embeddings_certified(q5):
@@ -352,6 +358,15 @@ EMBEDDING_FIELDS = {
 def embedding_fields():
     return {name: NumberField(poly, integral_basis=basis, name=name)
             for name, (poly, basis) in EMBEDDING_FIELDS.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["q_sqrt5/alt", "cubic-23", "x4+1"]), st.data())
+def test_from_theta_poly_reduces_modulo_the_minimal_polynomial(embedding_fields, name, data):
+    # Up to degree 2n - 2, that of a product of two reduced theta-polynomials.
+    field = embedding_fields[name]
+    c = data.draw(st.lists(st.integers(-10**3, 10**3), min_size=1, max_size=2 * field.degree - 1))
+    assert field.from_theta_poly(c) == sum((k * field.theta**i for i, k in enumerate(c)), field.zero)
 
 
 @pytest.mark.parametrize("bits", [64, 256])

@@ -4,7 +4,10 @@ import pytest
 
 from unitring.poly import QQ, add, divmod, evaluate, mul
 from unitring.rootiso import (
+    MAX_BITS,
+    PrecisionError,
     RootIsolation,
+    precisions,
     resultant,
     sturm_count_real_roots,
 )
@@ -108,3 +111,14 @@ def test_initial_disks_start_near_the_roots():
         gap = min(abs(complex(re - e.center[0], im - e.center[1])) / abs(float(e.center[0]))
                   for e in iso.enclosures)
         assert gap < 2.0**-20
+
+
+@pytest.mark.parametrize("start, rungs", [(64, 9), (96, 8), (MAX_BITS, 1), (MAX_BITS + 1, 0)])
+def test_precision_ladder(start, rungs):
+    # The start precision doubled while at most MAX_BITS, then the error
+    # naming the decision.
+    seen = []
+    with pytest.raises(PrecisionError, match=r"^squareness undecided at MAX_BITS = 16384$"):
+        for bits in precisions(start, "squareness"):
+            seen.append(bits)
+    assert seen == [start << k for k in range(rungs)]

@@ -40,17 +40,18 @@ from .density import (
     with_conductor_support,
 )
 from .field import is_square_in_field
-from .fieldspec import FieldSpecError, load_field_spec, parse_rational
+from .fieldspec import ConfigError, load_field_spec
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
 from .intervals import fmt_decimal_down, fmt_decimal_up
-from .intfactor import FactorizationTimeout, PrimalityUnproven, is_prime
+from .intfactor import FactorizationTimeout, PrimalityUnproven, is_prime, is_squarefree_int
 from .rootiso import PrecisionError
 from .tower import (
     SearchExhausted,
     Tower,
     belcher_criterion,
     build_tower,
+    unit_order,
     verify_unit_generation,
 )
 
@@ -62,29 +63,14 @@ EXIT_CONFIG = 4
 EXIT_INTERNAL = 5
 
 
-class ConfigError(ValueError):
-    pass
-
-
-def _parse_coords(text, n):
-    try:
-        coords = tuple(int(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad coordinate vector {text!r}")
-    if len(coords) != n:
-        raise ConfigError(f"expected {n} coordinates, got {len(coords)}")
-    return coords
-
-
-def _parse_boxes(text):
+def _parse_ints(text, what, n=None):
+    """The comma-separated integers of text, exactly n of them if n is given."""
     try:
         xs = [int(x) for x in text.split(",")]
     except ValueError:
-        raise ConfigError(f"bad box schedule {text!r}")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ConfigError("box schedule must be strictly increasing")
-    if any(x < 1 for x in xs):
-        raise ConfigError("box volumes must be at least 1")
+        raise ConfigError(f"bad {what} {text!r}") from None
+    if n is not None and len(xs) != n:
+        raise ConfigError(f"expected {n} coordinates, got {len(xs)}")
     return xs
 
 
@@ -151,9 +137,13 @@ def _sieve_setup(args):
     spec = load_field_spec(args.field)
     field = spec.field
     order = spec.order_by_name(args.order)
-    eta = field.element(_parse_coords(args.eta, field.degree))
+    eta = field.element(_parse_ints(args.eta, "coordinate vector", field.degree))
     poly = SievePolynomial.x_squared_minus(4 * eta)
-    xs = _parse_boxes(args.boxes)
+    xs = _parse_ints(args.boxes, "box schedule")
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ConfigError("box schedule must be strictly increasing")
+    if any(x < 1 for x in xs):
+        raise ConfigError("box volumes must be at least 1")
     try:
         boxes = [RegionBox.cube(field.signature, x) for x in xs]
     except ValueError as e:
@@ -234,13 +224,11 @@ def cmd_tower(args):
     if args.order:
         start = spec.order_by_name(args.order)
     elif spec.units:
-        from .tower import unit_order
-
         start = unit_order(field, spec.units)
     else:
         raise ConfigError("no start order and no units declared in the field spec")
     if args.eta:
-        eta = field.element(_parse_coords(args.eta, field.degree))
+        eta = field.element(_parse_ints(args.eta, "coordinate vector", field.degree))
     elif spec.units:
         eta = _default_eta(field, spec.units)
     else:
@@ -271,8 +259,6 @@ def cmd_belcher(args):
     bound = args.table
     if bound < 1:
         raise ConfigError(f"--table must be at least 1, got {bound}")
-    from .intfactor import is_squarefree_int
-
     lines = ["d\tgenerated_by_units"]
     for d in range(-bound, bound + 1):
         if d in (0, 1) or not is_squarefree_int(d):
@@ -312,16 +298,12 @@ def cmd_verify(args):
     that order and eta, compare every result the file states with the
     replay, then run the five checks."""
     doc = _read_tower(args.tower)
-    from .field import NumberField, int_rows
-    from .order import SubOrder
-
     try:
-        basis = None
-        if "integral_basis" in doc:
-            basis = [[parse_rational(x) for x in row] for row in doc["integral_basis"]]
-        field = NumberField(doc["min_poly"], integral_basis=basis)
-        tower = Tower(field, SubOrder(field, int_rows(doc["start_order"])),
-                      field.element(doc["eta"]))
+        spec = load_field_spec({"min_poly": doc["min_poly"],
+                                "integral_basis": doc.get("integral_basis"),
+                                "orders": {"start": doc["start_order"]}})
+        field = spec.field
+        tower = Tower(field, spec.orders["start"], field.element(doc["eta"]))
         omegas = [field.element(st["omega"]) for st in doc["steps"]]
     except HypothesisError as e:
         _diag("verify", e)
@@ -421,7 +403,7 @@ def main(argv=None):
             FactorizationTimeout, PrimalityUnproven, PrecisionError) as e:
         _diag("exhausted", e)
         return EXIT_EXHAUSTED
-    except (ConfigError, FieldSpecError, SieveInputError) as e:
+    except (ConfigError, SieveInputError) as e:
         _diag("config", e)
         return EXIT_CONFIG
     except Exception as e:

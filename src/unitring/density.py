@@ -44,6 +44,7 @@ from .geometry import (
 from .intervals import RatInterval
 from .intfactor import mth_power_primes, prime_table
 from .linalg import lattice_sum
+from .order import SubOrder
 from .poly import deriv, evaluate, gcd, trim
 from .rootiso import resultant
 
@@ -598,12 +599,13 @@ class HypothesisError(ValueError):
 
 
 def check_hypotheses(field_k):
-    """All primes above 2 and 3 must have residue degree at least 2."""
-    for p in (2, 3):
-        for pid in split_prime(field_k, p):
-            if pid.residue_degree < 2:
-                return False
-    return True
+    """Raises HypothesisError unless every prime above 2 and 3 has residue
+    degree at least 2, the hypothesis of the gap criterion and the tower."""
+    if any(pid.residue_degree < 2 for p in (2, 3) for pid in split_prime(field_k, p)):
+        raise HypothesisError(
+            "a prime above 2 or 3 has residue degree 1; "
+            "base-change to K(sqrt(5)) restores the hypothesis"
+        )
 
 
 def check_eta(order, eta):
@@ -618,14 +620,8 @@ def check_eta(order, eta):
 def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     """Both sides of the finite gap inequality, exactly, plus full
     density intervals for the order and the maximal order."""
-    from .order import SubOrder
-
     field_k = order.field
-    if not check_hypotheses(field_k):
-        raise HypothesisError(
-            "a prime above 2 or 3 has residue degree 1; "
-            "base-change to K(sqrt(5)) restores the hypothesis"
-        )
+    check_hypotheses(field_k)
     if order.is_maximal():
         raise HypothesisError("the order must be a proper suborder")
     check_eta(order, eta)

@@ -4,24 +4,26 @@ A field is defined by a monic irreducible integer polynomial (constant
 term first) together with an integral basis given as rational rows on the
 powers of the defining root theta.  Elements carry integer coordinates on
 the integral basis; all ring operations go through precomputed integer
-structure constants, so arithmetic never leaves the integers.
+structure constants in AlgebraicInt.__mul__, so arithmetic never leaves
+the integers.
 
 The defining polynomial is certified irreducible from its root
 enclosures: the one RootIsolation a field keeps, which also gives its
 signature.  Embeddings are certified: sigma values are returned as exact
 rational intervals derived from those enclosures, at any requested
-precision.  Coordinates and coefficients are read exactly: ints (not
-bools) and integral Fractions only.
+precision, each one sum over embedding_matrix (NumberField.embed).
+Coordinates and coefficients are read exactly: ints (not bools) and
+integral Fractions only.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, isqrt
 
-from .intervals import RatInterval
+from .intervals import RatInterval, integer_candidate
+from .intfactor import exact_root
 from .linalg import char_poly, det, mat_inv_frac, vec_mat
 from .poly import QQ, deriv, divmod, evaluate, gcd, mul, trim
-from .rootiso import RootIsolation, ceval, precisions
+from .rootiso import ComplexValues, RootIsolation, precisions
 
 
 class IrreducibilityError(ValueError):
@@ -37,14 +39,6 @@ def exact_int(x):
     raise ValueError(f"expected an integer, got {x!r}")
 
 
-def int_rows(x):
-    """A list of lists of integers as tuples of exact ints; ValueError
-    for any other shape or entry."""
-    if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
-        raise ValueError("expected a list of integer rows")
-    return [tuple(exact_int(c) for c in row) for row in x]
-
-
 def _certify_irreducible(poly):
     """Certify a squarefree monic integer polynomial irreducible over Q;
     returns its RootIsolation, or raises IrreducibilityError.
@@ -54,11 +48,11 @@ def _certify_irreducible(poly):
     pairs, giving X^2 - 2 Re z X + |z|^2.  Each set of places of total
     degree at most n/2 gives its product with interval coefficients.  The
     set is ruled out once some coefficient interval holds no integer;
-    once all are narrower than 1, the one integer candidate is divided
-    into poly exactly.  Undecided sets are retried up the precision
-    ladder, each rung's enclosures tested once: a product that is not
-    integral has a coefficient that is not an integer, so refinement
-    decides every set.
+    once all are narrower than 1, the one integer candidate
+    (intervals.integer_candidate) is divided into poly exactly.
+    Undecided sets are retried up the precision ladder, each rung's
+    enclosures tested once: a product that is not integral has a
+    coefficient that is not an integer, so refinement decides every set.
     """
     if len(gcd(poly, deriv(poly, QQ), QQ)) > 1:
         raise IrreducibilityError("reducible: repeated factor")
@@ -81,16 +75,11 @@ def _certify_irreducible(poly):
             g = (1,)
             for i in c:
                 g = mul(g, factors[i], QQ)
-            coeffs = g[:-1]
-            ints = [ceil(iv.lo) for iv in coeffs]
-            if any(k > iv.hi for k, iv in zip(ints, coeffs)):
-                continue
-            if any(iv.width >= 1 for iv in coeffs):
+            cand = integer_candidate(g[:-1])
+            if cand == ():
                 undecided.append(c)
-                continue
-            cand = (*ints, 1)
-            if divmod(poly, cand, QQ)[1] == (0,):
-                raise IrreducibilityError(f"reducible: factor {cand}, constant term first")
+            elif cand and divmod(poly, (*cand, 1), QQ)[1] == (0,):
+                raise IrreducibilityError(f"reducible: factor {(*cand, 1)}, constant term first")
         if not undecided:
             return iso
         sets = undecided
@@ -168,6 +157,7 @@ class NumberField:
         if any(c.denominator != 1 for c in theta):
             raise ValueError("theta is not integral on the given basis")
         self.theta_coords = tuple(int(c) for c in theta)
+        self.basis_elements = tuple(self.element([int(i == j) for j in range(n)]) for i in range(n))
 
     def _discriminant(self):
         """Trace form determinant on the integral basis; keeps the inverse
@@ -257,19 +247,8 @@ class NumberField:
         return sum(m[i][i] for i in range(self.degree))
 
     def mult_matrix(self, alpha):
-        """Integer matrix of multiplication by alpha; row i = coords of alpha*w_i."""
-        n = self.degree
-        rows = []
-        for i in range(n):
-            acc = [0] * n
-            for j in range(n):
-                c = alpha.coords[j]
-                if c:
-                    t = self.mult_table[i][j]
-                    for k in range(n):
-                        acc[k] += c * t[k]
-            rows.append(tuple(acc))
-        return tuple(rows)
+        """Integer matrix of multiplication by alpha; row i = coords of w_i*alpha."""
+        return tuple((w * alpha).coords for w in self.basis_elements)
 
     def products(self, rows_a, rows_b):
         """Coordinates of a*b for every row a of rows_a and b of rows_b,
@@ -301,11 +280,18 @@ class NumberField:
         roots = [enc.box() for enc in iso.enclosures[:r + s]]
         rows = []
         for w in self.basis:
-            vals = [ceval(w, z) for z in roots]
+            vals = [evaluate(w, z, ComplexValues) for z in roots]
             rows.append(tuple(v[0] for v in vals[:r]) + tuple(x for v in vals[r:] for x in v))
         out = tuple(rows)
         self._emb_cache[bits] = out
         return out
+
+    def embed(self, coords, bits=64):
+        """Standard embedding of the element with rational coordinates
+        coords, as a tuple of n RatIntervals: coords times embedding_matrix."""
+        emb = self.embedding_matrix(bits)
+        return tuple(sum((row[k] * c for row, c in zip(emb, coords) if c), RatInterval(0))
+                     for k in range(self.degree))
 
     def inverse_embedding(self, bits=64):
         """M[k][j] with coords_j(alpha) = sum_k std_k(alpha) M[k][j], as
@@ -313,37 +299,21 @@ class NumberField:
 
         Coordinate j of alpha is Tr(alpha w_j*), the sum over the real
         places of sigma(alpha) sigma(w_j*) plus, at each complex place,
-        2 Re(sigma(alpha) sigma(w_j*)).  So M[k][j] is sigma_k(w_j*) at a
-        real place and 2 Re, -2 Im of it at a complex one: no elimination.
+        2 Re(sigma(alpha) sigma(w_j*)).  So column j of M is the embedding
+        of w_j* scaled by 1 at a real place and by 2 and -2 (Re, Im) at a
+        complex one: no elimination.
         """
         if bits in self._inv_emb_cache:
             return self._inv_emb_cache[bits]
-        emb = self.embedding_matrix(bits)
-        r = self.signature[0]
-        scale = [1] * r + [2, -2] * self.signature[1]
-        out = tuple(
-            tuple(
-                sum((emb[i][k] * c for i, c in enumerate(dual) if c), RatInterval(0)) * scale[k]
-                for dual in self.trace_form_inv
-            )
-            for k in range(self.degree)
-        )
+        scale = [1] * self.signature[0] + [2, -2] * self.signature[1]
+        cols = [self.embed(dual, bits) for dual in self.trace_form_inv]
+        out = tuple(tuple(col[k] * scale[k] for col in cols) for k in range(self.degree))
         self._inv_emb_cache[bits] = out
         return out
 
     def sigma_std(self, alpha, bits=64):
         """Standard embedding of alpha as a tuple of n RatIntervals."""
-        s = self.embedding_matrix(bits)
-        n = self.degree
-        out = []
-        for k in range(n):
-            acc = RatInterval(0)
-            for j in range(n):
-                c = alpha.coords[j]
-                if c:
-                    acc = acc + s[j][k] * c
-            out.append(acc)
-        return tuple(out)
+        return self.embed(alpha.coords, bits)
 
     def sigma_pairs(self, alpha, bits=64):
         """Per-embedding view: r real RatIntervals then s (re, im) pairs."""
@@ -519,7 +489,7 @@ def is_square_in_field(eta):
     if eta.is_zero():
         return True
     nrm = eta.norm()
-    if nrm < 0 or isqrt(nrm) ** 2 != nrm:
+    if exact_root(nrm, 2) is None:
         return False
     for bits in precisions(64, "squareness"):
         reals, pairs = field.sigma_pairs(eta, bits)
@@ -539,16 +509,10 @@ def is_square_in_field(eta):
             undecided = False
             for choice in product(*places):
                 std = [v for place in choice for v in place]
-                coords = [sum((x * m for x, m in zip(std, col)), RatInterval(0))
-                          for col in zip(*inv)]
-                ints = [ceil(iv.lo) for iv in coords]
-                if any(c > iv.hi for c, iv in zip(ints, coords)):
-                    continue
-                if any(iv.width >= 1 for iv in coords):
-                    undecided = True
-                    continue
-                beta = field.element(ints)
-                if beta * beta == eta:
+                ints = integer_candidate([sum((x * m for x, m in zip(std, col)), RatInterval(0))
+                                          for col in zip(*inv)])
+                undecided |= ints == ()
+                if ints and field.element(ints) ** 2 == eta:
                     return True
             if not undecided:
                 return False

@@ -4,19 +4,21 @@ Keys: min_poly (integer coefficients, constant first), integral_basis
 (rows of rationals as ints or "p/q" strings; optional, power basis by
 default), units (coordinate vectors of known units; optional), orders
 (named suborder bases as coordinate rows).  Three demo fields ship with
-the package and resolve by name: q_sqrt5, q_sqrt2, q_i.
+the package and resolve by name: q_sqrt5, q_sqrt2, q_i.  The tower file
+of `unitring verify` is read through the same loader.  Any malformed
+entry raises ConfigError, the one configuration error of the CLI (exit 4).
 """
 
 import json
 from fractions import Fraction
 from importlib import resources
 
-from .field import NumberField, int_rows
+from .field import NumberField, exact_int
 from .order import SubOrder
 
 
-class FieldSpecError(ValueError):
-    """Malformed or unresolvable field specification."""
+class ConfigError(ValueError):
+    """A bad argument, field spec, tower file or output path: exit 4."""
 
 
 BUNDLED = ("q_sqrt5", "q_sqrt2", "q_i")
@@ -27,15 +29,19 @@ def parse_rational(x):
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
-            raise FieldSpecError(f"bad rational {x!r}") from None
-    raise FieldSpecError(f"expected integer or 'p/q' string, got {x!r}")
+            raise ValueError(f"bad rational {x!r}") from None
+    raise ValueError(f"expected integer or 'p/q' string, got {x!r}")
 
 
-def _rows(x, what):
-    """x if it is a list of lists, else FieldSpecError."""
+def _rows(x, what, read=exact_int):
+    """The list of lists x as tuples of its entries read by read, exact
+    ints by default; ConfigError naming what for any other shape or entry."""
     if not isinstance(x, list) or not all(isinstance(row, list) for row in x):
-        raise FieldSpecError(f"{what} must be a list of lists")
-    return x
+        raise ConfigError(f"{what} must be a list of lists")
+    try:
+        return [tuple(read(c) for c in row) for row in x]
+    except ValueError as e:
+        raise ConfigError(f"{what}: {e}") from None
 
 
 class FieldSpec:
@@ -51,7 +57,7 @@ class FieldSpec:
         if name in ("maximal", "O_K", ""):
             return SubOrder.maximal(self.field)
         if name not in self.orders:
-            raise FieldSpecError(
+            raise ConfigError(
                 f"unknown order {name!r}; available: {sorted(self.orders)} or 'maximal'"
             )
         return self.orders[name]
@@ -69,41 +75,41 @@ def load_field_spec(source):
             with open(source, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         except OSError as e:
-            raise FieldSpecError(
+            raise ConfigError(
                 f"cannot read field spec {source!r} (bundled names: {', '.join(BUNDLED)}): {e}"
             )
         except json.JSONDecodeError as e:
-            raise FieldSpecError(f"malformed JSON in {source!r}: {e}")
+            raise ConfigError(f"malformed JSON in {source!r}: {e}")
     if not isinstance(data, dict):
-        raise FieldSpecError("a field spec must be a JSON object")
+        raise ConfigError("a field spec must be a JSON object")
     min_poly = data.get("min_poly")
     if not isinstance(min_poly, list):
-        raise FieldSpecError("missing min_poly or not a list")
+        raise ConfigError("missing min_poly or not a list")
     basis = None
     if data.get("integral_basis") is not None:
-        basis = [[parse_rational(x) for x in row]
-                 for row in _rows(data["integral_basis"], "integral_basis")]
+        basis = _rows(data["integral_basis"], "integral_basis", parse_rational)
     name = data.get("name", "K")
     try:
         field = NumberField(min_poly, integral_basis=basis, name=name)
     except ValueError as e:
-        raise FieldSpecError(str(e))
+        raise ConfigError(str(e))
     units = []
     for coords in _rows(data.get("units", []), "units"):
         try:
             u = field.element(coords)
         except ValueError as e:
-            raise FieldSpecError(f"declared unit {coords}: {e}") from None
+            raise ConfigError(f"declared unit {coords}: {e}") from None
         if abs(u.norm()) != 1:
-            raise FieldSpecError(f"declared unit {coords} has norm {u.norm()}")
+            raise ConfigError(f"declared unit {coords} has norm {u.norm()}")
         units.append(u)
     order_rows = data.get("orders", {})
     if not isinstance(order_rows, dict):
-        raise FieldSpecError("orders must map names to basis rows")
+        raise ConfigError("orders must map names to basis rows")
     orders = {}
     for oname, rows in order_rows.items():
+        rows = _rows(rows, f"order {oname!r}")
         try:
-            orders[oname] = SubOrder(field, int_rows(rows))
+            orders[oname] = SubOrder(field, rows)
         except ValueError as e:
-            raise FieldSpecError(f"order {oname!r}: {e}")
+            raise ConfigError(f"order {oname!r}: {e}")
     return FieldSpec(field, units, orders, name)

@@ -16,9 +16,10 @@ from math import ceil, floor, inf, isqrt, prod
 
 from .intervals import PI, RatInterval, sqrt_upper
 from .ideal import check_cap
-from .intfactor import iroot
+from .intfactor import exact_root
 from .linalg import (char_poly, det, det_triangular, hnf, lattice_intersection, mat_inv_frac,
                      solve_upper_int, vec_mat)
+from .order import SubOrder
 from .poly import QQ, divmod
 from .rootiso import precisions
 
@@ -65,7 +66,7 @@ class RegionBox:
         r, s = signature
         n = r + 2 * s
         volume = Fraction(volume)
-        side_sq = _nth_root_exact(volume**2, n)
+        side_sq = exact_root(volume**2, n)
         if side_sq is None:
             raise ValueError("volume^(2/n) is not rational; give explicit bounds")
         return cls(signature, (side_sq,) * n)
@@ -79,26 +80,13 @@ class RegionBox:
 
     def volume(self):
         """Exact volume parameter x = x_1 ... x_n when rational."""
-        v = _sqrt_exact(self.volume_sq)
+        v = exact_root(self.volume_sq, 2)
         if v is None:
             raise ValueError("volume parameter is irrational; use volume_sq")
         return v
 
     def __repr__(self):
         return f"RegionBox(sq={tuple(str(b) for b in self.bounds_sq)})"
-
-
-def _nth_root_exact(x, n):
-    """Rational n-th root of a positive rational, or None."""
-    x = Fraction(x)
-    num, den = iroot(x.numerator, n), iroot(x.denominator, n)
-    if num**n != x.numerator or den**n != x.denominator:
-        return None
-    return Fraction(num, den)
-
-
-def _sqrt_exact(x):
-    return _nth_root_exact(x, 2)
 
 
 def embed_sigma(alpha, bits=64):
@@ -618,7 +606,7 @@ def widmer_bound(lattice, n_maps, lip):
             best_sq = cand
     c0 = widmer_constant(n)
     val_sq = (c0 * n_maps) ** 2 * best_sq
-    exact = _sqrt_exact(val_sq)
+    exact = exact_root(val_sq, 2)
     return exact if exact is not None else sqrt_upper(val_sq, 64)
 
 
@@ -641,8 +629,6 @@ def count_coset(field, beta, modulus_ideal, box, order=None):
     EmptyCosetError when the coset misses the order entirely.
     """
     if order is None:
-        from .order import SubOrder
-
         order = SubOrder.maximal(field)
     # A representative alpha0 = beta - m, m in the modulus, alpha0 in the
     # order: beta = coeff h, and h = u (order rows, then modulus rows).

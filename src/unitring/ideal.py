@@ -8,7 +8,7 @@ an explicit error at primes dividing the index rather than a wrong answer.
 """
 
 from . import fpoly
-from .intfactor import factor as factor_int, mth_power_primes, prime_table
+from .intfactor import factor as factor_int, is_power_free, mth_power_primes, prime_table
 from .linalg import (
     det_triangular,
     hnf,
@@ -312,8 +312,6 @@ def is_mfree(ideal, m):
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    from .intfactor import is_power_free
-
     if ideal.is_unit_ideal():
         return True
     if is_power_free(ideal.norm, m):

@@ -7,7 +7,7 @@ quantity needs a rigorous two-sided enclosure.
 """
 
 from fractions import Fraction
-from math import isqrt
+from math import ceil, floor, isqrt
 
 
 def sqrt_lower(x, bits=64):
@@ -117,19 +117,31 @@ _PI_50 = Fraction(314159265358979323846264338327950288419716939937510, 10**50)
 PI = RatInterval(_PI_50, _PI_50 + Fraction(1, 10**50))
 
 
+def integer_candidate(ivs):
+    """The one integer vector the intervals ivs may hold: None when some
+    interval holds no integer; () when none is ruled out but some interval
+    is 1 or wider, so the rounding is undecided; otherwise the tuple of
+    integers, which the caller checks exactly."""
+    ints = tuple(ceil(iv.lo) for iv in ivs)
+    if any(k > iv.hi for k, iv in zip(ints, ivs)):
+        return None
+    if any(iv.width >= 1 for iv in ivs):
+        return ()
+    return ints
+
+
 def fmt_decimal_down(x, digits=12):
     """Decimal lower bound: rounds toward minus infinity."""
-    x = Fraction(x)
-    scaled = (x.numerator * 10**digits) // x.denominator
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    return _fmt_decimal(x, digits, floor)
 
 
 def fmt_decimal_up(x, digits=12):
     """Decimal upper bound: rounds toward plus infinity."""
-    x = Fraction(x)
-    scaled = -((-x.numerator * 10**digits) // x.denominator)
+    return _fmt_decimal(x, digits, ceil)
+
+
+def _fmt_decimal(x, digits, rounding):
+    scaled = rounding(Fraction(x) * 10**digits)
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)
     return f"{sign}{whole}.{str(frac).zfill(digits)}"

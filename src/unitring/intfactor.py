@@ -19,6 +19,7 @@ PrimalityUnproven instead of being called prime.
 """
 
 from array import array
+from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, isqrt, prod
 
@@ -93,6 +94,19 @@ def iroot(n, k):
         if y >= x:
             return x
         x = y
+
+
+def exact_root(x, k):
+    """The r >= 0 with r**k == x, for an int or Fraction x and k >= 2: an
+    int for an int x, a Fraction for a Fraction; None when x has no exact
+    k-th root, negative x included."""
+    if x < 0:
+        return None
+    if isinstance(x, Fraction):
+        num, den = exact_root(x.numerator, k), exact_root(x.denominator, k)
+        return None if num is None or den is None else Fraction(num, den)
+    r = iroot(x, k)
+    return r if r**k == x else None
 
 
 def _trial_divide(n, k, start=0):
@@ -226,8 +240,8 @@ def _split(n):
         if prime:
             counts[c] = counts.get(c, 0) + 1
             continue
-        r = isqrt(c)
-        if r * r == c:
+        r = exact_root(c, 2)
+        if r is not None:
             stack += [r, r]
             continue
         d = _brent_rho(c)

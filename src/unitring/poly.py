@@ -22,7 +22,8 @@ on coefficient tuples (its own arithmetic is these routines over
 PrimeField(p)), and QQ on int and Fraction.  `fpoly.residue_field` picks
 the finite field for a residue field O_K/P.  A NumberField is the ring
 O_K for trim, deriv, evaluate and mul: it supplies zero, one, scalar, mul
-and addmul, and no division.
+and addmul, and no division.  `rootiso.ComplexValues` is the values ring
+of evaluate at a complex point: zero and addmul only.
 """
 
 from fractions import Fraction

@@ -2,7 +2,8 @@
 
 Coefficient convention: constant term first, so p = (c0, c1, ..., cn)
 means c0 + c1*X + ... + cn*X^n.  The polynomial arithmetic is
-`unitring.poly` over QQ (or, for resultants, over O_K).
+`unitring.poly` over QQ (or, for resultants, over O_K); a value at a
+complex point is `poly.evaluate` over ComplexValues.
 
 Root enclosures are disks with exact rational centers and radii.  The
 radius certificate is the classical nearest-root bound: for any point z,
@@ -21,7 +22,7 @@ from math import ldexp
 
 from .intervals import RatInterval, sqrt_upper
 from .linalg import det
-from .poly import QQ, deriv, divmod, sub, trim
+from .poly import QQ, deriv, divmod, evaluate, sub, trim
 
 
 # Precision cap, in bits, of every refinement loop over embeddings.
@@ -99,36 +100,20 @@ def resultant(p, q, K=QQ):
     return det(sylvester_matrix(p, q, K.zero), K.one)
 
 
-# ---------------------------------------------------------------------------
-# Exact complex arithmetic on (re, im) Fraction pairs
+class ComplexValues:
+    """(re, im) pairs, of Fractions or of RatIntervals, as the values ring
+    of poly.evaluate at a complex point z: the Horner step addmul(c, w, z)
+    is the real coefficient c plus w z."""
 
+    zero = (0, 0)
 
-def cadd(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def csub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def cmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def cdiv(a, b):
-    d = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / d, (a[1] * b[0] - a[0] * b[1]) / d)
+    @staticmethod
+    def addmul(c, w, z):
+        return (c + w[0] * z[0] - w[1] * z[1], w[0] * z[1] + w[1] * z[0])
 
 
 def cabs2(a):
     return a[0] * a[0] + a[1] * a[1]
-
-
-def ceval(c, z):
-    out = (Fraction(0), Fraction(0))
-    for coef in reversed(c):
-        out = cadd(cmul(out, z), (Fraction(coef), Fraction(0)))
-    return out
 
 
 def _dyadic_round(x, bits):
@@ -222,8 +207,8 @@ class RootIsolation:
     # -- certification ------------------------------------------------------
 
     def _radius_at(self, z, sqrt_bits=96):
-        num = cabs2(ceval(self.poly, z))
-        den = cabs2(ceval(self.deriv, z))
+        num = cabs2(evaluate(self.poly, z, ComplexValues))
+        den = cabs2(evaluate(self.deriv, z, ComplexValues))
         if den == 0:
             return None
         if num == 0:
@@ -232,11 +217,13 @@ class RootIsolation:
 
     def _newton(self, z, steps, bits):
         for _ in range(steps):
-            pv = ceval(self.poly, z)
-            dv = ceval(self.deriv, z)
-            if dv == (0, 0):
+            a, b = evaluate(self.poly, z, ComplexValues)
+            c, d = evaluate(self.deriv, z, ComplexValues)
+            den = c * c + d * d
+            if den == 0:
                 break
-            z = _round_z(csub(z, cdiv(pv, dv)), bits)
+            # z - p(z) / p'(z) with p(z) = a + bi and p'(z) = c + di.
+            z = _round_z((z[0] - (a * c + b * d) / den, z[1] - (b * c - a * d) / den), bits)
         return z
 
     def _polish(self, z, bits, real=False):
@@ -270,7 +257,8 @@ class RootIsolation:
             self._reps = [RootEnclosure(*self._polish(e.center, bits, e.is_real), e.is_real)
                           for e in self._reps]
             full = self._reps + [e.conjugate() for e in self._reps if not e.is_real]
-            if all(cabs2(csub(a.center, b.center)) > (a.radius + b.radius) ** 2
+            if all((a.center[0] - b.center[0]) ** 2 + (a.center[1] - b.center[1]) ** 2
+                   > (a.radius + b.radius) ** 2
                    for i, a in enumerate(full) for b in full[i + 1:]):
                 break
         self.enclosures = full

@@ -17,12 +17,11 @@ starts; build_tower adds that eta is a unit.
 
 from dataclasses import asdict, dataclass
 from itertools import count, product
-from math import isqrt
 
 from .density import HypothesisError, check_eta, check_hypotheses, with_conductor_support
 from .field import is_square_in_field
 from .ideal import IdealLattice, element_is_mfree
-from .intfactor import is_squarefree_int
+from .intfactor import exact_root, is_squarefree_int
 from .linalg import char_poly
 from .order import SubOrder
 
@@ -191,11 +190,7 @@ def build_tower(field, start_order, eta, search_bound=2000):
     the field's hypotheses and that eta is a unit (Tower checks the rest of
     eta's), then extend the tower by the first admissible omega until
     its top order is maximal, each step at least halving the index."""
-    if not check_hypotheses(field):
-        raise HypothesisError(
-            "a prime above 2 or 3 has residue degree 1; the construction "
-            "applies after base-change to K(sqrt(5))"
-        )
+    check_hypotheses(field)
     if abs(eta.norm()) != 1:
         raise HypothesisError("eta must be a unit")
 
@@ -293,13 +288,5 @@ def belcher_criterion(d):
         return True
     if d < 0:
         return False
-    if d % 4 != 1:
-        return _is_square(d + 1) or _is_square(d - 1)
-    return _is_square(d + 4) or _is_square(d - 4)
-
-
-def _is_square(v):
-    if v < 0:
-        return False
-    r = isqrt(v)
-    return r * r == v
+    k = 1 if d % 4 != 1 else 4
+    return any(exact_root(d + t, 2) is not None for t in (k, -k))

@@ -21,6 +21,7 @@ from unitring.density import (
     _reduce_to_residue_field,
     DensityParams,
     FixedDivisorError,
+    HypothesisError,
     SieveInputError,
     SievePolynomial,
     bad_reduction_primes,
@@ -573,6 +574,7 @@ def test_gap_check_rejects_bad_field():
 
 
 def test_check_hypotheses_three_fields(q5):
-    assert check_hypotheses(q5)
-    assert not check_hypotheses(NumberField([-2, 0, 1]))
-    assert not check_hypotheses(NumberField([1, 0, 1]))
+    check_hypotheses(q5)
+    for poly in ([-2, 0, 1], [1, 0, 1]):
+        with pytest.raises(HypothesisError, match=r"K\(sqrt\(5\)\)"):
+            check_hypotheses(NumberField(poly))

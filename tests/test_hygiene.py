@@ -1,10 +1,12 @@
 """Source hygiene, by an AST scan: no module imports a name it never uses,
-and every top-level definition in src/ is referenced from src/, tests/ or
-perfbench/: imported from its module, read as an attribute of that module,
-loaded in its own module where no local name shadows it, or named by a
-string constant."""
+src/ imports only at module level, and every top-level definition in src/
+is referenced from src/, tests/ or perfbench/: imported from its module,
+read as an attribute of that module, loaded in its own module where no
+local name shadows it, or named by a string constant.  Every name that
+perfbench/ hooks or imports resolves on a plain import of unitring."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -203,3 +205,51 @@ def test_no_private_imports_between_src_modules():
         if alias.name.startswith("_")
     ]
     assert not private, "private names imported from another module:\n" + "\n".join(private)
+
+
+def test_src_imports_only_at_module_level():
+    nested = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path in SRC
+        for tree in [_tree(path)]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and node not in tree.body
+    ]
+    assert not nested, "import below module level:\n" + "\n".join(nested)
+
+
+def _resolve(module, dotted):
+    """The object module.dotted names, or None; a missing attribute of a
+    package may be its submodule."""
+    owner = importlib.import_module(module)
+    for part in dotted.split("."):
+        obj = getattr(owner, part, None)
+        if obj is None and hasattr(owner, "__path__"):
+            try:
+                obj = importlib.import_module(f"{owner.__name__}.{part}")
+            except ImportError:
+                pass
+        if obj is None:
+            return None
+        owner = obj
+    return owner
+
+
+def test_benchmark_hooks_and_imports_resolve():
+    # A hook whose target is gone makes a traced run print null for every
+    # metric that hook feeds, so each target must resolve; the tracer itself
+    # is read, not installed.
+    tracer = _tree(ROOT / "perfbench" / "tracer.py")
+    [hooks] = [ast.literal_eval(node.value) for node in tracer.body
+               if isinstance(node, ast.Assign) and _names(node.targets) == ["HOOKS"]]
+    wanted = [(module, attr) for module, attr, _, _ in hooks]
+    wanted += [(node.module, alias.name)
+               for path in PERFBENCH
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and (node.module or "").split(".")[0] == "unitring"
+               for alias in node.names]
+    wanted.append(("unitring.intfactor", "primes"))
+    assert len(hooks) >= 20
+    missing = [f"{module}.{attr}" for module, attr in wanted if _resolve(module, attr) is None]
+    assert not missing, "benchmark names that do not resolve:\n" + "\n".join(missing)

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -12,6 +13,7 @@ from unitring.intfactor import (
     SMOOTH_BOUND,
     TRIAL_LIMIT,
     PrimalityUnproven,
+    exact_root,
     factor,
     iroot,
     is_power_free,
@@ -207,6 +209,25 @@ def test_mth_power_primes_fallback_range():
 def test_iroot_is_floor_root(n, k):
     r = iroot(n, k)
     assert r**k <= n < (r + 1) ** k
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-50, 10**30), st.integers(2, 7), st.integers(1, 10**6))
+def test_exact_root_is_none_unless_exact(n, k, den):
+    r = exact_root(n, k)
+    assert r == (iroot(n, k) if n >= 0 and iroot(n, k) ** k == n else None)
+    # Exact powers, of ints and of Fractions, are drawn as often as others.
+    m = abs(n) % 10**6
+    assert exact_root(m**k, k) == m and exact_root(-(m**k) - 1, k) is None
+    assert exact_root(Fraction(m, den) ** k, k) == Fraction(m, den)
+    x = Fraction(n, den)
+    q = exact_root(x, k)
+    if x < 0:
+        assert q is None
+    else:
+        floor_root = Fraction(iroot(x.numerator, k), iroot(x.denominator, k))
+        assert q == (floor_root if floor_root**k == x else None)
+        assert q is None or type(q) is Fraction
 
 
 def test_factor_products_reconstruct():

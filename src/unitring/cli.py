@@ -40,7 +40,7 @@ from .density import (
     with_conductor_support,
 )
 from .field import is_square_in_field
-from .fieldspec import ConfigError, load_field_spec
+from .fieldspec import ConfigError, load_field_spec, read_json
 from .geometry import RegionBox
 from .ideal import NonMonogenicError, ResidueCapError, split_prime
 from .intervals import fmt_decimal_down, fmt_decimal_up
@@ -274,11 +274,7 @@ _STEP_KEYS = ("omega", "disc_hnf", "disc_norm")
 
 def _read_tower(path):
     """The serialized tower document; ConfigError if unreadable or incomplete."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read tower file: {e}") from e
+    doc = read_json(path, f"tower file {path!r}")
     if not isinstance(doc, dict):
         raise ConfigError("tower file must hold a JSON object")
     steps = doc.get("steps", [])

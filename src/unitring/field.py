@@ -11,13 +11,15 @@ The defining polynomial is certified irreducible from its root
 enclosures: the one RootIsolation a field keeps, which also gives its
 signature.  Embeddings are certified: sigma values are returned as exact
 rational intervals derived from those enclosures, at any requested
-precision, each one sum over embedding_matrix (NumberField.embed).
+precision, each one sum over embedding_matrix (NumberField.embed), or
+as integers at scale 2^bits, rounded outward (fixed_embedding).
 Coordinates and coefficients are read exactly: ints (not bools) and
 integral Fractions only.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import ceil, floor
 
 from .intervals import RatInterval, integer_candidate
 from .intfactor import exact_root
@@ -285,6 +287,17 @@ class NumberField:
         out = tuple(rows)
         self._emb_cache[bits] = out
         return out
+
+    def fixed_embedding(self, bits):
+        """embedding_matrix at scale 2^bits as integers rounded outward,
+        column-major: (lo, hi) with lo[k][j] <= 2^bits S[j][k] <= hi[k][j]."""
+        key = ("fixed", bits)
+        if key not in self._emb_cache:
+            cols = tuple(zip(*self.embedding_matrix(bits)))
+            one = 1 << bits
+            self._emb_cache[key] = (tuple(tuple(floor(e.lo * one) for e in col) for col in cols),
+                                    tuple(tuple(ceil(e.hi * one) for e in col) for col in cols))
+        return self._emb_cache[key]
 
     def embed(self, coords, bits=64):
         """Standard embedding of the element with rational coordinates

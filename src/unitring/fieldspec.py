@@ -5,8 +5,9 @@ Keys: min_poly (integer coefficients, constant first), integral_basis
 default), units (coordinate vectors of known units; optional), orders
 (named suborder bases as coordinate rows).  Three demo fields ship with
 the package and resolve by name: q_sqrt5, q_sqrt2, q_i.  The tower file
-of `unitring verify` is read through the same loader.  Any malformed
-entry raises ConfigError, the one configuration error of the CLI (exit 4).
+of `unitring verify` is read through the same JSON reader and loader.
+An unreadable file, one that is not UTF-8 or not JSON, and any malformed
+entry raise ConfigError, the one configuration error of the CLI (exit 4).
 """
 
 import json
@@ -22,6 +23,16 @@ class ConfigError(ValueError):
 
 
 BUNDLED = ("q_sqrt5", "q_sqrt2", "q_i")
+
+
+def read_json(path, what):
+    """The JSON document in the file at path; ConfigError naming what when
+    the file cannot be read, is not UTF-8 or is not JSON."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"cannot read {what}: {e}") from None
 
 
 def parse_rational(x):
@@ -68,18 +79,9 @@ def load_field_spec(source):
     if isinstance(source, dict):
         data = source
     elif source in BUNDLED:
-        text = resources.files("unitring.data").joinpath(f"{source}.json").read_text()
-        data = json.loads(text)
+        data = json.loads(resources.files("unitring.data").joinpath(f"{source}.json").read_text())
     else:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as e:
-            raise ConfigError(
-                f"cannot read field spec {source!r} (bundled names: {', '.join(BUNDLED)}): {e}"
-            )
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"malformed JSON in {source!r}: {e}")
+        data = read_json(source, f"field spec {source!r} (bundled names: {', '.join(BUNDLED)})")
     if not isinstance(data, dict):
         raise ConfigError("a field spec must be a JSON object")
     min_poly = data.get("min_poly")

@@ -3,16 +3,16 @@ successive minima, and the lattice point counting bound.
 
 Region bounds are stored as squared rationals so that boxes like the
 equal-sided one with total volume x (side x^{1/n}) stay exact.  Membership is
-decided in one loop that refines certified embedding enclosures until
-each place lies strictly inside or outside its bound, or ties it exactly:
-a real place ties when the element's square is the rational bound, and a
-complex one is decided through the integer polynomial whose roots are the
-pairwise products of the element's conjugates.
+one comparison per place on integer enclosures at scale 2^bits: the
+enumeration's screen is it at 64 bits, and in_region climbs the precision
+ladder with it until each place lies inside or outside its bound, or ties
+it exactly, which is decided through the integer polynomial whose roots
+are the pairwise products of the element's conjugates.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, inf, isqrt, prod
+from math import ceil, floor, isqrt, prod
 
 from .intervals import PI, RatInterval, sqrt_upper
 from .ideal import check_cap
@@ -107,20 +107,38 @@ def successive_minima(lattice, bits=64):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point prefilter: an integer interval screen before exact work.
-# Decisions it returns are certain; every tight case falls through to the
-# exact path, so the filter only narrows the search.
-
-# Embedding entries are held as integers scaled by 2^FIXED_BITS and rounded
-# outward.  A squared bound b is held as floor(b 2^(2 FIXED_BITS)): an
-# integer exceeds b exactly when it exceeds that floor.
+# Membership on fixed-point integers: at precision bits, the embedding
+# matrix scaled by 2^bits and rounded outward (NumberField.fixed_embedding).
+# The screen is the comparison at FIXED_BITS, in_region's first rung.
 FIXED_BITS = 64
+
+
+def _scaled_bounds(box, bits):
+    """floor(b 4^bits) for each squared bound b of the box: an integer
+    exceeds b 4^bits exactly when it exceeds that floor."""
+    return [(b.numerator << 2 * bits) // b.denominator for b in box.bounds_sq]
+
+
+def _enclose(coords, lo_col, hi_col):
+    """The integer interval of one embedding coordinate: coords times the
+    column enclosures lo_col <= col <= hi_col."""
+    lo = hi = 0
+    for c, a, b in zip(coords, lo_col, hi_col):
+        if c > 0:
+            lo += c * a
+            hi += c * b
+        elif c < 0:
+            lo += c * b
+            hi += c * a
+    return lo, hi
 
 
 def _sq(a):
     """The squares of the integer interval a = (lo, hi)."""
-    lo, hi = sorted((a[0] * a[0], a[1] * a[1]))
-    return (0 if a[0] <= 0 <= a[1] else lo), hi
+    lo, hi = a
+    if lo <= 0 <= hi:
+        return 0, max(lo * lo, hi * hi)
+    return (lo * lo, hi * hi) if lo > 0 else (hi * hi, lo * lo)
 
 
 def _norm_sq(re, im):
@@ -143,38 +161,49 @@ def _quotient_range(num, den):
             max(a // b for a in num for b in den))
 
 
+def _compare(coords, col_lo, col_hi, bound, r, s):
+    """The one membership comparison on fixed-point columns col_lo, col_hi
+    and scaled bounds: a real place must be positive, and each squared
+    modulus enclosure is compared with its bound.  False when a place is
+    certainly out, True when every one is certainly in, else the straddling
+    places as (place, width of the squared modulus enclosure), the width
+    None at a real place whose sign is open."""
+    straddles = []
+    for i in range(r + s):
+        if i < r:
+            lo, hi = _enclose(coords, col_lo[i], col_hi[i])
+            if hi < 0:
+                return False
+            if lo <= 0:
+                straddles.append((i, None))
+                continue
+            mod_lo, mod_hi = lo * lo, hi * hi
+        else:
+            k = 2 * i - r
+            mod_lo, mod_hi = _norm_sq(_enclose(coords, col_lo[k], col_hi[k]),
+                                      _enclose(coords, col_lo[k + 1], col_hi[k + 1]))
+        if mod_lo > bound[i]:
+            return False
+        if mod_hi > bound[i]:
+            straddles.append((i, mod_hi - mod_lo))
+    return straddles or True
+
+
 class FloatRegionFilter:
     """Conservative membership screen for one (field, box) pair, and the
     exact ends of the run in which a line meets the region.  It computes on
-    integers: the embedding matrix in fixed point, rounded outward."""
+    integers: _compare on the field's fixed-point embedding at FIXED_BITS."""
 
-    __slots__ = ("field", "box", "r", "s", "n", "col_lo", "col_hi", "bound", "side_hi")
+    __slots__ = ("field", "box", "r", "s", "col_lo", "col_hi", "bound", "side_hi")
 
     def __init__(self, field, box):
         self.field = field
         self.box = box
-        emb = field.embedding_matrix(FIXED_BITS)
         self.r, self.s = field.signature
-        self.n = field.degree
-        one = 1 << FIXED_BITS
-        # Column-major fixed-point enclosures of the embedding matrix.
-        self.col_lo = [[floor(emb[j][k].lo * one) for j in range(self.n)] for k in range(self.n)]
-        self.col_hi = [[ceil(emb[j][k].hi * one) for j in range(self.n)] for k in range(self.n)]
-        self.bound = [floor(b * one * one) for b in box.bounds_sq]
+        self.col_lo, self.col_hi = field.fixed_embedding(FIXED_BITS)
+        self.bound = _scaled_bounds(box, FIXED_BITS)
         # sqrt(b) 2^FIXED_BITS < sqrt(bound + 1) <= isqrt(bound) + 1.
         self.side_hi = [isqrt(b) + 1 for b in self.bound]
-
-    def _coordinate_interval(self, coords, k):
-        lo_acc = hi_acc = 0
-        cl, ch = self.col_lo[k], self.col_hi[k]
-        for j, c in enumerate(coords):
-            if c > 0:
-                lo_acc += c * cl[j]
-                hi_acc += c * ch[j]
-            elif c < 0:
-                lo_acc += c * ch[j]
-                hi_acc += c * cl[j]
-        return lo_acc, hi_acc
 
     def line_range(self, base, step, lo, hi):
         """Narrow the integer range lo..hi of c to the c for which
@@ -186,22 +215,23 @@ class FloatRegionFilter:
         sqrt(x_j^2 |d|^2 - Im(t conj d)^2) in absolute value.
         """
         r, s = self.r, self.s
+        cl, ch = self.col_lo, self.col_hi
         spans = []
         for i in range(r):
-            d = self._coordinate_interval(step, i)
+            d = _enclose(step, cl[i], ch[i])
             if d[0] <= 0 <= d[1]:
                 continue
-            t = self._coordinate_interval(base, i)
+            t = _enclose(base, cl[i], ch[i])
             spans.append(_quotient_range((-t[1], self.side_hi[i] - t[0]), d))
         for j in range(s):
             k = r + 2 * j
-            d_re = self._coordinate_interval(step, k)
-            d_im = self._coordinate_interval(step, k + 1)
+            d_re = _enclose(step, cl[k], ch[k])
+            d_im = _enclose(step, cl[k + 1], ch[k + 1])
             d_sq = _norm_sq(d_re, d_im)
             if d_sq[0] <= 0:
                 continue
-            t_re = self._coordinate_interval(base, k)
-            t_im = self._coordinate_interval(base, k + 1)
+            t_re = _enclose(base, cl[k], ch[k])
+            t_im = _enclose(base, cl[k + 1], ch[k + 1])
             # Re(t conj d) and Im(t conj d).
             p = _dot(t_re, d_re, t_im, d_im)
             q = _dot(t_im, d_re, t_re, (-d_im[1], -d_im[0]))
@@ -235,34 +265,12 @@ class FloatRegionFilter:
     def _member(self, base, step, c):
         coords = tuple(a + c * b for a, b in zip(base, step))
         quick = self.test(coords)
-        if quick is None:
-            return in_region(self.field.element(coords), self.box)
-        return quick
+        return in_region(self.field.element(coords), self.box) if quick is None else quick
 
     def test(self, coords):
         """True / False when certain, None when the exact path must decide."""
-        certain = True
-        r, s = self.r, self.s
-        for i in range(r):
-            lo, hi = self._coordinate_interval(coords, i)
-            if hi < 0:
-                return False
-            if lo <= 0:
-                certain = False
-            sq_lo, sq_hi = _sq((lo, hi))
-            if sq_lo > self.bound[i]:
-                return False
-            if sq_hi > self.bound[i]:
-                certain = False
-        for j in range(s):
-            re = self._coordinate_interval(coords, r + 2 * j)
-            im = self._coordinate_interval(coords, r + 2 * j + 1)
-            mod_lo, mod_hi = _norm_sq(re, im)
-            if mod_lo > self.bound[r + j]:
-                return False
-            if mod_hi > self.bound[r + j]:
-                certain = False
-        return True if certain else None
+        verdict = _compare(coords, self.col_lo, self.col_hi, self.bound, self.r, self.s)
+        return verdict if verdict is True or verdict is False else None
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +280,13 @@ class FloatRegionFilter:
 def in_region(alpha, box):
     """Exact decision: alpha totally positive and |sigma_i(alpha)| <= x_i.
 
-    One loop up the precision ladder from 64 bits, with one pass over
-    the places: a real place must be positive, and each squared
-    modulus enclosure is compared with its squared bound b.  Above b
-    decides False, at or below b passes, and straddling b passes only on
-    an exact tie: alpha^2 = b at a real place; at a complex place, an
-    enclosure narrower than the _tie_gap of b in the pair-product
-    polynomial (built at most once per call).  Anything else is refined.
+    _compare on each rung of the precision ladder from FIXED_BITS, until
+    every place is decided.  A place that straddles its bound b passes
+    only on an exact tie: its squared modulus is a root of the
+    pair-product polynomial (built at most once per call), z z at a real
+    conjugate z and z conj(z) at a complex one, so an enclosure narrower
+    than the _tie_gap of b holds b itself.  A real place of open sign, or
+    any other straddle, is refined.
     """
     field = alpha.field
     r, s = field.signature
@@ -287,43 +295,23 @@ def in_region(alpha, box):
     if alpha.is_zero():
         # Totally positive requires strict positivity at real embeddings.
         return r == 0
-    # (real place?, b) -> the width below which a straddling enclosure is
-    # a tie: inf when alpha^2 = b, 0 when no tie is possible.
+    # b -> its _tie_gap in the pair-product polynomial.
     gaps = {}
     products = None
-    for bits in precisions(64, "region membership"):
-        reals, pairs = field.sigma_pairs(alpha, bits)
-        undecided = False
-        for i in range(r + s):
+    for bits in precisions(FIXED_BITS, "region membership"):
+        verdict = _compare(alpha.coords, *field.fixed_embedding(bits),
+                           _scaled_bounds(box, bits), r, s)
+        if verdict is True or verdict is False:
+            return verdict
+        for i, width in verdict:
             b = box.bounds_sq[i]
-            if i < r:
-                iv = reals[i]
-                if iv.hi < 0:
-                    return False
-                if not iv.lo > 0:
-                    # sigma(alpha) != 0 since alpha != 0: refinement decides.
-                    undecided = True
-                    continue
-                mod2 = iv * iv
-            else:
-                re, im = pairs[i - r]
-                mod2 = re * re + im * im
-            if mod2.lo > b:
-                return False
-            if mod2.hi <= b:
-                continue
-            key = (i < r, b)
-            if key not in gaps:
-                if i < r:
-                    square = (alpha * alpha).coords
-                    gaps[key] = inf if square == tuple(b * c for c in field.one_coords) else 0
-                else:
-                    if products is None:
-                        products = _conjugate_products_poly(field.mult_matrix(alpha))
-                    gaps[key] = _tie_gap(products, b)
-            if mod2.width >= gaps[key]:
-                undecided = True
-        if not undecided:
+            if width is not None and b not in gaps:
+                if products is None:
+                    products = _conjugate_products_poly(field.mult_matrix(alpha))
+                gaps[b] = _tie_gap(products, b)
+            if width is None or width >= gaps[b] * 4**bits:
+                break
+        else:
             return True
 
 

@@ -400,6 +400,18 @@ def test_malformed_field_spec_is_config(spec, tmp_path, capsys):
     assert last_diag(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("command, content", [
+    # Truncated JSON, and a UTF-16 byte order mark where UTF-8 belongs.
+    (["verify", "--tower"], b'{"min_poly": ['),
+    (["count", "--eta", "0,1", "--boxes", "100", "--field"], b'\xff\xfe{}'),
+])
+def test_unreadable_json_file_is_config(command, content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(command + [str(path)]) == EXIT_CONFIG
+    assert last_diag(capsys.readouterr().err)["error"] == "config"
+
+
 def test_verify_tower_file_errors(tmp_path, capsys):
     # A tower file that names no valid field is a config error; a stored
     # step that no longer certifies is a failed check.

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt, prod
@@ -100,6 +101,30 @@ def test_in_region_examples(q5):
     # Boundary tie: 2 sits exactly on the (2,2) wall and is included.
     assert in_region(q5.rational(2), box22)
     assert not in_region(q5.rational(3), box22)
+
+
+def test_in_region_matches_oracles(q5, qi):
+    # in_region alone, not behind the screen, at every point of the surd
+    # oracle's coordinate range and of the Q(i) disk's square, boundary
+    # included.
+    for volume in (10, 100, 1000):
+        box = RegionBox.cube(q5.signature, volume)
+        rng = 2 * isqrt(volume) + 4
+        for coords in itertools.product(range(-rng, rng + 1), repeat=2):
+            assert in_region(q5.element(coords), box) == q5_oracle_membership(coords, volume)
+    assert in_region(q5.element((100, 0)), RegionBox.cube(q5.signature, 10**4))
+    box = RegionBox.cube(qi.signature, 100)
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        assert in_region(qi.element((a, b)), box) == (a * a + b * b <= 100)
+    # A bound within 2^-200 of a squared embedding, on either side: only
+    # enclosures rounded outward stay right.
+    eps = Fraction(1, 1 << 200)
+    for coords in itertools.product(range(-6, 7), [-3, -1, 1, 2, 5]):
+        for iv in q5.sigma_std(q5.element(coords), 256):
+            for b in (iv * iv).hi + eps, (iv * iv).lo - eps:
+                if b >= 1:
+                    box = RegionBox(q5.signature, [b, b])
+                    assert in_region(q5.element(coords), box) == q5_oracle_membership(coords, b)
 
 
 def test_enumerate_examples(q5):
@@ -276,7 +301,11 @@ def test_screen_rounds_outward(q5, k3, data):
     k = data.draw(st.integers(0, len(mods) - 1))
     eps = Fraction(1, 1 << 200)
     bounds[k] = max(mods[k].hi + eps if data.draw(st.booleans()) else mods[k].lo - eps, 1)
-    check_screen(field, RegionBox(field.signature, bounds), coords)
+    exact = check_screen(field, RegionBox(field.signature, bounds), coords)
+    # The 256-bit enclosures, apart from the fixed point that the screen
+    # and in_region share, decide every point drawn here.
+    assert exact == (all(iv.lo > 0 for iv in reals)
+                     and all(m.hi <= b for m, b in zip(mods, bounds)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -432,16 +461,15 @@ def test_widmer_inequality_random_3d():
                 break
         dims = [rng.randint(1, 5) for _ in range(3)]
         lat = EmbeddedLattice.from_basis_matrix(rows)
-        count = 0
-        for x in range(-40, 41):
-            for y in range(-40, 41):
-                for z in range(-40, 41):
-                    p = [
-                        x * rows[0][k] + y * rows[1][k] + z * rows[2][k]
-                        for k in range(3)
-                    ]
-                    if all(0 <= p[k] <= dims[k] for k in range(3)):
-                        count += 1
+        # p = c R for an integer vector c exactly when p adj(R) = det c is
+        # 0 mod det: walk the integer points p of the box.
+        adj = [[rows[(j + 1) % 3][(i + 1) % 3] * rows[(j + 2) % 3][(i + 2) % 3]
+                - rows[(j + 1) % 3][(i + 2) % 3] * rows[(j + 2) % 3][(i + 1) % 3]
+                for j in range(3)] for i in range(3)]
+        count = sum(
+            all(sum(p[i] * adj[i][k] for i in range(3)) % det == 0 for k in range(3))
+            for p in itertools.product(*(range(d + 1) for d in dims))
+        )
         vol = Fraction(dims[0] * dims[1] * dims[2])
         main = vol / abs(Fraction(det))
         # 6 faces; a face of an axis box is covered by one affine map with

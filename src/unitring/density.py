@@ -316,6 +316,14 @@ def conductor_sum(params):
     return total
 
 
+def local_product(poly, pids):
+    """prod (1 - L(P) / N(P)) over the prime ideals pids."""
+    out = Fraction(1)
+    for pid in pids:
+        out *= 1 - Fraction(count_roots_prime_power(poly, pid, 1), pid.norm)
+    return out
+
+
 def bad_reduction_primes(poly):
     """Primes where the reduced polynomial may fail to be separable of the
     same degree: support of (disc(f)) and of (leading coefficient)."""
@@ -367,9 +375,8 @@ def euler_density(params, truncation_norm):
     excluded = set(params.excluded)
     cond_sum = conductor_sum(params)
 
-    excl_prod = Fraction(1)
-    for pid in sorted(excluded - set(order.conductor_support()), key=lambda q: q.sort_key()):
-        excl_prod *= 1 - Fraction(count_roots_prime_power(poly, pid, 1), pid.norm)
+    excl_prod = local_product(poly, sorted(excluded - set(order.conductor_support()),
+                                           key=lambda q: q.sort_key()))
 
     # The prime ideals of norm <= T, then the bad-reduction primes above T.
     small = (pid for p in prime_table(T) for pid in split_prime(field_k, p) if pid.norm <= T)
@@ -628,13 +635,11 @@ def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     poly = SievePolynomial.x_squared_minus(4 * eta)
     full_excluded = with_conductor_support(order, excluded)
     params_o = DensityParams(order=order, poly=poly, excluded=full_excluded, m=2)
-    lhs = Fraction(1, order.index) * conductor_sum(params_o)
-    rhs = Fraction(1)
-    for pid in order.conductor_support():
-        rhs *= 1 - Fraction(count_roots_prime_power(poly, pid, 1), pid.norm)
+    d_order = euler_density(params_o, truncation_norm)
+    lhs = Fraction(1, order.index) * d_order.conductor_sum
+    rhs = local_product(poly, order.conductor_support())
     maximal = SubOrder.maximal(field_k)
     params_k = DensityParams(order=maximal, poly=poly, excluded=full_excluded, m=2)
-    d_order = euler_density(params_o, truncation_norm)
     d_max = euler_density(params_k, truncation_norm)
     return GapReport(
         lhs=lhs,

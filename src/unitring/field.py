@@ -9,17 +9,17 @@ the integers.
 
 The defining polynomial is certified irreducible from its root
 enclosures: the one RootIsolation a field keeps, which also gives its
-signature.  Embeddings are certified: sigma values are returned as exact
-rational intervals derived from those enclosures, at any requested
-precision, each one sum over embedding_matrix (NumberField.embed), or
-as integers at scale 2^bits, rounded outward (fixed_embedding).
-Coordinates and coefficients are read exactly: ints (not bools) and
-integral Fractions only.
+signature.  Embeddings are certified at any requested precision: the
+one embedding sum, enclose, multiplies integer coordinates by a column of
+the embedding matrix scaled by 2^bits and rounded outward
+(fixed_embedding); NumberField.embed runs it at the common denominator of
+rational coordinates.  Coordinates and coefficients are read exactly:
+ints (not bools) and integral Fractions only.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor
+from math import ceil, floor, lcm
 
 from .intervals import RatInterval, integer_candidate
 from .intfactor import exact_root
@@ -87,6 +87,21 @@ def _certify_irreducible(poly):
         sets = undecided
 
 
+def enclose(coords, lo_col, hi_col):
+    """The integer interval of one embedding coordinate at scale 2^bits:
+    the integer coordinates coords times one column of fixed_embedding,
+    lo_col <= 2^bits col <= hi_col, rounded outward with it."""
+    lo = hi = 0
+    for c, a, b in zip(coords, lo_col, hi_col):
+        if c > 0:
+            lo += c * a
+            hi += c * b
+        elif c < 0:
+            lo += c * b
+            hi += c * a
+    return lo, hi
+
+
 class NumberField:
     """Degree-n number field with a fixed integral basis."""
 
@@ -115,15 +130,11 @@ class NumberField:
         except ZeroDivisionError:
             rows = "; ".join(" ".join(map(str, row)) for row in basis)
             raise ValueError(f"integral basis [{rows}] is singular") from None
-        self.is_power_basis = all(
-            basis[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
         self._build_tables()
         self.norm_form = _norm_form(self.mult_table)
         self.signature = self._roots.signature
         self.disc = self._discriminant()
         self._emb_cache = {}
-        self._inv_emb_cache = {}
 
     # -- construction helpers ----------------------------------------------
 
@@ -222,8 +233,6 @@ class NumberField:
 
     def theta_poly_of(self, alpha):
         """Rational coefficients of alpha as a polynomial in theta."""
-        if self.is_power_basis:
-            return trim(alpha.coords, QQ)
         n = self.degree
         return trim(
             [sum(Fraction(alpha.coords[i]) * self.basis[i][k] for i in range(n))
@@ -274,19 +283,17 @@ class NumberField:
 
         Entries are RatIntervals.  Standard layout: r real coordinates then
         (Re, Im) pairs for each conjugate pair, as certified enclosures.
+        The source of fixed_embedding, and so of every embedding sum.
         """
-        if bits in self._emb_cache:
-            return self._emb_cache[bits]
-        iso = self.root_isolation(bits)
-        r, s = self.signature
-        roots = [enc.box() for enc in iso.enclosures[:r + s]]
-        rows = []
-        for w in self.basis:
-            vals = [evaluate(w, z, ComplexValues) for z in roots]
-            rows.append(tuple(v[0] for v in vals[:r]) + tuple(x for v in vals[r:] for x in v))
-        out = tuple(rows)
-        self._emb_cache[bits] = out
-        return out
+        if bits not in self._emb_cache:
+            r, s = self.signature
+            roots = [enc.box() for enc in self.root_isolation(bits).enclosures[:r + s]]
+            rows = []
+            for w in self.basis:
+                vals = [evaluate(w, z, ComplexValues) for z in roots]
+                rows.append(tuple(v[0] for v in vals[:r]) + tuple(x for v in vals[r:] for x in v))
+            self._emb_cache[bits] = tuple(rows)
+        return self._emb_cache[bits]
 
     def fixed_embedding(self, bits):
         """embedding_matrix at scale 2^bits as integers rounded outward,
@@ -301,10 +308,13 @@ class NumberField:
 
     def embed(self, coords, bits=64):
         """Standard embedding of the element with rational coordinates
-        coords, as a tuple of n RatIntervals: coords times embedding_matrix."""
-        emb = self.embedding_matrix(bits)
-        return tuple(sum((row[k] * c for row, c in zip(emb, coords) if c), RatInterval(0))
-                     for k in range(self.degree))
+        coords, as a tuple of n RatIntervals: enclose over fixed_embedding
+        at the coordinates' common denominator d, divided by d 2^bits."""
+        d = lcm(*(Fraction(c).denominator for c in coords))
+        ints = [int(c * d) for c in coords]
+        scale = d << bits
+        return tuple(RatInterval(*(Fraction(x, scale) for x in enclose(ints, *col)))
+                     for col in zip(*self.fixed_embedding(bits)))
 
     def inverse_embedding(self, bits=64):
         """M[k][j] with coords_j(alpha) = sum_k std_k(alpha) M[k][j], as
@@ -316,25 +326,13 @@ class NumberField:
         of w_j* scaled by 1 at a real place and by 2 and -2 (Re, Im) at a
         complex one: no elimination.
         """
-        if bits in self._inv_emb_cache:
-            return self._inv_emb_cache[bits]
-        scale = [1] * self.signature[0] + [2, -2] * self.signature[1]
-        cols = [self.embed(dual, bits) for dual in self.trace_form_inv]
-        out = tuple(tuple(col[k] * scale[k] for col in cols) for k in range(self.degree))
-        self._inv_emb_cache[bits] = out
-        return out
-
-    def sigma_std(self, alpha, bits=64):
-        """Standard embedding of alpha as a tuple of n RatIntervals."""
-        return self.embed(alpha.coords, bits)
-
-    def sigma_pairs(self, alpha, bits=64):
-        """Per-embedding view: r real RatIntervals then s (re, im) pairs."""
-        std = self.sigma_std(alpha, bits)
-        r, s = self.signature
-        reals = list(std[:r])
-        pairs = [(std[r + 2 * i], std[r + 2 * i + 1]) for i in range(s)]
-        return reals, pairs
+        key = ("inverse", bits)
+        if key not in self._emb_cache:
+            scale = [1] * self.signature[0] + [2, -2] * self.signature[1]
+            cols = [self.embed(dual, bits) for dual in self.trace_form_inv]
+            self._emb_cache[key] = tuple(tuple(col[k] * scale[k] for col in cols)
+                                         for k in range(self.degree))
+        return self._emb_cache[key]
 
     def __repr__(self):
         return f"NumberField({self.name}, deg={self.degree}, sig={self.signature}, disc={self.disc})"
@@ -504,8 +502,10 @@ def is_square_in_field(eta):
     nrm = eta.norm()
     if exact_root(nrm, 2) is None:
         return False
+    r = field.signature[0]
     for bits in precisions(64, "squareness"):
-        reals, pairs = field.sigma_pairs(eta, bits)
+        std = field.embed(eta.coords, bits)
+        reals, pairs = std[:r], zip(std[r::2], std[r + 1::2])
         if any(iv.hi < 0 for iv in reals):
             return False
         if all(iv.lo > 0 for iv in reals):

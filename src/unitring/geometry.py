@@ -3,17 +3,20 @@ successive minima, and the lattice point counting bound.
 
 Region bounds are stored as squared rationals so that boxes like the
 equal-sided one with total volume x (side x^{1/n}) stay exact.  Membership is
-one comparison per place on integer enclosures at scale 2^bits: the
-enumeration's screen is it at 64 bits, and in_region climbs the precision
-ladder with it until each place lies inside or outside its bound, or ties
-it exactly, which is decided through the integer polynomial whose roots
-are the pairwise products of the element's conjugates.
+one comparison per place on the integer enclosures of field.enclose, the
+one embedding sum, at scale 2^bits: the enumeration's screen is it at 64
+bits, and in_region climbs the precision ladder with it until each place
+lies inside or outside its bound, or ties it exactly, which is decided
+through the integer polynomial whose roots are the pairwise products of
+the element's conjugates.  The coordinate box of the walk reads the
+inverse embedding, whose columns are NumberField.embed of the dual basis.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, isqrt, prod
 
+from .field import enclose
 from .intervals import PI, RatInterval, sqrt_upper
 from .ideal import check_cap
 from .intfactor import exact_root
@@ -95,7 +98,7 @@ def embed_sigma(alpha, bits=64):
     Returns (vector, radius): n rational midpoints (reals first, then
     re/im pairs) and a radius bounding every coordinate's error.
     """
-    std = alpha.field.sigma_std(alpha, bits)
+    std = alpha.field.embed(alpha.coords, bits)
     mids = tuple(iv.mid for iv in std)
     radius = max((iv.width / 2 for iv in std), default=Fraction(0))
     return mids, radius
@@ -107,9 +110,10 @@ def successive_minima(lattice, bits=64):
 
 
 # ---------------------------------------------------------------------------
-# Membership on fixed-point integers: at precision bits, the embedding
-# matrix scaled by 2^bits and rounded outward (NumberField.fixed_embedding).
-# The screen is the comparison at FIXED_BITS, in_region's first rung.
+# Membership on fixed-point integers: at precision bits, field.enclose over
+# the embedding matrix scaled by 2^bits and rounded outward
+# (NumberField.fixed_embedding).  The screen is the comparison at
+# FIXED_BITS, in_region's first rung.
 FIXED_BITS = 64
 
 
@@ -117,20 +121,6 @@ def _scaled_bounds(box, bits):
     """floor(b 4^bits) for each squared bound b of the box: an integer
     exceeds b 4^bits exactly when it exceeds that floor."""
     return [(b.numerator << 2 * bits) // b.denominator for b in box.bounds_sq]
-
-
-def _enclose(coords, lo_col, hi_col):
-    """The integer interval of one embedding coordinate: coords times the
-    column enclosures lo_col <= col <= hi_col."""
-    lo = hi = 0
-    for c, a, b in zip(coords, lo_col, hi_col):
-        if c > 0:
-            lo += c * a
-            hi += c * b
-        elif c < 0:
-            lo += c * b
-            hi += c * a
-    return lo, hi
 
 
 def _sq(a):
@@ -171,7 +161,7 @@ def _compare(coords, col_lo, col_hi, bound, r, s):
     straddles = []
     for i in range(r + s):
         if i < r:
-            lo, hi = _enclose(coords, col_lo[i], col_hi[i])
+            lo, hi = enclose(coords, col_lo[i], col_hi[i])
             if hi < 0:
                 return False
             if lo <= 0:
@@ -180,8 +170,8 @@ def _compare(coords, col_lo, col_hi, bound, r, s):
             mod_lo, mod_hi = lo * lo, hi * hi
         else:
             k = 2 * i - r
-            mod_lo, mod_hi = _norm_sq(_enclose(coords, col_lo[k], col_hi[k]),
-                                      _enclose(coords, col_lo[k + 1], col_hi[k + 1]))
+            mod_lo, mod_hi = _norm_sq(enclose(coords, col_lo[k], col_hi[k]),
+                                      enclose(coords, col_lo[k + 1], col_hi[k + 1]))
         if mod_lo > bound[i]:
             return False
         if mod_hi > bound[i]:
@@ -218,20 +208,20 @@ class FloatRegionFilter:
         cl, ch = self.col_lo, self.col_hi
         spans = []
         for i in range(r):
-            d = _enclose(step, cl[i], ch[i])
+            d = enclose(step, cl[i], ch[i])
             if d[0] <= 0 <= d[1]:
                 continue
-            t = _enclose(base, cl[i], ch[i])
+            t = enclose(base, cl[i], ch[i])
             spans.append(_quotient_range((-t[1], self.side_hi[i] - t[0]), d))
         for j in range(s):
             k = r + 2 * j
-            d_re = _enclose(step, cl[k], ch[k])
-            d_im = _enclose(step, cl[k + 1], ch[k + 1])
+            d_re = enclose(step, cl[k], ch[k])
+            d_im = enclose(step, cl[k + 1], ch[k + 1])
             d_sq = _norm_sq(d_re, d_im)
             if d_sq[0] <= 0:
                 continue
-            t_re = _enclose(base, cl[k], ch[k])
-            t_im = _enclose(base, cl[k + 1], ch[k + 1])
+            t_re = enclose(base, cl[k], ch[k])
+            t_im = enclose(base, cl[k + 1], ch[k + 1])
             # Re(t conj d) and Im(t conj d).
             p = _dot(t_re, d_re, t_im, d_im)
             q = _dot(t_im, d_re, t_re, (-d_im[1], -d_im[0]))

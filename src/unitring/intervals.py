@@ -70,9 +70,6 @@ class RatInterval:
     def __sub__(self, other):
         return self + (-_coerce(other))
 
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         prods = (
@@ -93,12 +90,9 @@ class RatInterval:
     def __truediv__(self, other):
         return self * _coerce(other).inverse()
 
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
     def __pow__(self, k):
         if k < 0:
-            return (self ** (-k)).inverse()
+            raise ValueError("negative powers: use inverse()")
         out = RatInterval(1)
         for _ in range(k):
             out = out * self

@@ -325,6 +325,19 @@ def test_root_count_prime_powers_differential(diff_fields, name, ca, cb, cc, e, 
     assert count_roots_prime_power(poly, pid, e) == root_count_bruteforce(poly, pid.ideal**e)
 
 
+@pytest.mark.parametrize("p", [2, 3, 11, 19])
+def test_root_count_simple_root_of_inseparable_reduction(q5, p):
+    # X^3 - X^2 + c with c in P reduces to X^2 (X - 1): the double root 0
+    # is lifted by brute force and the simple root 1 lifts uniquely.
+    th = q5.theta
+    for c in (q5.rational(p), p * th, q5.rational(p * p), p * (q5.one + th)):
+        poly = SievePolynomial([c, q5.zero, -q5.one, q5.one], assume_irreducible=True)
+        for pid in split_prime(q5, p):
+            for e in (2, 3):
+                assert count_roots_prime_power(poly, pid, e) == root_count_bruteforce(
+                    poly, pid.ideal**e)
+
+
 def test_euler_density_nested_intervals(q5, f_theta):
     params = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=(), m=2)
     r100 = euler_density(params, 100)

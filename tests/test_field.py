@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from embedding_oracle import embedding_sum, places
 from unitring import field as field_module
 from unitring.field import IrreducibilityError, NumberField, is_square_in_field
 from unitring.fieldspec import BUNDLED, load_field_spec
@@ -48,7 +49,7 @@ def embedding_product_norm_oracle(alpha, bits=128):
     rounded to the nearest integer with a width check."""
     field = alpha.field
     r, s = field.signature
-    reals, pairs = field.sigma_pairs(alpha, bits)
+    reals, pairs = places(field, embedding_sum(field, alpha.coords, bits))
     prod_lo, prod_hi = Fraction(1), Fraction(1)
     for iv in reals:
         cands = [prod_lo * iv.lo, prod_lo * iv.hi, prod_hi * iv.lo, prod_hi * iv.hi]
@@ -300,7 +301,7 @@ def test_inverse_unit_and_nonunit():
 
 def test_embeddings_certified(q5):
     th = q5.theta
-    reals, pairs = q5.sigma_pairs(th, 96)
+    reals, pairs = places(q5, q5.embed(th.coords, 96))
     assert not pairs
     # Golden ratio and conjugate, ordered ascending.
     assert reals[0].hi < reals[1].lo
@@ -312,7 +313,7 @@ def test_embeddings_certified(q5):
 
 def test_embeddings_signature_1_1(cubic):
     one = cubic.one
-    reals, pairs = cubic.sigma_pairs(one, 64)
+    reals, pairs = places(cubic, cubic.embed(one.coords, 64))
     assert len(reals) == 1 and len(pairs) == 1
     assert 1 in reals[0]
     re, im = pairs[0]
@@ -380,6 +381,21 @@ def test_inverse_embedding_encloses_identity(embedding_fields, name, bits):
             entry = sum((s[i][k] * m[k][j] for k in range(n)), RatInterval(0))
             assert int(i == j) in entry
             assert entry.width < Fraction(1, 1 << (bits // 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["q_sqrt5", "q_i", "cubic-23", "x4+1"]), st.sampled_from([64, 256]),
+       st.sampled_from([1, 1, 2, 3, 10**9 + 7]), st.data())
+def test_embed_encloses_the_exact_sum(embedding_fields, name, bits, den, data):
+    # embed is enclose over fixed_embedding, whose entries are each rounded
+    # outward once: it holds the exact sum over embedding_matrix, and is
+    # wider by at most 2 sum |c_j| 2^-bits.
+    field = embedding_fields[name]
+    coords = [Fraction(data.draw(st.integers(-10**6, 10**6)), den) for _ in range(field.degree)]
+    slack = Fraction(2 * sum(map(abs, coords)), 1 << bits)
+    for got, want in zip(field.embed(coords, bits), embedding_sum(field, coords, bits)):
+        assert got.lo <= want.lo and want.hi <= got.hi
+        assert got.width - want.width <= slack
 
 
 # One non-square d per field with a square norm and positive real

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from embedding_oracle import embedding_sum, places
 from unitring.field import NumberField
 from unitring.geometry import (
     _conjugate_products_poly,
@@ -42,40 +43,28 @@ def qi():
 # -- independent oracle for Q(sqrt5): exact surd comparisons -------------------
 
 
-def _sqrt5_sign(a, b):
-    """Sign of a + b*sqrt(5) for rationals a, b, exactly."""
-    a, b = Fraction(a), Fraction(b)
-    if b == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    # Opposite signs: compare a^2 vs 5 b^2 and attribute to the larger side.
-    lhs, rhs = a * a, 5 * b * b
-    if lhs == rhs:
-        return 0
-    big_is_a = lhs > rhs
-    return (1 if a > 0 else -1) if big_is_a else (1 if b > 0 else -1)
+def _sqrt5_sign(u, v):
+    """Sign of u + v*sqrt(5) for integers u, v, exactly."""
+    if u * v >= 0:
+        return (u + v > 0) - (u + v < 0)
+    # Opposite signs: the larger of u^2 and 5 v^2 (never equal) decides.
+    return (u > 0) - (u < 0) if u * u > 5 * v * v else (v > 0) - (v < 0)
 
 
 def q5_oracle_membership(coords, side_sq):
     """Totally positive and sigma_i^2 <= side_sq for alpha = x + y*theta,
-    computed with exact quadratic surd arithmetic, no package machinery."""
+    computed with exact quadratic surd arithmetic, no package machinery:
+    sigma_{1,2}(alpha) = (A +- B sqrt5) / 2 with A = 2x + y and B = y, so
+    both conditions are signs of integers u + v sqrt5."""
     x, y = coords
-    # sigma_{1,2}(alpha) = (x + y/2) +- (y/2) sqrt5.
-    a = Fraction(2 * x + y, 2)
-    b = Fraction(y, 2)
-    for bb in (b, -b):
-        s = _sqrt5_sign(a, bb)
-        if s <= 0:
+    side_sq = Fraction(side_sq)
+    num, den = side_sq.numerator, side_sq.denominator
+    a = 2 * x + y
+    for b in (y, -y):
+        if _sqrt5_sign(a, b) <= 0:
             return False
-        # (a + bb sqrt5)^2 <= side_sq  <=>  a^2+5bb^2 - side_sq <= -2 a bb sqrt5
-        lhs_a = a * a + 5 * bb * bb - Fraction(side_sq)
-        lhs_b = 2 * a * bb
-        if _sqrt5_sign(-lhs_a, -lhs_b) < 0:
+        # den ((a + b sqrt5)^2 - 4 side_sq) <= 0.
+        if _sqrt5_sign(den * (a * a + 5 * b * b) - 4 * num, 2 * den * a * b) > 0:
             return False
     return True
 
@@ -120,7 +109,7 @@ def test_in_region_matches_oracles(q5, qi):
     # enclosures rounded outward stay right.
     eps = Fraction(1, 1 << 200)
     for coords in itertools.product(range(-6, 7), [-3, -1, 1, 2, 5]):
-        for iv in q5.sigma_std(q5.element(coords), 256):
+        for iv in embedding_sum(q5, coords, 256):
             for b in (iv * iv).hi + eps, (iv * iv).lo - eps:
                 if b >= 1:
                     box = RegionBox(q5.signature, [b, b])
@@ -251,6 +240,21 @@ def test_boundary_tie_complex(qi):
     assert in_region(qi.zero, box)
 
 
+@pytest.mark.parametrize("coords, bound, inside", [
+    ((1, 0, 1, 0), 2, True),
+    ((1, 0, 1, 0), 2 - Fraction(1, 1 << 100), False),
+    ((1, 0, 1, 0), 2 + Fraction(1, 1 << 100), True),
+    ((2, 0, 1, 0), 5, True),
+    ((0, 0, 2, 0), 4, True),
+])
+def test_exact_tie_on_inexact_embeddings(coords, bound, inside):
+    # On X^4 + 1, theta^2 = +-i at the two complex places, so |1 + theta^2|^2
+    # = 2 at both: a tie the enclosures of theta^2 straddle at every
+    # precision, which only _tie_gap decides.  Near-ties fall to refinement.
+    field = NumberField([1, 0, 0, 0, 1], name="Q(zeta8)")
+    assert in_region(field.element(coords), RegionBox(field.signature, [bound, bound])) is inside
+
+
 # Points on the boundary of a cube: alpha = 100 at x = 10^4 on Q(sqrt5),
 # where both embeddings equal the side, and a + bi with a^2 + b^2 = 100 at
 # x = 100 on Q(i), whose modulus equals the radius.
@@ -295,7 +299,7 @@ def test_screen_rounds_outward(q5, k3, data):
     # rounded outward stays right.  The embeddings of Q(i) are exact.
     field = data.draw(st.sampled_from([q5, k3]))
     coords = tuple(data.draw(st.integers(-40, 40)) for _ in range(field.degree))
-    reals, pairs = field.sigma_pairs(field.element(coords), 256)
+    reals, pairs = places(field, embedding_sum(field, coords, 256))
     mods = [iv * iv for iv in reals] + [re * re + im * im for re, im in pairs]
     bounds = [max(m.hi + 1, 1) for m in mods]
     k = data.draw(st.integers(0, len(mods) - 1))

@@ -1,8 +1,11 @@
 import dataclasses
+import json
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+from unitring.cli import _tower_to_json, main
 from unitring.density import HypothesisError
 from unitring.field import NumberField
 from unitring.ideal import IdealLattice, split_prime
@@ -181,6 +184,28 @@ def test_compositum_collapse(q5, eta, z_sqrt5):
     assert tower.compositum_sets == [frozenset(), frozenset({0})]
     assert tower.relative_disc == st1.disc_ideal
     assert len(tower.steps) == 2
+    # Two steps with one discriminant, and two steps from index 2.
+    report = verify_unit_generation(tower)
+    assert not report.discs_coprime_and_odd and not report.step_count_bounded
+
+
+TWO_STEP_TOWER = Path(__file__).parent / "fixtures" / "tower_q_sqrt5_two_steps.json"
+
+
+def test_two_step_tower_verifies(q5):
+    # Z + 4 O_K with eta = -theta^6: omega = -1 + 2 theta and then theta
+    # each halve the index, and check (d) compares the pair of step
+    # discriminants, of norms 401 and 45.  The fixture holds this tower.
+    tower = Tower(q5, SubOrder(q5, [(1, 0), (0, 4)]), q5.element((-5, -8)))
+    for omega in ((-1, 2), (0, 1)):
+        tower.extend(q5.element(omega))
+    assert [o.index for o in tower.orders] == [4, 2, 1]
+    assert [st.disc_element_norm for st in tower.steps] == [401, 45]
+    report = verify_unit_generation(tower)
+    assert report.all_passed()
+    doc = dict(_tower_to_json("q_sqrt5", tower), verification=report.as_dict())
+    assert json.loads(TWO_STEP_TOWER.read_text()) == doc
+    assert main(["verify", "--tower", str(TWO_STEP_TOWER)]) == 0
 
 
 def test_compositum_coprimality_error(q5, eta, z_sqrt5):

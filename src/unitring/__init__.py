@@ -19,7 +19,6 @@ from .geometry import (
     EmbeddedLattice,
     RegionBox,
     count_coset,
-    embed_sigma,
     enumerate_region,
     in_region,
     successive_minima,
@@ -54,7 +53,6 @@ __all__ = [
     "build_tower",
     "count_coset",
     "density_gap_check",
-    "embed_sigma",
     "empirical_count",
     "enumerate_region",
     "error_exponent",

@@ -30,6 +30,7 @@ from .ideal import (
     IdealLattice,
     NonMonogenicError,
     in_mth_power_above,
+    prime_ideals,
     prime_power,
     residue_system,
     split_prime,
@@ -42,7 +43,7 @@ from .geometry import (
     region_runs,
 )
 from .intervals import RatInterval
-from .intfactor import mth_power_primes, prime_table
+from .intfactor import mth_power_primes
 from .linalg import lattice_sum
 from .order import SubOrder
 from .poly import deriv, evaluate, gcd, trim
@@ -97,9 +98,6 @@ class SievePolynomial:
 
     def __call__(self, alpha):
         return evaluate(self.coeffs, alpha, self.field)
-
-    def leading(self):
-        return self.coeffs[-1]
 
     def in_order(self, order):
         return all(order.contains(c) for c in self.coeffs)
@@ -280,7 +278,6 @@ class DensityParams:
 class DensityReport:
     d_lower: Fraction
     d_upper: Fraction
-    truncation_norm: int
     conductor_sum: Fraction
     excluded_product: Fraction
     exponent_data: tuple
@@ -326,20 +323,12 @@ def local_product(poly, pids):
 
 def bad_reduction_primes(poly):
     """Primes where the reduced polynomial may fail to be separable of the
-    same degree: support of (disc(f)) and of (leading coefficient)."""
-    field_k = poly.field
-    out = set()
-    lead = poly.leading()
-    if abs(lead.norm()) != 1:
-        for pid, _ in IdealLattice.principal(lead).factor():
-            out.add(pid)
-    disc = _poly_discriminant_element(poly)
-    if disc.is_zero():
+    same degree: the support of Res(f, f') = +-lead(f) disc(f), which holds
+    that of the leading coefficient."""
+    res = _poly_discriminant_element(poly)
+    if res.is_zero():
         raise ValueError("polynomial has zero discriminant; not separable")
-    if abs(disc.norm()) != 1:
-        for pid, _ in IdealLattice.principal(disc).factor():
-            out.add(pid)
-    return out
+    return {pid for pid, _ in IdealLattice.principal(res).factor()}
 
 
 def _poly_discriminant_element(poly):
@@ -379,7 +368,7 @@ def euler_density(params, truncation_norm):
                                            key=lambda q: q.sort_key()))
 
     # The prime ideals of norm <= T, then the bad-reduction primes above T.
-    small = (pid for p in prime_table(T) for pid in split_prime(field_k, p) if pid.norm <= T)
+    small = prime_ideals(field_k, T)
     large_bad = sorted((pid for pid in bad_reduction_primes(poly) if pid.norm > T),
                        key=lambda q: q.sort_key())
     # A factor with L(P^m) = N(P)^m, a fixed divisor, makes D = [0, 0].
@@ -397,7 +386,6 @@ def euler_density(params, truncation_norm):
     return DensityReport(
         d_lower=d_iv.lo,
         d_upper=d_iv.hi,
-        truncation_norm=T,
         conductor_sum=cond_sum,
         excluded_product=excl_prod,
         exponent_data=error_exponent(n, g, m),

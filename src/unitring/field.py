@@ -430,7 +430,7 @@ class AlgebraicInt:
 
     def __pow__(self, k):
         if k < 0:
-            raise ValueError("negative powers need a unit inverse; use inverse()")
+            raise ValueError("negative powers are not supported")
         out = self.field.one
         base = self
         while k:
@@ -464,19 +464,6 @@ class AlgebraicInt:
 
     def is_unit(self):
         return abs(self.norm()) == 1
-
-    def inverse(self):
-        """Inverse of a unit, exact.  Raises for non-units."""
-        cp = self.char_poly()
-        c0 = cp[0]
-        if abs(c0) != 1:
-            raise ValueError("not a unit")
-        # alpha * (alpha^{n-1} + c_{n-1} alpha^{n-2} + ... + c_1) = -c_0.
-        field = self.field
-        inv = evaluate([field.rational(c) for c in cp[1:]], self, field) * (-c0)
-        if inv * self != field.one:
-            raise ArithmeticError("unit inverse verification failed")
-        return inv
 
     def _check(self, other):
         if not isinstance(other, AlgebraicInt) or other.field is not self.field:

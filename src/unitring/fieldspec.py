@@ -101,7 +101,7 @@ def load_field_spec(source):
             u = field.element(coords)
         except ValueError as e:
             raise ConfigError(f"declared unit {coords}: {e}") from None
-        if abs(u.norm()) != 1:
+        if not u.is_unit():
             raise ConfigError(f"declared unit {coords} has norm {u.norm()}")
         units.append(u)
     order_rows = data.get("orders", {})

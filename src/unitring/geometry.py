@@ -20,8 +20,7 @@ from .field import enclose
 from .intervals import PI, RatInterval, sqrt_upper
 from .ideal import check_cap
 from .intfactor import exact_root
-from .linalg import (char_poly, det, det_triangular, hnf, lattice_intersection, mat_inv_frac,
-                     solve_upper_int, vec_mat)
+from .linalg import char_poly, det, det_triangular, hnf, mat_inv_frac, solve_upper_int, vec_mat
 from .order import SubOrder
 from .poly import QQ, divmod
 from .rootiso import precisions
@@ -81,27 +80,8 @@ class RegionBox:
             out *= b
         return out
 
-    def volume(self):
-        """Exact volume parameter x = x_1 ... x_n when rational."""
-        v = exact_root(self.volume_sq, 2)
-        if v is None:
-            raise ValueError("volume parameter is irrational; use volume_sq")
-        return v
-
     def __repr__(self):
         return f"RegionBox(sq={tuple(str(b) for b in self.bounds_sq)})"
-
-
-def embed_sigma(alpha, bits=64):
-    """Standard embedding as midpoints plus one rigorous error radius.
-
-    Returns (vector, radius): n rational midpoints (reals first, then
-    re/im pairs) and a radius bounding every coordinate's error.
-    """
-    std = alpha.field.embed(alpha.coords, bits)
-    mids = tuple(iv.mid for iv in std)
-    radius = max((iv.width / 2 for iv in std), default=Fraction(0))
-    return mids, radius
 
 
 def successive_minima(lattice, bits=64):
@@ -616,7 +596,7 @@ def count_coset(field, beta, modulus_ideal, box, order=None):
     if coeff is None:
         raise EmptyCosetError("coset does not meet the order")
     alpha0 = field.element(vec_mat(vec_mat(coeff, u[:n])[:n], order.basis_hnf))
-    m_rows = lattice_intersection(modulus_ideal.hnf, order.basis_hnf)
+    m_rows, _ = order.contract(modulus_ideal)
     count = sum(hi - lo + 1 for _, _, lo, hi in region_runs(field, box, m_rows, shift=alpha0))
     index = abs(det_triangular(m_rows))
     x = RatInterval(box.volume_sq).sqrt(SQRT_BITS)

@@ -16,7 +16,6 @@ from .linalg import (
     in_lattice,
     lattice_sum,
     quotient_box,
-    reduce_mod_lattice,
 )
 from .poly import PrimeField, mul
 
@@ -141,10 +140,6 @@ class IdealLattice:
 
     def is_coprime(self, other):
         return (self + other).is_unit_ideal()
-
-    def reduce(self, alpha):
-        """Canonical representative of alpha modulo the ideal."""
-        return self.field.element(reduce_mod_lattice(alpha.coords, self.hnf))
 
     def residues(self):
         """Stream a complete residue system, in lexicographic order."""
@@ -364,13 +359,14 @@ def residue_system(field, sub, sup):
         yield field.element(v)
 
 
+def prime_ideals(field, bound):
+    """The prime ideals of norm <= bound, in increasing order of p."""
+    return [pid for p in prime_table(bound) for pid in split_prime(field, p) if pid.norm <= bound]
+
+
 def iter_ideals(field, max_norm):
     """All nonzero ideals of norm <= max_norm, sorted by (norm, hnf)."""
-    prime_pool = []
-    for p in prime_table(max_norm):
-        for pid in split_prime(field, p):
-            if pid.norm <= max_norm:
-                prime_pool.append(pid)
+    prime_pool = prime_ideals(field, max_norm)
     out = []
 
     def rec(idx, current, norm):

@@ -1,18 +1,21 @@
 """Constructive tower of quadratic extensions over a unit-generated order.
 
-The loop: starting from the order generated by the supplied units, search
-for an element w outside the current order whose discriminant value
-w^2 - 4 eta avoids the accumulated prime set and passes the step
-certificate (step_refusal: nonzero, odd, not a square, squarefree), the
-one rule that both the search and quadratic_step apply; adjoin it, halve
-the index, repeat.  Each accepted step certifies a quadratic extension
-K(alpha), alpha^2 = w alpha - eta, whose ring of integers is the full
-polynomial ring O_K[alpha] because every ramified prime carries
-discriminant valuation exactly 1.  A compositum basis of products of the
-alphas then exhibits the top ring of integers as generated by units over
-the base.  The hypotheses on eta (in the order, not a square) are checked
-once, by density.check_eta, when a Tower is made and when find_omega
-starts; build_tower adds that eta is a unit.
+The loop: starting from the order generated by the supplied units (which
+holds their inverses, see unit_order), search for an element w outside
+the current order whose discriminant value w^2 - 4 eta avoids the
+accumulated prime set and passes the step certificate (step_refusal:
+nonzero, odd, not a square, squarefree), the one rule that both the
+search and quadratic_step apply; adjoin it, halve the index, repeat.
+Each accepted step certifies a quadratic extension K(alpha),
+alpha^2 = w alpha - eta, whose ring of integers is the full polynomial
+ring O_K[alpha] because every ramified prime carries discriminant
+valuation exactly 1.  A compositum basis of products of the alphas then
+exhibits the top ring of integers as generated by units over the base:
+the step discriminants are pairwise coprime (check (d) of
+verify_unit_generation), so those products span it.  The hypotheses on
+eta (in the order, not a square) are checked once, by density.check_eta,
+when a Tower is made and when find_omega starts; build_tower adds that
+eta is a unit.
 """
 
 from dataclasses import asdict, dataclass
@@ -48,10 +51,9 @@ class Tower:
     """A tower is its inputs: the field, the start order, the eta and
     the steps, which `extend` grows one omega at a time.  What the steps
     imply is derived there, once per step: the chain of orders from the
-    start order, the steps that enlarge the compositum basis (`kept`) and
-    the relative discriminant of the top field over K.  Raises
-    HypothesisError unless eta lies in the start order and is not a
-    square (density.check_eta)."""
+    start order and the steps that enlarge the compositum basis (`kept`).
+    Raises HypothesisError unless eta lies in the start order and is not
+    a square (density.check_eta)."""
 
     def __init__(self, field, start_order, eta):
         check_eta(start_order, eta)
@@ -61,7 +63,6 @@ class Tower:
         self.steps = []
         self.orders = [start_order]
         self.kept = []
-        self.relative_disc = IdealLattice.unit_ideal(field)
 
     @property
     def final_index(self):
@@ -95,10 +96,6 @@ class Tower:
                     "step discriminants are not pairwise coprime; "
                     "the compositum basis construction does not apply"
                 )
-            # D_{LL'} = D_L^{[L':K]} * D_{L'}^{[L:K]}, iterated over the steps.
-            self.relative_disc = (self.relative_disc * self.relative_disc) * (
-                step.disc_ideal ** (1 << len(kept))
-            )
             self.kept.append(len(self.steps))
         self.orders.append(self.orders[-1].adjoin(omega))
         self.steps.append(step)
@@ -106,17 +103,18 @@ class Tower:
 
 
 def unit_order(field, unit_gens):
-    """The order generated by 1 and the given units with their inverses.
+    """The order generated by 1 and the given units, which holds their
+    inverses: a unit u is a root of its characteristic polynomial
+    X^n + c_{n-1} X^{n-1} + ... + c_0 with c_0 = +-1, so
+    u^-1 = -c_0 (u^{n-1} + c_{n-1} u^{n-2} + ... + c_1) lies in Z[u].
 
     Rejects non-units; rejects generator sets whose ring closure does not
     reach full rank (the ring would not be an order).
     """
-    rows = [field.one_coords]
     for u in unit_gens:
-        if abs(u.norm()) != 1:
+        if not u.is_unit():
             raise ValueError(f"generator with norm {u.norm()} is not a unit")
-        rows += [u.coords, u.inverse().coords]
-    return SubOrder.generated(field, rows)
+    return SubOrder.generated(field, [field.one_coords] + [u.coords for u in unit_gens])
 
 
 def candidate_elements(field):
@@ -191,7 +189,7 @@ def build_tower(field, start_order, eta, search_bound=2000):
     eta's), then extend the tower by the first admissible omega until
     its top order is maximal, each step at least halving the index."""
     check_hypotheses(field)
-    if abs(eta.norm()) != 1:
+    if not eta.is_unit():
         raise HypothesisError("eta must be a unit")
 
     tower = Tower(field, start_order, eta)
@@ -248,7 +246,7 @@ def verify_unit_generation(tower):
         start index.
     """
     field = tower.field
-    eta_ok = abs(tower.eta.norm()) == 1
+    eta_ok = tower.eta.is_unit()
     char_polys = [alpha_char_poly(st.omega, tower.eta) for st in tower.steps]
     symbolic_ok = all(cp[-1] == 1 and cp[0] in (1, -1) for cp in char_polys)
     reaches = tower.orders[-1].is_maximal()

@@ -304,6 +304,27 @@ def test_region_beyond_the_walk_cap_is_exhaustion(tmp_path, capsys, min_poly, et
     assert diag["error"] == "exhausted" and "region line walk" in diag["message"]
 
 
+NO_UNITS = {"name": "Q(sqrt5)", "min_poly": [-1, -1, 1]}
+
+
+@pytest.mark.parametrize("command, document, needle", [
+    # Without declared units the start order and eta must both be given.
+    (["tower", "--field"], NO_UNITS, "no start order"),
+    (["tower", "--order", "maximal", "--field"], NO_UNITS, "no eta given"),
+    # JSON, but a list where the tower object belongs.
+    (["verify", "--tower"], [1, 2], "must hold a JSON object"),
+])
+def test_json_file_lacking_what_the_command_needs_is_config(command, document, needle, tmp_path,
+                                                            capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    assert main(command + [str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    diag = last_diag(err)
+    assert diag["error"] == "config" and needle in diag["message"]
+
+
 def test_tower_refuses_when_every_unit_is_a_square(tmp_path, capsys):
     # The only declared unit is theta^2 = 1 + theta, and no eta is given.
     spec = tmp_path / "square_unit.json"
@@ -322,12 +343,21 @@ def test_tower_refuses_when_every_unit_is_a_square(tmp_path, capsys):
      "--search-bound"),
     (["belcher", "--table", "0"], "--table"),
     (["belcher", "--table", "-5"], "--table"),
+    (["count", "--field", "q_sqrt5", "--eta=a,b", "--boxes", "100"], "bad coordinate vector"),
+    (["count", "--field", "q_sqrt5", "--eta=0,1", "--exclude", "x", "--boxes", "100"],
+     "bad rational prime"),
+    (["count", "--field", "q_sqrt5", "--eta=0,1", "--boxes", "100,100"], "strictly increasing"),
+    (["count", "--field", "q_sqrt5", "--eta=0,1", "--boxes", "0,100"], "at least 1"),
+    (["count", "--field", "q_sqrt5", "--eta=0,1", "--boxes", "100", "--out",
+      "{tmp}/missing/report.tsv"], "cannot write --out"),
+    (["count", "--field", "q_sqrt5", "--order", "nope", "--eta=0,1", "--boxes", "100"],
+     "unknown order"),
 ])
-def test_usage_error_is_config_diagnostic(argv, needle, capsys):
+def test_usage_error_is_config_diagnostic(argv, needle, tmp_path, capsys):
     # argparse would exit 2 (documented as a hypothesis violation) with a
     # usage text; a bad argument, refused by argparse or by a subcommand
     # (a bound below 1), is a one-line exit-4 diagnostic instead.
-    assert main(argv) == EXIT_CONFIG
+    assert main([a.format(tmp=tmp_path) for a in argv]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1
     diag = last_diag(err)
@@ -392,6 +422,7 @@ def test_exit_code_internal(monkeypatch, capsys):
     {"min_poly": [-1, -1, 1], "orders": {"A": [[1, 0], [0, 2.0]]}},
     {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, True]]},
     {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, 0]]},
+    {"min_poly": [-1, -1, 1], "units": [[2, 0]]},  # norm 4: not a unit
 ])
 def test_malformed_field_spec_is_config(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -183,6 +183,21 @@ def test_fixed_divisor_detection(q5):
         DensityParams(order=SubOrder.maximal(q5), poly=g, excluded=(), m=2)
 
 
+def test_fixed_divisor_below_the_mth_power():
+    # X^2 - X + 2 over Q(i): alpha (alpha - 1) lies in P = (1 + i), whose
+    # residue field is F_2, so every value lies in P; f(0) = 2 lies in
+    # P^2 = (2) but f(i) = 1 - i does not.  The sample gcd is P, with
+    # exponent 1 < m, so the search ends without a witness.
+    qi = NumberField([1, 0, 1])
+    f = SievePolynomial([qi.rational(2), -qi.one, qi.one])
+    (pid,) = split_prime(qi, 2)
+    assert all(pid.ideal.contains(f(qi.element(v))) for v in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    assert not IdealLattice.from_integer(qi, 2).contains(f(qi.theta))
+    assert count_roots_prime_power(f, pid, 2) < pid.norm**2
+    assert find_fixed_divisor_mth_power(f, 2) is None
+    DensityParams(order=SubOrder.maximal(qi), poly=f, excluded=(), m=2)
+
+
 def test_euler_density_zero_witness_path(q5):
     # Bypass parameter validation to reach the Euler product itself:
     # 4(X^2+X+1) has (2)^2 as a fixed divisor, so the local factor at the
@@ -265,6 +280,26 @@ def test_bad_reduction_primes(q5, f_theta):
     bad = bad_reduction_primes(f_theta)
     # disc(X^2 - 4 theta) = 16 theta, supported at (2) only (theta is a unit).
     assert {pid.p for pid in bad} == {2}
+
+
+def test_bad_reduction_primes_hold_the_leading_coefficient():
+    # lead(f) divides Res(f, f') = -a (b^2 - 4ac), so the support of
+    # Res(f, f') alone holds every prime of the leading coefficient.
+    cases = 0
+    for min_poly in ([-1, -1, 1], [-2, 0, 1], [1, 0, 1], [-1, -1, 0, 1], [1, 0, 0, 0, 1]):
+        field = NumberField(min_poly)
+        th, one = field.theta, field.one
+        for a in (2 * one, 3 * one, 6 * one, one + th, one):
+            for b, c in ((one, th), (th, one), (field.zero, 3 * one + th), (one, 2 * th - one)):
+                try:
+                    poly = SievePolynomial([c, b, a])
+                except SieveInputError:
+                    continue  # reducible
+                res = -(a * (b * b - 4 * (a * c)))
+                want = {pid for x in (a, res) for pid, _ in IdealLattice.principal(x).factor()}
+                assert bad_reduction_primes(poly) == want, (min_poly, a, b, c)
+                cases += 1
+    assert cases == 98
 
 
 coords3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))

@@ -332,32 +332,7 @@ def test_region_box_validation(q5):
     with pytest.raises(ValueError):
         RegionBox((0, 1), [4, 5])  # mismatched complex pair
     box = RegionBox.cube(q5.signature, 1000)
-    assert box.volume() == 1000
     assert box.bounds_sq == (Fraction(1000), Fraction(1000))
-
-
-def test_embed_sigma_wrapper(q5):
-    from unitring.geometry import embed_sigma
-
-    mids, radius = embed_sigma(q5.theta, 96)
-    assert len(mids) == 2
-    assert radius <= Fraction(1, 1 << 90)
-    assert abs(mids[0] - Fraction(-0.618)) < Fraction(1, 100)
-    assert abs(mids[1] - Fraction(1.618)) < Fraction(1, 100)
-    one_mids, one_rad = embed_sigma(q5.one, 64)
-    assert all(abs(m - 1) <= one_rad for m in one_mids)
-
-
-def test_embed_sigma_signature_1_1():
-    from unitring.geometry import embed_sigma
-
-    cubic = NumberField([-2, -1, 0, 1])
-    mids, radius = embed_sigma(cubic.one, 64)
-    assert len(mids) == 3
-    # sigma(1) = (1, 1, 0): real part 1, imaginary 0.
-    assert abs(mids[0] - 1) <= radius
-    assert abs(mids[1] - 1) <= radius
-    assert abs(mids[2]) <= radius
 
 
 def test_successive_minima_wrapper(q5):

@@ -28,6 +28,7 @@ from unitring.ideal import (
     split_prime,
 )
 from unitring.intfactor import prime_table
+from unitring.linalg import reduce_mod_lattice
 from unitring.order import SubOrder
 
 
@@ -169,7 +170,7 @@ def test_residue_systems(q5):
     two = IdealLattice.from_integer(q5, 2)
     res = list(two.residues())
     assert len(res) == 4
-    assert len({two.reduce(r).coords for r in res}) == 4
+    assert len({reduce_mod_lattice(r.coords, two.hnf) for r in res}) == 4
     with pytest.raises(ResidueCapError):
         list(IdealLattice.from_integer(q5, 2000).residues())  # norm 4 * 10**6
 

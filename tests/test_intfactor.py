@@ -13,6 +13,7 @@ from unitring.intfactor import (
     SMOOTH_BOUND,
     TRIAL_LIMIT,
     PrimalityUnproven,
+    _brent_rho,
     exact_root,
     factor,
     iroot,
@@ -274,6 +275,24 @@ def test_factor_one_and_sign():
 def test_prime_table_contents():
     assert list(prime_table(20)) == [2, 3, 5, 7, 11, 13, 17, 19]
     assert len(prime_table(1)) == 0
+
+
+def test_brent_rho_splits_every_small_odd_composite():
+    primes = set(prime_table(2 * 10**4))
+    composites = [n for n in range(9, 2 * 10**4, 2) if n not in primes]
+    assert len(composites) == 7738
+    for n in composites:
+        g = _brent_rho(n)
+        assert 1 < g < n and n % g == 0, n
+
+
+def test_brent_rho_backtrack_and_even_input():
+    # With the one seed c = 1 the batched gcd of these reaches n itself;
+    # only the step-by-step backtrack from the saved ys finds the factor.
+    for n in (49, 55, 65, 77, 91):
+        g = _brent_rho(n, seeds=1)
+        assert 1 < g < n and n % g == 0, n
+    assert _brent_rho(2 * 1_000_003) == 2
 
 
 def test_psi13_is_not_called_prime():

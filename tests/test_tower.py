@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from itertools import product
 from math import isqrt
 from pathlib import Path
 
@@ -48,6 +49,58 @@ def test_unit_order_examples(q5, eta):
         unit_order(q5, [q5.one])  # rank deficient
     with pytest.raises(ValueError):
         unit_order(q5, [q5.rational(2)])  # not a unit
+
+
+# The five fields of the differential tests, each with the coordinate
+# range its units are drawn from: Q(sqrt5), Q(sqrt2), Q(i), cubic-23 and
+# X^4 + 1.
+UNIT_FIELDS = [([-1, -1, 1], 3), ([-2, 0, 1], 3), ([1, 0, 1], 3), ([-1, -1, 0, 1], 2),
+               ([1, 0, 0, 0, 1], 1)]
+
+
+def small_units(field, bound):
+    return [u for u in map(field.element, product(range(-bound, bound + 1), repeat=field.degree))
+            if not u.is_zero() and u.is_unit()]
+
+
+def unit_inverse(u):
+    """u^-1 = -c_0 (u^{n-1} + c_{n-1} u^{n-2} + ... + c_1) from the
+    characteristic polynomial c_0 + c_1 X + ... + X^n of the unit u."""
+    cp = u.char_poly()
+    acc = u.field.zero
+    for c in reversed(cp[1:]):
+        acc = acc * u + u.field.rational(c)
+    assert acc * u * (-cp[0]) == u.field.one
+    return acc * (-cp[0])
+
+
+def generated_or_refused(generate):
+    try:
+        return generate().basis_hnf
+    except ValueError as e:
+        assert "rank" in str(e)
+        return "rank"
+
+
+def test_unit_order_holds_the_inverses():
+    # A unit's inverse lies in the ring its powers generate, so the order
+    # of 1 and the units equals the order of 1, the units and their
+    # inverses; either both refuse for rank or both are the same order.
+    indices = set()
+    cases = 0
+    for min_poly, bound in UNIT_FIELDS:
+        field = NumberField(min_poly)
+        units = small_units(field, bound)
+        for gens in [[u] for u in units] + [list(pair) for pair in zip(units, units[1:])]:
+            rows = [field.one_coords]
+            for u in gens:
+                rows += [u.coords, unit_inverse(u).coords]
+            want = generated_or_refused(lambda: SubOrder.generated(field, rows))
+            assert generated_or_refused(lambda: unit_order(field, gens)) == want, (min_poly, gens)
+            if want != "rank":
+                indices.add(SubOrder(field, want).index)
+            cases += 1
+    assert cases == 167 and min(indices) == 1 and max(indices) == 8
 
 
 def test_candidate_order_prefix(q5):
@@ -168,21 +221,18 @@ def test_compositum_single_and_pair(q5, eta, z_sqrt5):
     tower = Tower(q5, z_sqrt5, eta)
     st1 = tower.extend(q5.theta)
     assert tower.compositum_sets == [frozenset(), frozenset({0})]
-    assert tower.relative_disc == st1.disc_ideal
     # A second step with coprime discriminant: omega = 1 + theta, norm -11.
     st2 = tower.extend(q5.one + q5.theta)
     assert st2.disc_ideal.is_coprime(st1.disc_ideal)
     assert tower.compositum_sets == [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-    assert tower.relative_disc == (st1.disc_ideal ** 2) * (st2.disc_ideal ** 2)
     assert [o.index for o in tower.orders] == [2, 1, 1]
 
 
 def test_compositum_collapse(q5, eta, z_sqrt5):
     tower = Tower(q5, z_sqrt5, eta)
-    st1 = tower.extend(q5.theta)
+    tower.extend(q5.theta)
     tower.extend(-q5.theta)  # same discriminant value
     assert tower.compositum_sets == [frozenset(), frozenset({0})]
-    assert tower.relative_disc == st1.disc_ideal
     assert len(tower.steps) == 2
     # Two steps with one discriminant, and two steps from index 2.
     report = verify_unit_generation(tower)
@@ -206,6 +256,25 @@ def test_two_step_tower_verifies(q5):
     doc = dict(_tower_to_json("q_sqrt5", tower), verification=report.as_dict())
     assert json.loads(TWO_STEP_TOWER.read_text()) == doc
     assert main(["verify", "--tower", str(TWO_STEP_TOWER)]) == 0
+
+
+UNIT_ORDER_TOWER = Path(__file__).parent / "fixtures" / "tower_q_sqrt5_unit_order.json"
+
+
+def test_tower_from_the_unit_order(tmp_path):
+    # With no --order and no --eta, tower starts at the order of the
+    # declared unit -theta^6 = (-5, -8), which is Z + 8 O_K, takes that
+    # unit as eta and needs one step, omega = theta.
+    spec = tmp_path / "q5_units.json"
+    spec.write_text(json.dumps({"name": "Q(sqrt5)", "min_poly": [-1, -1, 1],
+                                "units": [[-5, -8]]}))
+    out = tmp_path / "tower.json"
+    assert main(["tower", "--field", str(spec), "--out", str(out)]) == 0
+    assert out.read_bytes() == UNIT_ORDER_TOWER.read_bytes()
+    doc = json.loads(out.read_text())
+    assert doc["start_order"] == [[1, 0], [0, 8]] and doc["eta"] == [-5, -8]
+    assert [st["omega"] for st in doc["steps"]] == [[0, 1]]
+    assert main(["verify", "--tower", str(UNIT_ORDER_TOWER)]) == 0
 
 
 def test_compositum_coprimality_error(q5, eta, z_sqrt5):
@@ -267,7 +336,6 @@ def test_build_tower_deterministic(q5, eta, z_sqrt5):
     t1 = build_tower(q5, start_order=z_sqrt5, eta=eta)
     t2 = build_tower(q5, start_order=z_sqrt5, eta=eta)
     assert [s.omega.coords for s in t1.steps] == [s.omega.coords for s in t2.steps]
-    assert t1.relative_disc == t2.relative_disc
 
 
 def test_build_tower_index_halving(q5, eta):

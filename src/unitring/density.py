@@ -6,9 +6,11 @@ comparison.
 The local root count L(P^e) is decided in one place,
 count_roots_prime_power, and every Euler factor, the excluded product,
 the fixed-divisor check and the density gap read it there.  Wherever the
-reduced polynomial is separable it is a residue-field gcd count: each
-root is simple and lifts uniquely to every prime power (Hensel), so no
-root is ever found.  Only an inseparable reduction, at a prime of bad
+reduced polynomial is separable, which fpoly decides, it is fpoly's
+residue-field root count: a Legendre symbol of the discriminant for a
+quadratic over an odd F_p, otherwise deg gcd(X^q - X, f).  Each root is
+simple and lifts uniquely to every prime power (Hensel), so no root is
+ever found.  Only an inseparable reduction, at a prime of bad
 reduction, finds its roots, lifts the simple ones and counts the lifts of
 the multiple ones by brute force; a reduction that vanishes counts N(P)^e
 when every coefficient lies in P^e.  Every brute-force walk, the lifts
@@ -46,7 +48,7 @@ from .intervals import RatInterval
 from .intfactor import mth_power_primes
 from .linalg import lattice_sum
 from .order import SubOrder
-from .poly import deriv, evaluate, gcd, trim
+from .poly import deriv, evaluate, trim
 from .rootiso import resultant
 
 
@@ -132,24 +134,23 @@ def count_roots_prime_power(poly, pid, e):
     """L(P^e): number of roots of the polynomial in O_K / P^e.
 
     A separable reduction f-bar has only simple roots, each lifting
-    uniquely to every P^e, so L(P^e) = L(P) is a gcd count.  Otherwise the
-    roots are found and the multiple ones lifted by brute force.
+    uniquely to every P^e, so L(P^e) = L(P), a residue-field count.
+    Otherwise the roots are found and the multiple ones lifted by brute force.
     """
     fbar, fq = _reduce_to_residue_field(poly, pid)
-    zero = (fq.zero,)
-    if fbar == zero:
+    if fbar == (fq.zero,):
         # Every value lies in P^e when every coefficient does (always at
         # e = 1, as f-bar = 0); otherwise by brute force.
         target = prime_power(pid, e)
         if all(target.contains(c) for c in poly.coeffs):
             return fq.q**e
         return root_count_bruteforce(poly, target)
-    dbar = deriv(fbar, fq)
-    if e == 1 or (dbar != zero and len(gcd(fbar, dbar, fq)) == 1):
+    if e == 1 or fpoly.is_separable(fbar, fq):
         return fpoly.count_roots_in_fq(fbar, fq)
+    dbar = deriv(fbar, fq)
     count = 0
     for root in fpoly.roots_in_fq(fbar, fq):
-        if dbar != zero and evaluate(dbar, root, fq) != fq.zero:
+        if evaluate(dbar, root, fq) != fq.zero:
             count += 1  # simple root lifts uniquely to every P^e
         else:
             count += _count_lifts_bruteforce(poly, pid, e, root, fq)
@@ -347,14 +348,16 @@ def euler_density(params, truncation_norm):
     lower end positive.  The transcendental prefactor
     (2 pi)^s / (sqrt|d_K| [O_K : O]) enters as an interval.
     """
-    field_k = params.field
-    order = params.order
-    poly = params.poly
-    m = params.m
-    n = field_k.degree
-    g = poly.degree
+    return _euler_densities((params,), truncation_norm)[0]
 
-    T = truncation_norm
+
+def _euler_densities(params_seq, T):
+    """euler_density of each params; they share the field, polynomial,
+    exclusions and m, all the main product reads, so it runs once."""
+    params = params_seq[0]
+    field_k, poly, m = params.field, params.poly, params.m
+    n, g = field_k.degree, poly.degree
+
     if T < 1:
         raise SieveInputError("truncation norm must be at least 1")
     tail_low = 1 - Fraction(n * g, (m - 1) * T ** (m - 1))
@@ -362,10 +365,9 @@ def euler_density(params, truncation_norm):
         raise SieveInputError("truncation norm too small for a positive tail bound")
 
     excluded = set(params.excluded)
-    cond_sum = conductor_sum(params)
-
-    excl_prod = local_product(poly, sorted(excluded - set(order.conductor_support()),
-                                           key=lambda q: q.sort_key()))
+    sides = [(conductor_sum(p), local_product(poly, sorted(
+        excluded - set(p.order.conductor_support()), key=lambda q: q.sort_key())))
+        for p in params_seq]
 
     # The prime ideals of norm <= T, then the bad-reduction primes above T.
     small = prime_ideals(field_k, T)
@@ -381,15 +383,14 @@ def euler_density(params, truncation_norm):
         main_den *= npm
 
     main_exact = Fraction(main_num, main_den)
-    prefactor = lattice_point_density(field_k) * Fraction(1, order.index)
-    d_iv = prefactor * cond_sum * excl_prod * RatInterval(main_exact * tail_low, main_exact)
-    return DensityReport(
-        d_lower=d_iv.lo,
-        d_upper=d_iv.hi,
-        conductor_sum=cond_sum,
-        excluded_product=excl_prod,
-        exponent_data=error_exponent(n, g, m),
-    )
+    main_iv = RatInterval(main_exact * tail_low, main_exact)
+    reports = []
+    for p, (cond_sum, excl_prod) in zip(params_seq, sides):
+        prefactor = lattice_point_density(field_k) * Fraction(1, p.order.index)
+        d_iv = prefactor * cond_sum * excl_prod * main_iv
+        reports.append(DensityReport(d_iv.lo, d_iv.hi, cond_sum, excl_prod,
+                                     error_exponent(n, g, m)))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +624,11 @@ def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     poly = SievePolynomial.x_squared_minus(4 * eta)
     full_excluded = with_conductor_support(order, excluded)
     params_o = DensityParams(order=order, poly=poly, excluded=full_excluded, m=2)
-    d_order = euler_density(params_o, truncation_norm)
+    params_k = DensityParams(order=SubOrder.maximal(field_k), poly=poly,
+                             excluded=full_excluded, m=2)
+    d_order, d_max = _euler_densities((params_o, params_k), truncation_norm)
     lhs = Fraction(1, order.index) * d_order.conductor_sum
     rhs = local_product(poly, order.conductor_support())
-    maximal = SubOrder.maximal(field_k)
-    params_k = DensityParams(order=maximal, poly=poly, excluded=full_excluded, m=2)
-    d_max = euler_density(params_k, truncation_norm)
     return GapReport(
         lhs=lhs,
         rhs=rhs,

@@ -6,12 +6,16 @@ the field.  F_p is `PrimeField(p)` on plain ints; a residue field O_K/P is
 `residue_field(p, g)`, again a `PrimeField` at residue degree 1 and a
 `ResidueField` on coefficient tuples above it.
 
-Factorization is squarefree decomposition + distinct-degree + equal-degree
-splitting.  Roots in F_q come from gcd(X^q - X, f), split by
-Cantor-Zassenhaus for every field size; no field is scanned element by
-element.  The splitting stages need random elements; randomness comes
-from a small deterministic LCG seeded by (p, poly) so factorizations are
-reproducible across runs and platforms.
+A quadratic aX^2 + bX + c over an odd prime field takes the discriminant
+route: D = b^2 - 4ac gives one Legendre symbol and at most one
+Tonelli-Shanks square root, and the roots (-b +- sqrt D)/(2a).  Degree
+>= 3, p = 2 and residue degree >= 2 take the generic route, also the
+discriminant route's oracle: factorization is squarefree decomposition +
+distinct-degree + equal-degree splitting, and roots in F_q come from
+gcd(X^q - X, f), split by Cantor-Zassenhaus for every field size; no field
+is scanned element by element.  The splitting stages need random
+elements; randomness comes from a small deterministic LCG seeded by
+(p, poly) so factorizations are reproducible across runs and platforms.
 """
 
 from .poly import (
@@ -138,6 +142,22 @@ def _rng_for(f, K):
     return _LCG(seed)
 
 
+def _discriminant(f, F):
+    """b^2 - 4ac of f = aX^2 + bX + c over an odd prime field, else None."""
+    if len(f) == 3 and F.f == 1 and F.p != 2:
+        return (f[1] * f[1] - 4 * f[2] * f[0]) % F.p
+    return None
+
+
+def _quadratic_roots(f, F, disc):
+    """The sorted distinct roots (-b +- sqrt disc)/(2a) of the quadratic f."""
+    if F.legendre(disc) < 0:
+        return []
+    p, s, b = F.p, F.sqrt(disc), f[1]
+    inv = pow(2 * f[2], -1, p)
+    return sorted({(s - b) * inv % p, (-s - b) * inv % p})
+
+
 def factor_mod_p(poly, p):
     """Deterministic factorization of poly over F_p.
 
@@ -148,6 +168,10 @@ def factor_mod_p(poly, p):
     if len(f) <= 1:
         raise ValueError("cannot factor a constant polynomial")
     f = monic(f, F)
+    disc = _discriminant(f, F)
+    if disc is not None:
+        roots = _quadratic_roots(f, F, disc)  # a lone root is double
+        return sorted(((-r % p, 1), 3 - len(roots)) for r in roots) or [(f, 1)]
     rng = _rng_for(f, F)
     out = []
     for sq, mult in _squarefree_decomposition(f, F):
@@ -188,6 +212,9 @@ def count_roots_in_fq(f, fq):
     """
     if f == (fq.zero,):
         raise ValueError("zero polynomial")
+    disc = _discriminant(f, fq)
+    if disc is not None:
+        return 1 + fq.legendre(disc)
     return len(_linear_part(f, fq)) - 1
 
 
@@ -196,7 +223,18 @@ def roots_in_fq(f, fq):
     negated, of the linear factors of gcd(X^q - X, f)."""
     if f == (fq.zero,):
         raise ValueError("zero polynomial")
+    disc = _discriminant(f, fq)
+    if disc is not None:
+        return _quadratic_roots(f, fq, disc)
     g = _linear_part(f, fq)
     if len(g) == 1:
         return []
     return sorted(fq.sub(fq.zero, h[0]) for h in _equal_degree_split(g, 1, fq, _rng_for(g, fq)))
+
+
+def is_separable(f, fq):
+    """Whether nonzero f over F_q has no repeated root: gcd(f, f') = 1."""
+    disc = _discriminant(f, fq)
+    if disc is not None:
+        return disc != 0
+    return len(gcd(f, deriv(f, fq), fq)) == 1

@@ -270,6 +270,28 @@ class PrimeField:
     def inv(self, a):
         return pow(a, -1, self.p)
 
+    def legendre(self, a):
+        """The Legendre symbol (a/p) in {-1, 0, 1} by Euler's criterion; p odd."""
+        r = pow(a, (self.p - 1) // 2, self.p)
+        return -1 if r == self.p - 1 else r
+
+    def sqrt(self, a):
+        """A square root of the square a, p odd, by Tonelli-Shanks: r^2 = a t
+        holds throughout while each round lowers the 2-power order of t."""
+        p = self.p
+        s = ((p - 1) & (1 - p)).bit_length() - 1
+        q = (p - 1) >> s
+        t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
+        if t > 1:
+            c = pow(next(z for z in range(2, p) if self.legendre(z) < 0), q, p)
+        while t > 1:
+            i, u = 0, t
+            while u != 1:
+                u, i = u * u % p, i + 1
+            b = pow(c, 1 << (s - i - 1), p)
+            s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+        return r
+
     def scalar(self, k):
         return k % self.p
 

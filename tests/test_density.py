@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,11 +17,13 @@ from unitring.ideal import (
 from unitring.intfactor import prime_table
 from unitring.poly import trim
 from unitring.order import SubOrder
+from unitring import density
 from unitring.density import (
     _poly_discriminant_element,
     _reduce_to_residue_field,
     DensityParams,
     FixedDivisorError,
+    GapReport,
     HypothesisError,
     SieveInputError,
     SievePolynomial,
@@ -34,12 +37,14 @@ from unitring.density import (
     error_exponent,
     euler_density,
     find_fixed_divisor_mth_power,
+    local_product,
     mfree_threshold,
     root_count,
     root_count_bruteforce,
     root_count_order,
     root_count_order_bruteforce,
     run_norms,
+    with_conductor_support,
 )
 
 
@@ -602,6 +607,37 @@ def test_gap_check_exact_values(q5, eta, z_sqrt5):
     assert gap.rhs == Fraction(3, 4)
     assert gap.strict_gap
     assert gap.d_order.d_upper < gap.d_maximal.d_lower  # D_O < D visibly
+
+
+def test_gap_check_runs_the_main_product_once(monkeypatch, q5, eta, z_sqrt5):
+    # The order's and O_K's reports share the polynomial, the exclusions,
+    # m = 2 and T, so their main product's local factors run once: half
+    # the calls at e = 2 of two independent euler_density calls.
+    calls = Counter()
+
+    def counted(poly, pid, e):
+        calls[pid.p, pid.generator_poly, e] += 1
+        return count_roots_prime_power(poly, pid, e)
+
+    ps2 = tuple(split_prime(q5, 2))
+    poly = SievePolynomial.x_squared_minus(4 * eta)
+    excluded = with_conductor_support(z_sqrt5, ps2)
+    params = [DensityParams(order=o, poly=poly, excluded=excluded, m=2)
+              for o in (z_sqrt5, SubOrder.maximal(q5))]
+    monkeypatch.setattr(density, "count_roots_prime_power", counted)
+    gap = density_gap_check(z_sqrt5, eta, ps2, truncation_norm=1000)
+    shared = calls.copy()
+    calls.clear()
+    d_order, d_max = (euler_density(p, 1000) for p in params)
+    twice = calls.copy()
+    monkeypatch.undo()
+    lhs = Fraction(1, z_sqrt5.index) * d_order.conductor_sum
+    rhs = local_product(poly, z_sqrt5.conductor_support())
+    assert gap == GapReport(lhs, rhs, lhs < rhs, d_order, d_max)
+    main = {k for k in twice if k[2] == 2}
+    assert len(main) > 100
+    assert all(twice[k] == 2 * shared[k] for k in main)
+    assert {k for k in shared if k[2] == 2} == main
 
 
 def test_gap_check_rejects_maximal(q5, eta):

@@ -2,13 +2,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unitring import fpoly
+from unitring.field import NumberField
 from unitring.fpoly import (
+    _distinct_degree,
+    _equal_degree_split,
+    _linear_part,
+    _rng_for,
+    _squarefree_decomposition,
     count_roots_in_fq,
     factor_mod_p,
+    is_separable,
     residue_field,
     roots_in_fq,
 )
-from unitring.poly import PrimeField, evaluate, gcd, mul
+from unitring.ideal import prime_ideals
+from unitring.poly import PrimeField, deriv, evaluate, gcd, monic, mul, trim
 
 
 def brute_roots_mod_p(poly, p):
@@ -152,3 +161,87 @@ def test_gcd_normalization():
     # (X+1)(X+2) and (X+1)(X+3) share exactly X+1.
     assert gcd((2, 3, 1), (3, 4, 1), F) == (1, 1)
     assert gcd((4, 6, 2), (3, 4, 1), F) == (1, 1)
+
+
+# The discriminant route for quadratics over odd F_p against the generic
+# route it bypasses: squarefree decomposition, distinct-degree and
+# equal-degree splitting, and gcd(X^p - X, f).
+
+
+def generic_factor_mod_p(poly, p):
+    F = PrimeField(p)
+    f = monic(trim([c % p for c in poly], F), F)
+    rng = _rng_for(f, F)
+    return sorted((fac, mult) for sq, mult in _squarefree_decomposition(f, F)
+                  for prod, d in _distinct_degree(sq, F)
+                  for fac in _equal_degree_split(prod, d, F, rng))
+
+
+def generic_roots(f, F):
+    g = _linear_part(f, F)
+    if len(g) == 1:
+        return []
+    return sorted(F.sub(0, h[0]) for h in _equal_degree_split(g, 1, F, _rng_for(g, F)))
+
+
+def assert_routes_agree(poly, p, oracle):
+    """factor_mod_p, count_roots_in_fq, roots_in_fq and is_separable on
+    poly = (c, b, a) over F_p against the generic route.  `oracle` caches
+    the generic results by monic form, the only thing they depend on."""
+    F = PrimeField(p)
+    f = trim([c % p for c in poly], F)
+    if f == (0,):
+        return
+    key = monic(f, F)
+    if key not in oracle:
+        oracle[key] = (generic_roots(key, F), len(gcd(key, deriv(key, F), F)) == 1,
+                       generic_factor_mod_p(key, p) if len(key) > 1 else None)
+    roots, separable, factors = oracle[key]
+    assert roots_in_fq(f, F) == roots, (poly, p)
+    assert count_roots_in_fq(f, F) == len(roots), (poly, p)
+    assert is_separable(f, F) == separable, (poly, p)
+    if factors is not None:
+        assert factor_mod_p(poly, p) == factors, (poly, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_quadratic_route_every_coefficient_triple(p):
+    # Every (a, b, c) mod p, so every discriminant class, p | a included.
+    oracle = {}
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                assert_routes_agree((c, b, a), p, oracle)
+
+
+# p - 1 divisible by 2^5, 2^6, 2^8, 2^9, 2^12 and 2^16, so that
+# Tonelli-Shanks runs several rounds, and primes 3 mod 4.
+@pytest.mark.parametrize("p", [97, 193, 257, 7681, 12289, 65537, 103, 4099, 131071, 1000003])
+def test_quadratic_route_random(p):
+    import random
+
+    rng = random.Random(p)
+    oracle = {}
+    for _ in range(60):
+        r, s = rng.randrange(p), rng.randrange(p)
+        a = rng.randrange(1, p)
+        # A split quadratic, a double root and a random one (irreducible
+        # about half the time).
+        for poly in ((a * r * s, -a * (r + s), a), (a * r * r, -2 * a * r, a),
+                     (rng.randrange(p), rng.randrange(p), a)):
+            assert_routes_agree(poly, p, oracle)
+    F = PrimeField(p)
+    for x in range(1, min(p, 200)):
+        assert F.sqrt(x * x % p) in (x, p - x)
+
+
+@pytest.mark.parametrize("min_poly", [[-1, -1, 1], [1, 0, 1], [-2, 0, 1]])
+def test_prime_ideals_quadratic_route(monkeypatch, min_poly):
+    # q_sqrt5, q_i and q_sqrt2; each field caches its split primes, so each
+    # route gets a fresh one.
+    def listed(field):
+        return [(q.p, q.generator_poly, q.ramification) for q in prime_ideals(field, 10**4)]
+
+    fast = listed(NumberField(min_poly))
+    monkeypatch.setattr(fpoly, "factor_mod_p", generic_factor_mod_p)
+    assert fast == listed(NumberField(min_poly))

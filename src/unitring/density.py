@@ -374,15 +374,15 @@ def _euler_densities(params_seq, T):
     large_bad = sorted((pid for pid in bad_reduction_primes(poly) if pid.norm > T),
                        key=lambda q: q.sort_key())
     # A factor with L(P^m) = N(P)^m, a fixed divisor, makes D = [0, 0].
-    main_num, main_den = 1, 1
+    nums, dens = [], []
     for pid in chain(small, large_bad):
         if pid in excluded:
             continue
         npm = pid.norm**m
-        main_num *= npm - count_roots_prime_power(poly, pid, m)
-        main_den *= npm
+        nums.append(npm - count_roots_prime_power(poly, pid, m))
+        dens.append(npm)
 
-    main_exact = Fraction(main_num, main_den)
+    main_exact = Fraction(_tree_product(nums), _tree_product(dens))
     main_iv = RatInterval(main_exact * tail_low, main_exact)
     reports = []
     for p, (cond_sum, excl_prod) in zip(params_seq, sides):
@@ -391,6 +391,15 @@ def _euler_densities(params_seq, T):
         reports.append(DensityReport(d_iv.lo, d_iv.hi, cond_sum, excl_prod,
                                      error_exponent(n, g, m)))
     return reports
+
+
+def _tree_product(xs):
+    """The product of the integers xs by a balanced tree: each level
+    multiplies neighbours of similar size, not a long product by a short
+    factor."""
+    while len(xs) > 1:
+        xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +416,14 @@ def empirical_count(params, boxes, shard=None):
     finds its sub-run of the line with its own filter and the same end
     walk (FloatRegionFilter.run) and reads its count off the prefix sums.
 
-    Each verdict starts from the integer norm N of the value (run_norms):
+    Each run pays for its value polynomial once (run_values): the integer
+    coordinates V_k of f(base + c * step) = sum_k c^k V_k.  Each verdict
+    starts from the integer norm N of the value (run_norms, from the V_k):
     N = 0 exactly when the value is 0, and a prime P above p holds it only
-    if p | N, P^m only if p^m | N; only then is the value built and tested.
-    As P^m contains p^m O_K and base, step and f lie over O_K, that test
-    depends on c mod p^m alone (c mod p for an excluded P): each run
-    memoises it by (p^m, c mod p^m) or (p, c mod p).
+    if p | N, P^m only if p^m | N; only then is the value built from the
+    V_k and tested.  As P^m contains p^m O_K and base, step and f lie over
+    O_K, that test depends on c mod p^m alone (c mod p for an excluded P):
+    each run memoises it by (p^m, c mod p^m) or (p, c mod p).
 
     shard=(index, count) restricts to one deterministic slice of that
     enumeration; summing over all indices recovers the full counts.
@@ -431,6 +442,7 @@ def empirical_count(params, boxes, shard=None):
     ]
     counts = [0] * len(boxes)
     for base, step, lo, hi in region_runs(field_k, outer, params.order.basis_hnf, shard=shard):
+        values = run_values(poly, base, step)
         memo = {}
 
         def holds(c, p, q):
@@ -438,18 +450,18 @@ def empirical_count(params, boxes, shard=None):
             # some P^m above p (q = p^m); each of them contains q O_K.
             key = (q, c % q)
             if key not in memo:
-                val = poly(field_k.element([a + c * b for a, b in zip(base, step)]))
+                val = field_k.element(value_at(values, c))
                 memo[key] = (any(ide.contains(val) for ide in excluded[p]) if q == p
                              else in_mth_power_above(val, p, m))
             return memo[key]
 
         total = 0
         prefix = [0]
-        for c, norm in enumerate(run_norms(poly, base, step, lo, hi), lo):
-            if (norm
-                    and not (excluded and any(norm % p == 0 and holds(c, p, p) for p in excluded))
-                    and not any(holds(c, p, p**m) for p in mth_power_primes(norm, m))):
-                total += 1
+        for c, norm in enumerate(run_norms(field_k, values, lo, hi), lo):
+            if norm and not (excluded and any(norm % p == 0 and holds(c, p, p) for p in excluded)):
+                primes = mth_power_primes(norm, m)
+                if not primes or not any(holds(c, p, p**m) for p in primes):
+                    total += 1
             prefix.append(total)
         for k, screen in enumerate(screens):
             a, b = (lo, hi) if screen is None else screen.run(base, step, lo, hi)
@@ -458,27 +470,43 @@ def empirical_count(params, boxes, shard=None):
     return counts
 
 
-def run_norms(poly, base, step, lo, hi):
-    """N(f(base + c * step)) for c = lo .. hi, as an iterable of ints.
+def run_values(poly, base, step):
+    """The integer coordinates V_0 .. V_g of f(base + c * step) as a
+    polynomial in c, sum_k c^k V_k: one Horner pass over O_K[c] (for
+    X^2 - 4 eta, V_2 = step^2, V_1 = 2 base step, V_0 = base^2 - 4 eta)."""
+    field_k = poly.field
+    base, step = field_k.element(base), field_k.element(step)
+    vals = [poly.coeffs[-1]]
+    for a in reversed(poly.coeffs[:-1]):
+        # vals times (base + c step), plus a.
+        vals = ([a + vals[0] * base]
+                + [v * base + w * step for v, w in zip(vals[1:], vals)]
+                + [vals[-1] * step])
+    return tuple(v.coords for v in vals)
+
+
+def value_at(values, c):
+    """The coordinates of sum_k c^k V_k, by Horner's rule."""
+    out = values[-1]
+    for v in reversed(values[:-1]):
+        out = tuple(a * c + b for a, b in zip(out, v))
+    return out
+
+
+def run_norms(field_k, values, lo, hi):
+    """N(f(base + c * step)) for c = lo .. hi, as an iterable of ints, from
+    the run's value polynomial values = run_values(poly, base, step).
 
     The value's coordinates are polynomials of degree g in c and the norm
     form is homogeneous of degree n, so the norm is an integer polynomial
     of degree D = n g in c.  The first min(hi - lo + 1, D + 1) norms come
-    from the norm form at coordinates found by g + 1 exact evaluations and
-    forward differences; each further norm costs D integer additions.
+    from the norm form at the values' coordinates; each further norm costs
+    D integer additions (forward differences).
     """
-    field_k = poly.field
-    g = poly.degree
-    D = field_k.degree * g
+    D = field_k.degree * (len(values) - 1)
     count = hi - lo + 1
-    k = min(count, D + 1)
-    vals = [
-        poly(field_k.element([a + c * b for a, b in zip(base, step)])).coords
-        for c in range(lo, lo + min(k, g + 1))
-    ]
-    if k > g + 1:
-        vals = zip(*(_poly_sequence(column, k) for column in zip(*vals)))
-    norms = [field_k.norm_of_coords(v) for v in vals]
+    norms = [field_k.norm_of_coords(value_at(values, c))
+             for c in range(lo, lo + min(count, D + 1))]
     return norms if count <= D else _poly_sequence(norms, count)
 
 

@@ -164,7 +164,8 @@ class FloatRegionFilter:
     exact ends of the run in which a line meets the region.  It computes on
     integers: _compare on the field's fixed-point embedding at FIXED_BITS."""
 
-    __slots__ = ("field", "box", "r", "s", "col_lo", "col_hi", "bound", "side_hi")
+    __slots__ = ("field", "box", "r", "s", "col_lo", "col_hi", "bound", "side_hi",
+                 "step", "step_places")
 
     def __init__(self, field, box):
         self.field = field
@@ -174,6 +175,31 @@ class FloatRegionFilter:
         self.bound = _scaled_bounds(box, FIXED_BITS)
         # sqrt(b) 2^FIXED_BITS < sqrt(bound + 1) <= isqrt(bound) + 1.
         self.side_hi = [isqrt(b) + 1 for b in self.bound]
+        self.step = self.step_places = None
+
+    def _places(self, step):
+        """The enclosures of the step at the places where it cannot vanish:
+        (i, d) at each real place i, and (j, d_re, d_im, -d_im, |d|^2) at
+        each complex place j.  Every line of a walk shares one step, so
+        they are kept for the last step seen, keyed on its value."""
+        step = tuple(step)
+        if step != self.step:
+            r, cl, ch = self.r, self.col_lo, self.col_hi
+            reals = []
+            for i in range(r):
+                d = enclose(step, cl[i], ch[i])
+                if not d[0] <= 0 <= d[1]:
+                    reals.append((i, d))
+            disks = []
+            for j in range(self.s):
+                k = r + 2 * j
+                d_re = enclose(step, cl[k], ch[k])
+                d_im = enclose(step, cl[k + 1], ch[k + 1])
+                d_sq = _norm_sq(d_re, d_im)
+                if d_sq[0] > 0:
+                    disks.append((j, d_re, d_im, (-d_im[1], -d_im[0]), d_sq))
+            self.step, self.step_places = step, (reals, disks)
+        return self.step_places
 
     def line_range(self, base, step, lo, hi):
         """Narrow the integer range lo..hi of c to the c for which
@@ -182,29 +208,24 @@ class FloatRegionFilter:
         Along the line each real embedding is linear in c and must lie in
         (0, x_i]; each complex one, t + c d, must lie in the disk of radius
         x_j, which holds when |d|^2 c + Re(t conj d) is at most
-        sqrt(x_j^2 |d|^2 - Im(t conj d)^2) in absolute value.
+        sqrt(x_j^2 |d|^2 - Im(t conj d)^2) in absolute value.  A place
+        where d may vanish bounds nothing.  Each line encloses only its
+        base t; the step's enclosures d come from _places.
         """
-        r, s = self.r, self.s
+        r = self.r
         cl, ch = self.col_lo, self.col_hi
+        reals, disks = self._places(step)
         spans = []
-        for i in range(r):
-            d = enclose(step, cl[i], ch[i])
-            if d[0] <= 0 <= d[1]:
-                continue
+        for i, d in reals:
             t = enclose(base, cl[i], ch[i])
             spans.append(_quotient_range((-t[1], self.side_hi[i] - t[0]), d))
-        for j in range(s):
+        for j, d_re, d_im, neg_d_im, d_sq in disks:
             k = r + 2 * j
-            d_re = enclose(step, cl[k], ch[k])
-            d_im = enclose(step, cl[k + 1], ch[k + 1])
-            d_sq = _norm_sq(d_re, d_im)
-            if d_sq[0] <= 0:
-                continue
             t_re = enclose(base, cl[k], ch[k])
             t_im = enclose(base, cl[k + 1], ch[k + 1])
             # Re(t conj d) and Im(t conj d).
             p = _dot(t_re, d_re, t_im, d_im)
-            q = _dot(t_im, d_re, t_re, (-d_im[1], -d_im[0]))
+            q = _dot(t_im, d_re, t_re, neg_d_im)
             rho_sq = (self.bound[r + j] + 1) * d_sq[1] - _sq(q)[0]
             if rho_sq < 0:
                 return lo, lo - 1

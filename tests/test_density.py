@@ -44,6 +44,8 @@ from unitring.density import (
     root_count_order,
     root_count_order_bruteforce,
     run_norms,
+    run_values,
+    value_at,
     with_conductor_support,
 )
 
@@ -466,9 +468,10 @@ def coords(n, lo, hi):
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(FIELDS)), st.integers(1, 4), st.data())
 def test_run_norms_match_horner(fields, name, g, data):
-    # Integer forward differences against field.norm of Horner values at
-    # every point of a run, runs shorter than the D + 1 = n g + 1 starting
-    # points included.
+    # The run's value polynomial against Horner over O_K at every point of
+    # a run, and its integer forward differences against field.norm of
+    # those values, runs shorter than the D + 1 = n g + 1 starting points
+    # included.
     field = fields[name]
     n = field.degree
     coeffs = [field.element(data.draw(coords(n, -9, 9))) for _ in range(g + 1)]
@@ -480,9 +483,12 @@ def test_run_norms_match_horner(fields, name, g, data):
     base, step = data.draw(coords(n, -30, 30)), data.draw(coords(n, -5, 5))
     lo = data.draw(st.integers(-20, 20))
     hi = lo + data.draw(st.one_of(st.integers(0, n * g + 1), st.integers(0, 40)))
-    expected = [field.norm(poly(field.element([a + c * b for a, b in zip(base, step)])))
-                for c in range(lo, hi + 1)]
-    assert list(run_norms(poly, base, step, lo, hi)) == expected
+    horner = [poly(field.element([a + c * b for a, b in zip(base, step)]))
+              for c in range(lo, hi + 1)]
+    values = run_values(poly, base, step)
+    assert len(values) == g + 1
+    assert [value_at(values, c) for c in range(lo, hi + 1)] == [v.coords for v in horner]
+    assert list(run_norms(field, values, lo, hi)) == [field.norm(v) for v in horner]
 
 
 @settings(max_examples=25, deadline=None)

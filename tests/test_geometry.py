@@ -312,6 +312,35 @@ def test_screen_rounds_outward(q5, k3, data):
                      and all(m.hi <= b for m, b in zip(mods, bounds)))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_filter_follows_a_change_of_step(q5, qi, k3, data):
+    # One filter keeps the step's enclosures for the last step it saw. Fed
+    # lines along two steps in turn, it must give every line_range and run
+    # that a fresh filter gives.
+    name = data.draw(st.sampled_from(["q5", "qi", "k3"]))
+    field = {"q5": q5, "qi": qi, "k3": k3}[name]
+    n = field.degree
+    box = RegionBox.cube(field.signature, data.draw(st.integers(1, 8)) ** 3 if name == "k3"
+                         else data.draw(st.integers(1, 10**4)))
+    vec = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    steps = data.draw(st.lists(vec, min_size=2, max_size=2, unique=True))
+    ranges = coordinate_ranges(field, box, identity(n))
+    shared = FloatRegionFilter(field, box)
+    step = list(steps[0])
+    for k in range(6):
+        # The steps' values alternate; call 3 passes the list of call 2,
+        # changed in place to the other step.
+        if k == 3:
+            step[:] = steps[1]
+        line = steps[k % 2] if k in (1, 4) else step
+        base = [data.draw(st.integers(lo, hi)) for lo, hi in ranges]
+        lo, hi = ranges[-1]
+        assert (shared.line_range(base, line, lo, hi)
+                == FloatRegionFilter(field, box).line_range(base, line, lo, hi))
+        assert shared.run(base, line, lo, hi) == FloatRegionFilter(field, box).run(base, line, lo, hi)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([(-1, -1, 1), (1, 0, 1), (-5, 0, 1), (3, 1, 1)]),
        st.tuples(st.integers(-20, 20), st.integers(-20, 20)))

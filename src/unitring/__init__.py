@@ -24,7 +24,7 @@ from .geometry import (
     successive_minima,
     widmer_bound,
 )
-from .ideal import IdealLattice, PrimeIdealData, is_mfree, mobius, split_prime
+from .ideal import IdealLattice, PrimeIdealData, split_prime
 from .order import SubOrder, index_lower_bound
 from .tower import (
     Tower,
@@ -60,11 +60,9 @@ __all__ = [
     "find_omega",
     "in_region",
     "index_lower_bound",
-    "is_mfree",
     "is_square_in_field",
     "load_field_spec",
     "mfree_threshold",
-    "mobius",
     "quadratic_step",
     "root_count",
     "root_count_order",

@@ -23,6 +23,7 @@ returned interval is rigorous.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, combinations, islice, repeat
 from math import lcm, prod
 
@@ -32,6 +33,7 @@ from .ideal import (
     IdealLattice,
     NonMonogenicError,
     in_mth_power_above,
+    mth_power_by_norm,
     prime_ideals,
     prime_power,
     residue_system,
@@ -45,7 +47,7 @@ from .geometry import (
     region_runs,
 )
 from .intervals import RatInterval
-from .intfactor import mth_power_primes
+from .intfactor import mth_power_primes_chunk, tree_product
 from .linalg import lattice_sum
 from .order import SubOrder
 from .poly import deriv, evaluate, trim
@@ -382,7 +384,7 @@ def _euler_densities(params_seq, T):
         nums.append(npm - count_roots_prime_power(poly, pid, m))
         dens.append(npm)
 
-    main_exact = Fraction(_tree_product(nums), _tree_product(dens))
+    main_exact = Fraction(tree_product(nums), tree_product(dens))
     main_iv = RatInterval(main_exact * tail_low, main_exact)
     reports = []
     for p, (cond_sum, excl_prod) in zip(params_seq, sides):
@@ -393,17 +395,12 @@ def _euler_densities(params_seq, T):
     return reports
 
 
-def _tree_product(xs):
-    """The product of the integers xs by a balanced tree: each level
-    multiplies neighbours of similar size, not a long product by a short
-    factor."""
-    while len(xs) > 1:
-        xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
-    return xs[0] if xs else 1
-
-
 # ---------------------------------------------------------------------------
 # Empirical counting
+
+
+# Norms buffered, across runs, for one call of the m-free kernel.
+CHUNK = 256
 
 
 def empirical_count(params, boxes, shard=None):
@@ -411,19 +408,20 @@ def empirical_count(params, boxes, shard=None):
     nonzero f(alpha) outside every excluded prime and an m-free value ideal.
 
     One pass serves every box.  The runs of the box with the componentwise
-    largest bounds, which holds them all, are enumerated once, with the
-    per-point verdicts kept as prefix sums along each run.  Each box then
-    finds its sub-run of the line with its own filter and the same end
-    walk (FloatRegionFilter.run) and reads its count off the prefix sums.
+    largest bounds, which holds them all, are enumerated once.  Each box
+    finds its sub-run of the line with its own filter and the same end walk
+    (FloatRegionFilter.run) and reads its count off the accumulated 0/1
+    verdicts of the run.
 
     Each run pays for its value polynomial once (run_values): the integer
-    coordinates V_k of f(base + c * step) = sum_k c^k V_k.  Each verdict
-    starts from the integer norm N of the value (run_norms, from the V_k):
-    N = 0 exactly when the value is 0, and a prime P above p holds it only
-    if p | N, P^m only if p^m | N; only then is the value built from the
-    V_k and tested.  As P^m contains p^m O_K and base, step and f lie over
-    O_K, that test depends on c mod p^m alone (c mod p for an excluded P):
-    each run memoises it by (p^m, c mod p^m) or (p, c mod p).
+    coordinates V_k of f(base + c * step) = sum_k c^k V_k, which give its
+    integer norms N (run_norms).  The norms of consecutive runs are buffered
+    up to CHUNK values, and one mth_power_primes_chunk call finds each
+    p with p^m | N.  N = 0 exactly when the value is 0, and a prime P above
+    p holds it only if p | N, P^m only if p^m | N, which mth_power_by_norm
+    often decides; only then is the value built from the V_k and tested.  As P^m contains p^m O_K and base, step and f lie over O_K, that
+    test depends on c mod p^m alone (c mod p for an excluded P): each run
+    memoises it by (p^m, c mod p^m) or (p, c mod p).
 
     shard=(index, count) restricts to one deterministic slice of that
     enumeration; summing over all indices recovers the full counts.
@@ -441,47 +439,74 @@ def empirical_count(params, boxes, shard=None):
         for bx in boxes
     ]
     counts = [0] * len(boxes)
+    runs, norms = [], []
+
+    def holds(values, memo, c, p, q):
+        # Whether f at c lies in an excluded P above p (q = p) or in some
+        # P^m above p (q = p^m); each of them contains q O_K.
+        key = (q, c % q)
+        if key not in memo:
+            val = field_k.element(value_at(values, c))
+            memo[key] = (any(ide.contains(val) for ide in excluded[p]) if q == p
+                         else in_mth_power_above(val, p, m))
+        return memo[key]
+
+    def in_mth_power(c, p, norm, holds):
+        decided = mth_power_by_norm(field_k, p, m, norm)
+        return holds(c, p, p**m) if decided is None else decided
+
+    def settle():
+        primes = [ps for i in range(0, len(norms), CHUNK)
+                  for ps in mth_power_primes_chunk(norms[i:i + CHUNK], m)]
+        start = 0
+        for base, step, lo, hi, holds in runs:
+            end = start + hi - lo + 1
+            verdicts = [
+                norm != 0
+                and not (excluded and any(norm % p == 0 and holds(c, p, p) for p in excluded))
+                and not (ps and any(in_mth_power(c, p, norm, holds) for p in ps))
+                for c, norm, ps in zip(range(lo, hi + 1), norms[start:end], primes[start:end])
+            ]
+            prefix = list(accumulate(verdicts, initial=0))
+            for k, screen in enumerate(screens):
+                a, b = (lo, hi) if screen is None else screen.run(base, step, lo, hi)
+                if a <= b:
+                    counts[k] += prefix[b - lo + 1] - prefix[a - lo]
+            start = end
+        runs.clear()
+        norms.clear()
+
     for base, step, lo, hi in region_runs(field_k, outer, params.order.basis_hnf, shard=shard):
         values = run_values(poly, base, step)
-        memo = {}
-
-        def holds(c, p, q):
-            # Whether f at c lies in an excluded P above p (q = p) or in
-            # some P^m above p (q = p^m); each of them contains q O_K.
-            key = (q, c % q)
-            if key not in memo:
-                val = field_k.element(value_at(values, c))
-                memo[key] = (any(ide.contains(val) for ide in excluded[p]) if q == p
-                             else in_mth_power_above(val, p, m))
-            return memo[key]
-
-        total = 0
-        prefix = [0]
-        for c, norm in enumerate(run_norms(field_k, values, lo, hi), lo):
-            if norm and not (excluded and any(norm % p == 0 and holds(c, p, p) for p in excluded)):
-                primes = mth_power_primes(norm, m)
-                if not primes or not any(holds(c, p, p**m) for p in primes):
-                    total += 1
-            prefix.append(total)
-        for k, screen in enumerate(screens):
-            a, b = (lo, hi) if screen is None else screen.run(base, step, lo, hi)
-            if a <= b:
-                counts[k] += prefix[b - lo + 1] - prefix[a - lo]
+        runs.append((base, step, lo, hi, partial(holds, values, {})))
+        norms += run_norms(field_k, values, lo, hi)
+        if len(norms) >= CHUNK:
+            settle()
+    settle()
     return counts
 
 
 def run_values(poly, base, step):
     """The integer coordinates V_0 .. V_g of f(base + c * step) as a
-    polynomial in c, sum_k c^k V_k: one Horner pass over O_K[c] (for
-    X^2 - 4 eta, V_2 = step^2, V_1 = 2 base step, V_0 = base^2 - 4 eta)."""
+    polynomial in c, sum_k c^k V_k with V_k = step^k f_k(base), where f_k =
+    f^(k) / k! are the Taylor coefficients at base: Horner's rule repeated
+    g times (synthetic division by X - base).  No product by the ring's one
+    is formed, so X^2 - 4 eta costs base^2, 2 base * step and step^2."""
     field_k = poly.field
+    one = field_k.one
+
+    def times(a, b):
+        return b if a == one else a if b == one else a * b
+
     base, step = field_k.element(base), field_k.element(step)
-    vals = [poly.coeffs[-1]]
-    for a in reversed(poly.coeffs[:-1]):
-        # vals times (base + c step), plus a.
-        vals = ([a + vals[0] * base]
-                + [v * base + w * step for v, w in zip(vals[1:], vals)]
-                + [vals[-1] * step])
+    vals = list(poly.coeffs)
+    for i in range(len(vals) - 1):
+        for j in range(len(vals) - 2, i - 1, -1):
+            vals[j] += times(vals[j + 1], base)
+    power = one
+    for k in range(1, len(vals)):
+        power = times(power, step)
+        vals[k] = times(vals[k], power)
     return tuple(v.coords for v in vals)
 
 

@@ -8,7 +8,7 @@ an explicit error at primes dividing the index rather than a wrong answer.
 """
 
 from . import fpoly
-from .intfactor import factor as factor_int, is_power_free, mth_power_primes, prime_table
+from .intfactor import factor as factor_int, mth_power_primes, prime_table
 from .linalg import (
     det_triangular,
     hnf,
@@ -289,39 +289,33 @@ def split_prime(field, p):
     return out
 
 
-def mobius(ideal):
-    """Moebius function: (-1)^k on squarefree ideals with k primes, else 0."""
-    if ideal.is_unit_ideal():
-        return 1
-    fac = ideal.factor()
-    if any(e >= 2 for _, e in fac):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def is_mfree(ideal, m):
-    """True iff no prime ideal power P^m divides the ideal.
-
-    Fast path: if the rational integer norm is m-free then so is the ideal,
-    because P^m | a forces p^m | norm(a).
-    """
-    if m < 2:
-        raise ValueError("m must be at least 2")
-    if ideal.is_unit_ideal():
-        return True
-    if is_power_free(ideal.norm, m):
-        return True
-    return all(e < m for _, e in ideal.factor())
-
-
 def element_is_mfree(alpha, m):
     """m-freeness of the principal ideal (alpha), avoiding full HNF work.
 
-    P^m | (alpha) forces p^m | N(alpha) for the prime p below P, so only
-    the primes P above the primes p with p^m dividing the integer norm
-    need a test, and v_P(alpha) >= m is exactly alpha in P^m.
+    P^m | (alpha) forces p^m | N(alpha) for the prime p below P; the norm
+    decides most such p (mth_power_by_norm), and v_P(alpha) >= m is exactly
+    alpha in P^m for the rest.
     """
-    return not any(in_mth_power_above(alpha, p, m) for p in mth_power_primes(alpha.norm(), m))
+    norm = alpha.norm()
+    for p in mth_power_primes(norm, m):
+        decided = mth_power_by_norm(alpha.field, p, m, norm)
+        if decided if decided is not None else in_mth_power_above(alpha, p, m):
+            return False
+    return True
+
+
+def mth_power_by_norm(field, p, m, norm):
+    """Whether P^m | (v) for some prime P above p, read off norm = N(v),
+    or None where only membership can tell.  P^m | (v) forces N(P)^m | N(v),
+    so p is cleared when the least N(P)^m (split_prime puts it first) does
+    not divide N(v); when P is the only prime above p, N(v) = N(P)^a times
+    an integer prime to p for a = v_P(v), so N(P)^m | N(v) decides."""
+    rules = vars(field).setdefault("_norm_rules", {})
+    if (p, m) not in rules:
+        pids = split_prime(field, p)
+        rules[p, m] = (pids[0].norm ** m, len(pids) == 1)
+    least, alone = rules[p, m]
+    return False if norm % least else True if alone else None
 
 
 def in_mth_power_above(alpha, p, m):

@@ -3,12 +3,14 @@
 Strategy: trial division over a shared prime table, then Brent's
 cycle-finding rho with a deterministic Miller-Rabin certificate on every
 cofactor.  The table of primes up to TRIAL_LIMIT is built only when trial
-division passes SMOOTH_BOUND.  The m-free test takes the part of n made
-of primes below SMOOTH_BOUND through iterated gcds with their product
-(Bernstein, "How to find smooth parts of integers", 2004), and stops
-trial division early: once p**(m+1) exceeds the cofactor, the cofactor
-has at most m prime factors, so it is either the m-th power of a prime
-or m-free, and one exact root decides.
+division passes SMOOTH_BOUND.  The m-free test takes the primes below a
+bound B out of n through iterated gcds with their product (Bernstein, "How
+to find smooth parts of integers", 2004).  One value at a time, B is
+SMOOTH_BOUND and trial division stops once p**(m+1) exceeds the cofactor,
+which then has at most m prime factors, so one exact root decides.  A
+chunk at a time (counting's route), B**(m+1) exceeds every value, the
+product goes down a remainder tree of the chunk, and no trial division
+is left.
 
 The thirteen Miller-Rabin bases 2..41 are a proof of primality below
 PSI_13 (about 3.3 * 10**24), well above the norms of the bundled
@@ -24,15 +26,15 @@ from itertools import compress, islice
 from math import gcd, isqrt, prod
 
 TRIAL_LIMIT = 10**6
-# The primes below this bound are tabled apart, and the m-free test divides
-# them out through gcds with their product.
+# The primes below this bound are tabled apart, and the one-value m-free
+# test divides them out through gcds with their product.
 SMOOTH_BOUND = 2200
 # Iterations of the one rho attempt on a cofactor that passes every
 # Miller-Rabin base at or above PSI_13: a few seconds at most.
 UNPROVEN_RHO_ITER = 2 * 10**6
 
 _primes = None
-_smooth = None
+_below = {}
 
 
 class PrimalityUnproven(ArithmeticError):
@@ -72,13 +74,25 @@ def primes():
     return _primes
 
 
-def _smooth_primes():
-    """(the primes below SMOOTH_BOUND, their product), built on first use."""
-    global _smooth
-    if _smooth is None:
-        table = prime_table(SMOOTH_BOUND - 1)
-        _smooth = (table, prod(table))
-    return _smooth
+def _primes_below(bound):
+    """(B, the primes below B, their product), cached, for the least B >=
+    bound that is a power of two or SMOOTH_BOUND."""
+    top = 1 << (bound - 1).bit_length()
+    if bound <= SMOOTH_BOUND < top:
+        top = SMOOTH_BOUND
+    if top not in _below:
+        table = prime_table(top - 1)
+        _below[top] = (top, table, tree_product(table))
+    return _below[top]
+
+
+def tree_product(xs):
+    """The product of the integers xs by a balanced tree: each level
+    multiplies neighbours of similar size, not a long product by a short
+    factor."""
+    while len(xs) > 1:
+        xs = [prod(xs[i:i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0] if xs else 1
 
 
 def iroot(n, k):
@@ -123,7 +137,7 @@ def _trial_divide(n, k, start=0):
     factors = []
     lim = iroot(n, k)
     # lim only falls; below the last small prime, the small table suffices.
-    small = _smooth_primes()[0]
+    small = _primes_below(SMOOTH_BOUND)[1]
     for p in islice(small if lim < small[-1] else primes(), start, None):
         if p > lim:
             return factors, n, True
@@ -254,29 +268,8 @@ def mth_power_primes(n, m):
     n = abs(n)
     if n == 0:
         raise ValueError("0 is not m-free")
-    out = []
-    small, primorial = _smooth_primes()
-    # d_0 is the product of the primes below SMOOTH_BOUND that divide n, and
-    # d_k = gcd(n / (d_0 ... d_{k-1}), d_{k-1}) the product of those whose
-    # (k+1)-th power does.  Once some d_k is 1, the quotient holds no prime
-    # below SMOOTH_BOUND; otherwise d_{m-1} is split and divided out.
-    d = gcd(n, primorial)
-    for _ in range(m - 1):
-        if d == 1:
-            break
-        n //= d
-        d = gcd(n, d)
-    if d > 1:
-        for p in small:
-            if p * p > d:
-                break
-            if d % p == 0:
-                d //= p
-                out.append(p)
-                n = _remove(n, p)[0]
-        if d > 1:
-            out.append(d)
-            n = _remove(n, d)[0]
+    _, small, primorial = _primes_below(SMOOTH_BOUND)
+    out, n = _small_part(n, gcd(n, primorial), m, small)
     # No prime factor below SMOOTH_BOUND is left, so below SMOOTH_BOUND**(m+1)
     # the cofactor has at most m of them.
     if n >= SMOOTH_BOUND ** (m + 1):
@@ -291,6 +284,66 @@ def mth_power_primes(n, m):
     if r > 1 and r**m == n:
         out.append(r)
     return out
+
+
+def mth_power_primes_chunk(ns, m):
+    """[mth_power_primes(n, m) for n in ns], with None for each n == 0.
+
+    The primes below B > max |n| ** (1/(m+1)) leave each n by the gcd chain,
+    whose first gcd(n, P), P their product, reads P mod X for a multiple X
+    of n: a remainder tree over groups of eight values.  The cofactor left
+    has at most m prime factors: below B**m it is m-free, and above it one
+    exact root decides."""
+    ns = [abs(n) for n in ns]
+    top = max(ns, default=0)
+    if top >= TRIAL_LIMIT ** (m + 1):
+        return [mth_power_primes(n, m) if n else None for n in ns]
+    bound, table, primorial = _primes_below(iroot(top, m + 1) + 1)
+    floor = bound**m
+    leaves = [n or 1 for n in ns]
+    tree = [[prod(leaves[i:i + 8]) for i in range(0, len(ns), 8)]]
+    # Above the first level whose products pass P, P % X is P itself.
+    while len(tree[-1]) > 1 and tree[-1][0] <= primorial:
+        level = tree[-1]
+        tree.append([a * b for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1:])
+    rems = [primorial % x for x in tree.pop()]
+    for level in reversed(tree):
+        rems = [rems[i >> 1] % x for i, x in enumerate(level)]
+    out = []
+    for i, n in enumerate(ns):
+        d = gcd(n, rems[i >> 3]) if n else 1
+        found, n = _small_part(n, d, m, table) if d > 1 else ([] if n else None, n)
+        if n >= floor:
+            r = iroot(n, m)
+            if r**m == n:
+                found.append(r)
+        out.append(found)
+    return out
+
+
+def _small_part(n, d, m, table):
+    """(the increasing primes p of the table with p**m | n, the cofactor of
+    n prime to the table), from d_0 = d = gcd(n, product of the table):
+    d_k = gcd(n / (d_0 ... d_{k-1}), d_{k-1}) is the product of those whose
+    (k+1)-th power divides n, a d_k of 1 ends it, and d_{m-1} is split."""
+    out = []
+    for _ in range(m - 1):
+        if d == 1:
+            return out, n
+        n //= d
+        d = gcd(n, d)
+    if d > 1:
+        for p in table:
+            if p * p > d:
+                break
+            if d % p == 0:
+                d //= p
+                out.append(p)
+                n = _remove(n, p)[0]
+        if d > 1:
+            out.append(d)
+            n = _remove(n, d)[0]
+    return out, n
 
 
 def _remove(n, p):

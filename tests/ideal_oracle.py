@@ -1,0 +1,30 @@
+"""Ideal-level m-freeness and the Moebius function, from the full
+factorization of an ideal: references for the element-level test
+ideal.element_is_mfree and for ideal counts over iter_ideals."""
+
+from unitring.intfactor import is_power_free
+
+
+def mobius(ideal):
+    """Moebius function: (-1)^k on squarefree ideals with k primes, else 0."""
+    if ideal.is_unit_ideal():
+        return 1
+    fac = ideal.factor()
+    if any(e >= 2 for _, e in fac):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+def is_mfree(ideal, m):
+    """True iff no prime ideal power P^m divides the ideal.
+
+    Fast path: if the rational integer norm is m-free then so is the ideal,
+    because P^m | a forces p^m | norm(a).
+    """
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    if ideal.is_unit_ideal():
+        return True
+    if is_power_free(ideal.norm, m):
+        return True
+    return all(e < m for _, e in ideal.factor())

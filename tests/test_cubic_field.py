@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from ideal_oracle import mobius
 from unitring.density import (
     DensityParams,
     SievePolynomial,
@@ -20,7 +21,7 @@ from unitring.density import (
 )
 from unitring.field import NumberField, is_square_in_field
 from unitring.geometry import RegionBox, enumerate_region, in_region
-from unitring.ideal import IdealLattice, iter_ideals, mobius, split_prime
+from unitring.ideal import IdealLattice, iter_ideals, split_prime
 from unitring.linalg import identity
 from unitring.order import SubOrder
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ideal_oracle import is_mfree, mobius
 from unitring.density import (
     DensityParams,
     SievePolynomial,
@@ -20,14 +21,14 @@ from unitring.ideal import (
     ResidueCapError,
     element_is_mfree,
     element_valuation,
-    is_mfree,
+    in_mth_power_above,
     iter_ideals,
-    mobius,
+    mth_power_by_norm,
     power_basis_index,
     prime_power,
     split_prime,
 )
-from unitring.intfactor import prime_table
+from unitring.intfactor import mth_power_primes, prime_table
 from unitring.linalg import reduce_mod_lattice
 from unitring.order import SubOrder
 
@@ -140,6 +141,51 @@ def test_element_is_mfree_matches_factor_gaussian(qi, a, b, k, j, m):
     assume(not val.is_zero())
     expected = all(e < m for _, e in IdealLattice.principal(val).factor())
     assert element_is_mfree(val, m) == expected
+
+
+# Each field, and the norm's verdict at its ramified p where P^m | (v): the
+# one prime above 5 in Q(sqrt5) and above 2 in Q(i) is decided by the norm,
+# but 23 = P^2 Q in cubic-23 has two primes above it, so membership decides.
+NORM_RULE_FIELDS = {"q_sqrt5": ([-1, -1, 1], True), "q_i": ([1, 0, 1], True),
+                    "cubic-23": ([-1, -1, 0, 1], None)}
+
+
+def prime_kind(pids):
+    if any(pid.ramification > 1 for pid in pids):
+        return "ramified"
+    return "inert" if len(pids) == 1 else "split"
+
+
+@pytest.mark.parametrize("name", sorted(NORM_RULE_FIELDS))
+def test_norm_rule_matches_membership(name):
+    # At every p with p^m | N(v), over a box of elements and their
+    # multiples by small primes: where the norm decides, it agrees with
+    # membership in some P^m, and it decides every p with one prime above
+    # it.  Q(sqrt5) has 2 inert, 5 ramified and 11 split; Q(i) 3 inert,
+    # 2 ramified and 5 split; cubic-23 2 and 3 inert, 23 = P^2 Q and 5 split
+    # into residue degrees 1 and 2.
+    min_poly, ramified = NORM_RULE_FIELDS[name]
+    field = NumberField(min_poly, name=name)
+    side = 5 if field.degree == 2 else 2
+    box = [field.element(c) for c in itertools.product(range(-side, side + 1), repeat=field.degree)]
+    values = box + [v * k for v in box[::7] for k in (4, 8, 9, 25, 27, 121, 23**2, 5**3)]
+    seen = set()
+    for v in values:
+        norm = v.norm()
+        for m in (2, 3):
+            for p in mth_power_primes(norm, m) if norm else ():
+                pids = split_prime(field, p)
+                decided = mth_power_by_norm(field, p, m, norm)
+                held = in_mth_power_above(v, p, m)
+                assert decided in (None, held)
+                assert (decided is None) == (len(pids) > 1 and not norm % min(
+                    pid.norm for pid in pids) ** m)
+                seen.add((prime_kind(pids), decided, held))
+    # The norm clears an inert p with p^m | N(v) but not N(P)^m, and finds
+    # P^m above an inert p; a split p goes to membership, which finds both
+    # answers.
+    assert {("inert", False, False), ("inert", True, True), ("ramified", ramified, True),
+            ("split", None, False), ("split", None, True)} <= seen
 
 
 def test_element_valuation(q5):

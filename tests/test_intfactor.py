@@ -14,6 +14,7 @@ from unitring.intfactor import (
     TRIAL_LIMIT,
     PrimalityUnproven,
     _brent_rho,
+    _primes_below,
     exact_root,
     factor,
     iroot,
@@ -21,6 +22,7 @@ from unitring.intfactor import (
     is_prime,
     is_squarefree_int,
     mth_power_primes,
+    mth_power_primes_chunk,
     prime_table,
 )
 
@@ -203,6 +205,62 @@ def test_mth_power_primes_fallback_range():
     assert mth_power_primes(-(p**3) * q, 3) == [p]
     with pytest.raises(ValueError):
         mth_power_primes(0, 2)
+
+
+def by_value(ns, m):
+    return [mth_power_primes(n, m) if n else None for n in ns]
+
+
+def prime_at_least(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def prime_below(n):
+    n -= 1
+    while not is_prime(n):
+        n -= 1
+    return n
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("bound", [8, 64, 2048, SMOOTH_BOUND, 4096])
+def test_chunk_kernel_at_its_bound(m, bound):
+    # The largest value (bound - 1)**(m+1) sets the chunk's bound B, up to
+    # which the remainder tree takes primes out: m-th powers of the last
+    # prime below B (a cofactor below B**m would be called m-free) and of
+    # the first one above it (decided by the exact root), next to 0 and +-1.
+    top = (bound - 1) ** (m + 1)
+    assert _primes_below(iroot(top, m + 1) + 1)[0] == bound
+    lo, hi = prime_below(bound), prime_at_least(bound)
+    chunk = [top, 0, 1, -1, lo**m, -(lo**m) * 3, lo ** (m + 1), lo ** (m - 1) * hi,
+             hi**m, -(hi**m), 2**m * hi**m, lo**m * hi, lo * hi ** (m - 1), 6, 1 - top]
+    chunk = [n for n in chunk if abs(n) <= top]
+    got = mth_power_primes_chunk(chunk, m)
+    assert got == by_value(chunk, m)
+    assert got[chunk.index(lo**m)] == [lo] and got[chunk.index(hi**m)] == [hi]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10**13, 10**13),
+                          st.tuples(st.integers(1, 3000), st.integers(-10**4, 10**4))),
+                max_size=300),
+       st.sampled_from([2, 3, 4]))
+def test_chunk_kernel_matches_mth_power_primes(items, m):
+    # Chunks of any length, with planted m-th powers of primes on either
+    # side of every bound the chunk may pick.
+    chunk = [x if isinstance(x, int) else x[0] ** m * x[1] for x in items]
+    assert mth_power_primes_chunk(chunk, m) == by_value(chunk, m)
+
+
+def test_chunk_kernel_falls_back_past_the_table():
+    # A largest value at or above TRIAL_LIMIT**(m+1) sends the chunk value
+    # by value, through the full table and rho.
+    p, q = 1_000_003, 1_000_033
+    chunk = [p * p * q, 0, 12, p * q * 2, -(999983**2)]
+    assert max(chunk) >= TRIAL_LIMIT**3
+    assert mth_power_primes_chunk(chunk, 2) == [[p], None, [2], [], [999983]]
 
 
 @settings(max_examples=200, deadline=None)

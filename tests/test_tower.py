@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ideal_oracle import is_mfree
 from unitring.cli import _tower_to_json, main
 from unitring.density import HypothesisError
 from unitring.field import NumberField
@@ -20,6 +21,7 @@ from unitring.tower import (
     candidate_elements,
     find_omega,
     quadratic_step,
+    step_refusal,
     unit_order,
     verify_unit_generation,
 )
@@ -130,8 +132,6 @@ def test_find_omega_first_witness(q5, eta, z_sqrt5):
     # Independent re-verification of the three conclusions.
     assert not z_sqrt5.contains(w)
     assert all(not pid.ideal.contains(value) for pid in ps2)
-    from unitring.ideal import is_mfree
-
     assert is_mfree(IdealLattice.principal(value), 2)
 
 
@@ -150,8 +150,6 @@ def test_find_omega_with_19_excluded(q5, eta, z_sqrt5):
     assert value.norm() == -11
     assert not z_sqrt5.contains(w)
     assert not p19[0].ideal.contains(value)
-    from unitring.ideal import is_mfree
-
     assert is_mfree(IdealLattice.principal(value), 2)
 
 
@@ -200,6 +198,23 @@ def test_quadratic_step_rejections(q5, eta):
     # 1 + 8 = 9 = 3^2 rational square.
     with pytest.raises(ValueError):
         quadratic_step(q5.one, q5.rational(-2))
+
+
+def test_step_refusal_reasons(q5):
+    # Each refusal of the step certificate, and the values it certifies.
+    # 3 is inert in Q(sqrt5), so the norm of 9 theta alone shows (3)^2; 11
+    # splits as (3 + 2 theta)(5 - 2 theta), so only membership tells
+    # (3 + 2 theta)^2 theta from 11 theta.
+    th = q5.theta
+    pi = q5.element((3, 2))
+    assert pi.norm() == 11
+    assert step_refusal(q5.zero) == "discriminant value is zero"
+    assert step_refusal(q5.rational(6)) == "discriminant value is not coprime to 2"
+    assert step_refusal(q5.rational(9)).startswith("discriminant value is a square")
+    for value in (9 * th, pi * pi * th):
+        assert step_refusal(value) == "discriminant value is not squarefree"
+    for value in (th, 11 * th, 3 * th):
+        assert step_refusal(value) is None
 
 
 def test_quadratic_step_valuations_prime_by_prime(q5, eta):

@@ -18,10 +18,8 @@ from .fieldspec import load_field_spec
 from .geometry import (
     EmbeddedLattice,
     RegionBox,
-    count_coset,
     enumerate_region,
     in_region,
-    successive_minima,
     widmer_bound,
 )
 from .ideal import IdealLattice, PrimeIdealData, split_prime
@@ -51,7 +49,6 @@ __all__ = [
     "TowerStep",
     "belcher_criterion",
     "build_tower",
-    "count_coset",
     "density_gap_check",
     "empirical_count",
     "enumerate_region",
@@ -67,7 +64,6 @@ __all__ = [
     "root_count",
     "root_count_order",
     "split_prime",
-    "successive_minima",
     "unit_order",
     "verify_unit_generation",
     "widmer_bound",

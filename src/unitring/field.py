@@ -52,9 +52,9 @@ def _certify_irreducible(poly):
     set is ruled out once some coefficient interval holds no integer;
     once all are narrower than 1, the one integer candidate
     (intervals.integer_candidate) is divided into poly exactly.
-    Undecided sets are retried up the precision ladder, each rung's
-    enclosures tested once: a product that is not integral has a
-    coefficient that is not an integer, so refinement decides every set.
+    Undecided sets are retried up the precision ladder: a product that is
+    not integral has a coefficient that is not an integer, so refinement
+    decides every set.
     """
     if len(gcd(poly, deriv(poly, QQ), QQ)) > 1:
         raise IrreducibilityError("reducible: repeated factor")
@@ -62,12 +62,8 @@ def _certify_irreducible(poly):
     r, s = iso.signature
     sets = [c for k in range(1, r + s + 1) for c in combinations(range(r + s), k)
             if sum(1 if i < r else 2 for i in c) <= (len(poly) - 1) // 2]
-    tested = 0
     for bits in precisions(iso.bits, "irreducibility"):
-        if bits <= tested:
-            continue  # refine overshot this rung: these enclosures are tested
         iso.refine(bits)
-        tested = iso.bits
         factors = []
         for enc in iso.enclosures[:r + s]:
             re, im = enc.box()
@@ -446,9 +442,6 @@ class AlgebraicInt:
             and self.field is other.field
             and self.coords == other.coords
         )
-
-    def __hash__(self):
-        return hash((id(self.field), self.coords))
 
     def is_zero(self):
         return all(c == 0 for c in self.coords)

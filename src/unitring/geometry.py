@@ -1,5 +1,5 @@
 """Totally positive box regions, exact membership, lattice enumeration,
-successive minima, and the lattice point counting bound.
+and the lattice point counting bound with its successive minima.
 
 Region bounds are stored as squared rationals so that boxes like the
 equal-sided one with total volume x (side x^{1/n}) stay exact.  Membership is
@@ -20,17 +20,12 @@ from .field import enclose
 from .intervals import PI, RatInterval, sqrt_upper
 from .ideal import check_cap
 from .intfactor import exact_root
-from .linalg import char_poly, det, det_triangular, hnf, mat_inv_frac, solve_upper_int, vec_mat
-from .order import SubOrder
+from .linalg import char_poly, det, hnf, mat_inv_frac
 from .poly import QQ, divmod
 from .rootiso import precisions
 
 # Dyadic precision of the square roots in the density main terms.
 SQRT_BITS = 96
-
-
-class EmptyCosetError(ValueError):
-    """The requested coset does not meet the order."""
 
 
 class RegionBox:
@@ -59,10 +54,6 @@ class RegionBox:
         self.bounds_sq = bounds_sq
 
     @classmethod
-    def from_bounds(cls, signature, bounds):
-        return cls(signature, [Fraction(b) ** 2 for b in bounds])
-
-    @classmethod
     def cube(cls, signature, volume):
         """Equal-sided box with given total volume x: each side x^{1/n}."""
         r, s = signature
@@ -73,20 +64,8 @@ class RegionBox:
             raise ValueError("volume^(2/n) is not rational; give explicit bounds")
         return cls(signature, (side_sq,) * n)
 
-    @property
-    def volume_sq(self):
-        out = Fraction(1)
-        for b in self.bounds_sq:
-            out *= b
-        return out
-
     def __repr__(self):
         return f"RegionBox(sq={tuple(str(b) for b in self.bounds_sq)})"
-
-
-def successive_minima(lattice, bits=64):
-    """The minima as RatInterval enclosures (exact squares underneath)."""
-    return tuple(RatInterval(m).sqrt(bits) for m in lattice.minima_sq())
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +316,9 @@ def _conjugate_products_poly(m):
 # Enumeration
 
 
-def coordinate_ranges(field, box, lattice_rows, shift_coords=None):
-    """Integer ranges for lattice coefficients c with shift + c*H possibly
-    inside the embedded box; rigorous outer bounds, never under-covering.
+def coordinate_ranges(field, box, lattice_rows):
+    """Integer ranges for lattice coefficients c with c*H possibly inside
+    the embedded box; rigorous outer bounds, never under-covering.
 
     An element with |std_k| <= b_k has |coords_l| <= sum_k b_k |M[k][l]|
     for the inverse embedding M."""
@@ -353,19 +332,18 @@ def coordinate_ranges(field, box, lattice_rows, shift_coords=None):
         for col in zip(*inv)
     ]
     h_inv = mat_inv_frac(lattice_rows)
-    shift = shift_coords or (0,) * n
     ranges = []
     for k in range(n):
         reach = Fraction(0)
         for l in range(n):
-            reach += (coord_bound[l] + abs(Fraction(shift[l]))) * abs(h_inv[l][k])
+            reach += coord_bound[l] * abs(h_inv[l][k])
         bound = int(reach) + 1
         ranges.append((-bound, bound))
     return ranges
 
 
-def region_runs(field, box, lattice_rows, shift=None, shard=None):
-    """Stream the runs (base, step, lo, hi) of (shift + lattice) inside the
+def region_runs(field, box, lattice_rows, shard=None):
+    """Stream the runs (base, step, lo, hi) of the lattice inside the
     region, in lexicographic coordinate order: base + c * step lies in the
     region exactly for lo <= c <= hi.  Exhaustive and exact.
 
@@ -378,8 +356,7 @@ def region_runs(field, box, lattice_rows, shift=None, shard=None):
     ResidueCapError.
     """
     n = field.degree
-    shift_coords = shift.coords if shift is not None else (0,) * n
-    ranges = coordinate_ranges(field, box, lattice_rows, shift_coords)
+    ranges = coordinate_ranges(field, box, lattice_rows)
     check_cap(prod(hi - lo + 1 for lo, hi in ranges[:-1]), "region line walk")
     screen = FloatRegionFilter(field, box)
     step = lattice_rows[n - 1]
@@ -387,7 +364,7 @@ def region_runs(field, box, lattice_rows, shift=None, shard=None):
     if shard is not None:
         outer[0] = outer[0][shard[0]::shard[1]]
     for coeffs in product(*outer):
-        base = list(shift_coords)
+        base = [0] * n
         for c, row in zip(coeffs, lattice_rows):
             if c:
                 for k in range(n):
@@ -398,25 +375,24 @@ def region_runs(field, box, lattice_rows, shift=None, shard=None):
             yield base, step, lo, hi
 
 
-def enumerate_region(field, box, lattice_rows, shift=None, shard=None):
-    """Stream the points of (shift + lattice) inside the region, in
+def enumerate_region(field, box, lattice_rows, shard=None):
+    """Stream the points of the lattice inside the region, in
     lexicographic coordinate order: the points of region_runs, with the
     same shard slices."""
-    for base, step, lo, hi in region_runs(field, box, lattice_rows, shift, shard):
+    for base, step, lo, hi in region_runs(field, box, lattice_rows, shard):
         for c in range(lo, hi + 1):
             yield field.element([a + c * b for a, b in zip(base, step)])
 
 
-def enumerate_region_oracle(field, box, lattice_rows, shift=None):
+def enumerate_region_oracle(field, box, lattice_rows):
     """Test oracle for enumerate_region: the same points in the same order,
     from every lattice point over the naive coordinate ranges decided by
     in_region alone, with no float screen and no nested bound."""
-    shift_coords = shift.coords if shift is not None else (0,) * field.degree
-    ranges = coordinate_ranges(field, box, lattice_rows, shift_coords)
+    ranges = coordinate_ranges(field, box, lattice_rows)
     for coeffs in product(*(range(lo, hi + 1) for lo, hi in ranges)):
         el = field.element([
-            s + sum(c * row[k] for c, row in zip(coeffs, lattice_rows))
-            for k, s in enumerate(shift_coords)
+            sum(c * row[k] for c, row in zip(coeffs, lattice_rows))
+            for k in range(field.degree)
         ])
         if in_region(el, box):
             yield el
@@ -434,7 +410,7 @@ class EmbeddedLattice:
     quadratic fields; those cover the package's uses.
     """
 
-    __slots__ = ("gram", "n", "det_sq", "_minima_sq")
+    __slots__ = ("gram", "n", "det_sq")
 
     def __init__(self, gram):
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
@@ -442,7 +418,6 @@ class EmbeddedLattice:
         self.det_sq = det(self.gram)
         if self.det_sq <= 0:
             raise ValueError("gram matrix must be positive definite")
-        self._minima_sq = None
 
     @classmethod
     def from_basis_matrix(cls, rows):
@@ -479,8 +454,6 @@ class EmbeddedLattice:
 
     def minima_sq(self):
         """Exact squared successive minima (Euclidean ball), n <= 4."""
-        if self._minima_sq is not None:
-            return self._minima_sq
         if self.n > 4:
             raise ValueError("exact minima enumeration capped at dimension 4")
         bound = max(self.gram[i][i] for i in range(self.n))
@@ -496,8 +469,7 @@ class EmbeddedLattice:
                     break
         if len(minima) < self.n:
             raise ArithmeticError("minima enumeration incomplete")
-        self._minima_sq = tuple(minima)
-        return self._minima_sq
+        return tuple(minima)
 
 
 def _enumerate_quadratic(gram, bound):
@@ -552,9 +524,9 @@ def _qval(gram, c):
 
 
 def _frac_range(center, limit_sq):
-    """Integers ci with (ci - center)^2 <= limit_sq."""
-    if limit_sq < 0:
-        return 0, -1
+    """Integers ci with (ci - center)^2 <= limit_sq, for limit_sq >= 0,
+    which _enumerate_quadratic ensures: it recurses only with remaining >= 0,
+    and every d_i is positive."""
     w = sqrt_upper(limit_sq, 32)
     return ceil(center - w), floor(center + w)
 
@@ -590,7 +562,7 @@ def widmer_bound(lattice, n_maps, lip):
 
 
 # ---------------------------------------------------------------------------
-# Coset counting (the main-term/error-term comparison)
+# The main term's density
 
 
 def lattice_point_density(field):
@@ -598,32 +570,3 @@ def lattice_point_density(field):
     region volume."""
     s = field.signature[1]
     return (2 * PI) ** s / RatInterval(Fraction(abs(field.disc))).sqrt(SQRT_BITS)
-
-
-def count_coset(field, beta, modulus_ideal, box, order=None):
-    """Count (beta + modulus) cap order cap region, with the density main
-    term and a rigorous bound data bundle.
-
-    Returns (count, main RatInterval, error RatInterval).  Raises
-    EmptyCosetError when the coset misses the order entirely.
-    """
-    if order is None:
-        order = SubOrder.maximal(field)
-    # A representative alpha0 = beta - m, m in the modulus, alpha0 in the
-    # order: beta = coeff h, and h = u (order rows, then modulus rows).
-    n = field.degree
-    h, u = hnf(list(order.basis_hnf) + list(modulus_ideal.hnf), transform=True)
-    coeff = solve_upper_int(h, beta.coords)
-    if coeff is None:
-        raise EmptyCosetError("coset does not meet the order")
-    alpha0 = field.element(vec_mat(vec_mat(coeff, u[:n])[:n], order.basis_hnf))
-    m_rows, _ = order.contract(modulus_ideal)
-    count = sum(hi - lo + 1 for _, _, lo, hi in region_runs(field, box, m_rows, shift=alpha0))
-    index = abs(det_triangular(m_rows))
-    x = RatInterval(box.volume_sq).sqrt(SQRT_BITS)
-    main = lattice_point_density(field) * x * Fraction(1, index)
-    diff = RatInterval(Fraction(count)) - main
-    err = RatInterval(min(abs(diff.lo), abs(diff.hi)) if diff.lo * diff.hi > 0 else Fraction(0),
-                      max(abs(diff.lo), abs(diff.hi)))
-    return count, main, err
-

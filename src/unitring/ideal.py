@@ -100,9 +100,6 @@ class IdealLattice:
             and self.hnf == other.hnf
         )
 
-    def __hash__(self):
-        return hash((id(self.field), self.hnf))
-
     def __repr__(self):
         return f"IdealLattice(norm={self.norm})"
 
@@ -334,11 +331,8 @@ def prime_power(pid, k):
 
 
 def element_valuation(alpha, pid):
-    """v_P(alpha) by iterated membership in cached powers of P."""
-    v = 0
-    while prime_power(pid, v + 1).contains(alpha):
-        v += 1
-    return v
+    """v_P(alpha) for nonzero alpha: the valuation of the ideal (alpha)."""
+    return IdealLattice.principal(alpha).valuation_at(pid)
 
 
 def residue_system(field, sub, sup):

@@ -48,10 +48,6 @@ class RatInterval:
         return f"RatInterval({self.lo}, {self.hi})"
 
     @property
-    def mid(self):
-        return (self.lo + self.hi) / 2
-
-    @property
     def width(self):
         return self.hi - self.lo
 

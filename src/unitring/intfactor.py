@@ -3,14 +3,13 @@
 Strategy: trial division over a shared prime table, then Brent's
 cycle-finding rho with a deterministic Miller-Rabin certificate on every
 cofactor.  The table of primes up to TRIAL_LIMIT is built only when trial
-division passes SMOOTH_BOUND.  The m-free test takes the primes below a
-bound B out of n through iterated gcds with their product (Bernstein, "How
-to find smooth parts of integers", 2004).  One value at a time, B is
-SMOOTH_BOUND and trial division stops once p**(m+1) exceeds the cofactor,
-which then has at most m prime factors, so one exact root decides.  A
-chunk at a time (counting's route), B**(m+1) exceeds every value, the
-product goes down a remainder tree of the chunk, and no trial division
-is left.
+division passes the last prime below SMOOTH_BOUND.  The m-free test has one
+kernel, a chunk of values at a time: for the chunk's largest value M it
+takes the primes below a power of two B > M**(1/(m+1)) out of every value
+through iterated gcds with their product (Bernstein, "How to find smooth
+parts of integers", 2004), reading that product modulo each value down a
+remainder tree.  The cofactor left has at most m prime factors, so one
+exact root decides, and no trial division is left.
 
 The thirteen Miller-Rabin bases 2..41 are a proof of primality below
 PSI_13 (about 3.3 * 10**24), well above the norms of the bundled
@@ -22,13 +21,13 @@ PrimalityUnproven instead of being called prime.
 
 from array import array
 from fractions import Fraction
-from itertools import compress, islice
+from itertools import compress
 from math import gcd, isqrt, prod
 
 TRIAL_LIMIT = 10**6
-# The primes below this bound are tabled apart, and the one-value m-free
-# test divides them out through gcds with their product.
-SMOOTH_BOUND = 2200
+# Trial division reads the primes below this bound from a small table while
+# the square root of the cofactor stays below its last prime.
+SMOOTH_BOUND = 4096
 # Iterations of the one rho attempt on a cofactor that passes every
 # Miller-Rabin base at or above PSI_13: a few seconds at most.
 UNPROVEN_RHO_ITER = 2 * 10**6
@@ -75,11 +74,9 @@ def primes():
 
 
 def _primes_below(bound):
-    """(B, the primes below B, their product), cached, for the least B >=
-    bound that is a power of two or SMOOTH_BOUND."""
+    """(B, the primes below B, their product), cached, for the least power
+    of two B >= bound."""
     top = 1 << (bound - 1).bit_length()
-    if bound <= SMOOTH_BOUND < top:
-        top = SMOOTH_BOUND
     if top not in _below:
         table = prime_table(top - 1)
         _below[top] = (top, table, tree_product(table))
@@ -123,28 +120,25 @@ def exact_root(x, k):
     return r if r**k == x else None
 
 
-def _trial_divide(n, k, start=0):
-    """Divide the table primes p out of n while p**k <= the cofactor,
-    beginning at the table index start; no earlier table prime may
-    divide n.
+def _trial_divide(n):
+    """Divide the table primes p out of n while p**2 <= the cofactor.
 
     Returns (factors, cofactor, done): (p, e) pairs in increasing p, and
-    done is True when the cofactor fell below p**k for the next prime p,
-    so that it has fewer than k prime factors, all above the last one
-    divided out; done is False when the table ran out first with a
-    cofactor above 1.
+    done is True when the cofactor fell below p**2 for the next prime p,
+    so that it is 1 or a prime above the last one divided out; done is
+    False when the table ran out first with a cofactor above 1.
     """
     factors = []
-    lim = iroot(n, k)
+    lim = isqrt(n)
     # lim only falls; below the last small prime, the small table suffices.
     small = _primes_below(SMOOTH_BOUND)[1]
-    for p in islice(small if lim < small[-1] else primes(), start, None):
+    for p in small if lim < small[-1] else primes():
         if p > lim:
             return factors, n, True
         if n % p == 0:
             n, e = _remove(n, p)
             factors.append((p, e))
-            lim = iroot(n, k)
+            lim = isqrt(n)
     return factors, n, n == 1
 
 
@@ -225,7 +219,7 @@ def factor(n):
         raise ValueError("cannot factor 0")
     if n == 1:
         return []
-    fac, cof, done = _trial_divide(n, 2)
+    fac, cof, done = _trial_divide(n)
     if cof == 1:
         return fac
     if done:
@@ -265,39 +259,25 @@ def _split(n):
 
 def mth_power_primes(n, m):
     """Increasing list of the primes p with p**m | n, for n != 0 and m >= 2."""
-    n = abs(n)
     if n == 0:
         raise ValueError("0 is not m-free")
-    _, small, primorial = _primes_below(SMOOTH_BOUND)
-    out, n = _small_part(n, gcd(n, primorial), m, small)
-    # No prime factor below SMOOTH_BOUND is left, so below SMOOTH_BOUND**(m+1)
-    # the cofactor has at most m of them.
-    if n >= SMOOTH_BOUND ** (m + 1):
-        fac, n, done = _trial_divide(n, m + 1, len(small))
-        out += [p for p, e in fac if e >= m]
-        if not done:
-            # The table ran out; no table prime divides the cofactor.
-            return out + [p for p, e in _split(n) if e >= m]
-    # At most m prime factors are left, each above every prime divided out:
-    # the cofactor is m-free unless it is the m-th power of one prime.
-    r = iroot(n, m)
-    if r > 1 and r**m == n:
-        out.append(r)
-    return out
+    return mth_power_primes_chunk([n], m)[0]
 
 
 def mth_power_primes_chunk(ns, m):
-    """[mth_power_primes(n, m) for n in ns], with None for each n == 0.
+    """For each n in ns, the increasing list of the primes p with p**m | n,
+    or None for n == 0; m >= 2.
 
-    The primes below B > max |n| ** (1/(m+1)) leave each n by the gcd chain,
-    whose first gcd(n, P), P their product, reads P mod X for a multiple X
-    of n: a remainder tree over groups of eight values.  The cofactor left
-    has at most m prime factors: below B**m it is m-free, and above it one
-    exact root decides."""
+    The primes below B > max |n| ** (1/(m+1)), B a power of two, leave each
+    n by the gcd chain, whose first gcd(n, P), P their product, reads P mod
+    X for a multiple X of n: a remainder tree over groups of eight values.
+    The cofactor left has at most m prime factors: below B**m it is m-free,
+    and above it one exact root decides.  A chunk whose largest |n| reaches
+    TRIAL_LIMIT**(m+1) is factored value by value instead."""
     ns = [abs(n) for n in ns]
     top = max(ns, default=0)
     if top >= TRIAL_LIMIT ** (m + 1):
-        return [mth_power_primes(n, m) if n else None for n in ns]
+        return [[p for p, e in factor(n) if e >= m] if n else None for n in ns]
     bound, table, primorial = _primes_below(iroot(top, m + 1) + 1)
     floor = bound**m
     leaves = [n or 1 for n in ns]

@@ -23,13 +23,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
 def vec_mat(v, m):
     cols = list(zip(*m))
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
@@ -158,9 +151,11 @@ def mat_inv_frac(rows):
 
 
 def solve_upper_int(h, v):
-    """Solve c * h == v over the integers for upper-triangular full-rank h.
+    """Solve c * h == v over the integers for square upper-triangular
+    full-rank h.
 
     Returns the coefficient tuple, or None if v is not in the row lattice.
+    Step i zeroes v[i], so no entry of v is left over at the end.
     """
     n = len(h)
     v = list(v)
@@ -174,8 +169,6 @@ def solve_upper_int(h, v):
         if q:
             for j in range(i, n):
                 v[j] -= q * h[i][j]
-    if any(v):
-        return None
     return tuple(c)
 
 
@@ -206,17 +199,6 @@ def residue_transversal(h):
     The representatives are all vectors with 0 <= v_i < h[i][i].
     """
     return product(*(range(h[i][i]) for i in range(len(h))))
-
-
-def reduce_mod_lattice(v, h):
-    """Canonical representative of v modulo the row lattice of h (HNF)."""
-    v = list(v)
-    for i in range(len(h)):
-        q = v[i] // h[i][i]
-        if q:
-            for j in range(i, len(v)):
-                v[j] -= q * h[i][j]
-    return tuple(v)
 
 
 def quotient_box(sub_h, super_h):

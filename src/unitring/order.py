@@ -81,9 +81,6 @@ class SubOrder:
             and self.basis_hnf == other.basis_hnf
         )
 
-    def __hash__(self):
-        return hash((id(self.field), self.basis_hnf))
-
     def __repr__(self):
         return f"SubOrder(index={self.index})"
 

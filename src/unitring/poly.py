@@ -302,9 +302,6 @@ class PrimeField:
         """A polynomial in y that reduces to a."""
         return (a,)
 
-    def iter_elements(self):
-        return iter(range(self.p))
-
 
 class ResidueField:
     """F_q = F_p[y]/(g) for g monic irreducible over F_p of degree >= 2.
@@ -367,20 +364,6 @@ class ResidueField:
     def coeffs(self, a):
         """A polynomial in y that reduces to a."""
         return a
-
-    def iter_elements(self):
-        idx = [0] * self.f
-        while True:
-            yield trim(idx, self.base)
-            j = 0
-            while j < self.f:
-                idx[j] += 1
-                if idx[j] < self.p:
-                    break
-                idx[j] = 0
-                j += 1
-            if j == self.f:
-                return
 
 
 class RationalField:

@@ -43,35 +43,30 @@ def precisions(bits, what):
 
 
 def sturm_count_real_roots(p):
-    """Number of distinct real roots of a squarefree integer polynomial."""
+    """Number of distinct real roots of a squarefree integer polynomial of
+    degree >= 1.  Its Sturm chain ends at a nonzero constant, and every
+    polynomial in it is trimmed, so no leading coefficient is 0."""
     chain = [trim(p, QQ), deriv(p, QQ)]
     while len(chain[-1]) > 1:
-        rem = divmod(chain[-2], chain[-1], QQ)[1]
-        if rem == (0,):
-            break
-        chain.append(sub((0,), rem, QQ))
+        chain.append(sub((0,), divmod(chain[-2], chain[-1], QQ)[1], QQ))
 
     def signs_at_inf(sign):
         out = []
         for q in chain:
-            lead = q[-1]
-            if lead == 0:
-                continue
-            s = 1 if lead > 0 else -1
+            s = 1 if q[-1] > 0 else -1
             if sign < 0 and (len(q) - 1) % 2 == 1:
                 s = -s
             out.append(s)
         return out
 
     def variations(seq):
-        seq = [s for s in seq if s != 0]
         return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
     return variations(signs_at_inf(-1)) - variations(signs_at_inf(1))
 
 
 def sylvester_matrix(p, q, zero=0):
-    """Sylvester matrix of two trimmed polynomials of degree >= 1."""
+    """Sylvester matrix of two trimmed polynomials."""
     m, n = len(p) - 1, len(q) - 1
     size = m + n
     rows = []
@@ -91,13 +86,9 @@ def sylvester_matrix(p, q, zero=0):
 def resultant(p, q, K=QQ):
     """Resultant of two polynomials over a commutative ring K with zero and
     one: QQ for int and Fraction coefficients, or a NumberField for
-    AlgebraicInt coefficients in O_K."""
-    p, q = trim(p, K), trim(q, K)
-    if len(p) == 1:
-        return p[0] ** (len(q) - 1) if len(q) > 1 else K.one
-    if len(q) == 1:
-        return q[0] ** (len(p) - 1)
-    return det(sylvester_matrix(p, q, K.zero), K.one)
+    AlgebraicInt coefficients in O_K.  A constant operand c gives
+    c**(degree of the other), and two constants give 1."""
+    return det(sylvester_matrix(trim(p, K), trim(q, K), K.zero), K.one)
 
 
 class ComplexValues:

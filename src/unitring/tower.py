@@ -130,7 +130,8 @@ def candidate_elements(field):
 def find_omega(order, excluded, eta, search_bound=2000):
     """First element w (in the deterministic candidate order) outside the
     order whose discriminant value w^2 - 4 eta lies outside every excluded
-    prime and passes the step certificate (step_refusal)."""
+    prime and passes the step certificate (step_refusal).  The candidate
+    stream is endless, so only search_bound ends a fruitless search."""
     if order.is_maximal():
         raise HypothesisError("the order is already maximal; nothing to adjoin")
     check_eta(order, eta)
@@ -150,7 +151,6 @@ def find_omega(order, excluded, eta, search_bound=2000):
             continue
         if step_refusal(value) is None:
             return omega
-    raise SearchExhausted("candidate stream ended unexpectedly")
 
 
 def step_refusal(value):

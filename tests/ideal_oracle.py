@@ -1,7 +1,10 @@
 """Ideal-level m-freeness and the Moebius function, from the full
 factorization of an ideal: references for the element-level test
-ideal.element_is_mfree and for ideal counts over iter_ideals."""
+ideal.element_is_mfree and for ideal counts over iter_ideals; and the
+valuation of an element by membership, the reference for
+ideal.element_valuation."""
 
+from unitring.ideal import prime_power
 from unitring.intfactor import is_power_free
 
 
@@ -28,3 +31,12 @@ def is_mfree(ideal, m):
     if is_power_free(ideal.norm, m):
         return True
     return all(e < m for _, e in ideal.factor())
+
+
+def valuation_by_membership(alpha, pid):
+    """v_P(alpha) for nonzero alpha by iterated membership of alpha in the
+    cached powers of P; on alpha = 0 it never returns."""
+    v = 0
+    while prime_power(pid, v + 1).contains(alpha):
+        v += 1
+    return v

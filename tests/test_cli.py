@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from unitring import cli, intfactor
-from unitring.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_INTERNAL, main
+from unitring.cli import EXIT_CONFIG, EXIT_EXHAUSTED, EXIT_HYPOTHESIS, EXIT_INTERNAL, main
 from unitring.intfactor import PSI_13, FactorizationTimeout
 from unitring.order import SubOrder
 
@@ -55,6 +55,21 @@ def test_count_threads_byte_identical_cubic(tmp_path):
         assert main(base + ["--threads", threads, "--out", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert len(outs[0].read_text().splitlines()) == 4 + 4
+
+
+def test_count_shards_in_process_sum_to_one_thread(tmp_path):
+    # Pool workers run _count_shard; run in process, the two shards of
+    # --threads 2 each count a part, and together the --threads 1 counts.
+    spec = tmp_path / "cubic_23.json"
+    spec.write_text(json.dumps({"name": "cubic-23", "min_poly": [-1, -1, 0, 1]}))
+    argv = ["count", "--field", str(spec), "--eta", "0,1,0", "--boxes", "8,27,125,216"]
+    out = tmp_path / "t1.tsv"
+    assert main(argv + ["--threads", "1", "--out", str(out)]) == 0
+    counts = [int(line.split("\t")[1]) for line in out.read_text().splitlines()[4:]]
+    args = cli.build_parser().parse_args(argv + ["--threads", "2"])
+    shards = [cli._count_shard((args, (i, 2))) for i in range(2)]
+    assert [a + b for a, b in zip(*shards)] == counts
+    assert all(0 < a < n for a, n in zip(shards[0], counts))
 
 
 def test_density_order_variant(tmp_path):
@@ -115,6 +130,18 @@ def test_exit_code_hypothesis():
     assert "sqrt(5)" in diag["message"]
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["tower", "--field", "q_sqrt2", "--eta", "1,1"], "sqrt(5)"),
+    (["tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta", "2,1"], "eta must be a unit"),
+])
+def test_hypothesis_violation_in_process(argv, needle, capsys):
+    assert main(argv) == EXIT_HYPOTHESIS == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    diag = last_diag(err)
+    assert diag["error"] == "hypothesis" and needle in diag["message"]
+
+
 def test_exit_code_exhaustion():
     proc = run_cli([
         "tower", "--field", "q_sqrt5", "--order", "Z[sqrt5]", "--eta", "1,2",
@@ -150,6 +177,11 @@ def test_exit_code_success():
     proc = run_cli(["belcher", "-d", "5"])
     assert proc.returncode == 0
     assert "5\tTrue" in proc.stdout
+
+
+def test_belcher_d_report_in_process(capsys):
+    assert main(["belcher", "-d", "5"]) == 0
+    assert capsys.readouterr().out == "d\tgenerated_by_units\n5\tTrue\n"
 
 
 def test_belcher_table_fixture(tmp_path):
@@ -259,8 +291,8 @@ def test_exit_code_factorization_timeout(monkeypatch, capsys):
         raise FactorizationTimeout(n)
 
     monkeypatch.setattr(intfactor, "_brent_rho", exhausted)
-    # A squarefree semiprime above the cube of the trial table's largest
-    # prime is left whole by the m-free test's trial division and reaches rho.
+    # A squarefree semiprime above TRIAL_LIMIT**3 sends the m-free test to
+    # factor, whose trial division leaves it whole, so it reaches rho.
     assert main(["belcher", "-d", str((10**9 + 7) * (10**9 + 9))]) == EXIT_EXHAUSTED
     diag = last_diag(capsys.readouterr().err)
     assert diag["error"] == "exhausted" and "budget" in diag["message"]
@@ -291,6 +323,15 @@ def test_precision_cap_is_exhaustion(tmp_path):
     assert last_diag(proc.stderr)["error"] == "exhausted"
 
 
+def test_newton_round_cap_in_process(tmp_path, capsys):
+    # The same stall in process: the cap of 60 Newton rounds raises.
+    spec = tmp_path / "near_real.json"
+    spec.write_text(json.dumps({"name": "near-real", "min_poly": near_real_quintic(10**20)}))
+    assert main(["count", "--field", str(spec), "--eta=0,1,0,0,0", "--boxes", "32"]) == EXIT_EXHAUSTED
+    diag = last_diag(capsys.readouterr().err)
+    assert diag["error"] == "exhausted" and "newton refinement stalled" in diag["message"]
+
+
 @pytest.mark.parametrize("min_poly, eta, boxes", [
     ([2, 0, -(10**40 + 2), 0, 1], "0,1,0,0", "16"),  # roots near +-10^20 and +-10^-20
     (near_real_quintic(10**10), "0,1,0,0,0", "32"),
@@ -313,6 +354,8 @@ NO_UNITS = {"name": "Q(sqrt5)", "min_poly": [-1, -1, 1]}
     (["tower", "--order", "maximal", "--field"], NO_UNITS, "no eta given"),
     # JSON, but a list where the tower object belongs.
     (["verify", "--tower"], [1, 2], "must hold a JSON object"),
+    # A tower object without its keys.
+    (["verify", "--tower"], {"steps": []}, "tower file lacks min_poly"),
 ])
 def test_json_file_lacking_what_the_command_needs_is_config(command, document, needle, tmp_path,
                                                             capsys):
@@ -352,6 +395,10 @@ def test_tower_refuses_when_every_unit_is_a_square(tmp_path, capsys):
       "{tmp}/missing/report.tsv"], "cannot write --out"),
     (["count", "--field", "q_sqrt5", "--order", "nope", "--eta=0,1", "--boxes", "100"],
      "unknown order"),
+    (["density", "--field", "q_sqrt5", "--eta", "0,1,2", "--boxes", "100"],
+     "expected 2 coordinates, got 3"),
+    (["count", "--field", "q_sqrt5", "--eta", "0,1", "--boxes", "100", "--threads", "0"],
+     "--threads must be at least 1"),
 ])
 def test_usage_error_is_config_diagnostic(argv, needle, tmp_path, capsys):
     # argparse would exit 2 (documented as a hypothesis violation) with a
@@ -423,6 +470,15 @@ def test_exit_code_internal(monkeypatch, capsys):
     {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, True]]},
     {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, 0]]},
     {"min_poly": [-1, -1, 1], "units": [[2, 0]]},  # norm 4: not a unit
+    [[-1, -1, 1]],  # not a JSON object
+    {"name": "no min_poly"},
+    {"min_poly": [-1, -1, 1], "orders": {"A": [[2, 0], [0, 1]]}},  # 1 is not in A
+    {"min_poly": [1, 1]},  # degree 1
+    {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0]]},
+    {"min_poly": [-1, -1, 1], "integral_basis": [[2, 0], [0, 2]]},  # 2 O_K: a ring without 1
+    {"min_poly": [-1, -1, 1], "integral_basis": [[1, 0], [0, 2]]},  # theta is not in it
+    # Z + 2Z theta + Z theta^2 holds 1 but not theta * theta^2 = 1 + theta.
+    {"min_poly": [-1, -1, 0, 1], "orders": {"A": [[1, 0, 0], [0, 2, 0], [0, 0, 1]]}},
 ])
 def test_malformed_field_spec_is_config(spec, tmp_path, capsys):
     path = tmp_path / "spec.json"

@@ -85,6 +85,9 @@ def test_sieve_polynomial_validation(q5):
     f = SievePolynomial.x_squared_minus(4 * th)
     assert f.degree == 2
     assert f(q5.one) == q5.one - 4 * th
+    # Zero leading coefficients are trimmed before the degree is read.
+    padded = SievePolynomial([-4 * th, q5.zero, q5.one, q5.zero, q5.zero])
+    assert padded.degree == 2 and padded.coeffs == f.coeffs
 
 
 def test_root_count_spec_examples(q5, f_theta):
@@ -124,6 +127,19 @@ def test_root_count_order_examples(q5, f_eta, z_sqrt5):
     assert root_count_order(f_eta, two, SubOrder.maximal(q5)) == root_count(f_eta, two)
     assert root_count_order(f_eta, two, z_sqrt5) == 1  # residues {0,1}: only 0
     assert root_count_order(f_eta, IdealLattice.unit_ideal(q5), z_sqrt5) == 1
+
+
+def test_root_count_order_when_contractions_meet(q5):
+    # In O = Z + 11 O_K both primes above 11 contract to the one order
+    # prime 11 O_K, so the prime-power parts of a = P P' are not comaximal
+    # in O and the count falls back to brute force: L_O(a) = 2, where the
+    # product over the parts would give 4.
+    order = SubOrder(q5, [(1, 0), (0, 11)])
+    f = SievePolynomial.x_squared_minus(4 * q5.element((3, 11)))
+    p, p_conj = split_prime(q5, 11)
+    a = p.ideal * p_conj.ideal
+    assert [order.contract(q.ideal)[0] for q in (p, p_conj)] == [((11, 0), (0, 11))] * 2
+    assert root_count_order(f, a, order) == root_count_order_bruteforce(f, a, order) == 2
 
 
 def test_root_count_order_le_root_count(q5, f_eta, z_sqrt5):
@@ -420,8 +436,8 @@ def test_euler_density_positive_factors_invariant(q5, f_eta):
 
 def test_empirical_count_examples(q5, f_theta):
     params = DensityParams(order=SubOrder.maximal(q5), poly=f_theta, excluded=(), m=2)
-    box22 = RegionBox.from_bounds(q5.signature, [2, 2])
-    box11 = RegionBox.from_bounds(q5.signature, [1, 1])
+    box22 = RegionBox(q5.signature, [4, 4])
+    box11 = RegionBox(q5.signature, [1, 1])
     assert empirical_count(params, [box22]) == [1]
     assert empirical_count(params, [box11]) == [1]
     ps2 = tuple(split_prime(q5, 2))

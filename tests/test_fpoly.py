@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fq_oracle import field_elements
 from unitring import fpoly
 from unitring.field import NumberField
 from unitring.fpoly import (
@@ -71,7 +72,7 @@ def test_residue_field_f4():
     # F_4 = F_2[y]/(y^2+y+1).
     fq = residue_field(2, (1, 1, 1))
     assert fq.q == 4
-    els = list(fq.iter_elements())
+    els = field_elements(fq)
     assert len(els) == 4
     y = fq.elem((0, 1))
     assert fq.mul(y, y) == fq.elem((1, 1))  # y^2 = y + 1
@@ -96,7 +97,7 @@ def test_count_roots_vs_enumeration_f9():
         ) + ((1,),)
         expected = sum(
             1
-            for el in fq.iter_elements()
+            for el in field_elements(fq)
             if evaluate(poly, el, fq) == (0,)
         )
         assert count_roots_in_fq(poly, fq) == expected
@@ -125,7 +126,7 @@ def test_roots_in_fq_vs_enumeration(p, g, data):
     # cofactor * prod (X - r) with repeated roots: the count and the sorted
     # roots must match a scan of every element of F_q.
     fq = residue_field(p, g)
-    els = list(fq.iter_elements())
+    els = field_elements(fq)
     pick = st.integers(0, len(els) - 1)
     cofactor = [els[i] for i in data.draw(st.lists(pick, max_size=3))]
     cofactor.append(els[data.draw(st.integers(1, len(els) - 1))])

@@ -12,11 +12,9 @@ from unitring.field import NumberField
 from unitring.geometry import (
     _conjugate_products_poly,
     EmbeddedLattice,
-    EmptyCosetError,
     FloatRegionFilter,
     RegionBox,
     coordinate_ranges,
-    count_coset,
     enumerate_region,
     enumerate_region_oracle,
     in_region,
@@ -28,6 +26,11 @@ from unitring.ideal import IdealLattice
 from unitring.linalg import det, identity
 from unitring.order import SubOrder
 from unitring.poly import QQ, mul
+
+
+def box_of_sides(signature, sides):
+    """The RegionBox with |sigma_i| <= sides[i]."""
+    return RegionBox(signature, [Fraction(b) ** 2 for b in sides])
 
 
 @pytest.fixture(scope="module")
@@ -80,9 +83,9 @@ def q5_oracle_enumerate(field, side_sq, coord_range=40):
 
 def test_in_region_examples(q5):
     th = q5.theta
-    box11 = RegionBox.from_bounds(q5.signature, [1, 1])
-    box22 = RegionBox.from_bounds(q5.signature, [2, 2])
-    box44 = RegionBox.from_bounds(q5.signature, [4, 4])
+    box11 = box_of_sides(q5.signature, [1, 1])
+    box22 = box_of_sides(q5.signature, [2, 2])
+    box44 = box_of_sides(q5.signature, [4, 4])
     assert in_region(q5.one, box11)
     assert not in_region(th, box22)  # second conjugate negative
     assert in_region(q5.rational(2) + th, box44)
@@ -119,13 +122,13 @@ def test_in_region_matches_oracles(q5, qi):
 def test_enumerate_examples(q5):
     rows = identity(2)
     def points(bounds):
-        box = RegionBox.from_bounds(q5.signature, bounds)
+        box = box_of_sides(q5.signature, bounds)
         return [p.coords for p in enumerate_region(q5, box, rows)]
 
     assert points([1, 1]) == [(1, 0)]
     assert points([2, 2]) == [(1, 0), (2, 0)]
     two = IdealLattice.from_integer(q5, 2)
-    box22 = RegionBox.from_bounds(q5.signature, [2, 2])
+    box22 = box_of_sides(q5.signature, [2, 2])
     assert [p.coords for p in enumerate_region(q5, box22, two.hnf)] == [(2, 0)]
 
 
@@ -157,34 +160,34 @@ def k3():
     return NumberField([-1, -1, 0, 1], name="cubic-23")
 
 
-def run_points(field, box, rows, shift, shard):
+def run_points(field, box, rows, shard):
     return [
         tuple(a + c * b for a, b in zip(base, step))
-        for base, step, lo, hi in region_runs(field, box, rows, shift=shift, shard=shard)
+        for base, step, lo, hi in region_runs(field, box, rows, shard=shard)
         for c in range(lo, hi + 1)
     ]
 
 
-def check_against_oracle(field, box, rows, shift):
+def check_against_oracle(field, box, rows):
     """The runs are nonempty, and they and the enumeration yield exactly
     the oracle walk's points in the same order; on every shard of 2 and 3
     they partition them.  An end walk that stops one step early adds a
     non-member, one that stops one step late drops a member."""
-    expected = [p.coords for p in enumerate_region_oracle(field, box, rows, shift=shift)]
-    assert [p.coords for p in enumerate_region(field, box, rows, shift=shift)] == expected
-    assert all(lo <= hi for _, _, lo, hi in region_runs(field, box, rows, shift=shift))
-    assert run_points(field, box, rows, shift, None) == expected
+    expected = [p.coords for p in enumerate_region_oracle(field, box, rows)]
+    assert [p.coords for p in enumerate_region(field, box, rows)] == expected
+    assert all(lo <= hi for _, _, lo, hi in region_runs(field, box, rows))
+    assert run_points(field, box, rows, None) == expected
     for k in (2, 3):
-        parts = [p for i in range(k) for p in run_points(field, box, rows, shift, (i, k))]
+        parts = [p for i in range(k) for p in run_points(field, box, rows, (i, k))]
         assert sorted(parts) == sorted(expected)
         parts = [p.coords for i in range(k)
-                 for p in enumerate_region(field, box, rows, shift=shift, shard=(i, k))]
+                 for p in enumerate_region(field, box, rows, shard=(i, k))]
         assert sorted(parts) == sorted(expected)
 
 
 def check_enumeration_against_oracle(field, data, top, max_candidates):
     """check_against_oracle on a random box (squared bounds up to top) and
-    a random full-rank lattice, with and without shift.  Draws whose naive
+    a random full-rank lattice.  Draws whose naive
     coordinate box holds more than max_candidates points are skipped,
     since the oracle decides each one exactly."""
     r, s = field.signature
@@ -194,12 +197,9 @@ def check_enumeration_against_oracle(field, data, top, max_candidates):
     box = RegionBox(field.signature, bounds_sq)
     rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n))
     assume(det(rows) != 0)
-    shift = None
-    if data.draw(st.booleans()):
-        shift = field.element(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
-    ranges = coordinate_ranges(field, box, rows, shift and shift.coords)
+    ranges = coordinate_ranges(field, box, rows)
     assume(prod(hi - lo + 1 for lo, hi in ranges) <= max_candidates)
-    check_against_oracle(field, box, rows, shift)
+    check_against_oracle(field, box, rows)
 
 
 @settings(max_examples=40, deadline=None)
@@ -221,18 +221,17 @@ def test_enumerate_matches_oracle_walk_cubic(k3, data):
     check_enumeration_against_oracle(k3, data, 4, 800)
 
 
-@pytest.mark.parametrize("shift", [None, (1, 1, 0)])
-def test_enumerate_matches_oracle_cubic_box(k3, shift):
+def test_enumerate_matches_oracle_cubic_box(k3):
     # The random cubic draws above are tiny; this box holds 36 points on
     # 22 runs, 14 of them longer than one point.
     box = RegionBox(k3.signature, [Fraction(9), Fraction(9)])
-    check_against_oracle(k3, box, identity(3), shift and k3.element(shift))
+    check_against_oracle(k3, box, identity(3))
 
 
 def test_boundary_tie_complex(qi):
     # In Q(i): |sigma(2i)|^2 = 4 exactly; the closed region includes it.
     i = qi.theta
-    box = RegionBox.from_bounds(qi.signature, [2])
+    box = box_of_sides(qi.signature, [2])
     assert in_region(2 * i, box)
     assert in_region(qi.one + i, box)  # |1+i|^2 = 2 < 4
     assert not in_region(qi.rational(2) + i, box)  # 5 > 4
@@ -362,17 +361,6 @@ def test_region_box_validation(q5):
         RegionBox((0, 1), [4, 5])  # mismatched complex pair
     box = RegionBox.cube(q5.signature, 1000)
     assert box.bounds_sq == (Fraction(1000), Fraction(1000))
-
-
-def test_successive_minima_wrapper(q5):
-    from unitring.geometry import successive_minima
-
-    lat = EmbeddedLattice.from_sigma(q5, IdealLattice.from_integer(q5, 2).hnf)
-    lams = successive_minima(lat, 64)
-    # lambda_1 = 2 sqrt 2: the enclosure must bracket it (squares are exact).
-    assert lams[0].lo ** 2 <= 8 <= lams[0].hi ** 2
-    assert lams[0].hi - lams[0].lo < Fraction(1, 1 << 32)
-    assert lams[0].hi < lams[1].hi
 
 
 def test_minima_examples():
@@ -535,43 +523,6 @@ def _count_lattice_in_rect_wide(basis, rect):
             if 0 <= px <= a and 0 <= py <= b:
                 count += 1
     return count
-
-
-def test_enumerate_nonzero_shift_coset(q5):
-    # (1 + (2)) cap R(2,2) = {1}.
-    two = IdealLattice.from_integer(q5, 2)
-    box22 = RegionBox.from_bounds(q5.signature, [2, 2])
-    pts = [p.coords for p in enumerate_region(q5, box22, two.hnf, shift=q5.one)]
-    assert pts == [(1, 0)]
-    # (theta + (2)) cap R(2,2) = {theta + ...}: theta itself is not totally
-    # positive; theta + 2 = (2,1) has sigma (3.618, 1.382): outside (2,2).
-    pts2 = [p.coords for p in enumerate_region(q5, box22, two.hnf, shift=q5.theta)]
-    assert pts2 == []
-
-
-def test_count_coset_examples(q5):
-    two = IdealLattice.from_integer(q5, 2)
-    box22 = RegionBox.from_bounds(q5.signature, [2, 2])
-    cnt, main, err = count_coset(q5, q5.zero, two, box22)
-    assert cnt == 1
-    # main = 4 / (sqrt5 * 4) = 1/sqrt5 = 0.44721...
-    assert Fraction(4472, 10**4) < main.lo and main.hi < Fraction(4473, 10**4)
-    cnt2, main2, _ = count_coset(q5, q5.zero, IdealLattice.unit_ideal(q5), box22)
-    assert cnt2 == 2
-    # main = 4 / sqrt5 = 1.78885...
-    assert Fraction(17888, 10**4) < main2.lo and main2.hi < Fraction(17889, 10**4)
-
-
-def test_count_coset_empty(q5):
-    # Z[sqrt5] + coset of (2) not meeting the order: beta = theta.
-    z_sqrt5 = SubOrder(q5, [(1, 0), (-1, 2)])
-    two = IdealLattice.from_integer(q5, 2)
-    box = RegionBox.from_bounds(q5.signature, [2, 2])
-    with pytest.raises(EmptyCosetError):
-        count_coset(q5, q5.theta, two, box, order=z_sqrt5)
-    # A coset that does meet the order works.
-    cnt, _, _ = count_coset(q5, q5.one, two, box, order=z_sqrt5)
-    assert cnt >= 0
 
 
 def test_det_t_is_one():

@@ -1,9 +1,10 @@
 """Source hygiene, by an AST scan: no module imports a name it never uses,
 src/ imports only at module level, and every top-level definition in src/
-is referenced from src/, tests/ or perfbench/: imported from its module,
-read as an attribute of that module, loaded in its own module where no
-local name shadows it, or named by a string constant.  Every name that
-perfbench/ hooks or imports resolves on a plain import of unitring."""
+is referenced from src/ or perfbench/: imported from its module, read as
+an attribute of that module, loaded in its own module where no local name
+shadows it, or named by a string constant such as an __all__ entry.  A
+name that only tests use belongs in tests/.  Every name that perfbench/
+hooks or imports resolves on a plain import of unitring."""
 
 import ast
 import importlib
@@ -177,7 +178,8 @@ def _unreferenced(sources):
 
 
 def _sources():
-    return {path: path.read_text(encoding="utf-8") for path in SRC + TESTS + PERFBENCH}
+    """The files whose references keep a src/ definition: tests/ is not one."""
+    return {path: path.read_text(encoding="utf-8") for path in SRC + PERFBENCH}
 
 
 def test_every_src_definition_is_referenced():

@@ -1,10 +1,13 @@
 import itertools
+import random
+import signal
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ideal_oracle import is_mfree, mobius
+from ideal_oracle import is_mfree, mobius, valuation_by_membership
+from lattice_oracle import reduce_mod_lattice
 from unitring.density import (
     DensityParams,
     SievePolynomial,
@@ -29,7 +32,6 @@ from unitring.ideal import (
     split_prime,
 )
 from unitring.intfactor import mth_power_primes, prime_table
-from unitring.linalg import reduce_mod_lattice
 from unitring.order import SubOrder
 
 
@@ -300,22 +302,42 @@ def test_lazy_prime_ideals_match_kummer_dedekind(name):
 
 @pytest.mark.parametrize("name", sorted(LAZY_FIELDS))
 def test_valuation_at_matches_element_valuation(name):
-    # The ideal route (containment of the ideal in P^k) and the element
-    # route (membership of the element in P^k) agree on principal ideals,
-    # and the powers cached on each prime are the ideal powers.
+    # element_valuation, the valuation of the ideal (alpha) by containment
+    # in P^k, agrees with the membership of alpha in P^k, on the multiples
+    # of 12 of a small box and on seeded elements times powers of 2, 5 and
+    # 11; the powers cached on each prime are the ideal powers.
     field = LAZY_FIELDS[name]()
     primes = [pid for p in (2, 3, 5, 7, 11) for pid in split_prime(field, p)]
     for pid in primes:
         for k in range(1, 4):
             assert prime_power(pid, k) == pid.ideal**k
         assert pid._powers[0] is pid.ideal
-    for coords in itertools.product(range(-3, 4), repeat=field.degree):
-        if not any(coords):
-            continue
-        alpha = field.element(coords) * field.rational(12)
-        ideal = IdealLattice.principal(alpha)
+    elements = [field.element(coords) * field.rational(12)
+                for coords in itertools.product(range(-3, 4), repeat=field.degree) if any(coords)]
+    rng = random.Random(27)
+    for _ in range(40):
+        coords = [rng.randint(-99, 99) for _ in range(field.degree)]
+        scale = 2 ** rng.randint(0, 4) * 5 ** rng.randint(0, 2) * 11 ** rng.randint(0, 1)
+        if any(coords):
+            elements.append(field.element(coords) * field.rational(scale))
+    for alpha in elements:
         for pid in primes:
-            assert ideal.valuation_at(pid) == element_valuation(alpha, pid)
+            assert element_valuation(alpha, pid) == valuation_by_membership(alpha, pid)
+
+
+def test_element_valuation_of_zero_raises_at_once(q5):
+    # The membership loop walks P^k for ever on 0; the ideal (0) is refused.
+    def stop(signum, frame):
+        raise TimeoutError("element_valuation(0, P) still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ValueError, match="zero ideal rejected"):
+            element_valuation(q5.zero, split_prime(q5, 11)[0])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_euler_density_builds_only_excluded_and_bad_prime_ideals():

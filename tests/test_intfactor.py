@@ -2,7 +2,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from unitring.intfactor import (
     PSI_13,
-    SMOOTH_BOUND,
     TRIAL_LIMIT,
     PrimalityUnproven,
     _brent_rho,
@@ -88,17 +87,17 @@ def test_mth_power_primes_planted(a, p, q, m):
     assert got == mth_power_primes_by_factor(n, m)
 
 
-# The gcd route: 2179 is the last prime below SMOOTH_BOUND, so it comes out
-# of the gcd with the primorial; 2203 and 2207 are the first primes above
-# it, and 1_000_003 lies above TRIAL_LIMIT.
-NEAR_BOUND = (2179, 2203, 2207, 1_000_003)
+# Primes on either side of 2**11 and 2**12, which the kernel takes for its
+# bound B (a power of two above |n|**(1/(m+1))) on values near 2**(11(m+1))
+# and 2**(12(m+1)), and 1_000_003 above TRIAL_LIMIT.
+NEAR_BOUND = (2039, 2053, 4093, 4099, 1_000_003)
 
 
 @settings(max_examples=300, deadline=None)
 @given(
     st.integers(min_value=1, max_value=10**6),
     st.sampled_from(NEAR_BOUND),
-    st.sampled_from([1, 2161, 2203, 1_000_033]),
+    st.sampled_from([1, 2029, 2053, 4099, 1_000_033]),
     st.sampled_from([2, 3, 4]),
 )
 def test_mth_power_primes_near_smooth_bound(a, p, q, m):
@@ -108,36 +107,45 @@ def test_mth_power_primes_near_smooth_bound(a, p, q, m):
     assert got == mth_power_primes_by_factor(n, m)
 
 
+def kernel_bound(n, m):
+    """The kernel's B for a chunk whose largest |value| is |n|."""
+    return _primes_below(iroot(abs(n), m + 1) + 1)[0]
+
+
 def test_mth_power_primes_gcd_route_cofactors():
-    assert 2179 < SMOOTH_BOUND < 2203
-    b3 = SMOOTH_BOUND**3
-    # Cofactors free of primes below the bound, under and over bound**(m+1).
-    assert 2203**2 < b3 and mth_power_primes(2**5 * 3 * 2203**2, 2) == [2, 2203]
-    assert 2203 * 2207 < b3 and mth_power_primes(2179**2 * 2203 * 2207, 2) == [2179]
-    assert 2203 * 2207 * 2213 >= b3 and mth_power_primes(2203 * 2207 * 2213, 2) == []
-    assert mth_power_primes(5**2 * 2203**2 * 2207, 2) == [5, 2203]
-    assert mth_power_primes(2203**3 * 1_000_003, 3) == [2203]
-    assert mth_power_primes(2179**4 * 1_000_003**4, 4) == [2179, 1_000_003]
-    # Cofactors at or above bound**(m+1) go on to trial division from the
-    # first table prime above the bound: 2203 must still be found, and so
-    # must a prime just above 10**4.
-    for m in (2, 3):
-        for small, cofactor in (
-            (1, 2203**m * 1_000_003 * 1_000_033),
-            (1, 10007**m * 2207 * 1_000_003),
-            (2**m * 3, 2203**m * 10009**m * 2213),
-            (1, 2203 ** (m + 1) * 10007 ** (m + 2)),
-        ):
-            assert cofactor >= SMOOTH_BOUND ** (m + 1)
-            n = small * cofactor
-            expected = [p for p, e in factor(n) if e >= m]
-            assert expected and mth_power_primes(n, m) == expected
+    # The gcd chain takes the primes below B out of n; what is left has at
+    # most m prime factors.  Below B**m it is m-free as it stands, in
+    # [B**m, B**(m+1)) one exact root decides, and at or above
+    # TRIAL_LIMIT**(m+1) the value goes to factor instead.  Primes are
+    # planted just below and just above B = 2048 and B = 4096.
+    for n, m, b, cofactor_class in (
+        (4093**2 * 4099, 2, 4096, "below"),
+        (4099**2 * 4079, 2, 4096, "between"),
+        (4099 * 4111, 2, 512, "between"),
+        (2039**3 * 2053, 3, 2048, "below"),
+        (2053**3 * 2029, 3, 2048, "between"),
+        (2039**4 * 2053, 4, 2048, "below"),
+        (2053**4 * 2027, 4, 2048, "between"),
+        (-(2**5) * 3 * 2053**2, 2, 1024, "between"),
+        (1_000_003**2 * 1_000_033, 2, None, "factor"),
+        (2**6 * 1_000_003**3 * 1_000_033, 3, None, "factor"),
+    ):
+        expected = mth_power_primes_by_factor(n, m)
+        assert mth_power_primes(n, m) == expected
+        if cofactor_class == "factor":
+            assert abs(n) >= TRIAL_LIMIT ** (m + 1) and expected
+            continue
+        assert kernel_bound(n, m) == b
+        cofactor = prod(p**e for p, e in factor(n) if p > b)
+        assert (cofactor < b**m) == (cofactor_class == "below")
+        assert cofactor < b ** (m + 1)
+        assert mth_power_primes_chunk([n, 0, 1], m) == [expected, None, []]
 
 
-# Cofactors free of primes below SMOOTH_BOUND: 1; squares of primes above
-# it, below bound**(m+1) (one exact root decides) and above TRIAL_LIMIT;
-# a table-prime square times a prime; and products above bound**(m+1)
-# for every m in {2, 3, 4}, so that trial division runs.
+# Cofactors prime to the small primes drawn below: 1; squares of primes above
+# 2**11, which one exact root decides, and above TRIAL_LIMIT; a
+# table-prime square times a prime; and products of several primes above
+# 2**11 for every m in {2, 3, 4}, which the chunk's bound B takes out.
 COFACTORS = (1, 2203**2, 7919**2, 1_000_003**2, 999983**2 * 2207,
              10007**3 * 10009 * 2213, 2207**5 * 2213 * 1_000_033)
 
@@ -208,7 +216,7 @@ def test_mth_power_primes_fallback_range():
 
 
 def by_value(ns, m):
-    return [mth_power_primes(n, m) if n else None for n in ns]
+    return [mth_power_primes_by_factor(n, m) if n else None for n in ns]
 
 
 def prime_at_least(n):
@@ -225,7 +233,7 @@ def prime_below(n):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("bound", [8, 64, 2048, SMOOTH_BOUND, 4096])
+@pytest.mark.parametrize("bound", [8, 64, 2048, 4096])
 def test_chunk_kernel_at_its_bound(m, bound):
     # The largest value (bound - 1)**(m+1) sets the chunk's bound B, up to
     # which the remainder tree takes primes out: m-th powers of the last
@@ -249,14 +257,17 @@ def test_chunk_kernel_at_its_bound(m, bound):
        st.sampled_from([2, 3, 4]))
 def test_chunk_kernel_matches_mth_power_primes(items, m):
     # Chunks of any length, with planted m-th powers of primes on either
-    # side of every bound the chunk may pick.
+    # side of every bound the chunk may pick; each value's own chunk of one
+    # (mth_power_primes) takes a bound of its own.
     chunk = [x if isinstance(x, int) else x[0] ** m * x[1] for x in items]
-    assert mth_power_primes_chunk(chunk, m) == by_value(chunk, m)
+    expected = by_value(chunk, m)
+    assert mth_power_primes_chunk(chunk, m) == expected
+    assert [mth_power_primes(n, m) if n else None for n in chunk] == expected
 
 
 def test_chunk_kernel_falls_back_past_the_table():
     # A largest value at or above TRIAL_LIMIT**(m+1) sends the chunk value
-    # by value, through the full table and rho.
+    # by value to factor: the full table and rho.
     p, q = 1_000_003, 1_000_033
     chunk = [p * p * q, 0, 12, p * q * 2, -(999983**2)]
     assert max(chunk) >= TRIAL_LIMIT**3
@@ -328,6 +339,8 @@ def test_squarefree_negative_input():
 def test_factor_one_and_sign():
     assert factor(1) == []
     assert factor(-12) == [(2, 2), (3, 1)]
+    with pytest.raises(ValueError, match="cannot factor 0"):
+        factor(0)
 
 
 def test_prime_table_contents():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lattice_oracle import mat_mul, reduce_mod_lattice
 from unitring.linalg import (
     char_poly,
     det,
@@ -15,9 +16,7 @@ from unitring.linalg import (
     lattice_intersection,
     lattice_sum,
     mat_inv_frac,
-    mat_mul,
     quotient_box,
-    reduce_mod_lattice,
     residue_transversal,
     solve_upper_int,
     vec_mat,

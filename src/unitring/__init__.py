@@ -11,7 +11,6 @@ from .density import (
     euler_density,
     mfree_threshold,
     root_count,
-    root_count_order,
 )
 from .field import AlgebraicInt, NumberField, is_square_in_field
 from .fieldspec import load_field_spec
@@ -62,7 +61,6 @@ __all__ = [
     "mfree_threshold",
     "quadratic_step",
     "root_count",
-    "root_count_order",
     "split_prime",
     "unit_order",
     "verify_unit_generation",

@@ -13,18 +13,19 @@ simple and lifts uniquely to every prime power (Hensel), so no root is
 ever found.  Only an inseparable reduction, at a prime of bad
 reduction, finds its roots, lifts the simple ones and counts the lifts of
 the multiple ones by brute force; a reduction that vanishes counts N(P)^e
-when every coefficient lies in P^e.  Every brute-force walk, the lifts
-and the oracles root_count_bruteforce and root_count_order_bruteforce,
-runs over ideal.residue_system, which alone holds the residue cap.  The
-infinite Euler product is truncated with an explicit interval tail, with
-every prime of bad reduction handled exactly no matter its size, so the
-returned interval is rigorous.
+when every coefficient lies in P^e.  Every brute-force walk, the lifts,
+the oracle root_count_bruteforce and root_count_order_bruteforce, the
+conductor sum's L_O at each order prime, runs over ideal.residue_system,
+which alone holds the residue cap.  The infinite Euler product is
+truncated with an explicit interval tail, with every prime of bad
+reduction handled exactly no matter its size, so the returned interval
+is rigorous.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, combinations, islice, repeat
+from itertools import accumulate, chain, islice, repeat
 from math import lcm, prod
 
 from . import fpoly
@@ -48,8 +49,7 @@ from .geometry import (
 )
 from .intervals import RatInterval
 from .intfactor import mth_power_primes_chunk, tree_product
-from .linalg import lattice_sum
-from .order import SubOrder
+from .order import SubOrder, order_primes_over_conductor
 from .poly import deriv, evaluate, trim
 from .rootiso import resultant
 
@@ -178,22 +178,9 @@ def root_count_bruteforce(poly, ideal):
     return sum(ideal.contains(poly(beta)) for beta in ideal.residues())
 
 
-def root_count_order(poly, ideal, order):
-    """L_O(a): roots in O/(a cap O).  CRT over the prime-power parts when
-    their contractions are pairwise comaximal, brute force otherwise."""
-    if not poly.in_order(order):
-        raise ValueError("polynomial coefficients must lie in the order")
-    if order.is_maximal():
-        return root_count(poly, ideal)
-    parts = [prime_power(pid, e) for pid, e in ideal.factor()]
-    rows = [order.contract(part)[0] for part in parts]
-    if all(lattice_sum(a, b) == order.basis_hnf for a, b in combinations(rows, 2)):
-        return prod(root_count_order_bruteforce(poly, part, order) for part in parts)
-    return root_count_order_bruteforce(poly, ideal, order)
-
-
 def root_count_order_bruteforce(poly, ideal, order):
-    """Brute-force L_O(a): the residues of a cap O inside O that are roots."""
+    """L_O(a): the residues of a cap O inside O that are roots, by one walk
+    over O/(a cap O)."""
     rows, _ = order.contract(ideal)
     return sum(ideal.contains(poly(alpha))
                for alpha in residue_system(poly.field, rows, order.basis_hnf))
@@ -297,23 +284,16 @@ class DensityReport:
 def conductor_sum(params):
     """Sum over divisors of the conductor: mu(a) L_O(a) / [O : a cap O].
 
-    Only squarefree divisors contribute; they are products of subsets of
-    the conductor support.
+    Only squarefree divisors contribute.  A product a of O_K primes that
+    all lie over one order prime p has a cap O = p, and for alpha in O,
+    f(alpha) lies in a exactly when it lies in p, so the divisors over p
+    sum to 1 - L_O(p) / [O : p].  By CRT across distinct order primes the
+    sum is the order's local product, prod (1 - L_O(p) / [O : p]) over the
+    order primes p containing the conductor.
     """
-    order = params.order
-    support = order.conductor_support()
-    total = Fraction(0)
-    for mask in range(1 << len(support)):
-        a = IdealLattice.unit_ideal(params.field)
-        bits_on = 0
-        for i, pid in enumerate(support):
-            if mask >> i & 1:
-                a = a * pid.ideal
-                bits_on += 1
-        l_val = root_count_order(params.poly, a, order)
-        _, idx = order.contract(a)
-        total += Fraction((-1) ** bits_on * l_val, idx)
-    return total
+    poly, order = params.poly, params.order
+    return prod((1 - Fraction(root_count_order_bruteforce(poly, fac[0][0].ideal, order), idx)
+                 for _, idx, fac in order_primes_over_conductor(order)), start=Fraction(1))
 
 
 def local_product(poly, pids):

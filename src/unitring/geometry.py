@@ -9,7 +9,8 @@ bits, and in_region climbs the precision ladder with it until each place
 lies inside or outside its bound, or ties it exactly, which is decided
 through the integer polynomial whose roots are the pairwise products of
 the element's conjugates.  The coordinate box of the walk reads the
-inverse embedding, whose columns are NumberField.embed of the dual basis.
+inverse embedding at 64 bits, whose columns are NumberField.embed of the
+dual basis over the fixed-point embedding the screen uses.
 """
 
 from fractions import Fraction
@@ -31,23 +32,18 @@ SQRT_BITS = 96
 class RegionBox:
     """The closed region: totally positive, |sigma_i| <= x_i, with x_i >= 1.
 
-    bounds_sq holds the squared bounds (exact rationals); complex
-    coordinates must come in equal pairs, mirroring the region's symmetry.
+    bounds_sq holds one squared bound (an exact rational) per place: the
+    r real places, then the s complex ones, whose conjugate embeddings
+    share the bound.
     """
 
     __slots__ = ("signature", "bounds_sq")
 
     def __init__(self, signature, bounds_sq):
         r, s = signature
-        n = r + 2 * s
         bounds_sq = tuple(Fraction(b) for b in bounds_sq)
-        if len(bounds_sq) == r + s:
-            bounds_sq = bounds_sq + bounds_sq[r:]
-        if len(bounds_sq) != n:
-            raise ValueError("need one bound per embedding")
-        for i in range(s):
-            if bounds_sq[r + s + i] != bounds_sq[r + i]:
-                raise ValueError("complex coordinate bounds must match their conjugates")
+        if len(bounds_sq) != r + s:
+            raise ValueError("need one bound per place")
         if any(b < 1 for b in bounds_sq):
             raise ValueError("bounds must be at least 1")
         self.signature = signature
@@ -62,7 +58,7 @@ class RegionBox:
         side_sq = exact_root(volume**2, n)
         if side_sq is None:
             raise ValueError("volume^(2/n) is not rational; give explicit bounds")
-        return cls(signature, (side_sq,) * n)
+        return cls(signature, (side_sq,) * (r + s))
 
     def __repr__(self):
         return f"RegionBox(sq={tuple(str(b) for b in self.bounds_sq)})"
@@ -321,12 +317,12 @@ def coordinate_ranges(field, box, lattice_rows):
     the embedded box; rigorous outer bounds, never under-covering.
 
     An element with |std_k| <= b_k has |coords_l| <= sum_k b_k |M[k][l]|
-    for the inverse embedding M."""
+    for the inverse embedding M, enclosed at FIXED_BITS."""
     r, s = field.signature
     n = field.degree
-    std_bounds = [sqrt_upper(b, 32) for b in box.bounds_sq[:r + s]]
+    std_bounds = [sqrt_upper(b, 32) for b in box.bounds_sq]
     std_bounds = std_bounds[:r] + [b for b in std_bounds[r:] for _ in range(2)]
-    inv = field.inverse_embedding(256)
+    inv = field.inverse_embedding(FIXED_BITS)
     coord_bound = [
         int(sum(b * max(-m.lo, m.hi) for b, m in zip(std_bounds, col))) + 1
         for col in zip(*inv)

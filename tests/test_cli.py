@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,7 @@ from unitring.intfactor import PSI_13, FactorizationTimeout
 from unitring.order import SubOrder
 
 RUN = [sys.executable, "-m", "unitring.cli"]
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(args, **kw):
@@ -81,6 +83,19 @@ def test_density_order_variant(tmp_path):
     ])
     assert code == 0
     assert "# conductor_sum=1/2" in out.read_text()
+
+
+@pytest.mark.parametrize("c", [77, 30])
+def test_density_report_over_several_conductor_primes(tmp_path, c):
+    # Z + 77 O_K has two O_K primes above its order prime at 11, and
+    # Z + 30 O_K three order primes; the conductor sums are 45/77 and 1/10.
+    out = tmp_path / "d.tsv"
+    assert main([
+        "density", "--field", str(FIXTURES / "q_sqrt5_conductor_orders.json"),
+        "--order", f"Z+{c}O", f"--eta=1,{c}", "--boxes", "1000,10000",
+        "--truncation", "1000", "--out", str(out),
+    ]) == 0
+    assert out.read_bytes() == (FIXTURES / f"density_q_sqrt5_z{c}O.tsv").read_bytes()
 
 
 def test_count_subcommand(tmp_path):

@@ -108,9 +108,9 @@ def test_cubic_is_square(k3):
 
 
 def test_cubic_region_membership(k3):
-    # Boxes need r+s = 2 bounds expanded to n = 3.
+    # A box holds one bound per place: r + s = 2 of them, not n = 3.
     box = RegionBox(k3.signature, [Fraction(4), Fraction(4)])
-    assert len(box.bounds_sq) == 3
+    assert len(box.bounds_sq) == 2
     # 1 is totally positive with |sigma| = 1 everywhere.
     assert in_region(k3.one, box)
     # theta: real embedding 1.3247 > 0, |complex|^2 = N/real = 1/1.3247 < 4.

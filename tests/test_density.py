@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from order_oracle import root_count_order_crt
 from unitring.field import NumberField
 from unitring.geometry import RegionBox
 from unitring.ideal import (
@@ -41,7 +42,6 @@ from unitring.density import (
     mfree_threshold,
     root_count,
     root_count_bruteforce,
-    root_count_order,
     root_count_order_bruteforce,
     run_norms,
     run_values,
@@ -82,6 +82,10 @@ def test_sieve_polynomial_validation(q5):
         SievePolynomial([-(th + q5.one), q5.zero, q5.one])
     with pytest.raises(ValueError):
         SievePolynomial([q5.one])  # degree 0
+    with pytest.raises(SieveInputError, match="irreducibility must be asserted"):
+        # No certificate of irreducibility exists for degree != 2.
+        SievePolynomial([-th, q5.zero, q5.zero, q5.one])
+    assert SievePolynomial([-th, q5.zero, q5.zero, q5.one], assume_irreducible=True).degree == 3
     f = SievePolynomial.x_squared_minus(4 * th)
     assert f.degree == 2
     assert f(q5.one) == q5.one - 4 * th
@@ -124,39 +128,50 @@ def test_root_count_hensel_vs_brute_prime_powers(q5, f_theta, f_eta):
 
 def test_root_count_order_examples(q5, f_eta, z_sqrt5):
     two = IdealLattice.from_integer(q5, 2)
-    assert root_count_order(f_eta, two, SubOrder.maximal(q5)) == root_count(f_eta, two)
-    assert root_count_order(f_eta, two, z_sqrt5) == 1  # residues {0,1}: only 0
-    assert root_count_order(f_eta, IdealLattice.unit_ideal(q5), z_sqrt5) == 1
+    assert root_count_order_bruteforce(f_eta, two, SubOrder.maximal(q5)) == root_count(f_eta, two)
+    assert root_count_order_bruteforce(f_eta, two, z_sqrt5) == 1  # residues {0,1}: only 0
+    assert root_count_order_bruteforce(f_eta, IdealLattice.unit_ideal(q5), z_sqrt5) == 1
+    assert root_count_order_crt(f_eta, two, z_sqrt5) == 1
 
 
 def test_root_count_order_when_contractions_meet(q5):
     # In O = Z + 11 O_K both primes above 11 contract to the one order
     # prime 11 O_K, so the prime-power parts of a = P P' are not comaximal
-    # in O and the count falls back to brute force: L_O(a) = 2, where the
-    # product over the parts would give 4.
+    # in O and form one CRT group: L_O(a) = 2, where the product over the
+    # parts would give 4.
     order = SubOrder(q5, [(1, 0), (0, 11)])
     f = SievePolynomial.x_squared_minus(4 * q5.element((3, 11)))
     p, p_conj = split_prime(q5, 11)
     a = p.ideal * p_conj.ideal
     assert [order.contract(q.ideal)[0] for q in (p, p_conj)] == [((11, 0), (0, 11))] * 2
-    assert root_count_order(f, a, order) == root_count_order_bruteforce(f, a, order) == 2
+    assert root_count_order_crt(f, a, order) == root_count_order_bruteforce(f, a, order) == 2
 
 
 def test_root_count_order_le_root_count(q5, f_eta, z_sqrt5):
     from unitring.ideal import iter_ideals
 
     for a in iter_ideals(q5, 60):
-        assert root_count_order(f_eta, a, z_sqrt5) <= root_count(f_eta, a)
+        assert root_count_order_bruteforce(f_eta, a, z_sqrt5) <= root_count(f_eta, a)
 
 
 def test_order_multiplicativity_crt(q5, f_eta, z_sqrt5):
-    # CRT against merged brute force for comaximal contractions.
+    # CRT over the order primes against brute force on the whole ideal, also
+    # where several O_K primes lie over one order prime (q5 at 11, Q(i) at 5).
     from unitring.ideal import iter_ideals
 
     for a in iter_ideals(q5, 200):
-        crt = root_count_order(f_eta, a, z_sqrt5)
+        crt = root_count_order_crt(f_eta, a, z_sqrt5)
         brute = root_count_order_bruteforce(f_eta, a, z_sqrt5)
         assert crt == brute, f"L_O mismatch at norm {a.norm}"
+
+    qi = NumberField([1, 0, 1], name="Q(i)")
+    for field, cs in ((q5, (11, 30, 77)), (qi, (5, 10))):
+        ideals = iter_ideals(field, 130)
+        for c in cs:
+            order, f = _z_plus(field, c)
+            for a in ideals:
+                crt = root_count_order_crt(f, a, order)
+                assert crt == root_count_order_bruteforce(f, a, order), (field.name, c, a.norm)
 
 
 def test_mfree_threshold():
@@ -278,19 +293,60 @@ def test_conductor_sum_examples(q5, f_theta, f_eta, z_sqrt5):
     assert conductor_sum(op) == Fraction(1, 2)
 
 
-def test_conductor_sum_product_identity(q5, f_eta, z_sqrt5):
-    # Proof identity: the divisor sum collapses to the product
-    # prod_i (1 - L_O(P_{i,1}) / [O : p_i]) over order primes above f.
+def conductor_sum_by_subsets(params):
+    """The conductor sum as its definition reads: mu(a) L_O(a) / [O : a cap O]
+    summed over the products a of the subsets of the conductor support,
+    each L_O(a) a brute-force walk over the whole of O/(a cap O)."""
+    order, poly = params.order, params.poly
+    support = order.conductor_support()
+    total = Fraction(0)
+    for mask in range(1 << len(support)):
+        a = IdealLattice.unit_ideal(params.field)
+        for i, pid in enumerate(support):
+            if mask >> i & 1:
+                a = a * pid.ideal
+        _, idx = order.contract(a)
+        total += Fraction((-1) ** bin(mask).count("1")
+                          * root_count_order_bruteforce(poly, a, order), idx)
+    return total
+
+
+def _z_plus(field, c):
+    """The order Z + c O_K, with the sieve polynomial X^2 - 4 (1 + c theta)."""
+    n = field.degree
+    order = SubOrder(field, [[1] + [0] * (n - 1)]
+                     + [[0] * i + [c] + [0] * (n - 1 - i) for i in range(1, n)])
+    return order, SievePolynomial.x_squared_minus(4 * (field.one + c * field.theta))
+
+
+def test_conductor_sum_product_identity(q5, z_sqrt5):
+    # Proof identity: the divisor sum collapses to the order's local product
+    # prod (1 - L_O(p) / [O : p]) over the order primes p above f.  In five
+    # of these orders two O_K primes lie over one order prime: q5 at 11 and
+    # 77, Q(i) at 5, 10 and 30.
     from unitring.order import order_primes_over_conductor
 
-    ps2 = tuple(split_prime(q5, 2))
-    params = DensityParams(order=z_sqrt5, poly=f_eta, excluded=ps2, m=2)
-    lhs = conductor_sum(params)
-    rhs = Fraction(1)
-    for _rows, idx, fac in order_primes_over_conductor(z_sqrt5):
-        pid = fac[0][0]
-        rhs *= 1 - Fraction(root_count_order(f_eta, pid.ideal, z_sqrt5), idx)
-    assert lhs == rhs
+    qi = NumberField([1, 0, 1], name="Q(i)")
+    k3 = NumberField([-1, -1, 0, 1], name="cubic-23")
+    cases = [_z_plus(q5, c) for c in (2, 3, 6, 10, 11, 30, 77, 210)]
+    cases += [(z_sqrt5, SievePolynomial.x_squared_minus(4 * eta))
+              for eta in (q5.element((1, 2)), q5.element((-3, 2)))]
+    cases += [_z_plus(qi, c) for c in (2, 5, 6, 10, 30)]
+    cases += [_z_plus(k3, c) for c in (2, 3, 6)]
+    shared = 0
+    for order, f in cases:
+        params = DensityParams(order=order, poly=f,
+                               excluded=with_conductor_support(order, ()), m=2)
+        lhs = conductor_sum(params)
+        assert lhs == conductor_sum_by_subsets(params), order.basis_hnf
+        rhs = Fraction(1)
+        primes = order_primes_over_conductor(order)
+        for _rows, idx, fac in primes:
+            pid = fac[0][0]
+            rhs *= 1 - Fraction(root_count_order_crt(f, pid.ideal, order), idx)
+        assert lhs == rhs, order.basis_hnf
+        shared += len(primes) < len(order.conductor_support())
+    assert shared == 5
 
 
 def test_local_factor_example(q5, f_theta):

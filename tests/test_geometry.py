@@ -221,6 +221,30 @@ def test_enumerate_matches_oracle_walk_cubic(k3, data):
     check_enumeration_against_oracle(k3, data, 4, 800)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_coordinate_ranges_cover_the_region(q5, qi, k3, data):
+    # The ranges are read off the inverse embedding at 64 bits.  Walk a
+    # coordinate box twice as wide: every lattice point that in_region
+    # accepts must lie inside the ranges.  (enumerate_region_oracle walks
+    # the ranges themselves, so it cannot show a range that is too narrow.)
+    field = data.draw(st.sampled_from([q5, qi, k3]))
+    r, s = field.signature
+    n = field.degree
+    top = 16 if field is k3 else 400
+    bounds_sq = [Fraction(data.draw(st.integers(4, 4 * top)), 4) for _ in range(r + s)]
+    box = RegionBox(field.signature, bounds_sq)
+    rows = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), min_size=n, max_size=n))
+    assume(det(rows) != 0)
+    ranges = coordinate_ranges(field, box, rows)
+    wide = [range(2 * lo, 2 * hi + 1) for lo, hi in ranges]
+    assume(prod(map(len, wide)) <= 4000)
+    for coeffs in itertools.product(*wide):
+        alpha = field.element([sum(c * row[k] for c, row in zip(coeffs, rows)) for k in range(n)])
+        if in_region(alpha, box):
+            assert all(lo <= c <= hi for c, (lo, hi) in zip(coeffs, ranges)), (coeffs, ranges)
+
+
 def test_enumerate_matches_oracle_cubic_box(k3):
     # The random cubic draws above are tiny; this box holds 36 points on
     # 22 runs, 14 of them longer than one point.
@@ -358,7 +382,7 @@ def test_region_box_validation(q5):
     with pytest.raises(ValueError):
         RegionBox(q5.signature, [Fraction(1, 2), 1])  # below 1
     with pytest.raises(ValueError):
-        RegionBox((0, 1), [4, 5])  # mismatched complex pair
+        RegionBox((0, 1), [4, 4])  # one bound per embedding, not per place
     box = RegionBox.cube(q5.signature, 1000)
     assert box.bounds_sq == (Fraction(1000), Fraction(1000))
 

@@ -116,12 +116,13 @@ def _count_shard(payload):
 
 def _counts_for_boxes(args, params, boxes):
     """One count per box, from one pass over the nested boxes; with
-    --threads above 1, one pool whose shards each count every box."""
+    --threads N above 1, N shards that each count every box, over one pool
+    of at most one worker per CPU (the pool starts all its workers at once)."""
     threads = args.threads
     if threads <= 1:
         return empirical_count(params, boxes)
     payloads = [(args, (i, threads)) for i in range(threads)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, os.cpu_count() or 1)) as pool:
         shard_counts = list(pool.map(_count_shard, payloads))
     return [sum(per_box) for per_box in zip(*shard_counts)]
 
@@ -354,7 +355,8 @@ def build_parser():
                        help="rational primes whose ideal factors are excluded, comma separated")
         p.add_argument("--boxes", default="100,1000,10000",
                        help="strictly increasing volumes x, comma separated")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
+        p.add_argument("--threads", type=int, default=1,
+                       help="counting shards, over at most one worker process per CPU")
         p.add_argument("--out", default="", help="output path (default stdout)")
 
     p_density = sub.add_parser("density", help="Euler product density and empirical counts")

@@ -3,6 +3,10 @@ rigorous tail, empirical counts over box regions, the admissible error
 exponents, and the density-gap inequality for the order-versus-maximal
 comparison.
 
+A SievePolynomial is any polynomial of degree at least 1; DensityParams
+decides the theorem's hypotheses, irreducibility first (degree 1, or a
+quadratic with a non-square discriminant; no higher degree is certified).
+
 The local root count L(P^e) is decided in one place,
 count_roots_prime_power, and every Euler factor, the excluded product,
 the fixed-divisor check and the density gap read it there.  Wherever the
@@ -68,11 +72,11 @@ class FixedDivisorError(SieveInputError):
 
 
 class SievePolynomial:
-    """Polynomial over the order with AlgebraicInt coefficients, constant first."""
+    """Polynomial of degree at least 1 over O_K, AlgebraicInt coefficients, constant first."""
 
     __slots__ = ("field", "coeffs", "degree", "theta_numerators")
 
-    def __init__(self, coeffs, assume_irreducible=False):
+    def __init__(self, coeffs):
         coeffs = list(coeffs)
         while len(coeffs) > 1 and coeffs[-1].is_zero():
             coeffs.pop()
@@ -86,13 +90,6 @@ class SievePolynomial:
         rows = [self.field.theta_poly_of(c) for c in self.coeffs]
         den = lcm(*(x.denominator for row in rows for x in row))
         self.theta_numerators = (den, tuple(tuple(int(x * den) for x in row) for row in rows))
-        if self.degree == 2:
-            # Quadratic: irreducible over O_K iff the discriminant is a non-square.
-            c, b, a = self.coeffs
-            if is_square_in_field(b * b - 4 * (a * c)):
-                raise SieveInputError("quadratic is reducible: discriminant is a square")
-        elif not assume_irreducible:
-            raise SieveInputError("irreducibility must be asserted by the caller for degree != 2")
 
     @classmethod
     def x_squared_minus(cls, value):
@@ -246,6 +243,12 @@ class DensityParams:
     def __post_init__(self):
         order = self.order
         poly = self.poly
+        if poly.degree == 2:
+            c, b, a = poly.coeffs
+            if is_square_in_field(b * b - 4 * (a * c)):
+                raise SieveInputError("quadratic is reducible: discriminant is a square")
+        elif poly.degree > 2:
+            raise SieveInputError("no certificate of irreducibility for degree above 2")
         if not poly.in_order(order):
             raise SieveInputError("polynomial must have coefficients in the order")
         if self.m < mfree_threshold(poly.degree):

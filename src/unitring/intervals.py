@@ -120,18 +120,18 @@ def integer_candidate(ivs):
     return ints
 
 
-def fmt_decimal_down(x, digits=12):
-    """Decimal lower bound: rounds toward minus infinity."""
-    return _fmt_decimal(x, digits, floor)
+def fmt_decimal_down(x):
+    """Decimal lower bound to 12 digits: rounds toward minus infinity."""
+    return _fmt_decimal(x, floor)
 
 
-def fmt_decimal_up(x, digits=12):
-    """Decimal upper bound: rounds toward plus infinity."""
-    return _fmt_decimal(x, digits, ceil)
+def fmt_decimal_up(x):
+    """Decimal upper bound to 12 digits: rounds toward plus infinity."""
+    return _fmt_decimal(x, ceil)
 
 
-def _fmt_decimal(x, digits, rounding):
-    scaled = rounding(Fraction(x) * 10**digits)
+def _fmt_decimal(x, rounding):
+    scaled = rounding(Fraction(x) * 10**12)
     sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**digits)
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+    whole, frac = divmod(abs(scaled), 10**12)
+    return f"{sign}{whole}.{frac:012d}"

@@ -28,17 +28,14 @@ def vec_mat(v, m):
     return tuple(sum(x * y for x, y in zip(v, col)) for col in cols)
 
 
-def hnf(rows, transform=False):
+def hnf(rows):
     """Row-style Hermite normal form of an integer matrix.
 
-    Returns H, or (H, U) with U unimodular and U * rows == H (rows padded
-    with zero rows removed from H).  Zero rows are dropped from H, so H has
-    exactly rank(rows) rows.
+    Zero rows are dropped, so the result has exactly rank(rows) rows.
     """
     work = [list(r) for r in rows]
     m = len(work)
     n = len(work[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if transform else None
 
     pivot_row = 0
     for col in range(n):
@@ -50,20 +47,14 @@ def hnf(rows, transform=False):
             i_min = min(nz, key=lambda i: abs(work[i][col]))
             if i_min != pivot_row:
                 work[pivot_row], work[i_min] = work[i_min], work[pivot_row]
-                if transform:
-                    u[pivot_row], u[i_min] = u[i_min], u[pivot_row]
             if work[pivot_row][col] < 0:
                 work[pivot_row] = [-x for x in work[pivot_row]]
-                if transform:
-                    u[pivot_row] = [-x for x in u[pivot_row]]
             done = True
             piv = work[pivot_row][col]
             for i in range(pivot_row + 1, m):
                 if work[i][col] != 0:
                     q = work[i][col] // piv
                     work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
-                    if transform:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
                     if work[i][col] != 0:
                         done = False
             if done:
@@ -75,22 +66,21 @@ def hnf(rows, transform=False):
                 q = work[i][col] // piv
                 if q:
                     work[i] = [a - q * b for a, b in zip(work[i], work[pivot_row])]
-                    if transform:
-                        u[i] = [a - q * b for a, b in zip(u[i], u[pivot_row])]
             pivot_row += 1
 
-    h = mat_freeze(work[:pivot_row])
-    if transform:
-        return h, mat_freeze(u)
-    return h
+    return mat_freeze(work[:pivot_row])
 
 
 def hnf_kernel(rows):
-    """Basis (tuple of rows) of the left integer kernel {v : v * rows = 0}."""
-    work = [list(r) for r in rows]
-    h, u = hnf(work, transform=True)
-    rank = len(h)
-    return mat_freeze(u[rank:]) if rank < len(work) else ()
+    """Basis (tuple of rows) of the left integer kernel {v : v * rows = 0}.
+
+    The rows (v * rows, v) of [rows | I] meet {0} x Z^m exactly in the
+    kernel, and the rows of their echelon form that vanish on the columns
+    of rows, those whose pivots lie in the I block, span that meet.
+    """
+    n = len(rows[0])
+    h = hnf([tuple(r) + e for r, e in zip(rows, identity(len(rows)))])
+    return tuple(r[n:] for r in h if not any(r[:n]))
 
 
 def det_triangular(h):

@@ -150,7 +150,7 @@ class RootIsolation:
     standard embedding layout used throughout the package.
     """
 
-    def __init__(self, poly, bits=64):
+    def __init__(self, poly):
         poly = trim(poly, QQ)
         if poly[-1] != 1:
             raise ValueError("polynomial must be monic")
@@ -159,9 +159,10 @@ class RootIsolation:
         self.degree = len(poly) - 1
         self.n_real = sturm_count_real_roots(poly)
         self.bits = 0
-        # Classified once; every refinement polishes these representatives.
-        self._reps = self._classify(self._initial_disks(), bits)
-        self.refine(bits)
+        # Classified once, at 64 bits; every refinement polishes these
+        # representatives, and refine(bits) tightens them further.
+        self._reps = self._classify(self._initial_disks(), 64)
+        self.refine(64)
 
     # -- initial float approximations -------------------------------------
 

@@ -47,6 +47,37 @@ def test_density_threads_byte_identical(tmp_path):
     assert single.read_bytes() == multi.read_bytes()
 
 
+def test_pool_is_capped_at_the_cpu_count(monkeypatch, capsys):
+    # A fork pool starts all its workers on the first submit, so --threads
+    # sets the shards and the CPU count caps the workers.  The fake pool
+    # records its size and maps in process: it starts no process.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    argv = ["count", "--field", "q_sqrt5", "--eta", "0,1", "--boxes", "100,400"]
+    assert main(argv + ["--threads", "1"]) == 0
+    single = capsys.readouterr().out
+    for cpus, threads, workers in ((2, 8, 2), (None, 3, 1), (16, 3, 3)):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert main(argv + ["--threads", str(threads)]) == 0
+        assert capsys.readouterr().out == single
+        assert sizes.pop() == workers
+    assert sizes == []
+
+
 def test_count_threads_byte_identical_cubic(tmp_path):
     # Several nested boxes in one pass, sharded over one pool of two workers.
     spec = tmp_path / "cubic_23.json"

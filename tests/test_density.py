@@ -75,17 +75,29 @@ def z_sqrt5(q5):
     return SubOrder(q5, [(1, 0), (-1, 2)])
 
 
-def test_sieve_polynomial_validation(q5):
+def test_sieve_polynomial_validation(q5, z_sqrt5):
     th = q5.theta
     with pytest.raises(ValueError):
-        # X^2 - (theta+1) is reducible: theta+1 = theta^2.
-        SievePolynomial([-(th + q5.one), q5.zero, q5.one])
-    with pytest.raises(ValueError):
         SievePolynomial([q5.one])  # degree 0
-    with pytest.raises(SieveInputError, match="irreducibility must be asserted"):
-        # No certificate of irreducibility exists for degree != 2.
-        SievePolynomial([-th, q5.zero, q5.zero, q5.one])
-    assert SievePolynomial([-th, q5.zero, q5.zero, q5.one], assume_irreducible=True).degree == 3
+    maximal = SubOrder.maximal(q5)
+    # Any degree is a polynomial; the sieve takes only a certified one.
+    cubic = SievePolynomial([-th, q5.zero, q5.zero, q5.one])
+    assert cubic.degree == 3
+    with pytest.raises(SieveInputError,
+                       match="no certificate of irreducibility for degree above 2"):
+        DensityParams(order=maximal, poly=cubic, excluded=(), m=2)
+    # X^2 - (theta+1) is reducible: theta+1 = theta^2.  Irreducibility is
+    # decided first: theta + 1 lies outside Z[sqrt5], m = 1 is below the
+    # threshold and the conductor support is not excluded.
+    reducible = SievePolynomial([-(th + q5.one), q5.zero, q5.one])
+    for order, m in ((maximal, 2), (z_sqrt5, 1)):
+        with pytest.raises(SieveInputError,
+                           match="quadratic is reducible: discriminant is a square"):
+            DensityParams(order=order, poly=reducible, excluded=(), m=m)
+    with pytest.raises(SieveInputError, match="coefficients in the order"):
+        DensityParams(order=z_sqrt5, poly=SievePolynomial([-th, q5.zero, q5.one]), excluded=(), m=1)
+    line = SievePolynomial([-q5.one, q5.one])
+    assert DensityParams(order=maximal, poly=line, excluded=(), m=2).poly is line
     f = SievePolynomial.x_squared_minus(4 * th)
     assert f.degree == 2
     assert f(q5.one) == q5.one - 4 * th
@@ -212,9 +224,7 @@ def test_fixed_divisor_detection(q5):
     f = SievePolynomial.x_squared_minus(4 * th)
     assert find_fixed_divisor_mth_power(f, 2) is None
     # 4(X^2 + X + 1): every value lands in (4) = (2)^2, a fixed divisor.
-    g = SievePolynomial(
-        [q5.rational(4), q5.rational(4), q5.rational(4)], assume_irreducible=True
-    )
+    g = SievePolynomial([q5.rational(4), q5.rational(4), q5.rational(4)])
     w = find_fixed_divisor_mth_power(g, 2)
     assert w is not None and w.p == 2
     with pytest.raises(FixedDivisorError):
@@ -240,9 +250,7 @@ def test_euler_density_zero_witness_path(q5):
     # Bypass parameter validation to reach the Euler product itself:
     # 4(X^2+X+1) has (2)^2 as a fixed divisor, so the local factor at the
     # inert (2) vanishes and the product reads D = [0, 0].
-    g = SievePolynomial(
-        [q5.rational(4), q5.rational(4), q5.rational(4)], assume_irreducible=True
-    )
+    g = SievePolynomial([q5.rational(4), q5.rational(4), q5.rational(4)])
     params = DensityParams.__new__(DensityParams)
     object.__setattr__(params, "order", SubOrder.maximal(q5))
     object.__setattr__(params, "poly", g)
@@ -256,7 +264,7 @@ def test_fixed_divisor_beyond_the_residue_cap(q5):
     # 37^2 (X^2 + X + 1): (37) is inert, so (37)^2 has 37^4 > 10^6 residues
     # and every value lies in it; the fixed divisor must be found all the same.
     c = q5.rational(37**2)
-    g = SievePolynomial([c, c, c], assume_irreducible=True)
+    g = SievePolynomial([c, c, c])
     p37 = split_prime(q5, 37)[0]
     assert p37.residue_degree == 2
     assert count_roots_prime_power(g, p37, 2) == 37**4
@@ -370,15 +378,12 @@ def test_bad_reduction_primes_hold_the_leading_coefficient():
         th, one = field.theta, field.one
         for a in (2 * one, 3 * one, 6 * one, one + th, one):
             for b, c in ((one, th), (th, one), (field.zero, 3 * one + th), (one, 2 * th - one)):
-                try:
-                    poly = SievePolynomial([c, b, a])
-                except SieveInputError:
-                    continue  # reducible
+                poly = SievePolynomial([c, b, a])
                 res = -(a * (b * b - 4 * (a * c)))
                 want = {pid for x in (a, res) for pid, _ in IdealLattice.principal(x).factor()}
                 assert bad_reduction_primes(poly) == want, (min_poly, a, b, c)
                 cases += 1
-    assert cases == 98
+    assert cases == 100
 
 
 coords3 = st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6))
@@ -392,10 +397,7 @@ def test_poly_discriminant_element_quadratic(min_poly, ca, cb, cc):
     n = field.degree
     a, b, c = (field.element(x[:n]) for x in (ca, cb, cc))
     assume(not a.is_zero())
-    try:
-        poly = SievePolynomial([c, b, a])
-    except ValueError:
-        assume(False)  # reducible: square discriminant
+    poly = SievePolynomial([c, b, a])
     assert _poly_discriminant_element(poly) == -(a * (b * b - 4 * (a * c)))
 
 
@@ -423,10 +425,7 @@ def test_root_count_prime_powers_differential(diff_fields, name, ca, cb, cc, e, 
     n = field.degree
     a, b, c = (field.element(x[:n]) for x in (ca, cb, cc))
     assume(not a.is_zero())
-    try:
-        poly = SievePolynomial([c, b, a])
-    except ValueError:
-        assume(False)  # reducible: square discriminant
+    poly = SievePolynomial([c, b, a])
     bad = a.norm() * (b * b - 4 * (a * c)).norm()
     pids = [
         pid
@@ -445,7 +444,7 @@ def test_root_count_simple_root_of_inseparable_reduction(q5, p):
     # is lifted by brute force and the simple root 1 lifts uniquely.
     th = q5.theta
     for c in (q5.rational(p), p * th, q5.rational(p * p), p * (q5.one + th)):
-        poly = SievePolynomial([c, q5.zero, -q5.one, q5.one], assume_irreducible=True)
+        poly = SievePolynomial([c, q5.zero, -q5.one, q5.one])
         for pid in split_prime(q5, p):
             for e in (2, 3):
                 assert count_roots_prime_power(poly, pid, e) == root_count_bruteforce(
@@ -548,10 +547,7 @@ def test_run_norms_match_horner(fields, name, g, data):
     n = field.degree
     coeffs = [field.element(data.draw(coords(n, -9, 9))) for _ in range(g + 1)]
     assume(not coeffs[-1].is_zero())
-    try:
-        poly = SievePolynomial(coeffs, assume_irreducible=True)
-    except ValueError:
-        assume(False)  # a quadratic with a square discriminant
+    poly = SievePolynomial(coeffs)
     base, step = data.draw(coords(n, -30, 30)), data.draw(coords(n, -5, 5))
     lo = data.draw(st.integers(-20, 20))
     hi = lo + data.draw(st.one_of(st.integers(0, n * g + 1), st.integers(0, 40)))
@@ -609,7 +605,7 @@ def test_empirical_count_norm_route_matches_oracle(fields, q5, f_eta, z_sqrt5):
 
 def test_empirical_count_skips_zero_values(q5):
     # f = X - 1 vanishes at alpha = 1, inside every box: N = 0 there.
-    f = SievePolynomial([-q5.one, q5.one], assume_irreducible=True)
+    f = SievePolynomial([-q5.one, q5.one])
     params = DensityParams(order=SubOrder.maximal(q5), poly=f, excluded=(), m=2)
     boxes = [RegionBox.cube(q5.signature, x) for x in (1, 30, 300)]
     counts = empirical_count(params, boxes)
@@ -639,8 +635,7 @@ def test_reduce_to_residue_field_matches_per_element(fields):
         polys = [
             SievePolynomial.x_squared_minus(4 * field.theta),
             SievePolynomial([field.element([3] + [-1] * (n - 1)), field.element([0] * (n - 1) + [5]),
-                             field.element([2] + [0] * (n - 1)), field.element([1, 1] + [0] * (n - 2))],
-                            assume_irreducible=True),
+                             field.element([2] + [0] * (n - 1)), field.element([1, 1] + [0] * (n - 2))]),
         ]
         checked = 0
         for p in prime_table(2000):
@@ -659,7 +654,7 @@ def test_reduce_to_residue_field_common_denominator():
     # denominator 2, invertible at every odd p and not at p = 2.
     k = NumberField([-5, 0, 1], integral_basis=[[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
     w = k.element([0, 1])
-    poly = SievePolynomial([w, 3 * w, k.one], assume_irreducible=True)
+    poly = SievePolynomial([w, 3 * w, k.one])
     assert poly.theta_numerators[0] == 2
     for p in (3, 7, 11, 19, 29, 31):
         for pid in split_prime(k, p):

@@ -253,8 +253,14 @@ def test_irreducibility_certificate_refines(poly, refusal, monkeypatch):
             for e in self.enclosures
         ]
 
+    def from_one_bit(p):
+        iso = RootIsolation(p)
+        iso.bits = 1
+        asked.clear()
+        return iso
+
     monkeypatch.setattr(RootIsolation, "refine", loose)
-    monkeypatch.setattr(field_module, "RootIsolation", lambda p: RootIsolation(p, bits=1))
+    monkeypatch.setattr(field_module, "RootIsolation", from_one_bit)
     if refusal:
         with pytest.raises(IrreducibilityError, match=refusal):
             NumberField(poly)

@@ -3,8 +3,11 @@ src/ imports only at module level, and every top-level definition in src/
 is referenced from src/ or perfbench/: imported from its module, read as
 an attribute of that module, loaded in its own module where no local name
 shadows it, or named by a string constant such as an __all__ entry.  A
-name that only tests use belongs in tests/.  Every name that perfbench/
-hooks or imports resolves on a plain import of unitring."""
+name that only tests use belongs in tests/.  Likewise every parameter with
+a default, of a src/ function that src/ or perfbench/ calls, is passed by
+one of those calls: a value that only tests set is not an option.  Every
+name that perfbench/ hooks or imports resolves on a plain import of
+unitring."""
 
 import ast
 import importlib
@@ -194,6 +197,89 @@ def test_shadowed_name_is_not_a_reference():
     tower = ROOT / "src" / "unitring" / "tower.py"
     sources[tower] += "\n\ndef excluded(order):\n    return ()\n"
     assert [line.rsplit(": ", 1)[1] for line in _unreferenced(sources)] == ["excluded"]
+
+
+def _calls(tree):
+    """(callee, positional count, *args given, keyword names, **kwargs
+    given) for each call in a module.  The callee is the called name or
+    attribute; `cls(...)` inside a class calls that class."""
+    out = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            keywords = {k.arg for k in node.keywords}
+            out.append((owner if name == "cls" else name,
+                        sum(not isinstance(a, ast.Starred) for a in node.args),
+                        any(isinstance(a, ast.Starred) for a in node.args),
+                        keywords, None in keywords))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, None)
+    return out
+
+
+def _defaulted_parameters(tree):
+    """(qualname, callee, line, [(parameter, position or None)]) for each
+    top-level function and method of a module that has parameters with
+    defaults.  The callee is the name a call uses, the class name for an
+    __init__; the position is the parameter's among a call's positional
+    arguments (None for keyword-only), so a method's self or cls takes none."""
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.ClassDef) else None
+        for f in stmt.body if owner else [stmt]:
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in f.decorator_list)
+            skip = 1 if owner and not static else 0
+            a = f.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = [(x.arg, i - skip) for i, x in enumerate(positional) if i >= first]
+            params += [(x.arg, None) for x, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            if params:
+                qualname = f"{owner}.{f.name}" if owner else f.name
+                callee = owner if f.name == "__init__" else f.name
+                yield qualname, callee, f.lineno, params
+
+
+def _unset_parameters(sources):
+    """Defaulted parameters of the src/ functions among `sources` ({path:
+    text}) that some call in `sources` reaches by name but none passes."""
+    trees = {path: ast.parse(text, filename=str(path)) for path, text in sources.items()}
+    calls = {}
+    for tree in trees.values():
+        for name, *call in _calls(tree):
+            calls.setdefault(name, []).append(call)
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {qualname}({name})"
+        for path, tree in trees.items() if path in SRC
+        for qualname, callee, line, params in _defaulted_parameters(tree) if callee in calls
+        for name, pos in params
+        if not any(name in keywords or kwargs or (pos is not None and (npos > pos or star))
+                   for npos, star, keywords, kwargs in calls[callee])
+    ]
+
+
+def test_every_src_parameter_is_set_outside_tests():
+    unset = _unset_parameters(_sources())
+    assert not unset, "parameters that no call in src/ or perfbench/ passes:\n" + "\n".join(unset)
+
+
+def test_parameter_only_tests_set_is_flagged():
+    # widen is called from src/ without margin, as a test might call it with
+    # one: the gate flags margin until a call in src/ or perfbench/ passes it.
+    sources = _sources()
+    intervals = ROOT / "src" / "unitring" / "intervals.py"
+    sources[intervals] += ("\n\ndef widen(x, margin=0):\n    return x + margin\n"
+                           "\n\ndef unit(x):\n    return widen(x)\n")
+    assert [line.rsplit(": ", 1)[1] for line in _unset_parameters(sources)] == ["widen(margin)"]
+    run = ROOT / "perfbench" / "run.py"
+    sources[run] += "\nwiden(1, margin=2)\n"
+    assert _unset_parameters(sources) == []
 
 
 def test_no_private_imports_between_src_modules():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -79,12 +79,47 @@ def test_intersection_and_sum(a_rows, b_rows):
     assert det_triangular(cap) * det_triangular(s) == det_triangular(a) * det_triangular(b)
 
 
-def test_hnf_with_transform():
-    rows = [(2, 4), (1, 3), (5, 7)]
-    h, u = hnf(rows, transform=True)
-    prod = mat_mul(u, rows)
-    for i, r in enumerate(h):
-        assert prod[i] == r
+def _rank(rows):
+    """Rank over Q, by Gaussian elimination in Fractions."""
+    work = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] / work[rank][col]
+            work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def low_rank_matrices(draw):
+    """m x n integer matrices C B with C m x r and B r x n, r <= min(m, n):
+    rank deficient whenever r < m, and with a zero row for each zero row of C."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    r = draw(st.integers(1, min(m, n)))
+    entries = st.integers(-3, 3)
+    b = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    c = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=m, max_size=m))
+    return [list(row) for row in mat_mul(c, b)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_matrices())
+def test_kernel_is_the_saturated_left_kernel(rows):
+    kern = hnf_kernel(rows)
+    m, n = len(rows), len(rows[0])
+    assert all(vec_mat(k, rows) == (0,) * n for k in kern)
+    assert len(kern) == m - _rank(rows)
+    # Saturated: every integer v with v * rows = 0 in a small box is an
+    # integer combination of the kernel rows.
+    span = hnf(kern)
+    for v in product(range(-2, 3), repeat=m):
+        if vec_mat(v, rows) == (0,) * n:
+            assert hnf(list(span) + [v]) == span, v
 
 
 def test_kernel_rows_annihilate():

@@ -59,7 +59,8 @@ def test_poly_divmod_roundtrip():
     ],
 )
 def test_enclosures_contain_roots(poly, expected_sig):
-    iso = RootIsolation(poly, bits=96)
+    iso = RootIsolation(poly)
+    iso.refine(96)
     assert iso.signature == expected_sig
     n = len(poly) - 1
     assert len(iso.enclosures) == n
@@ -81,7 +82,7 @@ def test_enclosures_contain_roots(poly, expected_sig):
 
 
 def test_refinement_monotone():
-    iso = RootIsolation((-1, -1, 1), bits=64)
+    iso = RootIsolation((-1, -1, 1))
     r64 = iso.enclosures[0].radius
     iso.refine(256)
     r256 = iso.enclosures[0].radius
@@ -90,7 +91,7 @@ def test_refinement_monotone():
 
 
 def test_real_root_centers_are_real():
-    iso = RootIsolation((-2, -1, 0, 1), bits=64)
+    iso = RootIsolation((-2, -1, 0, 1))
     reals = [e for e in iso.enclosures if e.is_real]
     assert len(reals) == 1
     assert reals[0].center[1] == 0

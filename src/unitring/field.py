@@ -23,7 +23,7 @@ from math import ceil, floor, lcm
 
 from .intervals import RatInterval, integer_candidate
 from .intfactor import exact_root
-from .linalg import char_poly, det, mat_inv_frac, vec_mat
+from .linalg import adjugate, det, vec_mat
 from .poly import QQ, deriv, divmod, evaluate, gcd, mul, trim
 from .rootiso import ComplexValues, RootIsolation, precisions
 
@@ -121,12 +121,15 @@ class NumberField:
             if len(basis) != n or any(len(r) != n for r in basis):
                 raise ValueError("integral basis must be a square matrix of size degree")
         self.basis = basis
-        try:
-            self.basis_inv = mat_inv_frac(basis)
-        except ZeroDivisionError:
+        basis_det, adj = adjugate(basis)
+        if not basis_det:
             rows = "; ".join(" ".join(map(str, row)) for row in basis)
-            raise ValueError(f"integral basis [{rows}] is singular") from None
+            raise ValueError(f"integral basis [{rows}] is singular")
+        self.basis_inv = tuple(tuple(x / basis_det for x in row) for row in adj)
         self._build_tables()
+        # The basis writes O_K on the powers of theta, so [O_K : Z[theta]] is
+        # 1/|det basis|: an integer now that 1 and theta are integral on it.
+        self.power_basis_index = int(abs(1 / basis_det))
         self.norm_form = _norm_form(self.mult_table)
         self.signature = self._roots.signature
         self.disc = self._discriminant()
@@ -170,16 +173,17 @@ class NumberField:
 
     def _discriminant(self):
         """Trace form determinant on the integral basis; keeps the inverse
-        of the form, whose rows are the dual basis w_j* with Tr(w_i w_j*)
-        = [i == j]."""
+        of the form, adj/det, whose rows are the dual basis w_j* with
+        Tr(w_i w_j*) = [i == j]."""
         n = self.degree
         tr = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
                 prod = self.element(self.mult_table[i][j])
                 tr[i][j] = prod.trace()
-        self.trace_form_inv = mat_inv_frac(tr)
-        return det(tr)
+        disc, adj = adjugate(tr)
+        self.trace_form_inv = tuple(tuple(Fraction(x, disc) for x in row) for row in adj)
+        return disc
 
     # -- element constructors ------------------------------------------------
 
@@ -262,10 +266,6 @@ class NumberField:
         in that order: b times the multiplication matrix of a."""
         return [vec_mat(b, m) for m in (self.mult_matrix(self.element(a)) for a in rows_a)
                 for b in rows_b]
-
-    def char_poly(self, alpha):
-        """Characteristic polynomial of alpha (monic, integer, constant first)."""
-        return char_poly(self.mult_matrix(alpha))
 
     # -- embeddings ---------------------------------------------------------
 
@@ -451,9 +451,6 @@ class AlgebraicInt:
 
     def trace(self):
         return self.field.trace(self)
-
-    def char_poly(self):
-        return self.field.char_poly(self)
 
     def is_unit(self):
         return abs(self.norm()) == 1

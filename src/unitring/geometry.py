@@ -21,7 +21,7 @@ from .field import enclose
 from .intervals import PI, RatInterval, sqrt_upper
 from .ideal import check_cap
 from .intfactor import exact_root
-from .linalg import char_poly, det, hnf, mat_inv_frac
+from .linalg import adjugate, char_poly, hnf
 from .poly import QQ, divmod
 from .rootiso import precisions
 
@@ -327,13 +327,11 @@ def coordinate_ranges(field, box, lattice_rows):
         int(sum(b * max(-m.lo, m.hi) for b, m in zip(std_bounds, col))) + 1
         for col in zip(*inv)
     ]
-    h_inv = mat_inv_frac(lattice_rows)
+    # H^-1 = adj H / det H.
+    h_det, h_adj = adjugate(lattice_rows)
     ranges = []
     for k in range(n):
-        reach = Fraction(0)
-        for l in range(n):
-            reach += coord_bound[l] * abs(h_inv[l][k])
-        bound = int(reach) + 1
+        bound = sum(b * abs(row[k]) for b, row in zip(coord_bound, h_adj)) // abs(h_det) + 1
         ranges.append((-bound, bound))
     return ranges
 
@@ -398,22 +396,48 @@ def enumerate_region_oracle(field, box, lattice_rows):
 # Embedded lattices and successive minima
 
 
+def _ldl(gram):
+    """(L, D) with gram = L diag(D) L^T and L unit lower triangular, for a
+    Gram matrix of Fractions.  The pivots D are the ratios of the leading
+    principal minors, so by Sylvester's criterion gram is positive definite
+    exactly when all are positive: raises ValueError at the first that is
+    not."""
+    n = len(gram)
+    l = [[Fraction(0)] * n for _ in range(n)]
+    d = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(i):
+            acc = gram[i][j]
+            for k in range(j):
+                acc -= l[i][k] * l[j][k] * d[k]
+            l[i][j] = acc / d[j]
+        acc = gram[i][i]
+        for k in range(i):
+            acc -= l[i][k] ** 2 * d[k]
+        if acc <= 0:
+            raise ValueError("gram matrix must be positive definite")
+        d[i] = acc
+        l[i][i] = Fraction(1)
+    return l, d
+
+
 class EmbeddedLattice:
-    """A full-rank lattice in R^n with an exact rational Gram matrix.
+    """A full-rank lattice in R^n with an exact rational Gram matrix,
+    factored once as L diag(D) L^T: det_sq is the product of D, and
+    minima_sq enumerates on the factors.
 
     Exactness is available for rational basis matrices, for the standard
     embedding of lattices in totally real fields (trace form) and in
     quadratic fields; those cover the package's uses.
     """
 
-    __slots__ = ("gram", "n", "det_sq")
+    __slots__ = ("gram", "n", "ldl", "det_sq")
 
     def __init__(self, gram):
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
         self.n = len(self.gram)
-        self.det_sq = det(self.gram)
-        if self.det_sq <= 0:
-            raise ValueError("gram matrix must be positive definite")
+        self.ldl = _ldl(self.gram)
+        self.det_sq = prod(self.ldl[1])
 
     @classmethod
     def from_basis_matrix(cls, rows):
@@ -453,7 +477,7 @@ class EmbeddedLattice:
         if self.n > 4:
             raise ValueError("exact minima enumeration capped at dimension 4")
         bound = max(self.gram[i][i] for i in range(self.n))
-        vecs = _enumerate_quadratic(self.gram, bound)
+        vecs = _enumerate_quadratic(*self.ldl, bound)
         vecs.sort(key=lambda cv: (cv[0], cv[1]))
         minima = []
         chosen = []
@@ -468,26 +492,10 @@ class EmbeddedLattice:
         return tuple(minima)
 
 
-def _enumerate_quadratic(gram, bound):
+def _enumerate_quadratic(l, d, bound):
     """All nonzero integer vectors c with c^T G c <= bound, both c and -c,
-    as (value, c) pairs.  Fincke-Pohst with exact rational Cholesky."""
-    n = len(gram)
-    # LDL^T decomposition.
-    l = [[Fraction(0)] * n for _ in range(n)]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(i):
-            acc = Fraction(gram[i][j])
-            for k in range(j):
-                acc -= l[i][k] * l[j][k] * d[k]
-            l[i][j] = acc / d[j]
-        acc = Fraction(gram[i][i])
-        for k in range(i):
-            acc -= l[i][k] ** 2 * d[k]
-        if acc <= 0:
-            raise ValueError("gram matrix not positive definite")
-        d[i] = acc
-        l[i][i] = Fraction(1)
+    as (value, c) pairs.  Fincke-Pohst on G = L diag(d) L^T (_ldl)."""
+    n = len(d)
     # Q(c) = sum_i d_i (c_i + sum_{j>i} l_{j i} c_j)^2.
     out = []
     c = [0] * n
@@ -495,7 +503,7 @@ def _enumerate_quadratic(gram, bound):
     def rec(i, remaining):
         if i < 0:
             if any(c):
-                out.append((_qval(gram, c), tuple(c)))
+                out.append((bound - remaining, tuple(c)))
             return
         center = Fraction(0)
         for j in range(i + 1, n):
@@ -510,19 +518,14 @@ def _enumerate_quadratic(gram, bound):
                 rec(i - 1, remaining - used)
         c[i] = 0
 
-    rec(n - 1, Fraction(bound))
+    rec(n - 1, bound)
     return out
-
-
-def _qval(gram, c):
-    n = len(gram)
-    return sum(Fraction(gram[i][j]) * c[i] * c[j] for i in range(n) for j in range(n))
 
 
 def _frac_range(center, limit_sq):
     """Integers ci with (ci - center)^2 <= limit_sq, for limit_sq >= 0,
     which _enumerate_quadratic ensures: it recurses only with remaining >= 0,
-    and every d_i is positive."""
+    and _ldl admits only positive d_i."""
     w = sqrt_upper(limit_sq, 32)
     return ceil(center - w), floor(center + w)
 

@@ -237,23 +237,6 @@ class PrimeIdealData:
         return f"PrimeIdeal(p={self.p}, f={self.residue_degree}, e={self.ramification})"
 
 
-def power_basis_index(field):
-    """[O_K : Z[theta]] for the given integral basis, computed once per field."""
-    idx = getattr(field, "_power_basis_index", None)
-    if idx is None:
-        n = field.degree
-        rows = []
-        power = field.one
-        for _ in range(n):
-            rows.append(power.coords)
-            power = power * field.theta
-        h = hnf(rows)
-        if len(h) != n:
-            raise ArithmeticError("theta powers do not span")
-        idx = field._power_basis_index = abs(det_triangular(h))
-    return idx
-
-
 def split_prime(field, p):
     """Prime ideals above p by Kummer-Dedekind, sorted deterministically.
 
@@ -266,7 +249,7 @@ def split_prime(field, p):
         cache = field._prime_cache = {}
     if p in cache:
         return cache[p]
-    idx = power_basis_index(field)
+    idx = field.power_basis_index
     if idx % p == 0:
         raise NonMonogenicError(
             f"prime {p} divides the index [O_K : Z[theta]] = {idx}; "

@@ -1,7 +1,10 @@
 """Exact linear algebra over the integers and rationals.
 
-char_poly/det is the package's one general determinant: division-free, so
-the same code serves integer, rational and algebraic-integer matrices.
+char_poly is the package's one elimination over a field: det reads the
+determinant off its constant term and adjugate the inverse, adj A / det A,
+off all of it by Cayley-Hamilton.  Division-free, so the same code serves
+integer, rational and algebraic-integer matrices, and an integer matrix has
+an integer adjugate.
 
 Row convention throughout: a lattice is the set of integer combinations of
 the rows of its basis matrix.  Hermite normal form is row-style, upper
@@ -10,7 +13,6 @@ triangular with positive diagonal and entries above each pivot reduced into
 dictionary keys.
 """
 
-from fractions import Fraction
 from itertools import product
 from operator import mul
 
@@ -121,23 +123,23 @@ def det(rows, one=1):
     return -c0 if len(rows) % 2 else c0
 
 
-def mat_inv_frac(rows):
-    """Inverse of a square rational matrix, as Fractions. Raises on singular."""
+def adjugate(rows):
+    """(det A, adj A) of a square matrix A, from one char_poly.
+
+    With char_poly c_0 + c_1 t + ... + t^n, Cayley-Hamilton gives
+    adj A = (-1)^(n-1) (A^(n-1) + c_(n-1) A^(n-2) + ... + c_1 I), evaluated
+    by Horner's rule, and det A = (-1)^n c_0.  No division, so an integer
+    matrix has an integer adjugate; A^-1 = adj A / det A when det A != 0.
+    """
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    cp = char_poly(rows)
+    cols = tuple(zip(*rows))
+    acc = identity(n)
+    for c in cp[n - 1:0:-1]:
+        acc = [[sum(map(mul, r, col)) + (c if i == j else 0) for j, col in enumerate(cols)]
+               for i, r in enumerate(acc)]
+    sign = 1 if n % 2 else -1
+    return -sign * cp[0], tuple(tuple(sign * x for x in r) for r in acc)
 
 
 def solve_upper_int(h, v):

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .ideal import IdealLattice
 from .linalg import (
+    adjugate,
     det_triangular,
     hnf,
     hnf_kernel,
@@ -19,7 +20,6 @@ from .linalg import (
     in_lattice,
     lattice_intersection,
     lattice_sum,
-    mat_inv_frac,
     vec_mat,
 )
 
@@ -89,18 +89,19 @@ class SubOrder:
     def conductor(self):
         """Largest O_K-ideal contained in the order.
 
-        With H the order's HNF, d = [O_K : O] and A = d H^-1 (integral), x
-        is in the conductor iff every x w_j is in O, i.e. coords(x w_j) A is
-        0 mod d.  Row i of block B_j is coords(w_i w_j) A, so the conductor
-        is the v with v [B_1 ... B_n] in d Z^(n^2): the first n coordinates
-        of the integer kernel of that matrix stacked over d I.
+        With H the order's HNF, d = [O_K : O] = det H (H's diagonal is
+        positive) and A = d H^-1 = adj H (integral), x is in the conductor
+        iff every x w_j is in O, i.e. coords(x w_j) A is 0 mod d.  Row i of
+        block B_j is coords(w_i w_j) A, so the conductor is the v with
+        v [B_1 ... B_n] in d Z^(n^2): the first n coordinates of the
+        integer kernel of that matrix stacked over d I.
         """
         if self._conductor is not None:
             return self._conductor
         field = self.field
         n = field.degree
         d = self.index
-        a = [[int(x * d) for x in row] for row in mat_inv_frac(self.basis_hnf)]
+        a = adjugate(self.basis_hnf)[1]
         prods = field.products(identity(n), identity(n))  # w_i w_j at i n + j
         rows = [[x % d for j in range(n) for x in vec_mat(prods[i * n + j], a)] for i in range(n)]
         rows += [[d if k == i else 0 for k in range(n * n)] for i in range(n * n)]

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from lattice_oracle import cofactor_adjugate, leibniz_det
 from order_oracle import root_count_order_crt
 from unitring.density import (
     DensityParams,
@@ -31,7 +32,7 @@ from unitring.field import NumberField
 from unitring.geometry import EmbeddedLattice, RegionBox, enumerate_region, widmer_bound
 from unitring.ideal import IdealLattice, iter_ideals, split_prime
 from unitring.intervals import PI, RatInterval
-from unitring.linalg import identity, mat_inv_frac
+from unitring.linalg import identity
 from unitring.order import SubOrder, index_lower_bound
 from unitring.tower import belcher_criterion, build_tower, verify_unit_generation
 
@@ -169,11 +170,12 @@ def test_criterion_5_lemma7(q5):
 
 
 def _count_in_box(rows, dims):
+    # The box is sized from the cofactor oracle, independently of linalg.
     n = len(rows)
-    inv = mat_inv_frac(rows)
+    d, adj = leibniz_det(rows), cofactor_adjugate(rows)
     bound = []
     for k in range(n):
-        reach = sum(abs(inv[j][k]) * Fraction(dims[j]) for j in range(n))
+        reach = sum(abs(Fraction(adj[j][k], d)) * dims[j] for j in range(n))
         bound.append(int(reach) + 1)
     count = 0
 

@@ -391,6 +391,21 @@ def test_region_beyond_the_walk_cap_is_exhaustion(tmp_path, capsys, min_poly, et
     assert diag["error"] == "exhausted" and "region line walk" in diag["message"]
 
 
+def test_prime_dividing_the_index_is_exhaustion(tmp_path, capsys):
+    # Dedekind's cubic: 2 divides [O_K : Z[theta]] for every theta, so no
+    # prime above 2 has a Kummer-Dedekind splitting.
+    spec = tmp_path / "dedekind.json"
+    spec.write_text(json.dumps({"name": "dedekind", "min_poly": [-8, -2, -1, 1],
+                                "integral_basis": [[1, 0, 0], [0, 1, 0], [0, "1/2", "1/2"]]}))
+    assert main(["count", "--field", str(spec), "--eta=1,1,0", "--boxes", "1000"]) == EXIT_EXHAUSTED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        '{"error": "exhausted", "message": "prime 2 divides the index [O_K : Z[theta]] = 2; '
+        'Kummer-Dedekind splitting is unavailable on this basis"}\n'
+    )
+
+
 NO_UNITS = {"name": "Q(sqrt5)", "min_poly": [-1, -1, 1]}
 
 

@@ -407,6 +407,20 @@ def test_minima_sigma_lattices(q5, qi):
     assert gauss.det_sq == Fraction(1)  # (1/2 * sqrt 4)^2
 
 
+def test_gram_must_be_positive_definite():
+    # det(-I) = det diag(1, -1, -1) = 1 > 0, yet neither is a Gram matrix;
+    # the LDL^T factor meets a pivot <= 0 (Sylvester's criterion).
+    for gram in ([[-1, 0], [0, -1]], [[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                 [[1, 2], [2, 4]], [[1, 2], [2, 3]]):
+        with pytest.raises(ValueError, match="gram matrix must be positive definite"):
+            EmbeddedLattice(gram)
+    rng = random.Random(30)
+    for n in (1, 2, 3, 4) * 5:
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if det(rows):
+            assert EmbeddedLattice.from_basis_matrix(rows).det_sq == det(rows) ** 2
+
+
 def test_det_relation_for_ideal_lattices(q5):
     # det sigma(a) = sqrt|d_K| * N(a) for totally real quadratic.
     for q in (2, 3, 5, 11):

@@ -1,6 +1,7 @@
 import itertools
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,11 +28,11 @@ from unitring.ideal import (
     in_mth_power_above,
     iter_ideals,
     mth_power_by_norm,
-    power_basis_index,
     prime_power,
     split_prime,
 )
 from unitring.intfactor import mth_power_primes, prime_table
+from unitring.linalg import det_triangular, hnf
 from unitring.order import SubOrder
 
 
@@ -223,18 +224,42 @@ def test_residue_systems(q5):
         list(IdealLattice.from_integer(q5, 2000).residues())  # norm 4 * 10**6
 
 
-def test_power_basis_index(q5):
-    assert power_basis_index(q5) == 1
-    alt = NumberField(
-        [-5, 0, 1],
-        integral_basis=[[1, 0], [__import__("fractions").Fraction(1, 2),
-                                 __import__("fractions").Fraction(1, 2)]],
-    )
-    assert power_basis_index(alt) == 2
-    with pytest.raises(NonMonogenicError):
-        split_prime(alt, 2)
-    # Odd primes are coprime to the index and must split fine.
-    assert len(split_prime(alt, 11)) == 2
+def hnf_power_basis_index(field):
+    """Oracle: [O_K : Z[theta]] as the HNF index of the coordinates of
+    1, theta, ..., theta^(n-1) on the integral basis."""
+    rows = []
+    power = field.one
+    for _ in range(field.degree):
+        rows.append(power.coords)
+        power = power * field.theta
+    h = hnf(rows)
+    assert len(h) == field.degree
+    return abs(det_triangular(h))
+
+
+def test_power_basis_index():
+    # Q(sqrt5) on its power basis; X^2 - 5 with basis {1, (1 + theta)/2};
+    # Dedekind's cubic X^3 - X^2 - 2X - 8, d_K = -503, with basis
+    # {1, theta, (theta + theta^2)/2}.  2 divides the index of the last two.
+    half = Fraction(1, 2)
+    # The last column is the (e, f) of each prime above 11: X^2 - X - 1 and
+    # X^2 - 5 have a root mod 11, the cubic has none.
+    for field, index, disc, above_11 in (
+        (NumberField([-1, -1, 1]), 1, 5, [(1, 1), (1, 1)]),
+        (NumberField([-5, 0, 1], integral_basis=[[1, 0], [half, half]]), 2, 5,
+         [(1, 1), (1, 1)]),
+        (NumberField([-8, -2, -1, 1], integral_basis=[[1, 0, 0], [0, 1, 0], [0, half, half]]),
+         2, -503, [(1, 3)]),
+    ):
+        assert field.disc == disc
+        assert field.power_basis_index == hnf_power_basis_index(field) == index
+        if index % 2 == 0:
+            with pytest.raises(NonMonogenicError, match=f"= {index};"):
+                split_prime(field, 2)
+        # Odd primes are coprime to these indices and must split fine.
+        primes = split_prime(field, 11)
+        assert sorted((pid.ramification, pid.residue_degree) for pid in primes) == above_11
+        assert sum(e * f for e, f in above_11) == field.degree
 
 
 def test_factorization_deterministic(q5):
@@ -283,7 +308,7 @@ def test_lazy_prime_ideals_match_kummer_dedekind(name):
     # (p, g(theta)) of norm p^f, and the primes above p multiply back to
     # (p) with their ramification indices.
     field = LAZY_FIELDS[name]()
-    idx = power_basis_index(field)
+    idx = field.power_basis_index
     for p in prime_table(2999):
         if idx % p == 0:
             continue

@@ -1,12 +1,12 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lattice_oracle import mat_mul, reduce_mod_lattice
+from lattice_oracle import cofactor_adjugate, leibniz_det, mat_mul, reduce_mod_lattice
 from unitring.linalg import (
+    adjugate,
     char_poly,
     det,
     det_triangular,
@@ -15,7 +15,6 @@ from unitring.linalg import (
     in_lattice,
     lattice_intersection,
     lattice_sum,
-    mat_inv_frac,
     quotient_box,
     residue_transversal,
     solve_upper_int,
@@ -161,19 +160,6 @@ def test_det_rational_entries():
     assert det(rows) == expected
 
 
-def leibniz_det(rows):
-    """Oracle: the permutation expansion, sign by inversion count."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term *= rows[i][perm[i]]
-        total += term
-    return total
-
-
 def square_matrices(entries):
     return st.integers(min_value=0, max_value=5).flatmap(
         lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
@@ -205,13 +191,48 @@ def test_char_poly_matches_leibniz(rows, t):
     assert sum(c * t**k for k, c in enumerate(cp)) == leibniz_det(shifted)
 
 
-def test_mat_inv_frac():
-    m = [[1, 2], [3, 5]]
-    inv = mat_inv_frac(m)
-    prod = mat_mul(inv, m)
-    assert prod == ((1, 0), (0, 1))
-    with pytest.raises(ZeroDivisionError):
-        mat_inv_frac([[1, 2], [2, 4]])
+@st.composite
+def maybe_singular(draw, entries):
+    """A square matrix of size 0..6; half the time of size >= 2, one row is
+    made a multiple of another, so the matrix is singular."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k = draw(entries)
+        rows[j] = [k * x for x in rows[i]]
+    return rows
+
+
+def check_adjugate(rows):
+    n = len(rows)
+    d, adj = adjugate(rows)
+    assert d == det(rows)
+    scalar = tuple(tuple(d if i == j else 0 for j in range(n)) for i in range(n))
+    assert mat_mul(rows, adj) == scalar
+    assert mat_mul(adj, rows) == scalar
+    assert adj == cofactor_adjugate(rows)
+    return d, adj
+
+
+@settings(max_examples=60, deadline=None)
+@given(maybe_singular(st.integers(min_value=-4, max_value=4)))
+def test_adjugate_int(rows):
+    d, adj = check_adjugate(rows)
+    assert type(d) is int and all(type(x) is int for r in adj for x in r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(maybe_singular(small_frac))
+def test_adjugate_fraction(rows):
+    check_adjugate(rows)
+
+
+def test_adjugate_examples():
+    assert adjugate([[1, 2], [3, 5]]) == (-1, ((5, -2), (-3, 1)))
+    assert adjugate([[1, 2], [2, 4]]) == (0, ((4, -2), (-2, 1)))
+    assert adjugate([[7]]) == (7, ((1,),))
+    assert adjugate([]) == (1, ())
 
 
 def test_solve_upper_int_membership():

@@ -11,6 +11,7 @@ from unitring.cli import _tower_to_json, main
 from unitring.density import HypothesisError
 from unitring.field import NumberField
 from unitring.ideal import IdealLattice, split_prime
+from unitring.linalg import char_poly
 from unitring.order import SubOrder
 from unitring.tower import (
     SearchExhausted,
@@ -68,7 +69,7 @@ def small_units(field, bound):
 def unit_inverse(u):
     """u^-1 = -c_0 (u^{n-1} + c_{n-1} u^{n-2} + ... + c_1) from the
     characteristic polynomial c_0 + c_1 X + ... + X^n of the unit u."""
-    cp = u.char_poly()
+    cp = char_poly(u.field.mult_matrix(u))
     acc = u.field.zero
     for c in reversed(cp[1:]):
         acc = acc * u + u.field.rational(c)

@@ -391,10 +391,11 @@ def empirical_count(params, boxes, shard=None):
     nonzero f(alpha) outside every excluded prime and an m-free value ideal.
 
     One pass serves every box.  The runs of the box with the componentwise
-    largest bounds, which holds them all, are enumerated once.  Each box
-    finds its sub-run of the line with its own filter and the same end walk
-    (FloatRegionFilter.run) and reads its count off the accumulated 0/1
-    verdicts of the run.
+    largest bounds, which holds them all, are enumerated once.  Each smaller
+    box finds its sub-run of the line with its own filter and the same end
+    walk (FloatRegionFilter.run), only on the lines within its own prefix
+    bounds (region_runs' inside), and reads its count off the accumulated
+    0/1 verdicts of the run.
 
     Each run pays for its value polynomial once (run_values): the integer
     coordinates V_k of f(base + c * step) = sum_k c^k V_k, which give its
@@ -417,10 +418,9 @@ def empirical_count(params, boxes, shard=None):
         excluded.setdefault(pid.p, []).append(pid.ideal)
     boxes = list(boxes)
     outer = RegionBox(field_k.signature, [max(b) for b in zip(*(bx.bounds_sq for bx in boxes))])
-    screens = [
-        None if bx.bounds_sq == outer.bounds_sq else FloatRegionFilter(field_k, bx)
-        for bx in boxes
-    ]
+    inner = [k for k, bx in enumerate(boxes) if bx.bounds_sq != outer.bounds_sq]
+    whole = [k for k in range(len(boxes)) if k not in inner]
+    screens = [(k, FloatRegionFilter(field_k, boxes[k])) for k in inner]
     counts = [0] * len(boxes)
     runs, norms = [], []
 
@@ -442,7 +442,7 @@ def empirical_count(params, boxes, shard=None):
         primes = [ps for i in range(0, len(norms), CHUNK)
                   for ps in mth_power_primes_chunk(norms[i:i + CHUNK], m)]
         start = 0
-        for base, step, lo, hi, holds in runs:
+        for base, step, lo, hi, inside, holds in runs:
             end = start + hi - lo + 1
             verdicts = [
                 norm != 0
@@ -451,17 +451,21 @@ def empirical_count(params, boxes, shard=None):
                 for c, norm, ps in zip(range(lo, hi + 1), norms[start:end], primes[start:end])
             ]
             prefix = list(accumulate(verdicts, initial=0))
-            for k, screen in enumerate(screens):
-                a, b = (lo, hi) if screen is None else screen.run(base, step, lo, hi)
-                if a <= b:
-                    counts[k] += prefix[b - lo + 1] - prefix[a - lo]
+            for k in whole:
+                counts[k] += prefix[-1]
+            for (k, screen), within in zip(screens, inside):
+                if within:
+                    a, b = screen.run(base, step, lo, hi)
+                    if a <= b:
+                        counts[k] += prefix[b - lo + 1] - prefix[a - lo]
             start = end
         runs.clear()
         norms.clear()
 
-    for base, step, lo, hi in region_runs(field_k, outer, params.order.basis_hnf, shard=shard):
+    for base, step, lo, hi, inside in region_runs(field_k, outer, params.order.basis_hnf,
+                                                  shard=shard, inner=[boxes[k] for k in inner]):
         values = run_values(poly, base, step)
-        runs.append((base, step, lo, hi, partial(holds, values, {})))
+        runs.append((base, step, lo, hi, inside, partial(holds, values, {})))
         norms += run_norms(field_k, values, lo, hi)
         if len(norms) >= CHUNK:
             settle()

@@ -10,15 +10,17 @@ lies inside or outside its bound, or ties it exactly, which is decided
 through the integer polynomial whose roots are the pairwise products of
 the element's conjugates.  The coordinate box of the walk reads the
 inverse embedding at 64 bits, whose columns are NumberField.embed of the
-dual basis over the fixed-point embedding the screen uses.
+dual basis over the fixed-point embedding the screen uses; within it the
+walk visits only the lines that an ellipsoid holding the region allows,
+bounding each coordinate from the ones before it (_LineBounds).
 """
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt, prod
+from math import ceil, floor, isqrt, lcm, prod
 
 from .field import enclose
-from .intervals import PI, RatInterval, sqrt_upper
+from .intervals import PI, RatInterval, sqrt_lower, sqrt_upper
 from .ideal import check_cap
 from .intfactor import exact_root
 from .linalg import adjugate, char_poly, hnf
@@ -336,44 +338,114 @@ def coordinate_ranges(field, box, lattice_rows):
     return ranges
 
 
-def region_runs(field, box, lattice_rows, shard=None):
-    """Stream the runs (base, step, lo, hi) of the lattice inside the
-    region, in lexicographic coordinate order: base + c * step lies in the
-    region exactly for lo <= c <= hi.  Exhaustive and exact.
+class _LineBounds:
+    """Bounds on the lattice coefficients c_1..c_{n-1} of the region's
+    points, each from the ones before it (Fincke-Pohst), within
+    coordinate_ranges, over the ellipsoid sum_k w_k (m_k - t_k)^2 <= n in
+    Minkowski coordinates m: a real place, in (0, sqrt(b)], lies within rho
+    of t ~ sqrt(b)/2 and weighs 1 / rho^2, a complex one weighs 2 / b.  m is
+    read off the embedding at 32 bits rounded down; that error over the
+    coordinate box and a unit ridge, which keeps the Gram matrix positive
+    definite, widen the radius, so it never under-covers.  _ldl factors it
+    once, c_1 last (outermost), then a coordinate held at 1 for the centre;
+    each level keeps integers, so a prefix costs a few products and one
+    isqrt.  bound, the product of the levels' widest spans, is at least
+    the number of lines."""
 
-    Each run is one line along the last lattice row; since the region is
-    convex, the line meets it in consecutive c, and only the two run ends
-    are decided (FloatRegionFilter.run).  shard=(index, count) keeps only
-    the lines whose first lattice coefficient falls in the given residue
-    class: disjoint slices whose union over all indices is every run.
-    A box of more than RESIDUE_CAP lines, counted before sharding, raises
-    ResidueCapError.
-    """
-    n = field.degree
-    ranges = coordinate_ranges(field, box, lattice_rows)
-    check_cap(prod(hi - lo + 1 for lo, hi in ranges[:-1]), "region line walk")
+    __slots__ = ("ranges", "levels", "rem", "bound")
+
+    def __init__(self, field, box, lattice_rows):
+        r = field.signature[0]
+        n = field.degree
+        bits = FIXED_BITS // 2
+        self.ranges = coordinate_ranges(field, box, lattice_rows)
+        col_lo, col_hi = ([[x >> (FIXED_BITS - bits) for x in col] for col in cols]
+                          for cols in field.fixed_embedding(FIXED_BITS))
+        one = 1 << bits
+        reals, pairs = box.bounds_sq[:r], box.bounds_sq[r:]
+        centre = [sqrt_lower(b, bits) / 2 for b in reals]
+        weights = ([1 / (sqrt_upper(b, bits) - t) ** 2 for b, t in zip(reals, centre)]
+                   + [2 / b for b in pairs for _ in range(2)])
+        rows = [[sum(h * e for h, e in zip(row, col)) for col in col_lo]
+                for row in reversed(lattice_rows)] + [[-t * one for t in centre] + [0] * (n - r)]
+        # The Gram matrix's lower triangle, all that _ldl reads.
+        l, d = _ldl([[sum(w * a * b for w, a, b in zip(weights, u, v)) + (i == j)
+                      for j, v in enumerate(rows[:i + 1])] for i, u in enumerate(rows)])
+        # |m_k - m_k read off col_lo| <= sum_l |v_l| (col_hi - col_lo + 1) / one.
+        c_max = [max(-lo, hi) for lo, hi in self.ranges]
+        v_max = [sum(c * abs(row[k]) for c, row in zip(c_max, lattice_rows)) for k in range(n)]
+        err_sq = sum(w * sum(v * (b - a + 1) for v, a, b in zip(v_max, lo_k, hi_k)) ** 2
+                     for w, lo_k, hi_k in zip(weights, col_lo, col_hi))
+        rem = n * (one + sqrt_upper(err_sq, bits)) ** 2 + sum(c * c for c in c_max) + 1 - d[n]
+        self.rem = peak = rem.numerator
+        scale = rem.denominator
+        self.levels, self.bound = [], 1
+        for k, (lo, hi) in enumerate(self.ranges[:-1]):
+            # c_k's centre: -(l[n][a] + sum_j l[n - 1 - j][a] c_j) over j < k.
+            a = n - 1 - k
+            coef = [-l[n][a]] + [-l[n - 1 - j][a] for j in range(k)]
+            den = lcm(*(x.denominator for x in coef))
+            step = d[a].denominator * den * den
+            piv = d[a].numerator * scale
+            self.levels.append(([int(x * den) for x in coef], den, step, piv, lo, hi))
+            scale, peak = scale * step, peak * step
+            self.bound *= min(hi - lo + 1, 2 * isqrt(peak // piv) // den + 1)
+
+    def blocks(self, shard=None):
+        """(prefix, cs) for each prefix c_1..c_{n-2} of the walk, in
+        lexicographic order: cs is the range of c_{n-1} on the lines under
+        it.  shard=(index, count) keeps the c_1 congruent to index."""
+
+        def walk(k, prefix, rem):
+            coef, den, step, piv, lo, hi = self.levels[k]
+            num = coef[0] + sum(a * c for a, c in zip(coef[1:], prefix))
+            rem *= step
+            w = isqrt(rem // piv)
+            cs = range(max(lo, -((w - num) // den)), min(hi, (num + w) // den) + 1)
+            if k == 0 and shard is not None:
+                cs = cs[(shard[0] - cs.start) % shard[1]::shard[1]]
+            if k == len(self.levels) - 1:
+                yield prefix, cs
+                return
+            for c in cs:
+                yield from walk(k + 1, prefix + (c,), rem - piv * (den * c - num) ** 2)
+
+        return walk(0, (), self.rem)
+
+
+def region_runs(field, box, lattice_rows, shard=None, inner=()):
+    """Stream the runs (base, step, lo, hi, inside) of the lattice inside
+    the region, in lexicographic coordinate order: base + c * step lies in
+    the region exactly for lo <= c <= hi.  Exhaustive and exact.
+
+    Each run is one line along the last lattice row, walked where
+    _LineBounds allows; the region is convex, so the line meets it in
+    consecutive c, and only the two run ends are decided
+    (FloatRegionFilter.run).  inside tells, for each box of inner, whether
+    the line is within that box's _LineBounds (else its run there is empty).
+    shard=(index, count) keeps the lines whose first coefficient is index
+    mod count.  A walk of more than RESIDUE_CAP lines, counted over every
+    shard, raises ResidueCapError before the first run."""
+    walk = _LineBounds(field, box, lattice_rows)
+    check_cap(walk.bound, "region line walk", lambda: sum(len(cs) for _, cs in walk.blocks()))
+    inside = [dict(_LineBounds(field, bx, lattice_rows).blocks(shard)) for bx in inner]
     screen = FloatRegionFilter(field, box)
-    step = lattice_rows[n - 1]
-    outer = [range(lo, hi + 1) for lo, hi in ranges[:-1]]
-    if shard is not None:
-        outer[0] = outer[0][shard[0]::shard[1]]
-    for coeffs in product(*outer):
-        base = [0] * n
-        for c, row in zip(coeffs, lattice_rows):
-            if c:
-                for k in range(n):
-                    base[k] += c * row[k]
-        base = tuple(base)
-        lo, hi = screen.run(base, step, *ranges[-1])
-        if lo <= hi:
-            yield base, step, lo, hi
+    row, step = lattice_rows[-2:]
+    for prefix, cs in walk.blocks(shard):
+        corner = [sum(c * x for c, x in zip(prefix, col)) for col in zip(*lattice_rows)]
+        within = [lines.get(prefix, ()) for lines in inside]
+        for c in cs:
+            base = tuple(a + c * b for a, b in zip(corner, row))
+            lo, hi = screen.run(base, step, *walk.ranges[-1])
+            if lo <= hi:
+                yield base, step, lo, hi, tuple(c in w for w in within)
 
 
 def enumerate_region(field, box, lattice_rows, shard=None):
     """Stream the points of the lattice inside the region, in
     lexicographic coordinate order: the points of region_runs, with the
     same shard slices."""
-    for base, step, lo, hi in region_runs(field, box, lattice_rows, shard):
+    for base, step, lo, hi, _ in region_runs(field, box, lattice_rows, shard):
         for c in range(lo, hi + 1):
             yield field.element([a + c * b for a, b in zip(base, step)])
 

@@ -31,9 +31,13 @@ class ResidueCapError(ValueError):
     quotient, or lines of a region."""
 
 
-def check_cap(count, walk):
+def check_cap(count, walk, exact=None):
     """The one comparison with RESIDUE_CAP: raise ResidueCapError, naming
-    the walk, when it would take count steps, more than the cap."""
+    the walk, when it would take count steps, more than the cap.  Given
+    exact, count is an upper bound, replaced by exact() when it is at most
+    16 caps: a bound further past the cap refuses at once."""
+    if exact is not None and RESIDUE_CAP < count <= RESIDUE_CAP << 4:
+        count = exact()
     if count > RESIDUE_CAP:
         raise ResidueCapError(f"{walk} of size {count} exceeds cap {RESIDUE_CAP}")
 

@@ -53,17 +53,17 @@ class FactorizationTimeout(Exception):
 
 
 def prime_table(limit):
-    """array('Q') of all primes <= limit (simple sieve, cached by caller)."""
+    """array('Q') of all primes <= limit (cached by caller): 2, then a
+    sieve of the odd numbers, entry i standing for 2 i + 1."""
     if limit < 2:
         return array("Q", [])
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0] = sieve[1] = 0
-    p = 2
-    while p * p <= limit:
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        p += 1
-    return array("Q", compress(range(limit + 1), sieve))
+    sieve = bytearray([1]) * ((limit + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytearray(len(range(p * p // 2, len(sieve), p)))
+    return array("Q", [2]) + array("Q", compress(range(1, limit + 1, 2), sieve))
 
 
 def primes():

@@ -20,7 +20,7 @@ from unitring.density import (
     root_count_bruteforce,
 )
 from unitring.field import NumberField, is_square_in_field
-from unitring.geometry import RegionBox, enumerate_region, in_region
+from unitring.geometry import FloatRegionFilter, RegionBox, enumerate_region, in_region
 from unitring.ideal import IdealLattice, iter_ideals, split_prime
 from unitring.linalg import identity
 from unitring.order import SubOrder
@@ -164,6 +164,30 @@ def test_cubic_sieve_end_to_end(k3):
     from unitring.density import check_hypotheses
 
     check_hypotheses(k3)
+
+
+def test_cubic_counts_screen_inner_boxes_on_their_own_lines(k3, monkeypatch):
+    # The benchmark's cubic count.  Under a cap of 5,000 lines, below the
+    # naive box's 8,051 at x = 27000, the counts stay those of the uncapped
+    # walk.  Each inner box screens only the outer runs on its own lines:
+    # between its own runs (281 and 1,146) and its own lines (361 and
+    # 1,442), not all 2,606 runs of the outer walk.
+    f = SievePolynomial.x_squared_minus(4 * k3.theta)
+    params = DensityParams(order=SubOrder.maximal(k3), poly=f, excluded=(), m=2)
+    boxes = [RegionBox.cube(k3.signature, x) for x in (1000, 8000, 27000)]
+    expected = empirical_count(params, boxes)
+    screened = {}
+    run = FloatRegionFilter.run
+
+    def counted(self, *args):
+        screened[self.box] = screened.get(self.box, 0) + 1
+        return run(self, *args)
+
+    monkeypatch.setattr("unitring.ideal.RESIDUE_CAP", 5000)
+    monkeypatch.setattr(FloatRegionFilter, "run", counted)
+    assert empirical_count(params, boxes) == expected
+    assert 281 <= screened[boxes[0]] <= 361
+    assert 1146 <= screened[boxes[1]] <= 1442
 
 
 def test_gaussian_sieve_end_to_end(qi):

@@ -22,8 +22,8 @@ from unitring.geometry import (
     widmer_bound,
     widmer_constant,
 )
-from unitring.ideal import IdealLattice
-from unitring.linalg import det, identity
+from unitring.ideal import IdealLattice, ResidueCapError
+from unitring.linalg import det, hnf, identity
 from unitring.order import SubOrder
 from unitring.poly import QQ, mul
 
@@ -163,7 +163,7 @@ def k3():
 def run_points(field, box, rows, shard):
     return [
         tuple(a + c * b for a, b in zip(base, step))
-        for base, step, lo, hi in region_runs(field, box, rows, shard=shard)
+        for base, step, lo, hi, _ in region_runs(field, box, rows, shard=shard)
         for c in range(lo, hi + 1)
     ]
 
@@ -175,7 +175,7 @@ def check_against_oracle(field, box, rows):
     non-member, one that stops one step late drops a member."""
     expected = [p.coords for p in enumerate_region_oracle(field, box, rows)]
     assert [p.coords for p in enumerate_region(field, box, rows)] == expected
-    assert all(lo <= hi for _, _, lo, hi in region_runs(field, box, rows))
+    assert all(lo <= hi for _, _, lo, hi, _ in region_runs(field, box, rows))
     assert run_points(field, box, rows, None) == expected
     for k in (2, 3):
         parts = [p for i in range(k) for p in run_points(field, box, rows, (i, k))]
@@ -183,6 +183,69 @@ def check_against_oracle(field, box, rows):
         parts = [p.coords for i in range(k)
                  for p in enumerate_region(field, box, rows, shard=(i, k))]
         assert sorted(parts) == sorted(expected)
+
+
+@pytest.fixture(scope="module")
+def real3():
+    return NumberField([1, -3, 0, 1], name="X^3 - 3X + 1")
+
+
+def walk_counting_lines(field, box, rows, shard=None):
+    """The runs of region_runs and the number of lines it walks: one
+    FloatRegionFilter.run call per line."""
+    calls = []
+    run = FloatRegionFilter.run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FloatRegionFilter, "run", lambda self, *args: calls.append(args) or run(self, *args))
+        runs = list(region_runs(field, box, rows, shard=shard))
+    return runs, len(calls)
+
+
+@pytest.mark.parametrize("name, bounds_sq, rows", [
+    ("real3", (100, 64, 121), identity(3)),
+    ("real3", (144, 81, 100), hnf([[2, 1, 0], [0, 1, 1], [0, 0, 3]])),
+    ("k3", (25, 16), identity(3)),
+    ("k3", (Fraction(121, 4), 36), hnf([[1, 0, 1], [0, 2, 1], [0, 0, 2]])),
+], ids=["real3-identity", "real3-hnf", "k3-identity", "k3-hnf"])
+def test_nested_walk_matches_the_oracle(real3, k3, name, bounds_sq, rows):
+    # Signatures (3, 0) and (1, 1), boxes that are not cubes, and lattices
+    # of index 1, 6 and 4.  The prefix bounds never walk a line the naive
+    # box of the first n - 1 coordinates would not, and the shard slices
+    # split the walk's lines as well as its runs.
+    field = {"real3": real3, "k3": k3}[name]
+    box = RegionBox(field.signature, bounds_sq)
+    check_against_oracle(field, box, rows)
+    runs, lines = walk_counting_lines(field, box, rows)
+    ranges = coordinate_ranges(field, box, rows)
+    assert lines <= prod(hi - lo + 1 for lo, hi in ranges[:-1])
+    for k in (2, 3):
+        slices = [walk_counting_lines(field, box, rows, (i, k)) for i in range(k)]
+        assert sum(count for _, count in slices) == lines
+        assert sorted(run for part, _ in slices for run in part) == sorted(runs)
+
+
+def test_cubic_walk_at_27000_visits_the_nested_lines(k3):
+    # The naive box of c_1, c_2 holds 8,051 lines; the ellipsoid's prefix
+    # bounds leave 3,243 of them, with the same 2,606 runs.
+    box = RegionBox.cube(k3.signature, 27000)
+    ranges = coordinate_ranges(k3, box, identity(3))
+    assert prod(hi - lo + 1 for lo, hi in ranges[:-1]) == 8051
+    runs, lines = walk_counting_lines(k3, box, identity(3))
+    assert len(runs) == 2606
+    assert lines <= 3300
+
+
+def test_walk_cap_counts_the_nested_lines(k3, monkeypatch):
+    # A cap below the naive box's 8,051 lines but above the nested walk's
+    # lets the walk run; one below the nested walk raises, naming its lines.
+    box = RegionBox.cube(k3.signature, 27000)
+    runs, lines = walk_counting_lines(k3, box, identity(3))
+    monkeypatch.setattr("unitring.ideal.RESIDUE_CAP", 5000)
+    assert list(region_runs(k3, box, identity(3))) == runs
+    monkeypatch.setattr("unitring.ideal.RESIDUE_CAP", lines - 1)
+    with pytest.raises(ResidueCapError,
+                       match=f"^region line walk of size {lines} exceeds cap {lines - 1}$"):
+        next(region_runs(k3, box, identity(3)))
 
 
 def check_enumeration_against_oracle(field, data, top, max_candidates):

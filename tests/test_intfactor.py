@@ -411,3 +411,20 @@ def test_prime_table_small_limits():
         table = prime_table(n)
         assert table.typecode == "Q"
         assert list(table) == _naive_primes(n)
+
+
+def _full_sieve(limit):
+    """The primes <= limit from a sieve over every number, even ones
+    included: prime_table's odd-only sieve must give the same table."""
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = bytearray(min(2, limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
+    return [k for k in range(limit + 1) if sieve[k]]
+
+
+def test_prime_table_odd_sieve_matches_the_full_sieve():
+    for limit in range(2000):
+        assert list(prime_table(limit)) == _full_sieve(limit), limit
+    assert len(prime_table(10**6)) == 78498

@@ -26,6 +26,7 @@ reduction handled exactly no matter its size, so the returned interval
 is rigorous.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -39,6 +40,7 @@ from .ideal import (
     NonMonogenicError,
     in_mth_power_above,
     mth_power_by_norm,
+    norm_rule,
     prime_ideals,
     prime_power,
     residue_system,
@@ -52,7 +54,7 @@ from .geometry import (
     region_runs,
 )
 from .intervals import RatInterval
-from .intfactor import mth_power_primes_chunk, tree_product
+from .intfactor import SMOOTH_BOUND, mth_power_primes_chunk, prime_table, tree_product
 from .order import SubOrder, order_primes_over_conductor
 from .poly import deriv, evaluate, trim
 from .rootiso import resultant
@@ -394,18 +396,21 @@ def empirical_count(params, boxes, shard=None):
     largest bounds, which holds them all, are enumerated once.  Each smaller
     box finds its sub-run of the line with its own filter and the same end
     walk (FloatRegionFilter.run), only on the lines within its own prefix
-    bounds (region_runs' inside), and reads its count off the accumulated
-    0/1 verdicts of the run.
+    bounds (region_runs' inside).
 
     Each run pays for its value polynomial once (run_values): the integer
     coordinates V_k of f(base + c * step) = sum_k c^k V_k, which give its
-    integer norms N (run_norms).  The norms of consecutive runs are buffered
-    up to CHUNK values, and one mth_power_primes_chunk call finds each
-    p with p^m | N.  N = 0 exactly when the value is 0, and a prime P above
-    p holds it only if p | N, P^m only if p^m | N, which mth_power_by_norm
-    often decides; only then is the value built from the V_k and tested.  As P^m contains p^m O_K and base, step and f lie over O_K, that
-    test depends on c mod p^m alone (c mod p for an excluded P): each run
-    memoises it by (p^m, c mod p^m) or (p, c mod p).
+    integer norms N (run_norms), buffered across runs up to CHUNK values.
+    N = 0 exactly when the value is 0, and a prime P above p holds it only
+    if p | N, P^m only if p^m | N.  At each small p of N(Res(f, f')) with
+    one prime P above it, N(P)^m | N rejects (mth_power_by_norm's rule), so
+    those values, and N = 0, leave first.  mth_power_primes_chunk flags the
+    rest with some p^m | N; mth_power_by_norm often decides p, and only
+    then is the value built from the V_k and tested.  As P^m contains p^m O_K
+    and base, step and f lie over O_K, that test depends on c mod p^m alone
+    (c mod p for an excluded P): each run memoises it by (p^m, c mod p^m) or
+    (p, c mod p).  A count over a run or a sub-run is the survivors in it
+    less those rejected, two bisections of sorted index lists.
 
     shard=(index, count) restricts to one deterministic slice of that
     enumeration; summing over all indices recovers the full counts.
@@ -416,13 +421,19 @@ def empirical_count(params, boxes, shard=None):
     excluded = {}
     for pid in params.excluded:
         excluded.setdefault(pid.p, []).append(pid.ideal)
+    # The pre-sieve's moduli; a p dividing [O_K : Z[theta]] has no
+    # splitting, and the kernel's route raises where such a p decides.
+    res = _poly_discriminant_element(poly).norm()
+    rules = [norm_rule(field_k, p, m) for p in prime_table(SMOOTH_BOUND)
+             if res % p == 0 and field_k.power_basis_index % p]
+    dense = [least for least, alone in rules if alone]
     boxes = list(boxes)
     outer = RegionBox(field_k.signature, [max(b) for b in zip(*(bx.bounds_sq for bx in boxes))])
     inner = [k for k, bx in enumerate(boxes) if bx.bounds_sq != outer.bounds_sq]
     whole = [k for k in range(len(boxes)) if k not in inner]
     screens = [(k, FloatRegionFilter(field_k, boxes[k])) for k in inner]
     counts = [0] * len(boxes)
-    runs, norms = [], []
+    runs, starts, norms = [], [], []
 
     def holds(values, memo, c, p, q):
         # Whether f at c lies in an excluded P above p (q = p) or in some
@@ -438,34 +449,47 @@ def empirical_count(params, boxes, shard=None):
         decided = mth_power_by_norm(field_k, p, m, norm)
         return holds(c, p, p**m) if decided is None else decided
 
+    def rejected(i, ps):
+        # The verdict on a flagged value: zero, in an excluded prime, or
+        # in some P^m.
+        r = bisect_right(starts, i) - 1
+        _, _, lo, _, _, holds = runs[r]
+        c, norm = lo + i - starts[r], norms[i]
+        return (ps is None or any(norm % p == 0 and holds(c, p, p) for p in excluded)
+                or any(in_mth_power(c, p, norm, holds) for p in ps))
+
     def settle():
-        primes = [ps for i in range(0, len(norms), CHUNK)
-                  for ps in mth_power_primes_chunk(norms[i:i + CHUNK], m)]
-        start = 0
-        for base, step, lo, hi, inside, holds in runs:
-            end = start + hi - lo + 1
-            verdicts = [
-                norm != 0
-                and not (excluded and any(norm % p == 0 and holds(c, p, p) for p in excluded))
-                and not (ps and any(in_mth_power(c, p, norm, holds) for p in ps))
-                for c, norm, ps in zip(range(lo, hi + 1), norms[start:end], primes[start:end])
-            ]
-            prefix = list(accumulate(verdicts, initial=0))
+        keep = range(len(norms))
+        for least in dense:
+            keep = [i for i in keep if norms[i] % least]
+        flagged = {i: [] for p in excluded for i in keep if norms[i] % p == 0}
+        for j in range(0, len(keep), CHUNK):
+            part = keep[j:j + CHUNK]
+            flagged.update((part[k], ps) for k, ps in
+                           mth_power_primes_chunk([norms[i] for i in part], m))
+        rejects = [i for i in sorted(flagged) if rejected(i, flagged[i])]
+
+        def below(i):
+            return bisect_left(keep, i) - bisect_left(rejects, i)
+
+        for start, (base, step, lo, hi, inside, _) in zip(starts, runs):
+            total = below(start + hi - lo + 1) - below(start)
             for k in whole:
-                counts[k] += prefix[-1]
+                counts[k] += total
             for (k, screen), within in zip(screens, inside):
                 if within:
                     a, b = screen.run(base, step, lo, hi)
                     if a <= b:
-                        counts[k] += prefix[b - lo + 1] - prefix[a - lo]
-            start = end
+                        counts[k] += below(start + b - lo + 1) - below(start + a - lo)
         runs.clear()
+        starts.clear()
         norms.clear()
 
     for base, step, lo, hi, inside in region_runs(field_k, outer, params.order.basis_hnf,
                                                   shard=shard, inner=[boxes[k] for k in inner]):
         values = run_values(poly, base, step)
         runs.append((base, step, lo, hi, inside, partial(holds, values, {})))
+        starts.append(len(norms))
         norms += run_norms(field_k, values, lo, hi)
         if len(norms) >= CHUNK:
             settle()

@@ -288,17 +288,23 @@ def element_is_mfree(alpha, m):
     return True
 
 
-def mth_power_by_norm(field, p, m, norm):
-    """Whether P^m | (v) for some prime P above p, read off norm = N(v),
-    or None where only membership can tell.  P^m | (v) forces N(P)^m | N(v),
-    so p is cleared when the least N(P)^m (split_prime puts it first) does
-    not divide N(v); when P is the only prime above p, N(v) = N(P)^a times
-    an integer prime to p for a = v_P(v), so N(P)^m | N(v) decides."""
+def norm_rule(field, p, m):
+    """(least, alone), cached on the field: the least N(P)^m over the primes
+    P above p (split_prime puts it first), and whether P is the only one."""
     rules = vars(field).setdefault("_norm_rules", {})
     if (p, m) not in rules:
         pids = split_prime(field, p)
         rules[p, m] = (pids[0].norm ** m, len(pids) == 1)
-    least, alone = rules[p, m]
+    return rules[p, m]
+
+
+def mth_power_by_norm(field, p, m, norm):
+    """Whether P^m | (v) for some prime P above p, read off norm = N(v),
+    or None where only membership can tell.  P^m | (v) forces N(P)^m | N(v),
+    so p is cleared when the least N(P)^m does not divide N(v); when P is
+    the only prime above p, N(v) = N(P)^a times an integer prime to p for
+    a = v_P(v), so N(P)^m | N(v) decides."""
+    least, alone = norm_rule(field, p, m)
     return False if norm % least else True if alone else None
 
 

@@ -4,12 +4,13 @@ Strategy: trial division over a shared prime table, then Brent's
 cycle-finding rho with a deterministic Miller-Rabin certificate on every
 cofactor.  The table of primes up to TRIAL_LIMIT is built only when trial
 division passes the last prime below SMOOTH_BOUND.  The m-free test has one
-kernel, a chunk of values at a time: for the chunk's largest value M it
-takes the primes below a power of two B > M**(1/(m+1)) out of every value
-through iterated gcds with their product (Bernstein, "How to find smooth
-parts of integers", 2004), reading that product modulo each value down a
-remainder tree.  The cofactor left has at most m prime factors, so one
-exact root decides, and no trial division is left.
+kernel, a chunk of values at a time, which returns only the values that
+are not m-free: for the chunk's largest value M it takes the primes below
+a power of two B > M**(1/(m+1)) out of every value through iterated gcds
+with their product (Bernstein, "How to find smooth parts of integers",
+2004), reading that product modulo each value down a remainder tree.  The
+cofactor left has at most m prime factors, so one exact root decides, and
+no trial division is left.
 
 The thirteen Miller-Rabin bases 2..41 are a proof of primality below
 PSI_13 (about 3.3 * 10**24), well above the norms of the bundled
@@ -261,23 +262,26 @@ def mth_power_primes(n, m):
     """Increasing list of the primes p with p**m | n, for n != 0 and m >= 2."""
     if n == 0:
         raise ValueError("0 is not m-free")
-    return mth_power_primes_chunk([n], m)[0]
+    return dict(mth_power_primes_chunk([n], m)).get(0, [])
 
 
 def mth_power_primes_chunk(ns, m):
-    """For each n in ns, the increasing list of the primes p with p**m | n,
-    or None for n == 0; m >= 2.
+    """The values of ns that are not m-free, m >= 2, as (i, primes) in
+    increasing i: primes is the increasing list of the primes p with
+    p**m | ns[i], or None for ns[i] == 0.  An m-free value is left out.
 
     The primes below B > max |n| ** (1/(m+1)), B a power of two, leave each
     n by the gcd chain, whose first gcd(n, P), P their product, reads P mod
     X for a multiple X of n: a remainder tree over groups of eight values.
-    The cofactor left has at most m prime factors: below B**m it is m-free,
-    and above it one exact root decides.  A chunk whose largest |n| reaches
+    Most values end at the second gcd, n / d_0 prime to d_0.  The cofactor
+    left has at most m prime factors: below B**m it is m-free, and above it
+    one exact root decides.  A chunk whose largest |n| reaches
     TRIAL_LIMIT**(m+1) is factored value by value instead."""
     ns = [abs(n) for n in ns]
     top = max(ns, default=0)
     if top >= TRIAL_LIMIT ** (m + 1):
-        return [[p for p, e in factor(n) if e >= m] if n else None for n in ns]
+        out = [(i, [p for p, e in factor(n) if e >= m] if n else None) for i, n in enumerate(ns)]
+        return [(i, ps) for i, ps in out if ps != []]
     bound, table, primorial = _primes_below(iroot(top, m + 1) + 1)
     floor = bound**m
     leaves = [n or 1 for n in ns]
@@ -292,12 +296,16 @@ def mth_power_primes_chunk(ns, m):
     out = []
     for i, n in enumerate(ns):
         d = gcd(n, rems[i >> 3]) if n else 1
-        found, n = _small_part(n, d, m, table) if d > 1 else ([] if n else None, n)
+        if d > 1:
+            n //= d
+            d = gcd(n, d)
+        found, n = _small_part(n, d, m - 1, table) if d > 1 else ([], n)
         if n >= floor:
             r = iroot(n, m)
             if r**m == n:
                 found.append(r)
-        out.append(found)
+        if found or not n:
+            out.append((i, found if n else None))
     return out
 
 

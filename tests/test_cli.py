@@ -139,6 +139,21 @@ def test_count_subcommand(tmp_path):
     assert body == ["x\tN\tN_over_x", "100\t34\t0.340000000000"]
 
 
+def test_count_on_a_non_maximal_power_basis_keeps_exit_0(tmp_path):
+    # X^2 - 5 with no integral basis: Z[sqrt5] stands in for O_K.  Factoring
+    # the ideal of Res(f, f') there fails its norm check (bad_reduction_primes
+    # raises, and density exits 5), so counting must find its pre-sieve
+    # primes without it; 2 has one prime above it on this basis, and the norm
+    # rule keeps N = 10 and 106.
+    spec = tmp_path / "x2m5.json"
+    spec.write_text('{"min_poly": [-5, 0, 1]}')
+    out = tmp_path / "c.tsv"
+    assert main(["count", "--field", str(spec), "--eta=0,1", "--boxes", "100,1000",
+                 "--out", str(out)]) == 0
+    body = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+    assert body == ["x\tN\tN_over_x", "100\t10\t0.100000000000", "1000\t106\t0.106000000000"]
+
+
 def test_tower_roundtrip_and_verify(tmp_path):
     tower_path = tmp_path / "tower.json"
     assert main([

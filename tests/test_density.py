@@ -1,3 +1,4 @@
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from order_oracle import root_count_order_crt
 from unitring.field import NumberField
-from unitring.geometry import RegionBox
+from unitring.geometry import FloatRegionFilter, RegionBox, region_runs
 from unitring.ideal import (
     IdealLattice,
     NonMonogenicError,
@@ -18,7 +19,7 @@ from unitring.ideal import (
 from unitring.intfactor import prime_table
 from unitring.poly import trim
 from unitring.order import SubOrder
-from unitring import density
+from unitring import cli, density
 from unitring.density import (
     _poly_discriminant_element,
     _reduce_to_residue_field,
@@ -611,6 +612,81 @@ def test_empirical_count_skips_zero_values(q5):
     counts = empirical_count(params, boxes)
     assert counts == [empirical_count_oracle(params, b) for b in boxes]
     assert counts[0] == 0
+
+
+# Sieves on which counting drops the values that N(P)^m | N rejects, at each
+# small prime of N(Res(f, f')) with one prime P above it, before the m-free
+# kernel: 2 is inert in Q(sqrt5) and cubic-23 and ramified in Q(i) and
+# Q(sqrt2).  The etas 3 + theta, 2 + i and 3 + sqrt2 add 11, 5 and 7, which
+# split, so N(P)^m | N does not decide there.  Z[sqrt5] excludes the primes
+# above 2.  (field, min_poly, order, eta, exclude 2, m, squared outer bound)
+PRESIEVE_CASES = [
+    ("q_sqrt5", [-1, -1, 1], None, [0, 1], False, 2, 900),
+    ("q_sqrt5", [-1, -1, 1], None, [3, 1], False, 2, 900),
+    ("q_sqrt5", [-1, -1, 1], None, [3, 1], False, 3, 900),
+    ("q_sqrt5", [-1, -1, 1], [(1, 0), (-1, 2)], [1, 2], True, 2, 900),
+    ("q_i", [1, 0, 1], None, [1, 1], False, 2, 200),
+    ("q_i", [1, 0, 1], None, [1, 1], False, 3, 200),
+    ("q_i", [1, 0, 1], None, [2, 1], False, 2, 200),
+    ("q_sqrt2", [-2, 0, 1], None, [0, 1], False, 2, 900),
+    ("q_sqrt2", [-2, 0, 1], None, [3, 1], False, 3, 900),
+    ("cubic-23", [-1, -1, 0, 1], None, [0, 1, 0], False, 2, 9),
+]
+
+
+def oracle_rejects(params, alpha):
+    val = params.poly(alpha)
+    return (val.is_zero() or any(pid.ideal.contains(val) for pid in params.excluded)
+            or any(e >= params.m for _, e in IdealLattice.principal(val).factor()))
+
+
+@pytest.mark.parametrize("case", PRESIEVE_CASES, ids=lambda c: f"{c[0]}-{c[3]}-m{c[5]}")
+def test_presieved_counts_match_the_oracle(case):
+    # Nested boxes against the oracle, one pass and shards of 2 and of 3.
+    # The inner boxes' sub-runs include some that start and some that end on
+    # a rejected value, where the counts read off the sorted index lists
+    # meet their ends.
+    name, min_poly, order_rows, eta, exclude_2, m, top = case
+    field = NumberField(min_poly, name=name)
+    order = SubOrder.maximal(field) if order_rows is None else SubOrder(field, order_rows)
+    excluded = tuple(split_prime(field, 2)) if exclude_2 else ()
+    poly = SievePolynomial.x_squared_minus(4 * field.element(eta))
+    params = DensityParams(order=order, poly=poly, excluded=excluded, m=m)
+    r, s = field.signature
+    outer = RegionBox(field.signature, [top] * (r + s))
+    boxes = [outer] + [RegionBox(field.signature, [Fraction(top * k, 7 + j) for j in range(r + s)])
+                       for k in (2, 3, 5)]
+    counts = empirical_count(params, boxes)
+    assert counts == [empirical_count_oracle(params, box) for box in boxes]
+    for shards in (2, 3):
+        parts = [empirical_count(params, boxes, shard=(i, shards)) for i in range(shards)]
+        assert [sum(col) for col in zip(*parts)] == counts
+    ends = set()
+    for base, step, lo, hi, _ in region_runs(field, outer, order.basis_hnf):
+        for box in boxes[1:]:
+            a, b = FloatRegionFilter(field, box).run(base, step, lo, hi)
+            for end, c in (("start", a), ("end", b)):
+                if a <= b and oracle_rejects(params, field.element(
+                        [x + c * y for x, y in zip(base, step)])):
+                    ends.add(end)
+    assert ends == {"start", "end"}
+
+
+def test_presieve_spares_the_kernel(monkeypatch):
+    # The values that reach the m-free kernel on the seed-0 counts of the
+    # count-quadratic benchmark.  Every region point did before the
+    # pre-sieve (44,720 and 31,417); now those with 16 | N on Q(sqrt5) and
+    # 4 | N on Q(i) are rejected first.
+    seen = []
+    kernel = density.mth_power_primes_chunk
+    monkeypatch.setattr(density, "mth_power_primes_chunk",
+                        lambda ns, m: seen.append(len(ns)) or kernel(ns, m))
+    for field, eta, boxes, values in (("q_sqrt5", "0,1", "100,1000,10000,100000", 33_540),
+                                      ("q_i", "1,1", "100,1000,10000", 15_712)):
+        seen.clear()
+        argv = ["count", "--field", field, f"--eta={eta}", "--boxes", boxes, "--out", os.devnull]
+        assert cli.main(argv) == 0
+        assert sum(seen) == values
 
 
 def _reduce_per_element(poly, pid):

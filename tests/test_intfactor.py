@@ -139,7 +139,7 @@ def test_mth_power_primes_gcd_route_cofactors():
         cofactor = prod(p**e for p, e in factor(n) if p > b)
         assert (cofactor < b**m) == (cofactor_class == "below")
         assert cofactor < b ** (m + 1)
-        assert mth_power_primes_chunk([n, 0, 1], m) == [expected, None, []]
+        assert mth_power_primes_chunk([n, 0, 1], m) == by_value([n, 0, 1], m)
 
 
 # Cofactors prime to the small primes drawn below: 1; squares of primes above
@@ -216,7 +216,10 @@ def test_mth_power_primes_fallback_range():
 
 
 def by_value(ns, m):
-    return [mth_power_primes_by_factor(n, m) if n else None for n in ns]
+    """The kernel's answer by factor: (i, primes) for each value of ns that
+    is not m-free, primes None for 0."""
+    out = [(i, mth_power_primes_by_factor(n, m) if n else None) for i, n in enumerate(ns)]
+    return [(i, ps) for i, ps in out if ps != []]
 
 
 def prime_at_least(n):
@@ -245,8 +248,8 @@ def test_chunk_kernel_at_its_bound(m, bound):
     chunk = [top, 0, 1, -1, lo**m, -(lo**m) * 3, lo ** (m + 1), lo ** (m - 1) * hi,
              hi**m, -(hi**m), 2**m * hi**m, lo**m * hi, lo * hi ** (m - 1), 6, 1 - top]
     chunk = [n for n in chunk if abs(n) <= top]
-    got = mth_power_primes_chunk(chunk, m)
-    assert got == by_value(chunk, m)
+    got = dict(mth_power_primes_chunk(chunk, m))
+    assert list(got.items()) == by_value(chunk, m)
     assert got[chunk.index(lo**m)] == [lo] and got[chunk.index(hi**m)] == [hi]
 
 
@@ -262,7 +265,8 @@ def test_chunk_kernel_matches_mth_power_primes(items, m):
     chunk = [x if isinstance(x, int) else x[0] ** m * x[1] for x in items]
     expected = by_value(chunk, m)
     assert mth_power_primes_chunk(chunk, m) == expected
-    assert [mth_power_primes(n, m) if n else None for n in chunk] == expected
+    own = [(i, mth_power_primes(n, m) if n else None) for i, n in enumerate(chunk)]
+    assert [(i, ps) for i, ps in own if ps != []] == expected
 
 
 def test_chunk_kernel_falls_back_past_the_table():
@@ -271,7 +275,22 @@ def test_chunk_kernel_falls_back_past_the_table():
     p, q = 1_000_003, 1_000_033
     chunk = [p * p * q, 0, 12, p * q * 2, -(999983**2)]
     assert max(chunk) >= TRIAL_LIMIT**3
-    assert mth_power_primes_chunk(chunk, 2) == [[p], None, [2], [], [999983]]
+    assert mth_power_primes_chunk(chunk, 2) == [(0, [p]), (1, None), (2, [2]), (4, [999983])]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_chunk_kernel_factor_route_flags_only_what_is_not_mfree(m):
+    # A chunk whose largest value is TRIAL_LIMIT**(m+1) itself or above it,
+    # with zeros, ones and negative values: only the values that are not
+    # m-free come back, each with its index, and 0 with None.
+    p, q = 1_000_003, 1_000_033
+    for top in (TRIAL_LIMIT ** (m + 1), -(p**m) * q):
+        chunk = [0, 1, -1, top, -(2**m) * 3, 5 * q, 0, -(999983**m), p * q, 1]
+        assert max(map(abs, chunk)) >= TRIAL_LIMIT ** (m + 1)
+        got = mth_power_primes_chunk(chunk, m)
+        assert got == by_value(chunk, m)
+        assert [i for i, _ in got] == [0, 3, 4, 6, 7]
+        assert got[0] == (0, None) and got[-1] == (7, [999983])
 
 
 @settings(max_examples=200, deadline=None)

@@ -335,16 +335,10 @@ def euler_density(params, truncation_norm):
     lower end positive.  The transcendental prefactor
     (2 pi)^s / (sqrt|d_K| [O_K : O]) enters as an interval.
     """
-    return _euler_densities((params,), truncation_norm)[0]
-
-
-def _euler_densities(params_seq, T):
-    """euler_density of each params; they share the field, polynomial,
-    exclusions and m, all the main product reads, so it runs once."""
-    params = params_seq[0]
     field_k, poly, m = params.field, params.poly, params.m
     n, g = field_k.degree, poly.degree
 
+    T = truncation_norm
     if T < 1:
         raise SieveInputError("truncation norm must be at least 1")
     tail_low = 1 - Fraction(n * g, (m - 1) * T ** (m - 1))
@@ -352,9 +346,9 @@ def _euler_densities(params_seq, T):
         raise SieveInputError("truncation norm too small for a positive tail bound")
 
     excluded = set(params.excluded)
-    sides = [(conductor_sum(p), local_product(poly, sorted(
-        excluded - set(p.order.conductor_support()), key=lambda q: q.sort_key())))
-        for p in params_seq]
+    cond_sum = conductor_sum(params)
+    excl_prod = local_product(poly, sorted(
+        excluded - set(params.order.conductor_support()), key=lambda q: q.sort_key()))
 
     # The prime ideals of norm <= T, then the bad-reduction primes above T.
     small = prime_ideals(field_k, T)
@@ -371,13 +365,9 @@ def _euler_densities(params_seq, T):
 
     main_exact = Fraction(tree_product(nums), tree_product(dens))
     main_iv = RatInterval(main_exact * tail_low, main_exact)
-    reports = []
-    for p, (cond_sum, excl_prod) in zip(params_seq, sides):
-        prefactor = lattice_point_density(field_k) * Fraction(1, p.order.index)
-        d_iv = prefactor * cond_sum * excl_prod * main_iv
-        reports.append(DensityReport(d_iv.lo, d_iv.hi, cond_sum, excl_prod,
-                                     error_exponent(n, g, m)))
-    return reports
+    prefactor = lattice_point_density(field_k) * Fraction(1, params.order.index)
+    d_iv = prefactor * cond_sum * excl_prod * main_iv
+    return DensityReport(d_iv.lo, d_iv.hi, cond_sum, excl_prod, error_exponent(n, g, m))
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +680,7 @@ def density_gap_check(order, eta, excluded, truncation_norm=10**3):
     params_o = DensityParams(order=order, poly=poly, excluded=full_excluded, m=2)
     params_k = DensityParams(order=SubOrder.maximal(field_k), poly=poly,
                              excluded=full_excluded, m=2)
-    d_order, d_max = _euler_densities((params_o, params_k), truncation_norm)
+    d_order, d_max = (euler_density(p, truncation_norm) for p in (params_o, params_k))
     lhs = Fraction(1, order.index) * d_order.conductor_sum
     rhs = local_product(poly, order.conductor_support())
     return GapReport(

@@ -11,13 +11,15 @@ through the integer polynomial whose roots are the pairwise products of
 the element's conjugates.  The coordinate box of the walk reads the
 inverse embedding at 64 bits, whose columns are NumberField.embed of the
 dual basis over the fixed-point embedding the screen uses; within it the
-walk visits only the lines that an ellipsoid holding the region allows,
-bounding each coordinate from the ones before it (_LineBounds).
+walk visits only the lines that an ellipsoid holding the region allows.
+One Fincke-Pohst walk on integer levels (_FinckePohst) bounds each
+coordinate from the ones before it, for those lines (_LineBounds) and for
+the successive minima of an EmbeddedLattice.
 """
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor, isqrt, lcm, prod
+from math import inf, isqrt, lcm, prod
 
 from .field import enclose
 from .intervals import PI, RatInterval, sqrt_lower, sqrt_upper
@@ -338,21 +340,74 @@ def coordinate_ranges(field, box, lattice_rows):
     return ranges
 
 
-class _LineBounds:
-    """Bounds on the lattice coefficients c_1..c_{n-1} of the region's
-    points, each from the ones before it (Fincke-Pohst), within
-    coordinate_ranges, over the ellipsoid sum_k w_k (m_k - t_k)^2 <= n in
-    Minkowski coordinates m: a real place, in (0, sqrt(b)], lies within rho
-    of t ~ sqrt(b)/2 and weighs 1 / rho^2, a complex one weighs 2 / b.  m is
-    read off the embedding at 32 bits rounded down; that error over the
-    coordinate box and a unit ridge, which keeps the Gram matrix positive
-    definite, widen the radius, so it never under-covers.  _ldl factors it
-    once, c_1 last (outermost), then a coordinate held at 1 for the centre;
-    each level keeps integers, so a prefix costs a few products and one
-    isqrt.  bound, the product of the levels' widest spans, is at least
-    the number of lines."""
+class _FinckePohst:
+    """Fincke-Pohst enumeration of the integer points x of the ellipsoid
+    sum_a d_a (x_a + t_a + sum_{j > a} l_{j a} x_j)^2 <= radius, for _ldl's
+    (l, d) over x_0..x_{n-1} and a centre row t.  Its k-th level is
+    c_k = x_{n-k}, within the k-th (lo, hi) of ranges, one per walked level;
+    walking fewer than n levels gives the ellipsoid's projection onto them.
+    Once c_1..c_{k-1} are fixed, the term d_a (c_k - num / den)^2 bounds c_k
+    about its centre.  Each level keeps integers, num, den and the pivot
+    d_a scaled by the denominators of the levels before it, so a prefix
+    costs a few products and one isqrt, and its range is exact:
+    |den c_k - num| <= isqrt(rem // piv), and every c_k in it leaves
+    rem >= 0.  bound, the product of the levels' widest spans, is at least
+    the number of points."""
 
-    __slots__ = ("ranges", "levels", "rem", "bound")
+    __slots__ = ("levels", "rem", "bound")
+
+    def __init__(self, ldl, radius, ranges, centre):
+        l, d = ldl
+        n = len(centre)
+        self.rem = peak = radius.numerator
+        scale = radius.denominator
+        self.levels, self.bound = [], 1
+        for k, (lo, hi) in enumerate(ranges):
+            # The level's centre: -(t_a + sum_{j < k} l[n - 1 - j][a] prefix[j]).
+            a = n - 1 - k
+            coef = [-centre[a]] + [-l[n - 1 - j][a] for j in range(k)]
+            den = lcm(*(x.denominator for x in coef))
+            step = d[a].denominator * den * den
+            piv = d[a].numerator * scale
+            self.levels.append(([int(x * den) for x in coef], den, step, piv, lo, hi))
+            scale, peak = scale * step, peak * step
+            self.bound *= min(hi - lo + 1, 2 * isqrt(peak // piv) // den + 1)
+
+    def blocks(self, shard=None):
+        """(prefix, cs) for each prefix c_1..c_{k-1} of the walk's last
+        level k, in lexicographic order: cs is the range of c_k under it.
+        shard=(index, count) keeps the c_1 congruent to index."""
+
+        def walk(k, prefix, rem):
+            coef, den, step, piv, lo, hi = self.levels[k]
+            num = coef[0] + sum(a * c for a, c in zip(coef[1:], prefix))
+            rem *= step
+            w = isqrt(rem // piv)
+            cs = range(max(lo, -((w - num) // den)), min(hi, (num + w) // den) + 1)
+            if k == 0 and shard is not None:
+                cs = cs[(shard[0] - cs.start) % shard[1]::shard[1]]
+            if k == len(self.levels) - 1:
+                yield prefix, cs
+                return
+            for c in cs:
+                yield from walk(k + 1, prefix + (c,), rem - piv * (den * c - num) ** 2)
+
+        return walk(0, (), self.rem)
+
+
+class _LineBounds(_FinckePohst):
+    """The walk of the lines that can meet the region: the lattice
+    coefficients c_1..c_{n-1}, within coordinate_ranges, of the ellipsoid
+    sum_k w_k (m_k - t_k)^2 <= n in Minkowski coordinates m; c_n, along
+    the line, keeps its range in ranges.  A real place, in (0, sqrt(b)],
+    lies within rho of t ~ sqrt(b)/2 and weighs 1 / rho^2, a complex one
+    weighs 2 / b.  m is read off the embedding at 32 bits rounded down;
+    that error over the coordinate box and a unit ridge, which keeps the
+    Gram matrix positive definite, widen the radius, so it never
+    under-covers.  _ldl factors it once, c_1 last (outermost), then a
+    coordinate held at 1 whose row of L is the centre row."""
+
+    __slots__ = ("ranges",)
 
     def __init__(self, field, box, lattice_rows):
         r = field.signature[0]
@@ -376,41 +431,8 @@ class _LineBounds:
         v_max = [sum(c * abs(row[k]) for c, row in zip(c_max, lattice_rows)) for k in range(n)]
         err_sq = sum(w * sum(v * (b - a + 1) for v, a, b in zip(v_max, lo_k, hi_k)) ** 2
                      for w, lo_k, hi_k in zip(weights, col_lo, col_hi))
-        rem = n * (one + sqrt_upper(err_sq, bits)) ** 2 + sum(c * c for c in c_max) + 1 - d[n]
-        self.rem = peak = rem.numerator
-        scale = rem.denominator
-        self.levels, self.bound = [], 1
-        for k, (lo, hi) in enumerate(self.ranges[:-1]):
-            # c_k's centre: -(l[n][a] + sum_j l[n - 1 - j][a] c_j) over j < k.
-            a = n - 1 - k
-            coef = [-l[n][a]] + [-l[n - 1 - j][a] for j in range(k)]
-            den = lcm(*(x.denominator for x in coef))
-            step = d[a].denominator * den * den
-            piv = d[a].numerator * scale
-            self.levels.append(([int(x * den) for x in coef], den, step, piv, lo, hi))
-            scale, peak = scale * step, peak * step
-            self.bound *= min(hi - lo + 1, 2 * isqrt(peak // piv) // den + 1)
-
-    def blocks(self, shard=None):
-        """(prefix, cs) for each prefix c_1..c_{n-2} of the walk, in
-        lexicographic order: cs is the range of c_{n-1} on the lines under
-        it.  shard=(index, count) keeps the c_1 congruent to index."""
-
-        def walk(k, prefix, rem):
-            coef, den, step, piv, lo, hi = self.levels[k]
-            num = coef[0] + sum(a * c for a, c in zip(coef[1:], prefix))
-            rem *= step
-            w = isqrt(rem // piv)
-            cs = range(max(lo, -((w - num) // den)), min(hi, (num + w) // den) + 1)
-            if k == 0 and shard is not None:
-                cs = cs[(shard[0] - cs.start) % shard[1]::shard[1]]
-            if k == len(self.levels) - 1:
-                yield prefix, cs
-                return
-            for c in cs:
-                yield from walk(k + 1, prefix + (c,), rem - piv * (den * c - num) ** 2)
-
-        return walk(0, (), self.rem)
+        radius = n * (one + sqrt_upper(err_sq, bits)) ** 2 + sum(c * c for c in c_max) + 1
+        super().__init__((l, d), radius - d[n], self.ranges[:-1], l[n][:n])
 
 
 def region_runs(field, box, lattice_rows, shard=None, inner=()):
@@ -545,61 +567,37 @@ class EmbeddedLattice:
         return cls(gram)
 
     def minima_sq(self):
-        """Exact squared successive minima (Euclidean ball), n <= 4."""
-        if self.n > 4:
+        """Exact squared successive minima (Euclidean ball), n <= 4: the
+        nonzero points of the _FinckePohst walk up to the largest diagonal
+        entry of the Gram matrix, in order of value c^T G c (read off G
+        over one common denominator), each taken when independent of those
+        taken before it."""
+        n = self.n
+        if n > 4:
             raise ValueError("exact minima enumeration capped at dimension 4")
-        bound = max(self.gram[i][i] for i in range(self.n))
-        vecs = _enumerate_quadratic(*self.ldl, bound)
-        vecs.sort(key=lambda cv: (cv[0], cv[1]))
+        den = lcm(*(x.denominator for row in self.gram for x in row))
+        gram = [[int(x * den) for x in row] for row in self.gram]
+        walk = _FinckePohst(self.ldl, max(self.gram[i][i] for i in range(n)),
+                            [(-inf, inf)] * n, [0] * n)
+        vecs = []
+        for prefix, cs in walk.blocks():
+            for x in cs:
+                c = (x, *reversed(prefix))
+                if any(c):
+                    vecs.append((sum(a * g * b for a, row in zip(c, gram)
+                                     for g, b in zip(row, c)), c))
+        vecs.sort()
         minima = []
         chosen = []
         for val, c in vecs:
             if len(hnf(chosen + [c])) > len(chosen):
                 chosen.append(c)
-                minima.append(val)
-                if len(minima) == self.n:
+                minima.append(Fraction(val, den))
+                if len(minima) == n:
                     break
-        if len(minima) < self.n:
+        if len(minima) < n:
             raise ArithmeticError("minima enumeration incomplete")
         return tuple(minima)
-
-
-def _enumerate_quadratic(l, d, bound):
-    """All nonzero integer vectors c with c^T G c <= bound, both c and -c,
-    as (value, c) pairs.  Fincke-Pohst on G = L diag(d) L^T (_ldl)."""
-    n = len(d)
-    # Q(c) = sum_i d_i (c_i + sum_{j>i} l_{j i} c_j)^2.
-    out = []
-    c = [0] * n
-
-    def rec(i, remaining):
-        if i < 0:
-            if any(c):
-                out.append((bound - remaining, tuple(c)))
-            return
-        center = Fraction(0)
-        for j in range(i + 1, n):
-            center += l[j][i] * c[j]
-        # d_i (c_i + center)^2 <= remaining
-        limit = remaining / d[i]
-        lo, hi = _frac_range(-center, limit)
-        for ci in range(lo, hi + 1):
-            c[i] = ci
-            used = d[i] * (ci + center) ** 2
-            if used <= remaining:
-                rec(i - 1, remaining - used)
-        c[i] = 0
-
-    rec(n - 1, bound)
-    return out
-
-
-def _frac_range(center, limit_sq):
-    """Integers ci with (ci - center)^2 <= limit_sq, for limit_sq >= 0,
-    which _enumerate_quadratic ensures: it recurses only with remaining >= 0,
-    and _ldl admits only positive d_i."""
-    w = sqrt_upper(limit_sq, 32)
-    return ceil(center - w), floor(center + w)
 
 
 def widmer_constant(n):
@@ -620,10 +618,10 @@ def widmer_bound(lattice, n_maps, lip):
     minima = lattice.minima_sq()
     lip_hi = lip.hi if isinstance(lip, RatInterval) else Fraction(lip)
     best_sq = Fraction(1)
-    prod = Fraction(1)
+    minima_prod = Fraction(1)
     for i in range(1, n):
-        prod *= minima[i - 1]
-        cand = lip_hi ** (2 * i) / prod
+        minima_prod *= minima[i - 1]
+        cand = lip_hi ** (2 * i) / minima_prod
         if cand > best_sq:
             best_sq = cand
     c0 = widmer_constant(n)

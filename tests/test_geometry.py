@@ -8,9 +8,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from embedding_oracle import embedding_sum, places
+from lattice_oracle import minima_box, minima_sq_oracle
 from unitring.field import NumberField
 from unitring.geometry import (
     _conjugate_products_poly,
+    _FinckePohst,
+    _ldl,
     EmbeddedLattice,
     FloatRegionFilter,
     RegionBox,
@@ -455,6 +458,56 @@ def test_minima_examples():
     assert EmbeddedLattice.from_basis_matrix([[2, 0], [0, 3]]).minima_sq() == (4, 9)
     skew = EmbeddedLattice.from_basis_matrix([[1, 0], [100, 1]])
     assert skew.minima_sq() == (1, 1)
+
+
+def test_minima_match_the_brute_force_oracle():
+    # 30 rational bases of each dimension 1 to 4.  Draws whose oracle box
+    # holds more than 4,000 vectors are skipped, since the oracle values
+    # each one.  A level range one short at either end loses the points on
+    # the ellipsoid's boundary, and with them a minimum.
+    rng = random.Random(3305)
+    for n in (1, 2, 3, 4) * 30:
+        while True:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            if det(rows):
+                lattice = EmbeddedLattice.from_basis_matrix(rows)
+                if prod(2 * r + 1 for r in minima_box(lattice.gram)) <= 4000:
+                    break
+        assert lattice.minima_sq() == minima_sq_oracle(lattice.gram), rows
+
+
+def test_centred_walk_matches_the_brute_force_ellipsoid():
+    # The walker as the region walk reads it, with a centre row, bounded
+    # ranges and shards, here on all n levels: its points y (y_k = x_{n-1-k})
+    # are those of the box with (x, 1)^T G (x, 1) <= radius, G the Gram
+    # matrix of n + 1 rational rows whose _ldl gives the centre row.  The
+    # radius is the value at a box point, so some lie on the boundary.
+    rng = random.Random(3306)
+    for n in (1, 2, 3) * 10:
+        while True:
+            rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n + 1)]
+                    for _ in range(n + 1)]
+            if det(rows):
+                break
+        gram = EmbeddedLattice.from_basis_matrix(rows).gram
+        l, d = _ldl(gram)
+        ranges = [(rng.randint(-4, 0), rng.randint(0, 4)) for _ in range(n)]
+        box = list(itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)))
+
+        def value(y):
+            x = (*reversed(y), 1)
+            return sum(a * g * b for a, row in zip(x, gram) for g, b in zip(row, x))
+
+        radius = value(rng.choice(box))
+        expected = [y for y in box if value(y) <= radius]
+        walk = _FinckePohst((l, d), radius - d[n], ranges, l[n][:n])
+        for shards in (1, 2, 3):
+            points = [prefix + (c,) for i in range(shards)
+                      for prefix, cs in walk.blocks(None if shards == 1 else (i, shards))
+                      for c in cs]
+            assert sorted(points) == expected, (rows, ranges, shards)
+        assert len(expected) <= walk.bound
 
 
 def test_minima_sigma_lattices(q5, qi):

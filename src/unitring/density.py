@@ -46,14 +46,7 @@ from .ideal import (
     residue_system,
     split_prime,
 )
-from .geometry import (
-    FloatRegionFilter,
-    RegionBox,
-    enumerate_region_oracle,
-    lattice_point_density,
-    region_runs,
-)
-from .intervals import RatInterval
+from .geometry import enumerate_region_oracle, lattice_point_density, region_runs
 from .intfactor import SMOOTH_BOUND, mth_power_primes_chunk, prime_table, tree_product
 from .order import SubOrder, order_primes_over_conductor
 from .poly import deriv, evaluate, trim
@@ -333,7 +326,8 @@ def euler_density(params, truncation_norm):
     factors of the prime ideals of norm above T, is enclosed by
     [1 - n g T^{1-m} / (m-1), 1], so T must be at least 1 and leave that
     lower end positive.  The transcendental prefactor
-    (2 pi)^s / (sqrt|d_K| [O_K : O]) enters as an interval.
+    (2 pi)^s / (sqrt|d_K| [O_K : O]) enters as an interval, whose ends
+    bound D.
     """
     field_k, poly, m = params.field, params.poly, params.m
     n, g = field_k.degree, poly.degree
@@ -363,11 +357,12 @@ def euler_density(params, truncation_norm):
         nums.append(npm - count_roots_prime_power(poly, pid, m))
         dens.append(npm)
 
-    main_exact = Fraction(tree_product(nums), tree_product(dens))
-    main_iv = RatInterval(main_exact * tail_low, main_exact)
+    # Every factor is at least 0, so D's ends are the prefactor's ends times
+    # the exact product, with the tail's lower end at the lower one.
+    exact = cond_sum * excl_prod * Fraction(tree_product(nums), tree_product(dens))
     prefactor = lattice_point_density(field_k) * Fraction(1, params.order.index)
-    d_iv = prefactor * cond_sum * excl_prod * main_iv
-    return DensityReport(d_iv.lo, d_iv.hi, cond_sum, excl_prod, error_exponent(n, g, m))
+    return DensityReport(prefactor.lo * exact * tail_low, prefactor.hi * exact,
+                         cond_sum, excl_prod, error_exponent(n, g, m))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +377,8 @@ def empirical_count(params, boxes, shard=None):
     """Exact counts, one per box, of alpha in (order cap region) with
     nonzero f(alpha) outside every excluded prime and an m-free value ideal.
 
-    One pass serves every box.  The runs of the box with the componentwise
-    largest bounds, which holds them all, are enumerated once.  Each smaller
-    box finds its sub-run of the line with its own filter and the same end
-    walk (FloatRegionFilter.run), only on the lines within its own prefix
-    bounds (region_runs' inside).
+    One pass serves every box: region_runs walks the runs of the
+    componentwise largest box once, and gives each box's span of every run.
 
     Each run pays for its value polynomial once (run_values): the integer
     coordinates V_k of f(base + c * step) = sum_k c^k V_k, which give its
@@ -399,8 +391,8 @@ def empirical_count(params, boxes, shard=None):
     then is the value built from the V_k and tested.  As P^m contains p^m O_K
     and base, step and f lie over O_K, that test depends on c mod p^m alone
     (c mod p for an excluded P): each run memoises it by (p^m, c mod p^m) or
-    (p, c mod p).  A count over a run or a sub-run is the survivors in it
-    less those rejected, two bisections of sorted index lists.
+    (p, c mod p).  A box's count over its span is the survivors in it less
+    those rejected, two bisections of sorted index lists.
 
     shard=(index, count) restricts to one deterministic slice of that
     enumeration; summing over all indices recovers the full counts.
@@ -417,11 +409,6 @@ def empirical_count(params, boxes, shard=None):
     rules = [norm_rule(field_k, p, m) for p in prime_table(SMOOTH_BOUND)
              if res % p == 0 and field_k.power_basis_index % p]
     dense = [least for least, alone in rules if alone]
-    boxes = list(boxes)
-    outer = RegionBox(field_k.signature, [max(b) for b in zip(*(bx.bounds_sq for bx in boxes))])
-    inner = [k for k, bx in enumerate(boxes) if bx.bounds_sq != outer.bounds_sq]
-    whole = [k for k in range(len(boxes)) if k not in inner]
-    screens = [(k, FloatRegionFilter(field_k, boxes[k])) for k in inner]
     counts = [0] * len(boxes)
     runs, starts, norms = [], [], []
 
@@ -443,7 +430,7 @@ def empirical_count(params, boxes, shard=None):
         # The verdict on a flagged value: zero, in an excluded prime, or
         # in some P^m.
         r = bisect_right(starts, i) - 1
-        _, _, lo, _, _, holds = runs[r]
+        lo, _, holds = runs[r]
         c, norm = lo + i - starts[r], norms[i]
         return (ps is None or any(norm % p == 0 and holds(c, p, p) for p in excluded)
                 or any(in_mth_power(c, p, norm, holds) for p in ps))
@@ -462,23 +449,17 @@ def empirical_count(params, boxes, shard=None):
         def below(i):
             return bisect_left(keep, i) - bisect_left(rejects, i)
 
-        for start, (base, step, lo, hi, inside, _) in zip(starts, runs):
-            total = below(start + hi - lo + 1) - below(start)
-            for k in whole:
-                counts[k] += total
-            for (k, screen), within in zip(screens, inside):
-                if within:
-                    a, b = screen.run(base, step, lo, hi)
-                    if a <= b:
-                        counts[k] += below(start + b - lo + 1) - below(start + a - lo)
+        for start, (lo, spans, _) in zip(starts, runs):
+            for k, (a, b) in enumerate(spans):
+                if a <= b:
+                    counts[k] += below(start + b - lo + 1) - below(start + a - lo)
         runs.clear()
         starts.clear()
         norms.clear()
 
-    for base, step, lo, hi, inside in region_runs(field_k, outer, params.order.basis_hnf,
-                                                  shard=shard, inner=[boxes[k] for k in inner]):
+    for base, step, lo, hi, spans in region_runs(field_k, boxes, params.order.basis_hnf, shard):
         values = run_values(poly, base, step)
-        runs.append((base, step, lo, hi, inside, partial(holds, values, {})))
+        runs.append((lo, spans, partial(holds, values, {})))
         starts.append(len(norms))
         norms += run_norms(field_k, values, lo, hi)
         if len(norms) >= CHUNK:

@@ -435,39 +435,48 @@ class _LineBounds(_FinckePohst):
         super().__init__((l, d), radius - d[n], self.ranges[:-1], l[n][:n])
 
 
-def region_runs(field, box, lattice_rows, shard=None, inner=()):
-    """Stream the runs (base, step, lo, hi, inside) of the lattice inside
-    the region, in lexicographic coordinate order: base + c * step lies in
-    the region exactly for lo <= c <= hi.  Exhaustive and exact.
+def region_runs(field, boxes, lattice_rows, shard):
+    """Stream the runs (base, step, lo, hi, spans) of the lattice inside
+    the componentwise largest of the boxes, which holds them all, in
+    lexicographic coordinate order: base + c * step lies in that region
+    exactly for lo <= c <= hi, and in box k exactly for c in spans[k] =
+    (a, b), a > b when there is none.  Exhaustive and exact.
 
     Each run is one line along the last lattice row, walked where
-    _LineBounds allows; the region is convex, so the line meets it in
+    _LineBounds allows; a region is convex, so the line meets it in
     consecutive c, and only the two run ends are decided
-    (FloatRegionFilter.run).  inside tells, for each box of inner, whether
-    the line is within that box's _LineBounds (else its run there is empty).
-    shard=(index, count) keeps the lines whose first coefficient is index
-    mod count.  A walk of more than RESIDUE_CAP lines, counted over every
-    shard, raises ResidueCapError before the first run."""
-    walk = _LineBounds(field, box, lattice_rows)
+    (FloatRegionFilter.run).  A box equal to the largest spans the run; any
+    other box walks its own ends inside the run, on the lines within its
+    own _LineBounds, and spans nothing elsewhere.  shard=(index, count)
+    keeps the lines whose first coefficient is index mod count, None keeps
+    all.  A walk of more than RESIDUE_CAP lines, counted over every shard,
+    raises ResidueCapError before the first run."""
+    outer = RegionBox(field.signature, [max(b) for b in zip(*(bx.bounds_sq for bx in boxes))])
+    walk = _LineBounds(field, outer, lattice_rows)
     check_cap(walk.bound, "region line walk", lambda: sum(len(cs) for _, cs in walk.blocks()))
-    inside = [dict(_LineBounds(field, bx, lattice_rows).blocks(shard)) for bx in inner]
-    screen = FloatRegionFilter(field, box)
+    # Each box's screen and lines, no screen for a box equal to the largest.
+    inner = [(None, {}) if bx.bounds_sq == outer.bounds_sq else
+             (FloatRegionFilter(field, bx), dict(_LineBounds(field, bx, lattice_rows).blocks(shard)))
+             for bx in boxes]
+    screen = FloatRegionFilter(field, outer)
     row, step = lattice_rows[-2:]
     for prefix, cs in walk.blocks(shard):
         corner = [sum(c * x for c, x in zip(prefix, col)) for col in zip(*lattice_rows)]
-        within = [lines.get(prefix, ()) for lines in inside]
+        within = [(own, lines.get(prefix, ())) for own, lines in inner]
         for c in cs:
             base = tuple(a + c * b for a, b in zip(corner, row))
             lo, hi = screen.run(base, step, *walk.ranges[-1])
             if lo <= hi:
-                yield base, step, lo, hi, tuple(c in w for w in within)
+                yield base, step, lo, hi, [
+                    (lo, hi) if own is None else own.run(base, step, lo, hi) if c in own_cs
+                    else (lo, lo - 1) for own, own_cs in within]
 
 
 def enumerate_region(field, box, lattice_rows, shard=None):
     """Stream the points of the lattice inside the region, in
     lexicographic coordinate order: the points of region_runs, with the
     same shard slices."""
-    for base, step, lo, hi, _ in region_runs(field, box, lattice_rows, shard):
+    for base, step, lo, hi, _ in region_runs(field, [box], lattice_rows, shard):
         for c in range(lo, hi + 1):
             yield field.element([a + c * b for a, b in zip(base, step)])
 
@@ -609,19 +618,17 @@ def widmer_constant(n):
 
 
 def widmer_bound(lattice, n_maps, lip):
-    """Upper bound c0(n) * M * max_i Lip^i / (lambda_1 ... lambda_i).
-
-    lip may be a Fraction or RatInterval (its upper end is used); the
-    returned Fraction dominates the true bound.
+    """Upper bound c0(n) * M * max_i Lip^i / (lambda_1 ... lambda_i), for
+    a rational upper bound lip on Lip; the returned Fraction dominates the
+    true bound.
     """
     n = lattice.n
     minima = lattice.minima_sq()
-    lip_hi = lip.hi if isinstance(lip, RatInterval) else Fraction(lip)
     best_sq = Fraction(1)
     minima_prod = Fraction(1)
     for i in range(1, n):
         minima_prod *= minima[i - 1]
-        cand = lip_hi ** (2 * i) / minima_prod
+        cand = lip ** (2 * i) / minima_prod
         if cand > best_sq:
             best_sq = cand
     c0 = widmer_constant(n)

@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 
@@ -661,9 +662,8 @@ def test_presieved_counts_match_the_oracle(case):
         parts = [empirical_count(params, boxes, shard=(i, shards)) for i in range(shards)]
         assert [sum(col) for col in zip(*parts)] == counts
     ends = set()
-    for base, step, lo, hi, _ in region_runs(field, outer, order.basis_hnf):
-        for box in boxes[1:]:
-            a, b = FloatRegionFilter(field, box).run(base, step, lo, hi)
+    for base, step, _, _, spans in region_runs(field, boxes, order.basis_hnf, None):
+        for a, b in spans[1:]:
             for end, c in (("start", a), ("end", b)):
                 if a <= b and oracle_rejects(params, field.element(
                         [x + c * y for x, y in zip(base, step)])):
@@ -686,6 +686,34 @@ def test_presieve_spares_the_kernel(monkeypatch):
         argv = ["count", "--field", field, f"--eta={eta}", "--boxes", boxes, "--out", os.devnull]
         assert cli.main(argv) == 0
         assert sum(seen) == values
+
+
+def test_screens_work_on_the_seed_0_counts(monkeypatch, tmp_path):
+    # The screens' work on the seed-0 counts of the cubic-sharded benchmark
+    # (in one process) and of count-quadratic: one line_range call per line
+    # a screen walks, every largest box's line and every smaller box's line
+    # within its own walk, and one test call per run end the screen decides.
+    spec = tmp_path / "cubic_23.json"
+    spec.write_text(json.dumps({"name": "cubic-23", "min_poly": [-1, -1, 0, 1]}))
+    calls = dict.fromkeys(("line_range", "test"), 0)
+
+    def counted(name, method):
+        def call(self, *args):
+            calls[name] += 1
+            return method(self, *args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(FloatRegionFilter, name, counted(name, getattr(FloatRegionFilter, name)))
+    for field, eta, boxes, work in (
+            (str(spec), "0,1,0", "1000,8000,27000", {"line_range": 5_046, "test": 7_936}),
+            ("q_sqrt5", "0,1", "100,1000,10000,100000", {"line_range": 479, "test": 912}),
+            ("q_i", "1,1", "100,1000,10000", {"line_range": 285, "test": 566})):
+        calls.update(dict.fromkeys(calls, 0))
+        argv = ["count", "--field", field, f"--eta={eta}", "--boxes", boxes, "--threads", "1",
+                "--out", os.devnull]
+        assert cli.main(argv) == 0
+        assert calls == work, field
 
 
 def _reduce_per_element(poly, pid):

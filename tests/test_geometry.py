@@ -166,7 +166,7 @@ def k3():
 def run_points(field, box, rows, shard):
     return [
         tuple(a + c * b for a, b in zip(base, step))
-        for base, step, lo, hi, _ in region_runs(field, box, rows, shard=shard)
+        for base, step, lo, hi, _ in region_runs(field, [box], rows, shard)
         for c in range(lo, hi + 1)
     ]
 
@@ -178,7 +178,7 @@ def check_against_oracle(field, box, rows):
     non-member, one that stops one step late drops a member."""
     expected = [p.coords for p in enumerate_region_oracle(field, box, rows)]
     assert [p.coords for p in enumerate_region(field, box, rows)] == expected
-    assert all(lo <= hi for _, _, lo, hi, _ in region_runs(field, box, rows))
+    assert all(lo <= hi for _, _, lo, hi, _ in region_runs(field, [box], rows, None))
     assert run_points(field, box, rows, None) == expected
     for k in (2, 3):
         parts = [p for i in range(k) for p in run_points(field, box, rows, (i, k))]
@@ -200,7 +200,7 @@ def walk_counting_lines(field, box, rows, shard=None):
     run = FloatRegionFilter.run
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(FloatRegionFilter, "run", lambda self, *args: calls.append(args) or run(self, *args))
-        runs = list(region_runs(field, box, rows, shard=shard))
+        runs = list(region_runs(field, [box], rows, shard))
     return runs, len(calls)
 
 
@@ -244,11 +244,55 @@ def test_walk_cap_counts_the_nested_lines(k3, monkeypatch):
     box = RegionBox.cube(k3.signature, 27000)
     runs, lines = walk_counting_lines(k3, box, identity(3))
     monkeypatch.setattr("unitring.ideal.RESIDUE_CAP", 5000)
-    assert list(region_runs(k3, box, identity(3))) == runs
+    assert list(region_runs(k3, [box], identity(3), None)) == runs
     monkeypatch.setattr("unitring.ideal.RESIDUE_CAP", lines - 1)
     with pytest.raises(ResidueCapError,
                        match=f"^region line walk of size {lines} exceeds cap {lines - 1}$"):
-        next(region_runs(k3, box, identity(3)))
+        next(region_runs(k3, [box], identity(3), None))
+
+
+def spans_by_box(field, boxes, rows, shard):
+    """Each box's nonempty spans in the one stream of region_runs over all
+    the boxes, keyed by the base of their line."""
+    out = [{} for _ in boxes]
+    for base, _, _, _, spans in region_runs(field, boxes, rows, shard):
+        for k, (a, b) in enumerate(spans):
+            if a <= b:
+                out[k][base] = (a, b)
+    return out
+
+
+def cubes(signature, volumes):
+    return [RegionBox.cube(signature, x).bounds_sq for x in volumes]
+
+
+SPAN_CASES = {
+    # The CLI's nested cubes; the same with the pair that is not nested;
+    # the pair alone, where no box equals the componentwise largest.
+    "q5-cubes": ("q5", cubes((2, 0), (100, 400, 1000))),
+    "q5-cubes-pair": ("q5", cubes((2, 0), (100, 400, 1000)) + [(900, 100), (100, 900)]),
+    "q5-pair": ("q5", [(900, 100), (100, 900)]),
+    # One place: boxes are always nested; here one repeats the largest.
+    "qi-cubes": ("qi", cubes((0, 1), (100, 400, 1000))),
+    "qi-repeat": ("qi", cubes((0, 1), (1000, 100, 1000))),
+    "k3-cubes": ("k3", cubes((1, 1), (1000, 8000, 27000))),
+    "k3-cubes-pair": ("k3", cubes((1, 1), (1000, 8000)) + [(900, 100), (100, 900)]),
+    "k3-pair": ("k3", [(900, 100), (100, 900)]),
+}
+
+
+@pytest.mark.parametrize("name, bounds", SPAN_CASES.values(), ids=SPAN_CASES.keys())
+def test_spans_are_each_boxs_own_runs(q5, qi, k3, name, bounds):
+    # Box k's nonempty spans are exactly the runs of its own walk,
+    # region_runs over [box k], line by line, on one pass and on every
+    # slice of 2 and 3 shards.
+    field = {"q5": q5, "qi": qi, "k3": k3}[name]
+    boxes = [RegionBox(field.signature, b) for b in bounds]
+    rows = identity(field.degree)
+    for shard in [None] + [(i, k) for k in (2, 3) for i in range(k)]:
+        for box, spans in zip(boxes, spans_by_box(field, boxes, rows, shard)):
+            assert spans == {base: (lo, hi) for base, _, lo, hi, _
+                             in region_runs(field, [box], rows, shard)}, (box, shard)
 
 
 def check_enumeration_against_oracle(field, data, top, max_candidates):
